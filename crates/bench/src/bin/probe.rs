@@ -18,8 +18,8 @@ fn main() {
     };
     let traces = env.traces(Scenario::Pretrain);
     let agg = env.agg_multiscale();
-    let (train, test) = delay_sets(&env, &traces, agg.seq_len(), None);
-    let std2 = (train.delay_std() as f64).powi(2);
+    let (train_ds, test) = delay_sets(&env, &traces, agg.seq_len(), None);
+    let std2 = (train_ds.delay_std() as f64).powi(2);
     let lo_norm = delay_last_observed_mse(&test) / std2;
     let ew_norm = delay_ewma_mse(&test, EWMA_ALPHA) / std2;
     eprintln!(
@@ -34,7 +34,7 @@ fn main() {
     eprintln!(
         "{} params, {} windows",
         model.num_params() + head.num_params(),
-        train.len()
+        train_ds.len()
     );
     let mut tc = TrainConfig {
         epochs: 1,
@@ -44,10 +44,12 @@ fn main() {
         seed: 0,
         ..TrainConfig::default()
     };
+    let par = ParStrategy::from_env();
+    let (task, test_task) = (HeadTask::new(&head, &train_ds), HeadTask::new(&head, &test));
     for round in 0..12 {
         tc.seed = round;
-        let rep = train_delay(&model, &head, &train, &tc, TrainMode::Full);
-        let ev = eval_delay(&model, &head, &test, 64);
+        let rep = train(&model, &task, &tc, TrainMode::Full);
+        let ev = evaluate(&model, &test_task, 64, &par);
         eprintln!(
             "steps {:>4}: train loss {:.5}, test mse_norm {:.4}e-3 ({:.1}s)",
             (round + 1) * 100,
@@ -58,7 +60,7 @@ fn main() {
     }
 
     // MCT from scratch on full data.
-    let (mtrain, mtest) = mct_sets(&env, &traces, agg.seq_len(), train.norm.clone());
+    let (mtrain, mtest) = mct_sets(&env, &traces, agg.seq_len(), train_ds.norm.clone());
     let mstd2 = (mtrain.mct_std() as f64).powi(2);
     eprintln!(
         "mct baselines (norm): last-observed {:.3}, ewma {:.3}; {} anchors",
@@ -76,10 +78,11 @@ fn main() {
         seed: 0,
         ..TrainConfig::default()
     };
+    let (mtask, mtest_task) = (HeadTask::new(&mh, &mtrain), HeadTask::new(&mh, &mtest));
     for round in 0..6 {
         mc.seed = round;
-        let rep = train_mct(&m2, &mh, &mtrain, &mc, TrainMode::Full);
-        let ev = eval_mct(&m2, &mh, &mtest, 64);
+        let rep = train(&m2, &mtask, &mc, TrainMode::Full);
+        let ev = evaluate(&m2, &mtest_task, 64, &par);
         eprintln!(
             "mct steps {:>4}: train loss {:.4}, test mse_norm {:.4} ({:.1}s)",
             (round + 1) * 100,

@@ -232,7 +232,7 @@ impl Env {
 
     /// Generate the traces for one Fig. 4 scenario through the fleet
     /// executor (sequential seed schedule, so traces are bit-identical
-    /// to the legacy serial `run_many` at any thread count).
+    /// to a serial loop over seeds at any thread count).
     pub fn traces(&self, scenario: Scenario) -> Vec<RunTrace> {
         let label = format!("{scenario:?}");
         eprintln!("[fleet] generating {} x {label} runs...", self.n_runs());

@@ -26,13 +26,7 @@
 //! u64    FNV-1a-64 checksum of everything after the magic
 //! ```
 //!
-//! The version-1 format (`NTTCKPT1`: magic + the params section only)
-//! is still **read** by [`read_all`]/[`load`], so previously shared
-//! checkpoints keep loading — but since v1 files carry no config, the
-//! caller must supply pre-built modules, which is exactly the
-//! limitation v2 removes.
-//!
-//! All readers parse from memory with bounds checks: truncated files,
+//! The reader parses from memory with bounds checks: truncated files,
 //! wrong magics, corrupted sizes, duplicate names, and checksum
 //! mismatches return typed [`io::Error`]s — never panic, never
 //! over-allocate beyond the file size.
@@ -46,7 +40,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-const MAGIC_V1: &[u8; 8] = b"NTTCKPT1";
 const MAGIC_V2: &[u8; 8] = b"NTTCKPT2";
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
@@ -148,7 +141,7 @@ fn push_string(out: &mut Vec<u8>, s: &str) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// The params section (shared by v1 and v2).
+// The params section.
 
 fn write_params(out: &mut Vec<u8>, params: &[(String, Tensor)]) -> io::Result<()> {
     {
@@ -201,14 +194,6 @@ fn read_params(r: &mut Reader) -> io::Result<Vec<(String, Tensor)>> {
         out.push((name, Tensor::from_vec(data, &shape)));
     }
     Ok(out)
-}
-
-fn collect_params(modules: &[&dyn Module]) -> Vec<(String, Tensor)> {
-    modules
-        .iter()
-        .flat_map(|m| m.params())
-        .map(|p| (p.name(), p.value()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -281,7 +266,7 @@ fn read_config(r: &mut Reader) -> io::Result<NttConfig> {
 }
 
 // ---------------------------------------------------------------------
-// The v2 checkpoint object.
+// The checkpoint object.
 
 /// Descriptor of one head stored in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,7 +354,11 @@ impl Checkpoint {
             });
             modules.push(*h as &dyn Module);
         }
-        let params = collect_params(&modules);
+        let params: Vec<(String, Tensor)> = modules
+            .iter()
+            .flat_map(|m| m.params())
+            .map(|p| (p.name(), p.value()))
+            .collect();
         {
             let mut seen = BTreeMap::new();
             for (name, _) in &params {
@@ -430,7 +419,7 @@ impl Checkpoint {
 
     /// Parse a `NTTCKPT2` file without instantiating the model.
     ///
-    /// This is the chokepoint every v2 load funnels through
+    /// This is the chokepoint every load funnels through
     /// ([`Checkpoint::load`], `Pretrained::load`, the serving
     /// registry), so it carries the `core.checkpoint.read` chaos site:
     /// a seeded plan can corrupt or truncate the bytes between disk and
@@ -445,11 +434,11 @@ impl Checkpoint {
 
     /// Parse `NTTCKPT2` bytes already in memory.
     fn parse(bytes: &[u8]) -> io::Result<Checkpoint> {
-        if bytes.len() < 8 || &bytes[..8] != MAGIC_V2 {
-            if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
+        if !bytes.starts_with(MAGIC_V2) {
+            if bytes.starts_with(b"NTTCKPT1") {
                 return Err(bad_data(
-                    "NTTCKPT1 file: v1 checkpoints carry no model config; \
-                     load them with checkpoint::load(path, modules)",
+                    "NTTCKPT1 file: v1 checkpoints carry no model config and \
+                     are no longer read; re-save the model as NTTCKPT2",
                 ));
             }
             return Err(bad_data("bad magic: not an NTT checkpoint"));
@@ -579,70 +568,11 @@ impl Checkpoint {
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy name-addressed API (v1 writer; reader accepts v1 and v2).
-
-/// Save all parameters of `modules` in the **legacy v1 format** (names
-/// and tensors only — no config, no checksum). Kept so v1 tooling and
-/// fixtures remain writable; new code should go through [`Checkpoint`].
-pub fn save(path: impl AsRef<Path>, modules: &[&dyn Module]) -> io::Result<()> {
-    let params = collect_params(modules);
-    let mut file = Vec::new();
-    file.extend_from_slice(MAGIC_V1);
-    write_params(&mut file, &params)?;
-    std::fs::write(path, file)
-}
-
-/// Read a checkpoint (either version) into `name -> Tensor`.
-pub fn read_all(path: impl AsRef<Path>) -> io::Result<BTreeMap<String, Tensor>> {
-    let bytes = std::fs::read(&path)?;
-    let params = if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        let mut r = Reader::new(&bytes[8..]);
-        let params = read_params(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(bad_data(format!(
-                "{} trailing bytes after the params section",
-                r.remaining()
-            )));
-        }
-        params
-    } else {
-        Checkpoint::parse(&bytes)?.params
-    };
-    Ok(params.into_iter().collect())
-}
-
-/// Load a checkpoint (either version) into `modules`, matching
-/// parameters by name. Every parameter of every module must be present
-/// with the right shape. This is the v1-compatible path: it needs the
-/// caller to build the modules, which v2's [`Checkpoint::load`] avoids.
-pub fn load(path: impl AsRef<Path>, modules: &[&dyn Module]) -> io::Result<()> {
-    let mut stored = read_all(path)?;
-    for m in modules {
-        for p in m.params() {
-            let name = p.name();
-            let t = stored
-                .remove(&name)
-                .ok_or_else(|| bad_data(format!("checkpoint missing parameter {name:?}")))?;
-            if t.shape() != p.shape() {
-                return Err(bad_data(format!(
-                    "shape mismatch for {name:?}: checkpoint {:?} vs model {:?}",
-                    t.shape(),
-                    p.shape()
-                )));
-            }
-            p.set_value(t);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Aggregation, NttConfig};
     use crate::model::{DelayHead, DropHead, MctHead, Ntt};
-    use ntt_tensor::Param;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ntt_ckpt_test_{name}_{}", std::process::id()))
@@ -658,31 +588,6 @@ mod tests {
             seed,
             ..NttConfig::default()
         }
-    }
-
-    #[test]
-    fn roundtrip_restores_exact_values() {
-        let cfg = tiny_cfg(1);
-        let model = Ntt::new(cfg);
-        let head = DelayHead::new(16, 1);
-        let path = tmp("roundtrip");
-        save(&path, &[&model, &head]).unwrap();
-
-        // A differently-seeded model has different weights...
-        let other = Ntt::new(NttConfig { seed: 2, ..cfg });
-        let other_head = DelayHead::new(16, 2);
-        let before: Vec<_> = other.params().iter().map(|p| p.value()).collect();
-        load(&path, &[&other, &other_head]).unwrap();
-        // ... until loading: now they match the saved model exactly.
-        for (a, b) in model.params().iter().zip(other.params().iter()) {
-            assert_eq!(a.value(), b.value(), "param {}", a.name());
-        }
-        assert!(other
-            .params()
-            .iter()
-            .zip(before)
-            .any(|(p, b)| p.value() != b));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -725,9 +630,6 @@ mod tests {
         );
         assert!(loaded.head("mct").is_some());
         assert!(loaded.head("nope").is_none());
-        // The compat reader sees v2 params too.
-        let all = read_all(&path).unwrap();
-        assert!(all.contains_key("ntt.embedding.weight"));
         std::fs::remove_file(path).ok();
     }
 
@@ -787,54 +689,25 @@ mod tests {
 
     #[test]
     fn load_rejects_shape_mismatch() {
-        let a = Param::new("w", ntt_tensor::Tensor::randn(&[4, 4], 0));
-        struct M(Param);
-        impl Module for M {
-            fn params(&self) -> Vec<Param> {
-                vec![self.0.clone()]
-            }
-        }
-        let path = tmp("shape");
-        save(&path, &[&M(a)]).unwrap();
-        let b = M(Param::new("w", ntt_tensor::Tensor::randn(&[2, 2], 0)));
-        let err = load(&path, &[&b]).unwrap_err();
-        assert!(err.to_string().contains("shape mismatch"));
-        std::fs::remove_file(path).ok();
+        let mut ckpt = Checkpoint::capture(&Ntt::new(tiny_cfg(11)), &[], None, vec![]).unwrap();
+        ckpt.params[0].1 = Tensor::zeros(&[2, 2]);
+        let err = ckpt.restore().unwrap_err();
+        assert!(err.to_string().contains("shape mismatch"), "{err}");
     }
 
     #[test]
     fn load_rejects_missing_param() {
-        struct M(Param);
-        impl Module for M {
-            fn params(&self) -> Vec<Param> {
-                vec![self.0.clone()]
-            }
-        }
-        let path = tmp("missing");
-        save(
-            &path,
-            &[&M(Param::new("a", ntt_tensor::Tensor::zeros(&[1])))],
-        )
-        .unwrap();
-        let other = M(Param::new("b", ntt_tensor::Tensor::zeros(&[1])));
-        let err = load(&path, &[&other]).unwrap_err();
-        assert!(err.to_string().contains("missing parameter"));
-        std::fs::remove_file(path).ok();
+        let mut ckpt = Checkpoint::capture(&Ntt::new(tiny_cfg(12)), &[], None, vec![]).unwrap();
+        ckpt.params.remove(0);
+        let err = ckpt.restore().unwrap_err();
+        assert!(err.to_string().contains("missing parameter"), "{err}");
     }
 
     #[test]
     fn save_rejects_duplicate_names() {
-        struct M(Param, Param);
-        impl Module for M {
-            fn params(&self) -> Vec<Param> {
-                vec![self.0.clone(), self.1.clone()]
-            }
-        }
-        let m = M(
-            Param::new("same", ntt_tensor::Tensor::zeros(&[1])),
-            Param::new("same", ntt_tensor::Tensor::zeros(&[1])),
-        );
-        let err = save(tmp("dup"), &[&m]).unwrap_err();
+        let mut ckpt = Checkpoint::capture(&Ntt::new(tiny_cfg(13)), &[], None, vec![]).unwrap();
+        ckpt.params.push(ckpt.params[0].clone());
+        let err = ckpt.save(tmp("dup")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("duplicate"));
     }
@@ -849,65 +722,67 @@ mod tests {
         assert!(err.to_string().contains("duplicate"));
     }
 
+    /// A well-formed `NTTCKPT2` container (no heads, normalizer or
+    /// provenance; valid checksum) around a hand-built params section,
+    /// so hostile bytes get past the checksum and reach `read_params`.
+    fn container_around(params_section: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_config(&mut body, &tiny_cfg(0));
+        body.push(0); // heads
+        body.push(0); // no normalizer
+        body.extend_from_slice(&0u16.to_le_bytes()); // provenance entries
+        body.extend_from_slice(params_section);
+        body.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        [MAGIC_V2.as_slice(), &body].concat()
+    }
+
     #[test]
     fn duplicate_names_in_a_file_are_rejected_on_read() {
-        // Hand-craft a v1 file with two params of the same name.
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC_V1);
-        let one = |f: &mut Vec<u8>| {
-            f.extend_from_slice(&1u16.to_le_bytes());
-            f.push(b'x');
-            f.push(1); // rank
-            f.extend_from_slice(&1u32.to_le_bytes());
-            f.extend_from_slice(&1.0f32.to_le_bytes());
-        };
-        file.extend_from_slice(&2u32.to_le_bytes());
-        one(&mut file);
-        one(&mut file);
-        let path = tmp("dupfile");
-        std::fs::write(&path, &file).unwrap();
-        let err = read_all(&path).unwrap_err();
+        let mut params = 2u32.to_le_bytes().to_vec();
+        for _ in 0..2 {
+            params.extend_from_slice(&1u16.to_le_bytes());
+            params.push(b'x');
+            params.push(1); // rank
+            params.extend_from_slice(&1u32.to_le_bytes());
+            params.extend_from_slice(&1.0f32.to_le_bytes());
+        }
+        let err = Checkpoint::parse(&container_around(&params)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("duplicate"));
-        std::fs::remove_file(path).ok();
+        assert!(err.to_string().contains("duplicate"), "{err}");
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         let path = tmp("magic");
         std::fs::write(&path, b"NOTACKPT....").unwrap();
-        assert!(read_all(&path).is_err());
         assert!(Checkpoint::load(&path).is_err());
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn huge_corrupt_dims_fail_without_allocating() {
-        // A v1 file claiming a [u32::MAX, u32::MAX] tensor with 4 bytes
-        // of data: must error on bounds, not abort on allocation.
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC_V1);
-        file.extend_from_slice(&1u32.to_le_bytes());
-        file.extend_from_slice(&1u16.to_le_bytes());
-        file.push(b'w');
-        file.push(2); // rank
-        file.extend_from_slice(&u32::MAX.to_le_bytes());
-        file.extend_from_slice(&u32::MAX.to_le_bytes());
-        file.extend_from_slice(&0.0f32.to_le_bytes());
-        let path = tmp("huge");
-        std::fs::write(&path, &file).unwrap();
-        let err = read_all(&path).unwrap_err();
+        // A [u32::MAX, u32::MAX] tensor claimed over 4 bytes of data:
+        // must error on bounds, not abort on allocation.
+        let mut params = 1u32.to_le_bytes().to_vec();
+        params.extend_from_slice(&1u16.to_le_bytes());
+        params.push(b'w');
+        params.push(2); // rank
+        params.extend_from_slice(&u32::MAX.to_le_bytes());
+        params.extend_from_slice(&u32::MAX.to_le_bytes());
+        params.extend_from_slice(&0.0f32.to_le_bytes());
+        let err = Checkpoint::parse(&container_around(&params)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(path).ok();
+        assert!(!err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
     fn v1_files_are_refused_by_the_v2_loader_with_guidance() {
-        let model = Ntt::new(tiny_cfg(8));
         let path = tmp("v1_guidance");
-        save(&path, &[&model]).unwrap();
+        std::fs::write(&path, b"NTTCKPT1\0\0\0\0").unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("NTTCKPT1"), "{err}");
+        assert!(err.to_string().contains("NTTCKPT2"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

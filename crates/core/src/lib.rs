@@ -49,9 +49,6 @@ pub use config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
 pub use model::{build_head, DelayHead, DropHead, MctHead, Ntt};
 pub use ntt_nn::Head;
 pub use pipeline::{Experiment, FinetuneOpts, Finetuned, Pretrained};
-pub use task::{DelayTask, DropTask, HeadTask, MctTask, Task};
+pub use task::{HeadTask, Task};
 pub use threads::env_threads;
-pub use trainer::{
-    eval_delay, eval_mct, evaluate, train, train_delay, train_mct, EvalReport, ParStrategy,
-    TrainConfig, TrainMode, TrainReport,
-};
+pub use trainer::{evaluate, train, EvalReport, ParStrategy, TrainConfig, TrainMode, TrainReport};

@@ -65,7 +65,7 @@ use crate::baselines::{
 };
 use crate::checkpoint::Checkpoint;
 use crate::config::NttConfig;
-use crate::model::{build_head, copy_params, DelayHead, MctHead, Ntt};
+use crate::model::{build_head, copy_params, DelayHead, DropHead, MctHead, Ntt};
 use crate::task::HeadTask;
 use crate::trainer::{
     evaluate, train, EvalReport, ParStrategy, TrainConfig, TrainMode, TrainReport,
@@ -166,6 +166,51 @@ impl Experiment {
         }
     }
 
+    fn eval_head<D: TaskDataset + ?Sized>(
+        &self,
+        model: &Ntt,
+        head: &dyn Head,
+        ds: &D,
+    ) -> EvalReport {
+        evaluate(
+            model,
+            &HeadTask::new(head, ds),
+            self.eval_batch,
+            &self.par(),
+        )
+    }
+
+    /// The one train → evaluate core under every stage.
+    fn fit<D: TaskDataset + ?Sized>(
+        &self,
+        model: &Ntt,
+        head: &dyn Head,
+        train_ds: &D,
+        test_ds: &D,
+        mode: TrainMode,
+    ) -> (TrainReport, EvalReport) {
+        let report = train(
+            model,
+            &HeadTask::new(head, train_ds),
+            &self.train_cfg(),
+            mode,
+        );
+        (report, self.eval_head(model, head, test_ds))
+    }
+
+    /// A freshly initialized trunk and delay head trained in full —
+    /// what pre-training and the from-scratch arm share.
+    fn fit_fresh(
+        &self,
+        train_ds: &DelayDataset,
+        test_ds: &DelayDataset,
+    ) -> (Ntt, DelayHead, TrainReport, EvalReport) {
+        let model = Ntt::new(self.model);
+        let head = DelayHead::new(self.model.d_model, self.model.seed);
+        let (report, eval) = self.fit(&model, &head, train_ds, test_ds, TrainMode::Full);
+        (model, head, report, eval)
+    }
+
     /// Stage 1: run the sweep with streaming ingestion (raw traces are
     /// folded into the compact dataset shard by shard).
     pub fn sweep(&self, spec: &SweepSpec) -> (Arc<TraceData>, FleetReport) {
@@ -189,6 +234,18 @@ impl Experiment {
         )
     }
 
+    /// [`Experiment::delay_datasets`] for a fine-tuning stage: the
+    /// training split cut to `opts.fraction`.
+    fn delay_split(
+        &self,
+        data: Arc<TraceData>,
+        norm: Option<Normalizer>,
+        opts: &FinetuneOpts,
+    ) -> (DelayDataset, DelayDataset) {
+        let (train_all, test_ds) = self.delay_datasets(data, norm);
+        (opts.cut(train_all, DelayDataset::subsample), test_ds)
+    }
+
     /// Stages 1–3 chained: sweep → dataset → pre-train the delay task,
     /// evaluating on the held-out split.
     pub fn pretrain(&self, spec: &SweepSpec) -> Pretrained {
@@ -205,20 +262,7 @@ impl Experiment {
         fleet: Option<FleetReport>,
     ) -> Pretrained {
         let (train_ds, test_ds) = self.delay_datasets(data, None);
-        let model = Ntt::new(self.model);
-        let head = DelayHead::new(self.model.d_model, self.model.seed);
-        let report = train(
-            &model,
-            &HeadTask::new(&head, &train_ds),
-            &self.train_cfg(),
-            TrainMode::Full,
-        );
-        let eval = evaluate(
-            &model,
-            &HeadTask::new(&head, &test_ds),
-            self.eval_batch,
-            &self.par(),
-        );
+        let (model, head, report, eval) = self.fit_fresh(&train_ds, &test_ds);
         let test_target_variance = test_ds.target_variance();
         // Besides human-readable provenance, the entries carry the window
         // geometry (stride, test fraction) so a loading site rebuilds
@@ -279,29 +323,8 @@ impl Experiment {
 
     /// [`Experiment::scratch`] over already-simulated data.
     pub fn scratch_on(&self, data: Arc<TraceData>, opts: &FinetuneOpts) -> Finetuned {
-        let (train_all, test_ds) = self.delay_datasets(data, None);
-        let train_ds = match opts.fraction {
-            Some(f) => train_all.subsample(f, opts.seed),
-            None => train_all,
-        };
-        let model = Ntt::new(self.model);
-        let head = DelayHead::new(self.model.d_model, self.model.seed);
-        let report = train(
-            &model,
-            &HeadTask::new(&head, &train_ds),
-            &self.train_cfg(),
-            TrainMode::Full,
-        );
-        let eval = evaluate(
-            &model,
-            &HeadTask::new(&head, &test_ds),
-            self.eval_batch,
-            &self.par(),
-        );
-        let baselines = vec![
-            ("last-observed", delay_last_observed_mse(&test_ds)),
-            ("ewma", delay_ewma_mse(&test_ds, EWMA_ALPHA)),
-        ];
+        let (train_ds, test_ds) = self.delay_split(data, None, opts);
+        let (model, head, report, eval) = self.fit_fresh(&train_ds, &test_ds);
         Finetuned {
             task: "delay",
             model,
@@ -309,7 +332,7 @@ impl Experiment {
             report,
             eval,
             zero_shot: None,
-            baselines,
+            baselines: delay_baselines(&test_ds),
             train_windows: train_ds.len(),
             test_target_variance: test_ds.target_variance(),
         }
@@ -383,6 +406,14 @@ impl FinetuneOpts {
         self.seed = seed;
         self
     }
+
+    /// `all` cut to `fraction` by the dataset's own seeded `subsample`.
+    fn cut<D>(&self, all: D, subsample: impl FnOnce(&D, f64, u64) -> D) -> D {
+        match self.fraction {
+            Some(f) => subsample(&all, f, self.seed),
+            None => all,
+        }
+    }
 }
 
 /// The outcome of one fine-tuning stage: the adapted model/head (the
@@ -408,6 +439,13 @@ pub struct Finetuned {
     /// Variance of the test targets in raw task units (the
     /// denominator of the paper's variance-relative MSE).
     pub test_target_variance: f64,
+}
+
+fn delay_baselines(test_ds: &DelayDataset) -> Vec<(&'static str, f64)> {
+    vec![
+        ("last-observed", delay_last_observed_mse(test_ds)),
+        ("ewma", delay_ewma_mse(test_ds, EWMA_ALPHA)),
+    ]
 }
 
 fn clone_head(head: &dyn Head) -> Box<dyn Head> {
@@ -504,47 +542,15 @@ impl Pretrained {
 
     /// [`Pretrained::finetune`] over already-simulated data.
     pub fn finetune_on(&self, data: Arc<TraceData>, opts: &FinetuneOpts) -> Finetuned {
-        let (train_all, test_ds) = self.exp.delay_datasets(data, Some(self.norm.clone()));
-        let train_ds = match opts.fraction {
-            Some(f) => train_all.subsample(f, opts.seed),
-            None => train_all,
-        };
-        let pre_head = self.delay_head();
-        let zero_shot = evaluate(
-            &self.model,
-            &HeadTask::new(pre_head, &test_ds),
-            self.exp.eval_batch,
-            &self.exp.par(),
-        );
-        let model = self.model.clone_weights();
-        let head = clone_head(pre_head);
-        let report = train(
-            &model,
-            &HeadTask::new(head.as_ref(), &train_ds),
-            &self.exp.train_cfg(),
+        let (train_ds, test_ds) = self.exp.delay_split(data, Some(self.norm.clone()), opts);
+        self.adapt(
+            "delay",
+            |_, _| panic!("pre-trained model carries no delay head"),
+            (&train_ds, &test_ds),
             opts.mode,
-        );
-        let eval = evaluate(
-            &model,
-            &HeadTask::new(head.as_ref(), &test_ds),
-            self.exp.eval_batch,
-            &self.exp.par(),
-        );
-        let baselines = vec![
-            ("last-observed", delay_last_observed_mse(&test_ds)),
-            ("ewma", delay_ewma_mse(&test_ds, EWMA_ALPHA)),
-        ];
-        Finetuned {
-            task: "delay",
-            model,
-            head,
-            report,
-            eval,
-            zero_shot: Some(zero_shot),
-            baselines,
-            train_windows: train_ds.len(),
-            test_target_variance: test_ds.target_variance(),
-        }
+            delay_baselines(&test_ds),
+            test_ds.target_variance(),
+        )
     }
 
     /// Fine-tune the **MCT task** (Fig. 1's "adapt to a new task"): a
@@ -557,84 +563,30 @@ impl Pretrained {
 
     /// [`Pretrained::finetune_mct`] over already-simulated data.
     pub fn finetune_mct_on(&self, data: Arc<TraceData>, opts: &FinetuneOpts) -> Finetuned {
+        let mask = self.exp.model.features;
         let (train_all, test_ds) = MctDataset::build(data, self.exp.ds_cfg(), self.norm.clone());
-        let (train_all, test_ds) = (
-            train_all.with_mask(self.exp.model.features),
-            test_ds.with_mask(self.exp.model.features),
-        );
-        let train_ds = match opts.fraction {
-            Some(f) => train_all.subsample(f, opts.seed),
-            None => train_all,
-        };
-        let zero_shot = self.head("mct").map(|h| {
-            evaluate(
-                &self.model,
-                &HeadTask::new(h, &test_ds),
-                self.exp.eval_batch,
-                &self.exp.par(),
-            )
-        });
-        let model = self.model.clone_weights();
-        let head: Box<dyn Head> = match self.head("mct") {
-            Some(h) => clone_head(h),
-            None => Box::new(MctHead::new(self.exp.model.d_model, self.exp.model.seed)),
-        };
-        let report = train(
-            &model,
-            &HeadTask::new(head.as_ref(), &train_ds),
-            &self.exp.train_cfg(),
-            opts.mode,
-        );
-        let eval = evaluate(
-            &model,
-            &HeadTask::new(head.as_ref(), &test_ds),
-            self.exp.eval_batch,
-            &self.exp.par(),
-        );
+        let train_ds = opts.cut(train_all.with_mask(mask), MctDataset::subsample);
+        let test_ds = test_ds.with_mask(mask);
         let baselines = vec![
             ("last-observed", mct_last_observed_mse(&test_ds)),
             ("ewma", mct_ewma_mse(&test_ds, EWMA_ALPHA)),
         ];
-        Finetuned {
-            task: "mct",
-            model,
-            head,
-            report,
-            eval,
-            zero_shot,
+        self.adapt(
+            "mct",
+            |d_model, seed| Box::new(MctHead::new(d_model, seed)),
+            (&train_ds, &test_ds),
+            opts.mode,
             baselines,
-            train_windows: train_ds.len(),
-            test_target_variance: test_ds.target_log_variance(),
-        }
+            test_ds.target_log_variance(),
+        )
     }
 
     /// Fine-tune the **drop-count task** (§5 telemetry): a fresh drop
     /// head over the pre-training-style windows.
     pub fn finetune_drop(&self, spec: &SweepSpec, opts: &FinetuneOpts) -> Finetuned {
         let (data, _) = self.exp.sweep(spec);
-        let (train_all, test_delay) = self.exp.delay_datasets(data, Some(self.norm.clone()));
-        let train_delay = match opts.fraction {
-            Some(f) => train_all.subsample(f, opts.seed),
-            None => train_all,
-        };
+        let (train_delay, test_delay) = self.exp.delay_split(data, Some(self.norm.clone()), opts);
         let (train_ds, test_ds) = DropDataset::build(&train_delay, &test_delay);
-        let zero_shot = self.head("drop").map(|h| {
-            evaluate(
-                &self.model,
-                &HeadTask::new(h, &test_ds),
-                self.exp.eval_batch,
-                &self.exp.par(),
-            )
-        });
-        let head: Box<dyn Head> = match self.head("drop") {
-            Some(h) => clone_head(h),
-            None => Box::new(crate::model::DropHead::new(
-                self.exp.model.d_model,
-                self.exp.model.seed,
-            )),
-        };
-        let (model, report, eval) =
-            self.finetune_custom(head.as_ref(), &train_ds, &test_ds, opts.mode);
         let n = test_ds.len().max(1) as f64;
         // The naive baseline: predict the *training-set* mean count
         // (that is all a no-model predictor legitimately knows).
@@ -659,16 +611,47 @@ impl Pretrained {
             })
             .sum::<f64>()
             / n;
+        self.adapt(
+            "drop",
+            |d_model, seed| Box::new(DropHead::new(d_model, seed)),
+            (&train_ds, &test_ds),
+            opts.mode,
+            vec![("train-mean", mean_mse)],
+            test_variance,
+        )
+    }
+
+    /// The one body under every built-in fine-tuning stage: measure the
+    /// stored head of kind `task` zero-shot (when there is one), then
+    /// train a clone of it — or a `fresh(d_model, seed)` head — on a
+    /// weight-cloned trunk and evaluate.
+    fn adapt<D: TaskDataset + ?Sized>(
+        &self,
+        task: &'static str,
+        fresh: impl FnOnce(usize, u64) -> Box<dyn Head>,
+        (train_ds, test_ds): (&D, &D),
+        mode: TrainMode,
+        baselines: Vec<(&'static str, f64)>,
+        test_target_variance: f64,
+    ) -> Finetuned {
+        let stored = self.head(task);
+        let zero_shot = stored.map(|h| self.exp.eval_head(&self.model, h, test_ds));
+        let model = self.model.clone_weights();
+        let head = match stored {
+            Some(h) => clone_head(h),
+            None => fresh(self.exp.model.d_model, self.exp.model.seed),
+        };
+        let (report, eval) = self.exp.fit(&model, head.as_ref(), train_ds, test_ds, mode);
         Finetuned {
-            task: "drop",
+            task,
             model,
             head,
             report,
             eval,
             zero_shot,
-            baselines: vec![("train-mean", mean_mse)],
+            baselines,
             train_windows: train_ds.len(),
-            test_target_variance: test_variance,
+            test_target_variance,
         }
     }
 
@@ -685,18 +668,7 @@ impl Pretrained {
         mode: TrainMode,
     ) -> (Ntt, TrainReport, EvalReport) {
         let model = self.model.clone_weights();
-        let report = train(
-            &model,
-            &HeadTask::new(head, train_ds),
-            &self.exp.train_cfg(),
-            mode,
-        );
-        let eval = evaluate(
-            &model,
-            &HeadTask::new(head, test_ds),
-            self.exp.eval_batch,
-            &self.exp.par(),
-        );
+        let (report, eval) = self.exp.fit(&model, head, train_ds, test_ds, mode);
         (model, report, eval)
     }
 
@@ -704,12 +676,7 @@ impl Pretrained {
     /// with the shared normalizer (zero-shot transfer measurement).
     pub fn eval_delay_on(&self, data: Arc<TraceData>) -> EvalReport {
         let (_, test_ds) = self.exp.delay_datasets(data, Some(self.norm.clone()));
-        evaluate(
-            &self.model,
-            &HeadTask::new(self.delay_head(), &test_ds),
-            self.exp.eval_batch,
-            &self.exp.par(),
-        )
+        self.exp.eval_head(&self.model, self.delay_head(), &test_ds)
     }
 }
 

@@ -98,12 +98,3 @@ impl<H: Head + ?Sized, D: TaskDataset + ?Sized> Task for HeadTask<'_, H, D> {
         pred.mse_loss(&y)
     }
 }
-
-/// Masked-delay prediction (pre-training, and fine-tuning case 1).
-pub type DelayTask<'a> = HeadTask<'a, crate::model::DelayHead, ntt_data::DelayDataset>;
-
-/// Message-completion-time regression (fine-tuning task 2).
-pub type MctTask<'a> = HeadTask<'a, crate::model::MctHead, ntt_data::MctDataset>;
-
-/// Per-window drop-count regression (the §5 telemetry task).
-pub type DropTask<'a> = HeadTask<'a, crate::model::DropHead, ntt_data::DropDataset>;

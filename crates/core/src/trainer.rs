@@ -9,7 +9,7 @@
 //!   fine-tuning dataset (Table 2 "Full NTT").
 //!
 //! Both regimes run through one generic loop over the [`Task`] trait
-//! (delay and MCT are thin impls in [`crate::task`]).
+//! (every head/dataset pair is one [`crate::task::HeadTask`]).
 //!
 //! # Data parallelism and determinism
 //!
@@ -28,7 +28,7 @@
 //! is itself a result in Tables 2 and 3.
 
 use crate::model::Ntt;
-use crate::task::{DelayTask, MctTask, Task};
+use crate::task::Task;
 use ntt_data::BatchIter;
 use ntt_nn::{clip_param_grads, Adam, LrSchedule, Module};
 use ntt_tensor::{kernels, splitmix64, Param, ParamGrads, TapePool};
@@ -407,63 +407,12 @@ pub fn evaluate(ntt: &Ntt, task: &dyn Task, batch_size: usize, par: &ParStrategy
     }
 }
 
-/// Train the delay task (pre-training, and fine-tuning case 1).
-pub fn train_delay(
-    ntt: &Ntt,
-    head: &crate::model::DelayHead,
-    ds: &ntt_data::DelayDataset,
-    cfg: &TrainConfig,
-    mode: TrainMode,
-) -> TrainReport {
-    train(ntt, &DelayTask::new(head, ds), cfg, mode)
-}
-
-/// Evaluate the delay task.
-pub fn eval_delay(
-    ntt: &Ntt,
-    head: &crate::model::DelayHead,
-    ds: &ntt_data::DelayDataset,
-    batch_size: usize,
-) -> EvalReport {
-    evaluate(
-        ntt,
-        &DelayTask::new(head, ds),
-        batch_size,
-        &ParStrategy::from_env(),
-    )
-}
-
-/// Train the MCT task (fine-tuning task 2).
-pub fn train_mct(
-    ntt: &Ntt,
-    head: &crate::model::MctHead,
-    ds: &ntt_data::MctDataset,
-    cfg: &TrainConfig,
-    mode: TrainMode,
-) -> TrainReport {
-    train(ntt, &MctTask::new(head, ds), cfg, mode)
-}
-
-/// Evaluate the MCT task (raw units: ln(seconds)²).
-pub fn eval_mct(
-    ntt: &Ntt,
-    head: &crate::model::MctHead,
-    ds: &ntt_data::MctDataset,
-    batch_size: usize,
-) -> EvalReport {
-    evaluate(
-        ntt,
-        &MctTask::new(head, ds),
-        batch_size,
-        &ParStrategy::from_env(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Aggregation, NttConfig};
     use crate::model::{DelayHead, MctHead};
+    use crate::task::HeadTask;
     use ntt_data::{DatasetConfig, DelayDataset, MctDataset, TraceData};
     use ntt_sim::scenarios::{run, Scenario, ScenarioConfig};
     use ntt_tensor::Tape;
@@ -490,9 +439,9 @@ mod tests {
             stride: 8,
             test_fraction: 0.2,
         };
-        let (train, test) = ntt_data::DelayDataset::build(Arc::clone(&data), cfg, None);
-        let (mct_train, _) = ntt_data::MctDataset::build(data, cfg, train.norm.clone());
-        (train, test, mct_train)
+        let (train_ds, test) = ntt_data::DelayDataset::build(Arc::clone(&data), cfg, None);
+        let (mct_train, _) = ntt_data::MctDataset::build(data, cfg, train_ds.norm.clone());
+        (train_ds, test, mct_train)
     }
 
     fn quick_cfg() -> TrainConfig {
@@ -508,8 +457,9 @@ mod tests {
     #[test]
     fn delay_training_reduces_loss() {
         let (ntt, head, _) = tiny_model();
-        let (train, _, _) = tiny_datasets();
-        let report = train_delay(&ntt, &head, &train, &quick_cfg(), TrainMode::Full);
+        let (train_ds, _, _) = tiny_datasets();
+        let task = HeadTask::new(&head, &train_ds);
+        let report = train(&ntt, &task, &quick_cfg(), TrainMode::Full);
         assert_eq!(report.epoch_losses.len(), 2);
         assert!(
             report.final_loss() < report.epoch_losses[0],
@@ -534,12 +484,13 @@ mod tests {
         // tests/determinism.rs; this keeps a fast in-crate guard.)
         let run_with = |threads: usize| {
             let (ntt, head, _) = tiny_model();
-            let (train, _, _) = tiny_datasets();
+            let (train_ds, _, _) = tiny_datasets();
             let cfg = TrainConfig {
                 par: ParStrategy::with_threads(threads),
                 ..quick_cfg()
             };
-            let report = train_delay(&ntt, &head, &train, &cfg, TrainMode::Full);
+            let task = HeadTask::new(&head, &train_ds);
+            let report = train(&ntt, &task, &cfg, TrainMode::Full);
             let params: Vec<Vec<u32>> = ntt
                 .params()
                 .iter()
@@ -558,13 +509,15 @@ mod tests {
     #[test]
     fn decoder_only_updates_fewer_params_and_leaves_trunk_unchanged() {
         let (ntt, head, _) = tiny_model();
-        let (train, _, _) = tiny_datasets();
+        let (train_ds, _, _) = tiny_datasets();
         let trunk_before: Vec<_> = ntt.params().iter().map(|p| p.value()).collect();
         let full_report = {
             let (ntt2, head2, _) = tiny_model();
-            train_delay(&ntt2, &head2, &train, &quick_cfg(), TrainMode::Full)
+            let task = HeadTask::new(&head2, &train_ds);
+            train(&ntt2, &task, &quick_cfg(), TrainMode::Full)
         };
-        let dec_report = train_delay(&ntt, &head, &train, &quick_cfg(), TrainMode::DecoderOnly);
+        let task = HeadTask::new(&head, &train_ds);
+        let dec_report = train(&ntt, &task, &quick_cfg(), TrainMode::DecoderOnly);
         assert!(dec_report.trainable_params < full_report.trainable_params);
         for (p, before) in ntt.params().iter().zip(trunk_before) {
             assert_eq!(p.value(), before, "trunk param {} moved", p.name());
@@ -578,11 +531,13 @@ mod tests {
     #[test]
     fn eval_reports_consistent_units() {
         let (ntt, head, _) = tiny_model();
-        let (train, test, _) = tiny_datasets();
-        train_delay(&ntt, &head, &train, &quick_cfg(), TrainMode::Full);
-        let ev = eval_delay(&ntt, &head, &test, 16);
+        let (train_ds, test, _) = tiny_datasets();
+        let task = HeadTask::new(&head, &train_ds);
+        train(&ntt, &task, &quick_cfg(), TrainMode::Full);
+        let test_task = HeadTask::new(&head, &test);
+        let ev = evaluate(&ntt, &test_task, 16, &ParStrategy::from_env());
         assert!(ev.mse_norm.is_finite() && ev.mse_norm > 0.0);
-        let std = train.delay_std() as f64;
+        let std = train_ds.delay_std() as f64;
         assert!((ev.mse_raw - ev.mse_norm * std * std).abs() < 1e-12);
         assert_eq!(ev.n, test.len());
     }
@@ -591,10 +546,11 @@ mod tests {
     fn mct_training_works_end_to_end() {
         let (ntt, _, head) = tiny_model();
         let (_, _, mct) = tiny_datasets();
-        let report = train_mct(&ntt, &head, &mct, &quick_cfg(), TrainMode::Full);
+        let task = HeadTask::new(&head, &mct);
+        let report = train(&ntt, &task, &quick_cfg(), TrainMode::Full);
         assert!(report.final_loss().is_finite());
         assert!(report.final_grad_norm().is_finite());
-        let ev = eval_mct(&ntt, &head, &mct, 16);
+        let ev = evaluate(&ntt, &task, 16, &ParStrategy::from_env());
         assert!(ev.mse_raw.is_finite() && ev.mse_raw > 0.0);
     }
 
@@ -640,12 +596,12 @@ mod tests {
     #[test]
     fn delay_mct_and_drop_tasks_conform() {
         let (ntt, head, mct_head) = tiny_model();
-        let (train, test, mct) = tiny_datasets();
-        assert_task_conforms(&crate::task::DelayTask::new(&head, &train), &ntt);
-        assert_task_conforms(&crate::task::MctTask::new(&mct_head, &mct), &ntt);
-        let (drop_train, _) = ntt_data::DropDataset::build(&train, &test);
+        let (train_ds, test, mct) = tiny_datasets();
+        assert_task_conforms(&HeadTask::new(&head, &train_ds), &ntt);
+        assert_task_conforms(&HeadTask::new(&mct_head, &mct), &ntt);
+        let (drop_train, _) = ntt_data::DropDataset::build(&train_ds, &test);
         let drop_head = crate::model::DropHead::new(16, 9);
-        assert_task_conforms(&crate::task::DropTask::new(&drop_head, &drop_train), &ntt);
+        assert_task_conforms(&HeadTask::new(&drop_head, &drop_train), &ntt);
     }
 
     #[test]
@@ -656,7 +612,7 @@ mod tests {
         let (ntt, head, _) = tiny_model();
         let (train_ds, _, _) = tiny_datasets();
         let boxed: Box<dyn Head> = Box::new(head);
-        let task = crate::task::HeadTask::new(boxed.as_ref(), &train_ds);
+        let task = HeadTask::new(boxed.as_ref(), &train_ds);
         let report = train(&ntt, &task, &quick_cfg(), TrainMode::DecoderOnly);
         assert!(report.final_loss().is_finite());
         assert!(report.trainable_params > 0);
@@ -676,6 +632,7 @@ mod tests {
             test_fraction: 0.2,
         };
         let (empty_train, _) = ntt_data::DelayDataset::build(data, cfg, None);
-        train_delay(&ntt, &head, &empty_train, &quick_cfg(), TrainMode::Full);
+        let task = HeadTask::new(&head, &empty_train);
+        train(&ntt, &task, &quick_cfg(), TrainMode::Full);
     }
 }

@@ -1,63 +1,11 @@
-//! Checkpoint format compatibility and robustness:
-//! * a committed `NTTCKPT1` fixture must keep loading through the
-//!   compat reader, byte-for-byte (the "models shared last year still
-//!   open" guarantee);
-//! * random (shape, name) sets must survive save→load round-trips in
-//!   both formats (proptest).
+//! Checkpoint format robustness: random model configurations must
+//! survive an `NTTCKPT2` save→load round-trip (proptest).
 
-use ntt_core::checkpoint::{self, Checkpoint};
+use ntt_core::checkpoint::Checkpoint;
 use ntt_core::{Aggregation, Ntt, NttConfig};
 use ntt_nn::Module;
-use ntt_tensor::{Param, Tensor};
+use ntt_tensor::Param;
 use proptest::prelude::*;
-
-/// The committed v1 fixture (written by a pre-redesign `save`).
-const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tiny_v1.ckpt");
-
-struct Bag(Vec<Param>);
-impl Module for Bag {
-    fn params(&self) -> Vec<Param> {
-        self.0.clone()
-    }
-}
-
-#[test]
-fn committed_v1_fixture_loads_with_expected_parameter_bytes() {
-    let stored = checkpoint::read_all(FIXTURE).expect("fixture must parse");
-    assert_eq!(stored.len(), 2);
-    let expect_a = Tensor::from_vec(vec![0.0, 0.5, 1.0, 1.5, 2.0, 2.5], &[2, 3]);
-    let expect_b = Tensor::from_vec(vec![-1.0, -0.5, 0.0, 0.5], &[4]);
-    assert_eq!(stored["fixture.a"], expect_a);
-    assert_eq!(stored["fixture.b"], expect_b);
-    // Byte-level check: every stored f32 bit pattern matches.
-    for (t, e) in [
-        (&stored["fixture.a"], &expect_a),
-        (&stored["fixture.b"], &expect_b),
-    ] {
-        for (x, y) in t.data().iter().zip(e.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-}
-
-#[test]
-fn committed_v1_fixture_fills_caller_built_modules() {
-    let bag = Bag(vec![
-        Param::new("fixture.a", Tensor::zeros(&[2, 3])),
-        Param::new("fixture.b", Tensor::zeros(&[4])),
-    ]);
-    checkpoint::load(FIXTURE, &[&bag]).expect("migration load");
-    assert_eq!(bag.0[0].value().at(&[1, 2]), 2.5);
-    assert_eq!(bag.0[1].value().at(&[0]), -1.0);
-}
-
-#[test]
-fn v1_fixture_is_refused_by_the_self_describing_loader() {
-    // v1 carries no config, so Checkpoint::load must refuse it with a
-    // pointer at the compat path, not misparse it.
-    let err = Checkpoint::load(FIXTURE).unwrap_err();
-    assert!(err.to_string().contains("NTTCKPT1"), "{err}");
-}
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ntt_ckpt_prop_{tag}_{}", std::process::id()))
@@ -65,44 +13,6 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random parameter bags survive a v1 save→load round-trip exactly.
-    #[test]
-    fn v1_roundtrips_random_shapes_and_names(
-        shapes in proptest::collection::vec(
-            proptest::collection::vec(1usize..5, 1..4), 1..6),
-        salt in 0u64..1_000_000,
-    ) {
-        let params: Vec<Param> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, shape)| {
-                Param::new(
-                    format!("p{salt}.{i}"),
-                    Tensor::randn(shape, salt.wrapping_add(i as u64)),
-                )
-            })
-            .collect();
-        let bag = Bag(params);
-        let path = tmp(&format!("v1_{salt}"));
-        checkpoint::save(&path, &[&bag]).unwrap();
-
-        let fresh = Bag(
-            bag.0
-                .iter()
-                .map(|p| Param::new(p.name(), Tensor::zeros(&p.shape())))
-                .collect(),
-        );
-        checkpoint::load(&path, &[&fresh]).unwrap();
-        for (a, b) in bag.0.iter().zip(fresh.0.iter()) {
-            let (av, bv) = (a.value(), b.value());
-            prop_assert_eq!(av.shape(), bv.shape());
-            for (x, y) in av.data().iter().zip(bv.data().iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        std::fs::remove_file(path).ok();
-    }
 
     /// Random model configurations survive a v2 save→load round-trip:
     /// config, head set, and every parameter bit.

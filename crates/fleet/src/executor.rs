@@ -71,8 +71,8 @@ pub trait ShardSink {
     fn on_shard(&mut self, shard: &Shard, trace: RunTrace);
 }
 
-/// Keeps every raw trace (the `run_many`-compatible sink). Memory grows
-/// with the whole sweep; prefer [`StreamToData`] for large grids.
+/// Keeps every raw trace. Memory grows with the whole sweep; prefer
+/// [`StreamToData`] for large grids.
 #[derive(Default)]
 pub struct CollectTraces {
     pub traces: Vec<RunTrace>,
@@ -393,10 +393,10 @@ pub fn run_fleet_dataset(spec: &SweepSpec, cfg: &FleetConfig) -> (Arc<TraceData>
     (sink.into_data(), report)
 }
 
-/// Drop-in parallel replacement for the deprecated serial
-/// `ntt_sim::scenarios::run_many`: identical seed schedule
-/// (`cfg.seed, cfg.seed+1, ...`), byte-identical traces, fanned out
-/// over `threads` workers (`0` = one per core).
+/// `n_runs` of one scenario on the sequential seed schedule
+/// (`cfg.seed, cfg.seed+1, ...`): traces byte-identical to a serial
+/// loop over `ntt_sim::scenarios::run`, fanned out over `threads`
+/// workers (`0` = one per core).
 pub fn run_many_parallel(
     scenario: Scenario,
     cfg: &ntt_sim::ScenarioConfig,

@@ -24,8 +24,8 @@ pub enum SeedSchedule {
     /// the default for grids, where neighboring cells should not share
     /// low-bit structure.
     Mixed,
-    /// `seed = base_seed + ordinal` — the legacy schedule of the serial
-    /// `run_many`, kept so fleet runs reproduce its traces bit-for-bit.
+    /// `seed = base_seed + ordinal` — the schedule of a serial loop over
+    /// seeds, so fleet runs reproduce such a loop's traces bit-for-bit.
     Sequential,
 }
 
@@ -87,9 +87,9 @@ impl SweepSpec {
         }
     }
 
-    /// The sweep equivalent of `run_many(scenario, cfg, n_runs)`:
-    /// same scenario, same sequential seed schedule, so the expanded
-    /// shards reproduce the serial traces bit-for-bit.
+    /// `n_runs` of one scenario on the sequential seed schedule
+    /// (`cfg.seed, cfg.seed+1, ...`), so the expanded shards reproduce a
+    /// serial loop's traces bit-for-bit.
     pub fn single(scenario: Scenario, cfg: ScenarioConfig, n_runs: usize) -> Self {
         SweepSpec {
             base_seed: cfg.seed,
@@ -162,8 +162,7 @@ impl SweepSpec {
     /// The structural invariants are enforced here (not only in the
     /// builder methods, whose checks a struct literal could bypass):
     /// at least one scenario and one positive load factor. A
-    /// `runs_per_cell` of 0 is allowed and expands to an empty sweep —
-    /// that mirrors the serial `run_many(.., 0)` contract.
+    /// `runs_per_cell` of 0 is allowed and expands to an empty sweep.
     pub fn expand(&self) -> Vec<Shard> {
         assert!(
             !self.scenarios.is_empty(),
@@ -265,7 +264,7 @@ mod tests {
 
     #[test]
     fn zero_runs_expand_to_an_empty_sweep() {
-        // run_many(.., 0) returns no traces; the compat path matches.
+        // Zero runs yield no traces, as a serial loop over no seeds would.
         let spec = SweepSpec::single(Scenario::Pretrain, ScenarioConfig::tiny(0), 0);
         assert!(spec.expand().is_empty());
         assert!(spec.is_empty());

@@ -5,8 +5,8 @@
 //! scenario diversity.
 //!
 //! The paper's central claim is that the NTT generalizes only if its
-//! pre-training data spans diverse network conditions. The serial
-//! `ntt_sim::scenarios::run_many` loop can only produce one scenario at
+//! pre-training data spans diverse network conditions. A serial loop
+//! over `ntt_sim::scenarios::run` can only produce one scenario at
 //! a time on one core; this crate replaces it with:
 //!
 //! * [`SweepSpec`] — a declarative (scenario × load × seed) grid that

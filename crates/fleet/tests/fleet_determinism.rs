@@ -60,9 +60,9 @@ fn eight_shards_identical_on_one_and_four_threads() {
 
 #[test]
 fn run_many_parallel_matches_the_serial_reference() {
-    // The legacy `run_many` contract, spelled out as an inline serial
-    // loop (seeds `cfg.seed, cfg.seed+1, ...`): the parallel path must
-    // reproduce it byte for byte at any thread count.
+    // The reference is an inline serial loop (seeds `cfg.seed,
+    // cfg.seed+1, ...`): the parallel path must reproduce it byte for
+    // byte at any thread count.
     let cfg = fast_cfg(7);
     let serial: Vec<_> = (0..3u64)
         .map(|i| {

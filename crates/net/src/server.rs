@@ -565,13 +565,14 @@ fn handle_request(shared: &ServerShared, req: Request) -> Response {
     ntt_obs::counter!("net.requests").inc();
     let n = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
     ntt_obs::gauge!("net.inflight").set(n as f64);
-    let result = route(shared, &req);
+    let id = req.id;
+    let result = route(shared, req);
     let n = shared.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
     ntt_obs::gauge!("net.inflight").set(n as f64);
-    Response { id: req.id, result }
+    Response { id, result }
 }
 
-fn route(shared: &ServerShared, req: &Request) -> Result<f32, WireError> {
+fn route(shared: &ServerShared, req: Request) -> Result<f32, WireError> {
     if shared.stopping() {
         return Err(WireError {
             code: ErrorCode::ShuttingDown,
@@ -605,7 +606,7 @@ fn route(shared: &ServerShared, req: &Request) -> Result<f32, WireError> {
     let deadline =
         (req.deadline_micros > 0).then(|| Duration::from_micros(u64::from(req.deadline_micros)));
     let ticket = pool
-        .submit_with_deadline(req.window.clone(), req.aux, deadline)
+        .submit_with_deadline(req.window, req.aux, deadline)
         .map_err(|e| WireError {
             code: ErrorCode::from_serve(&e),
             detail: e.to_string(),

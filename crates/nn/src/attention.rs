@@ -56,7 +56,7 @@ impl MultiHeadAttention {
     /// `[B, H, T, T]` score matrix is never allocated, which is what
     /// makes batched serving win on FLOPs rather than lose to cache
     /// spills. On **recording tapes** the classic `attn_scores →
-    /// scaled_softmax_last → attn_context` chain is kept — its backward
+    /// scaled_softmax → attn_context` chain is kept — its backward
     /// reuses the materialized weights instead of recomputing
     /// exponentials, so training throughput is unchanged. The two paths
     /// agree to epsilon, not bitwise (the online softmax reorders the
@@ -83,7 +83,7 @@ impl MultiHeadAttention {
         let v = split(self.wv.forward(tape, x));
 
         let (ctx, weights) = if tape.records_grad() {
-            let attn = q.attn_scores(k).scaled_softmax_last(scale);
+            let attn = q.attn_scores(k).scaled_softmax(scale);
             (attn.attn_context(v), want_weights.then(|| attn.value()))
         } else {
             let ctx = q.attn_fused(k, v, scale);

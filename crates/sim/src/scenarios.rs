@@ -404,31 +404,6 @@ pub fn run(scenario: Scenario, cfg: &ScenarioConfig) -> RunTrace {
     }
 }
 
-/// The paper's datasets are 10 runs with different randomized starts:
-/// run `n_runs` with seeds `cfg.seed, cfg.seed+1, ...`.
-///
-/// Deprecated shim: `ntt_fleet::run_many_parallel` produces
-/// byte-identical traces (same sequential seed schedule) while fanning
-/// the runs out across cores, and `ntt_fleet::SweepSpec` generalizes it
-/// to whole scenario grids. Every in-tree call site has been migrated;
-/// this thin serial loop remains only so downstream code keeps
-/// compiling for one release cycle.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ntt_fleet::run_many_parallel (identical traces, parallel) or \
-            ntt_fleet::SweepSpec for full scenario grids; \
-            this shim will be removed in 0.2"
-)]
-pub fn run_many(scenario: Scenario, cfg: &ScenarioConfig, n_runs: usize) -> Vec<RunTrace> {
-    (0..n_runs)
-        .map(|i| {
-            let mut c = *cfg;
-            c.seed = cfg.seed.wrapping_add(i as u64);
-            run(scenario, &c)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,9 +484,8 @@ mod tests {
 
     #[test]
     fn sequential_seed_schedule_varies_but_is_reproducible() {
-        // The contract run_many used to provide (and run_many_parallel
-        // now does): seeds `cfg.seed, cfg.seed+1, ...`, each run a pure
-        // function of its seed.
+        // The contract `ntt_fleet::run_many_parallel` builds on: seeds
+        // `cfg.seed, cfg.seed+1, ...`, each run a pure function of its seed.
         let cfg = ScenarioConfig::tiny(7);
         let seeded = |offset: u64| {
             let mut c = cfg;

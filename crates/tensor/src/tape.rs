@@ -62,7 +62,7 @@
 //! (linear algebra, attention plumbing, sequence slicing for the
 //! multi-timescale aggregator, fused layer-norm, softmax and MSE). The
 //! attention ops ([`Var::attn_scores`], [`Var::attn_context`],
-//! [`Var::scaled_softmax_last`], and the fused [`Var::attn_fused`])
+//! [`Var::scaled_softmax`], and the fused [`Var::attn_fused`])
 //! work directly on head-interleaved `[B, T, H, dh]` layouts so
 //! multi-head attention never materializes a transpose. Each op's
 //! backward rule is unit-tested against finite differences in
@@ -235,7 +235,6 @@ enum Op {
     Relu(usize),
     Gelu(usize),
     Tanh(usize),
-    Softmax(usize),
     /// Fused `softmax(scale * x)` over the last axis: one kernel, one
     /// tape node, no materialized scaled scores.
     ScaledSoftmax(usize, f32),
@@ -273,9 +272,6 @@ enum Op {
         rstd: Vec<f32>,
     },
     Reshape(usize),
-    TransposeLast2(usize),
-    /// Swap axes 1 and 2 of a rank-4 value (attention head regrouping).
-    TransposeAxes12(usize),
     /// Rows `[start, start+len)` along axis 1 of a rank-3 tensor.
     SliceAxis1 {
         x: usize,
@@ -886,15 +882,11 @@ impl Tape {
                 let y = &nodes[id].value;
                 add_grad(grads, *a, self.t_zip(g, y, |g, y| g * (1.0 - y * y)));
             }
-            Op::Softmax(a) | Op::ScaledSoftmax(a, _) => {
-                let scale = match &nodes[id].op {
-                    Op::ScaledSoftmax(_, c) => *c,
-                    _ => 1.0,
-                };
+            Op::ScaledSoftmax(a, scale) => {
                 let y = &nodes[id].value;
                 let d = *y.shape().last().unwrap();
                 let mut gx = self.alloc_overwrite(y.numel());
-                kernels::softmax_bwd(y.data(), g.data(), scale, d, &mut gx);
+                kernels::softmax_bwd(y.data(), g.data(), *scale, d, &mut gx);
                 add_grad(grads, *a, Tensor::from_vec(gx, y.shape()));
             }
             Op::AttnScores { q, k } => {
@@ -1000,8 +992,6 @@ impl Tape {
                 let ashape = nodes[*a].value.shape().to_vec();
                 add_grad(grads, *a, self.t_copy(g, &ashape));
             }
-            Op::TransposeLast2(a) => add_grad(grads, *a, g.transpose_last2()),
-            Op::TransposeAxes12(a) => add_grad(grads, *a, g.transpose_axes_1_2()),
             Op::SliceAxis1 { x, start } => {
                 let xs = nodes[*x].value.shape().to_vec();
                 let (b, t, d) = (xs[0], xs[1], xs[2]);
@@ -1272,23 +1262,11 @@ impl<'t> Var<'t> {
         self.tape.push(Op::Tanh(self.id), out)
     }
 
-    /// Softmax over the last axis (numerically stabilized).
-    pub fn softmax_last(self) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            let d = *va.shape().last().expect("softmax requires rank >= 1");
-            let mut buf = self.tape.alloc_overwrite(va.numel());
-            kernels::scaled_softmax_fwd(va.data(), 1.0, d, &mut buf);
-            Tensor::from_vec(buf, va.shape())
-        };
-        self.tape.push(Op::Softmax(self.id), out)
-    }
-
     /// Fused `softmax(c * x)` over the last axis (numerically
-    /// stabilized): one kernel and one tape node instead of a
-    /// materialized `scale` followed by `softmax_last`. This is the
-    /// attention-score nonlinearity (`c = 1/√dh`).
-    pub fn scaled_softmax_last(self, c: f32) -> Var<'t> {
+    /// stabilized): one kernel and one tape node, no materialized
+    /// scaled scores. This is the attention-score nonlinearity
+    /// (`c = 1/√dh`).
+    pub fn scaled_softmax(self, c: f32) -> Var<'t> {
         let out = {
             let va = self.tape.val(self.id);
             let d = *va.shape().last().expect("softmax requires rank >= 1");
@@ -1365,7 +1343,7 @@ impl<'t> Var<'t> {
     /// Fused streaming-softmax attention (flash-attention style):
     /// `softmax(scale · Q·Kᵀ) · V` per head, where `self`, `k`, and `v`
     /// are all `[B, T, H, dh]` and the result comes back in the same
-    /// layout. Unlike the `attn_scores → scaled_softmax_last →
+    /// layout. Unlike the `attn_scores → scaled_softmax →
     /// attn_context` chain this never materializes the `[B, H, T, T]`
     /// score matrix — on recording tapes it saves only the `[B, H, T, 2]`
     /// per-row softmax stats, and on inference tapes nothing at all.
@@ -1506,18 +1484,6 @@ impl<'t> Var<'t> {
             self.tape.t_copy(&va, new_shape)
         };
         self.tape.push(Op::Reshape(self.id), out)
-    }
-
-    /// Swap the last two axes (batched matrix transpose).
-    pub fn transpose_last2(self) -> Var<'t> {
-        let out = self.tape.val(self.id).transpose_last2();
-        self.tape.push(Op::TransposeLast2(self.id), out)
-    }
-
-    /// Swap axes 1 and 2 of a rank-4 value: `[A, B, C, D] -> [A, C, B, D]`.
-    pub fn transpose_axes_1_2(self) -> Var<'t> {
-        let out = self.tape.val(self.id).transpose_axes_1_2();
-        self.tape.push(Op::TransposeAxes12(self.id), out)
     }
 
     /// Rows `[start, start+len)` along axis 1 of a rank-3 value.
@@ -1745,7 +1711,7 @@ mod tests {
     fn softmax_rows_sum_to_one() {
         let t = Tape::new();
         let x = t.input(Tensor::randn(&[4, 7], 3));
-        let y = x.softmax_last().value();
+        let y = x.scaled_softmax(1.0).value();
         for row in y.data().chunks(7) {
             let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
@@ -1758,8 +1724,8 @@ mod tests {
         let t = Tape::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
         let shifted = x.map(|v| v + 1000.0);
-        let y1 = t.input(x).softmax_last().value();
-        let y2 = t.input(shifted).softmax_last().value();
+        let y1 = t.input(x).scaled_softmax(1.0).value();
+        let y2 = t.input(shifted).scaled_softmax(1.0).value();
         assert!(y1.allclose(&y2, 1e-5));
     }
 
@@ -1767,61 +1733,9 @@ mod tests {
     fn scaled_softmax_matches_scale_then_softmax() {
         let t = Tape::new();
         let x = Tensor::randn(&[3, 6], 17);
-        let fused = t.input(x.clone()).scaled_softmax_last(0.25).value();
-        let composed = t.input(x).scale(0.25).softmax_last().value();
+        let fused = t.input(x.clone()).scaled_softmax(0.25).value();
+        let composed = t.input(x).scale(0.25).scaled_softmax(1.0).value();
         assert!(fused.allclose(&composed, 1e-6));
-    }
-
-    #[test]
-    fn attn_ops_match_transpose_composition() {
-        // The transpose-free path must agree (values and gradients) with
-        // the classic reshape/transpose/matmul formulation.
-        let (b, t, h, dh) = (2usize, 5, 2, 3);
-        let d = h * dh;
-        let q = Param::new("q", Tensor::randn(&[b, t, h, dh], 1));
-        let k = Param::new("k", Tensor::randn(&[b, t, h, dh], 2));
-        let v = Param::new("v", Tensor::randn(&[b, t, h, dh], 3));
-        let target = Tensor::randn(&[b, t, d], 4);
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let run = |fused: bool| {
-            for p in [&q, &k, &v] {
-                p.zero_grad();
-            }
-            let tape = Tape::new();
-            let (qv, kv, vv) = (tape.param(&q), tape.param(&k), tape.param(&v));
-            let out = if fused {
-                let attn = qv.attn_scores(kv).scaled_softmax_last(scale);
-                attn.attn_context(vv).reshape(&[b, t, d])
-            } else {
-                fn split<'a>(x: Var<'a>) -> Var<'a> {
-                    x.transpose_axes_1_2()
-                }
-                let attn = split(qv)
-                    .matmul(split(kv).transpose_last2())
-                    .scale(scale)
-                    .softmax_last();
-                attn.matmul(split(vv))
-                    .transpose_axes_1_2()
-                    .reshape(&[b, t, d])
-            };
-            let loss = out.mse_loss(&target);
-            tape.backward(loss);
-            (
-                out.value(),
-                loss.value().item(),
-                q.grad(),
-                k.grad(),
-                v.grad(),
-            )
-        };
-        let fused = run(true);
-        let classic = run(false);
-        assert!(fused.0.allclose(&classic.0, 1e-5), "forward diverged");
-        assert!((fused.1 - classic.1).abs() < 1e-6, "loss diverged");
-        assert!(fused.2.allclose(&classic.2, 1e-4), "dQ diverged");
-        assert!(fused.3.allclose(&classic.3, 1e-4), "dK diverged");
-        assert!(fused.4.allclose(&classic.4, 1e-4), "dV diverged");
     }
 
     #[test]
@@ -2041,7 +1955,7 @@ mod tests {
             .matmul(tape.param(p))
             .layer_norm(gamma, beta, 1e-5)
             .mul_const(&mask)
-            .scaled_softmax_last(0.7)
+            .scaled_softmax(0.7)
             .gelu();
         let loss = h.mse_loss(&Tensor::zeros(&[4, 6]));
         (h.value(), loss.value().item())
@@ -2131,9 +2045,7 @@ mod tests {
             let ctx = if fused {
                 qv.attn_fused(kv, vv, scale)
             } else {
-                qv.attn_scores(kv)
-                    .scaled_softmax_last(scale)
-                    .attn_context(vv)
+                qv.attn_scores(kv).scaled_softmax(scale).attn_context(vv)
             };
             let loss = ctx.reshape(&[b, t, d]).mse_loss(&target);
             tape.backward(loss);

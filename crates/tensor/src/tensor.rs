@@ -244,44 +244,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Swap the last two dimensions of a rank >= 2 tensor
-    /// (batched matrix transpose).
-    pub fn transpose_last2(&self) -> Tensor {
-        let (b, m, n) = shape::as_batched_matrix(&self.shape);
-        let mut out = vec![0.0f32; b * m * n];
-        for bi in 0..b {
-            let src = &self.data[bi * m * n..(bi + 1) * m * n];
-            let dst = &mut out[bi * m * n..(bi + 1) * m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    dst[j * m + i] = src[i * n + j];
-                }
-            }
-        }
-        let mut shape = self.shape.clone();
-        let r = shape.len();
-        shape.swap(r - 2, r - 1);
-        Tensor::from_vec(out, &shape)
-    }
-
-    /// Swap axes 1 and 2 of a rank-4 tensor: `[A, B, C, D] -> [A, C, B, D]`.
-    /// Used to regroup attention heads (`[B, T, H, dh] <-> [B, H, T, dh]`).
-    pub fn transpose_axes_1_2(&self) -> Tensor {
-        assert_eq!(self.rank(), 4, "transpose_axes_1_2 requires rank 4");
-        let (a, b, c, d) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        let mut out = vec![0.0f32; self.numel()];
-        for ai in 0..a {
-            for bi in 0..b {
-                for ci in 0..c {
-                    let src = ((ai * b + bi) * c + ci) * d;
-                    let dst = ((ai * c + ci) * b + bi) * d;
-                    out[dst..dst + d].copy_from_slice(&self.data[src..src + d]);
-                }
-            }
-        }
-        Tensor::from_vec(out, &[a, c, b, d])
-    }
-
     /// Copy rows `[start, start+len)` along axis 1 of a rank-3 tensor.
     pub fn slice_axis1(&self, start: usize, len: usize) -> Tensor {
         assert_eq!(self.rank(), 3, "slice_axis1 requires rank 3");
@@ -410,37 +372,6 @@ mod tests {
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.at(&[2, 1]), t.at(&[1, 2]));
         assert_eq!(tt.transpose2(), t);
-    }
-
-    #[test]
-    fn transpose_last2_batched() {
-        let t = Tensor::arange(24).reshape(&[2, 3, 4]);
-        let tt = t.transpose_last2();
-        assert_eq!(tt.shape(), &[2, 4, 3]);
-        for b in 0..2 {
-            for i in 0..3 {
-                for j in 0..4 {
-                    assert_eq!(tt.at(&[b, j, i]), t.at(&[b, i, j]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_axes_1_2_regroups_heads() {
-        let t = Tensor::arange(48).reshape(&[2, 3, 4, 2]);
-        let s = t.transpose_axes_1_2();
-        assert_eq!(s.shape(), &[2, 4, 3, 2]);
-        for a in 0..2 {
-            for b in 0..3 {
-                for c in 0..4 {
-                    for d in 0..2 {
-                        assert_eq!(s.at(&[a, c, b, d]), t.at(&[a, b, c, d]));
-                    }
-                }
-            }
-        }
-        assert_eq!(s.transpose_axes_1_2(), t);
     }
 
     #[test]

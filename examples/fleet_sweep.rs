@@ -44,8 +44,7 @@ fn main() {
         );
     }
 
-    // 2. Serial reference: the same shards, one at a time (what the
-    //    deprecated `run_many` did, generalized to a grid).
+    // 2. Serial reference: the same shards, one at a time.
     let t0 = Instant::now();
     let (serial_traces, serial_report) = run_fleet_traces(&spec, &FleetConfig::with_threads(1));
     let serial_wall = t0.elapsed();

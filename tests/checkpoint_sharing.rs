@@ -3,8 +3,8 @@
 //! prerequisite for "share pre-trained models instead of data".
 
 use ntt::core::{
-    checkpoint, eval_delay, train_delay, Aggregation, DelayHead, Ntt, NttConfig, TrainConfig,
-    TrainMode,
+    evaluate, train, Aggregation, Checkpoint, DelayHead, HeadTask, Ntt, NttConfig, ParStrategy,
+    TrainConfig, TrainMode,
 };
 use ntt::data::{DatasetConfig, DelayDataset, TraceData};
 use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
@@ -24,7 +24,7 @@ fn cfg() -> NttConfig {
 #[test]
 fn shared_checkpoint_reproduces_evaluation_exactly() {
     let traces = vec![run(Scenario::Pretrain, &ScenarioConfig::tiny(55))];
-    let (train, test) = DelayDataset::build(
+    let (train_ds, test) = DelayDataset::build(
         TraceData::from_traces(&traces),
         DatasetConfig {
             seq_len: 64,
@@ -35,10 +35,9 @@ fn shared_checkpoint_reproduces_evaluation_exactly() {
     );
     let model = Ntt::new(cfg());
     let head = DelayHead::new(16, 31);
-    train_delay(
+    train(
         &model,
-        &head,
-        &train,
+        &HeadTask::new(&head, &train_ds),
         &TrainConfig {
             epochs: 1,
             batch_size: 16,
@@ -47,16 +46,19 @@ fn shared_checkpoint_reproduces_evaluation_exactly() {
         },
         TrainMode::Full,
     );
-    let before = eval_delay(&model, &head, &test, 32);
+    let par = ParStrategy::from_env();
+    let before = evaluate(&model, &HeadTask::new(&head, &test), 32, &par);
 
     let path = std::env::temp_dir().join(format!("ntt_share_{}.ckpt", std::process::id()));
-    checkpoint::save(&path, &[&model, &head]).unwrap();
+    Checkpoint::capture(&model, &[&head], None, vec![])
+        .unwrap()
+        .save(&path)
+        .unwrap();
 
-    // "Download" into a freshly initialized model at another site.
-    let downloaded = Ntt::new(NttConfig { seed: 99, ..cfg() });
-    let downloaded_head = DelayHead::new(16, 99);
-    checkpoint::load(&path, &[&downloaded, &downloaded_head]).unwrap();
-    let after = eval_delay(&downloaded, &downloaded_head, &test, 32);
+    // "Download" at another site: the file alone rebuilds model and head.
+    let downloaded = Checkpoint::load(&path).unwrap();
+    let shared = HeadTask::new(downloaded.head("delay").unwrap(), &test);
+    let after = evaluate(&downloaded.model, &shared, 32, &par);
     assert_eq!(before.mse_norm, after.mse_norm, "bit-exact behaviour");
     std::fs::remove_file(path).ok();
 }
@@ -66,7 +68,7 @@ fn self_describing_checkpoint_shares_without_any_receiver_setup() {
     // The v2 sharing story: the receiver has the FILE and nothing else —
     // no NttConfig, no pre-built heads, no normalizer — and still gets a
     // bit-identical evaluation.
-    use ntt::core::{Checkpoint, Experiment, TrainConfig};
+    use ntt::core::Experiment;
     use ntt::data::TraceData;
 
     let trace = run(Scenario::Pretrain, &ScenarioConfig::tiny(56));
@@ -97,15 +99,12 @@ fn self_describing_checkpoint_shares_without_any_receiver_setup() {
 
 #[test]
 fn checkpoint_rejects_architecture_mismatch() {
-    let model = Ntt::new(cfg());
+    let mut ckpt = Checkpoint::capture(&Ntt::new(cfg()), &[], None, vec![]).unwrap();
     let path = std::env::temp_dir().join(format!("ntt_arch_{}.ckpt", std::process::id()));
-    checkpoint::save(&path, &[&model]).unwrap();
-    // A different width cannot absorb the checkpoint.
-    let wrong = Ntt::new(NttConfig {
-        d_model: 32,
-        d_ff: 64,
-        ..cfg()
-    });
-    assert!(checkpoint::load(&path, &[&wrong]).is_err());
+    // A file describing a different width cannot absorb these weights.
+    ckpt.config.d_model = 32;
+    ckpt.config.d_ff = 64;
+    ckpt.save(&path).unwrap();
+    assert!(Checkpoint::load(&path).is_err());
     std::fs::remove_file(path).ok();
 }

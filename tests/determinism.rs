@@ -2,7 +2,7 @@
 //! function of its seeds.
 
 use ntt::core::{
-    train_delay, Aggregation, DelayHead, Ntt, NttConfig, ParStrategy, TrainConfig, TrainMode,
+    train, Aggregation, DelayHead, HeadTask, Ntt, NttConfig, ParStrategy, TrainConfig, TrainMode,
 };
 use ntt::data::{DatasetConfig, DelayDataset, TraceData};
 use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
@@ -12,11 +12,14 @@ fn experiment_pipeline_reproduces_manual_workflow_bit_exactly() {
     // The API redesign is behavior-preserving: a seeded pretrain →
     // share → fine-tune run through `Experiment` must produce the SAME
     // bits — epoch losses, gradient norms, final parameters, eval MSE —
-    // as the hand-wired free-function workflow it replaced.
-    use ntt::core::{eval_delay, Experiment, FinetuneOpts};
+    // as the hand-wired `train`/`evaluate` workflow it wraps.
+    use ntt::core::{evaluate, Experiment, FinetuneOpts, MctHead};
+    use ntt::data::MctDataset;
     use ntt::fleet::{run_many_parallel, SweepSpec};
     use ntt::nn::Module;
     use ntt::sim::SimTime;
+    use ntt::tensor::Param;
+    use std::sync::Arc;
 
     let model_cfg = NttConfig {
         aggregation: Aggregation::MultiScale { block: 1 },
@@ -50,18 +53,28 @@ fn experiment_pipeline_reproduces_manual_workflow_bit_exactly() {
     let (m_train, m_test) = DelayDataset::build(TraceData::from_traces(&traces), ds_cfg, None);
     let model = Ntt::new(model_cfg);
     let head = DelayHead::new(model_cfg.d_model, model_cfg.seed);
-    let manual_pre = train_delay(&model, &head, &m_train, &train_cfg, TrainMode::Full);
-    let manual_pre_eval = eval_delay(&model, &head, &m_test, 64);
+    let par = ParStrategy::from_env();
+    let pre_task = HeadTask::new(&head, &m_train);
+    let manual_pre = train(&model, &pre_task, &train_cfg, TrainMode::Full);
+    let manual_pre_eval = evaluate(&model, &HeadTask::new(&head, &m_test), 64, &par);
 
-    let ft_traces = run_many_parallel(Scenario::Case1, &ft_scen, 2, 0);
-    let (ft_all, ft_test) = DelayDataset::build(
-        TraceData::from_traces(&ft_traces),
-        ds_cfg,
-        Some(m_train.norm.clone()),
-    );
+    let ft_data = TraceData::from_traces(&run_many_parallel(Scenario::Case1, &ft_scen, 2, 0));
+    let (ft_all, ft_test) =
+        DelayDataset::build(Arc::clone(&ft_data), ds_cfg, Some(m_train.norm.clone()));
     let ft_small = ft_all.subsample(0.5, 0);
-    let manual_ft = train_delay(&model, &head, &ft_small, &train_cfg, TrainMode::DecoderOnly);
-    let manual_ft_eval = eval_delay(&model, &head, &ft_test, 64);
+    let ft_task = HeadTask::new(&head, &ft_small);
+    let manual_ft = train(&model, &ft_task, &train_cfg, TrainMode::DecoderOnly);
+    let manual_ft_eval = evaluate(&model, &HeadTask::new(&head, &ft_test), 64, &par);
+
+    // A new task on a weight-cloned trunk (frozen so far, so still the
+    // pre-trained one): fresh MCT head, everything trainable.
+    let (mct_all, mct_test) = MctDataset::build(Arc::clone(&ft_data), ds_cfg, m_train.norm.clone());
+    let mct_small = mct_all.subsample(0.5, 0);
+    let mct_model = model.clone_weights();
+    let mct_head = MctHead::new(model_cfg.d_model, model_cfg.seed);
+    let mct_task = HeadTask::new(&mct_head, &mct_small);
+    let manual_mct = train(&mct_model, &mct_task, &train_cfg, TrainMode::Full);
+    let manual_mct_eval = evaluate(&mct_model, &HeadTask::new(&mct_head, &mct_test), 64, &par);
 
     // ---- Pipeline path: the same seeds through Experiment ----
     let exp = Experiment::new(model_cfg).stride(8).with_train(train_cfg);
@@ -85,19 +98,33 @@ fn experiment_pipeline_reproduces_manual_workflow_bit_exactly() {
     assert_eq!(ft.report.grad_norms, manual_ft.grad_norms);
     assert_eq!(ft.eval.mse_norm, manual_ft_eval.mse_norm);
 
-    // Final parameters byte-for-byte: trunk and head.
-    for (a, b) in model
-        .params()
-        .iter()
-        .chain(head.params().iter())
-        .zip(ft.model.params().iter().chain(ft.head.params().iter()))
-    {
-        let (av, bv) = (a.value(), b.value());
-        assert_eq!(av.shape(), bv.shape());
-        for (x, y) in av.data().iter().zip(bv.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "param {} diverged", a.name());
+    let mct = pre.finetune_mct_on(ft_data, &FinetuneOpts::full().fraction(0.5).seed(0));
+    assert_eq!(
+        mct.report.epoch_losses, manual_mct.epoch_losses,
+        "MCT fine-tuning losses diverged from the manual workflow"
+    );
+    assert_eq!(mct.report.grad_norms, manual_mct.grad_norms);
+    assert_eq!(mct.eval.mse_norm, manual_mct_eval.mse_norm);
+
+    // Final parameters byte-for-byte: trunk and head, both arms.
+    let assert_same_bits = |manual: Vec<Param>, pipeline: Vec<Param>| {
+        assert_eq!(manual.len(), pipeline.len());
+        for (a, b) in manual.iter().zip(pipeline.iter()) {
+            let (av, bv) = (a.value(), b.value());
+            assert_eq!(av.shape(), bv.shape());
+            for (x, y) in av.data().iter().zip(bv.data().iter()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "param {} diverged", a.name());
+            }
         }
-    }
+    };
+    assert_same_bits(
+        [model.params(), head.params()].concat(),
+        [ft.model.params(), ft.head.params()].concat(),
+    );
+    assert_same_bits(
+        [mct_model.params(), mct_head.params()].concat(),
+        [mct.model.params(), mct.head.params()].concat(),
+    );
 }
 
 #[test]
@@ -198,7 +225,7 @@ fn fleet_grid_is_thread_count_invariant() {
 fn training_is_reproducible_end_to_end() {
     let run_once = || {
         let traces = vec![run(Scenario::Pretrain, &ScenarioConfig::tiny(3))];
-        let (train, _) = DelayDataset::build(
+        let (train_ds, _) = DelayDataset::build(
             TraceData::from_traces(&traces),
             DatasetConfig {
                 seq_len: 64,
@@ -218,10 +245,9 @@ fn training_is_reproducible_end_to_end() {
         };
         let model = Ntt::new(cfg);
         let head = DelayHead::new(16, 11);
-        let report = train_delay(
+        let report = train(
             &model,
-            &head,
-            &train,
+            &HeadTask::new(&head, &train_ds),
             &TrainConfig {
                 epochs: 1,
                 batch_size: 16,
@@ -276,7 +302,7 @@ fn training_is_thread_count_invariant() {
     use ntt::nn::Module;
     let run_with = |threads: usize| {
         let traces = vec![run(Scenario::Pretrain, &ScenarioConfig::tiny(5))];
-        let (train, _) = DelayDataset::build(
+        let (train_ds, _) = DelayDataset::build(
             TraceData::from_traces(&traces),
             DatasetConfig {
                 seq_len: 64,
@@ -297,10 +323,9 @@ fn training_is_thread_count_invariant() {
         };
         let model = Ntt::new(cfg);
         let head = DelayHead::new(16, 13);
-        let report = train_delay(
+        let report = train(
             &model,
-            &head,
-            &train,
+            &HeadTask::new(&head, &train_ds),
             &TrainConfig {
                 epochs: 2,
                 batch_size: 16,

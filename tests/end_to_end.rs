@@ -3,7 +3,7 @@
 //! examples and the paper's workflow do.
 
 use ntt::core::{
-    eval_delay, eval_mct, train_delay, train_mct, Aggregation, DelayHead, MctHead, Ntt, NttConfig,
+    evaluate, train, Aggregation, DelayHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy,
     TrainConfig, TrainMode,
 };
 use ntt::data::{DatasetConfig, DelayDataset, FeatureMask, MctDataset, TraceData};
@@ -45,14 +45,16 @@ fn quick_train() -> TrainConfig {
 #[test]
 fn sim_to_training_pipeline_learns() {
     let traces = run_many_parallel(Scenario::Pretrain, &ScenarioConfig::tiny(100), 2, 0);
-    let (train, test) = DelayDataset::build(TraceData::from_traces(&traces), ds_cfg(), None);
-    assert!(train.len() > 100 && test.len() > 10);
+    let (train_ds, test) = DelayDataset::build(TraceData::from_traces(&traces), ds_cfg(), None);
+    assert!(train_ds.len() > 100 && test.len() > 10);
 
     let model = Ntt::new(model_cfg());
     let head = DelayHead::new(16, 0);
-    let before = eval_delay(&model, &head, &test, 32);
-    let report = train_delay(&model, &head, &train, &quick_train(), TrainMode::Full);
-    let after = eval_delay(&model, &head, &test, 32);
+    let (train_task, test_task) = (HeadTask::new(&head, &train_ds), HeadTask::new(&head, &test));
+    let par = ParStrategy::from_env();
+    let before = evaluate(&model, &test_task, 32, &par);
+    let report = train(&model, &train_task, &quick_train(), TrainMode::Full);
+    let after = evaluate(&model, &test_task, 32, &par);
     assert!(
         after.mse_norm < before.mse_norm,
         "training must improve held-out MSE: {} -> {}",
@@ -69,7 +71,8 @@ fn task_transfer_delay_trunk_to_mct_head() {
     let (d_train, _) = DelayDataset::build(Arc::clone(&data), ds_cfg(), None);
     let model = Ntt::new(model_cfg());
     let d_head = DelayHead::new(16, 1);
-    train_delay(&model, &d_head, &d_train, &quick_train(), TrainMode::Full);
+    let d_task = HeadTask::new(&d_head, &d_train);
+    train(&model, &d_task, &quick_train(), TrainMode::Full);
 
     // Swap the decoder for the new task, freeze the trunk.
     let (m_train, m_test) = MctDataset::build(data, ds_cfg(), d_train.norm.clone());
@@ -80,17 +83,13 @@ fn task_transfer_delay_trunk_to_mct_head() {
     );
     let m_head = MctHead::new(16, 2);
     let trunk_before: Vec<_> = model.params().iter().map(|p| p.value()).collect();
-    train_mct(
-        &model,
-        &m_head,
-        &m_train,
-        &quick_train(),
-        TrainMode::DecoderOnly,
-    );
+    let m_task = HeadTask::new(&m_head, &m_train);
+    train(&model, &m_task, &quick_train(), TrainMode::DecoderOnly);
     for (p, b) in model.params().iter().zip(trunk_before) {
         assert_eq!(p.value(), b, "frozen trunk moved: {}", p.name());
     }
-    let ev = eval_mct(&model, &m_head, &m_test, 32);
+    let m_test_task = HeadTask::new(&m_head, &m_test);
+    let ev = evaluate(&model, &m_test_task, 32, &ParStrategy::from_env());
     assert!(ev.mse_norm.is_finite());
 }
 
@@ -108,28 +107,19 @@ fn feature_ablation_without_delay_cannot_predict_delay() {
 
     let full = Ntt::new(model_cfg());
     let full_head = DelayHead::new(16, 3);
-    train_delay(
-        &full,
-        &full_head,
-        &train_full,
-        &quick_train(),
-        TrainMode::Full,
-    );
-    let ev_full = eval_delay(&full, &full_head, &test_full, 32);
+    let par = ParStrategy::from_env();
+    let full_task = HeadTask::new(&full_head, &train_full);
+    train(&full, &full_task, &quick_train(), TrainMode::Full);
+    let ev_full = evaluate(&full, &HeadTask::new(&full_head, &test_full), 32, &par);
 
     let blind = Ntt::new(NttConfig {
         seed: 6,
         ..model_cfg()
     });
     let blind_head = DelayHead::new(16, 4);
-    train_delay(
-        &blind,
-        &blind_head,
-        &train_blind,
-        &quick_train(),
-        TrainMode::Full,
-    );
-    let ev_blind = eval_delay(&blind, &blind_head, &test_blind, 32);
+    let blind_task = HeadTask::new(&blind_head, &train_blind);
+    train(&blind, &blind_task, &quick_train(), TrainMode::Full);
+    let ev_blind = evaluate(&blind, &HeadTask::new(&blind_head, &test_blind), 32, &par);
 
     assert!(
         ev_blind.mse_norm > ev_full.mse_norm,
@@ -152,7 +142,7 @@ fn all_three_aggregation_variants_train() {
             aggregation: agg,
             ..model_cfg()
         };
-        let (train, test) = DelayDataset::build(
+        let (train_ds, test) = DelayDataset::build(
             Arc::clone(&data),
             DatasetConfig {
                 seq_len: cfg.seq_len(),
@@ -162,9 +152,11 @@ fn all_three_aggregation_variants_train() {
         );
         let model = Ntt::new(cfg);
         let head = DelayHead::new(16, 7);
-        let rep = train_delay(&model, &head, &train, &quick_train(), TrainMode::Full);
+        let task = HeadTask::new(&head, &train_ds);
+        let rep = train(&model, &task, &quick_train(), TrainMode::Full);
         assert!(rep.final_loss().is_finite(), "agg {agg:?} diverged");
-        let ev = eval_delay(&model, &head, &test, 32);
+        let test_task = HeadTask::new(&head, &test);
+        let ev = evaluate(&model, &test_task, 32, &ParStrategy::from_env());
         assert!(ev.mse_norm.is_finite(), "agg {agg:?} eval broken");
     }
 }

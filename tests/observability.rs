@@ -3,7 +3,7 @@
 //! switch can never change a numeric result.
 
 use ntt::core::{
-    train_delay, Aggregation, DelayHead, Ntt, NttConfig, ParStrategy, TrainConfig, TrainMode,
+    train, Aggregation, DelayHead, HeadTask, Ntt, NttConfig, ParStrategy, TrainConfig, TrainMode,
 };
 use ntt::data::{DatasetConfig, DelayDataset, TraceData};
 use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
@@ -36,7 +36,7 @@ fn train_once(threads: usize) -> (Vec<f64>, TrainDeltas) {
     let fanout0 = fanout_hist();
 
     let traces = vec![run(Scenario::Pretrain, &ScenarioConfig::tiny(5))];
-    let (train, _) = DelayDataset::build(
+    let (train_ds, _) = DelayDataset::build(
         TraceData::from_traces(&traces),
         DatasetConfig {
             seq_len: 64,
@@ -57,10 +57,9 @@ fn train_once(threads: usize) -> (Vec<f64>, TrainDeltas) {
     };
     let model = Ntt::new(cfg);
     let head = DelayHead::new(16, 13);
-    let report = train_delay(
+    let report = train(
         &model,
-        &head,
-        &train,
+        &HeadTask::new(&head, &train_ds),
         &TrainConfig {
             epochs: 1,
             batch_size: 16,
