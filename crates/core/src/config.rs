@@ -39,14 +39,26 @@ impl Aggregation {
         Aggregation::Fixed { block: 21 }
     }
 
+    /// The window's zones, oldest packets first, as `(slots, packets
+    /// per slot)` — the one description of the geometry that
+    /// [`Aggregation::seq_len`], the model's factored front end and its
+    /// folded form all read. Padded with empty zones to a fixed three.
+    pub(crate) fn zones(&self) -> [(usize, usize); 3] {
+        match *self {
+            // aggregated twice (block, then pairs) | once | raw
+            Aggregation::MultiScale { block } => [
+                (ZONE_SLOTS, 2 * block),
+                (ZONE_SLOTS, block),
+                (ZONE_SLOTS, 1),
+            ],
+            Aggregation::Fixed { block } => [(OUT_SLOTS, block), (0, 0), (0, 0)],
+            Aggregation::None => [(OUT_SLOTS, 1), (0, 0), (0, 0)],
+        }
+    }
+
     /// Input window length in packets.
     pub fn seq_len(&self) -> usize {
-        match *self {
-            // raw 16 + once 16*b + twice 16*b*2
-            Aggregation::MultiScale { block } => ZONE_SLOTS + 3 * ZONE_SLOTS * block,
-            Aggregation::Fixed { block } => OUT_SLOTS * block,
-            Aggregation::None => OUT_SLOTS,
-        }
+        self.zones().iter().map(|&(slots, pkts)| slots * pkts).sum()
     }
 
     /// Encoder input length (always 48 — that is the point).

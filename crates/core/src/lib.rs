@@ -46,7 +46,7 @@ mod trainer;
 
 pub use checkpoint::{Checkpoint, HeadSpec, LoadedModel};
 pub use config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
-pub use model::{build_head, DelayHead, DropHead, MctHead, Ntt};
+pub use model::{build_head, DelayHead, DropHead, FoldedFront, MctHead, Ntt};
 pub use ntt_nn::Head;
 pub use pipeline::{Experiment, FinetuneOpts, Finetuned, Pretrained};
 pub use task::{HeadTask, Task};

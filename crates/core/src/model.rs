@@ -12,7 +12,7 @@
 use crate::config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
 use ntt_data::NUM_FEATURES;
 use ntt_nn::{Activation, Head, Linear, Mlp, Module, PositionalEncoding, TransformerEncoder};
-use ntt_tensor::{Param, Tape, Var};
+use ntt_tensor::{kernels, Param, Tape, Tensor, Var};
 
 /// The NTT trunk: embedding + aggregation + encoder.
 pub struct Ntt {
@@ -55,16 +55,15 @@ impl Ntt {
     /// Encode a batch of packet windows:
     /// `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "NTT expects [B, T, F]");
-        let (b, t, f) = (shape[0], shape[1], shape[2]);
-        assert_eq!(f, NUM_FEATURES, "feature count mismatch");
-        assert_eq!(
-            t,
-            self.cfg.seq_len(),
-            "window length {t} does not match aggregation {:?}",
-            self.cfg.aggregation
-        );
+        self.encode(tape, self.front(tape, x))
+    }
+
+    /// The factored front end — embedding, then the shared aggregation
+    /// layers — `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`. The
+    /// only front end that can train: gradients reach the embedding and
+    /// the shared `agg1`/`agg2`. A frozen model's is [`FoldedFront`].
+    fn front<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
+        let b = check_windows(x, self.cfg.aggregation);
         let d = self.cfg.d_model;
         let e = self.embedding.forward(tape, x); // [B, T, D]
 
@@ -78,12 +77,17 @@ impl Ntt {
             Aggregation::MultiScale { block } => {
                 let agg1 = self.agg1.as_ref().expect("level-1 agg layer");
                 let agg2 = self.agg2.as_ref().expect("level-2 agg layer");
-                let old_len = 2 * ZONE_SLOTS * block; // oldest zone, aggregated twice
-                let mid_len = ZONE_SLOTS * block; // middle zone, aggregated once
-                                                  // Oldest packets first in the window (time-ordered).
+                // Oldest packets first in the window (time-ordered):
+                // the zone aggregated twice, the one aggregated once,
+                // then the raw recent packets.
+                let [old_len, mid_len, raw_len] = self
+                    .cfg
+                    .aggregation
+                    .zones()
+                    .map(|(slots, pkts)| slots * pkts);
                 let old = e.slice_axis1(0, old_len);
                 let mid = e.slice_axis1(old_len, mid_len);
-                let raw = e.slice_axis1(old_len + mid_len, ZONE_SLOTS);
+                let raw = e.slice_axis1(old_len + mid_len, raw_len);
                 // Level 1 on the old zone: [B, 32, block*D] -> [B, 32, D].
                 let old1 = agg1.forward(tape, old.reshape(&[b, 2 * ZONE_SLOTS, block * d]));
                 // Level 2: adjacent pairs -> [B, 16, D].
@@ -94,8 +98,50 @@ impl Ntt {
             }
         };
         debug_assert_eq!(slots.shape()[1], OUT_SLOTS);
+        slots
+    }
+
+    /// Everything behind the front end: positional encoding, then the
+    /// transformer encoder, `[B, 48, d_model] -> [B, 48, d_model]`.
+    /// `forward` is `encode` of the factored front end; a serving engine
+    /// calls it on the slots of a [`FoldedFront`].
+    pub fn encode<'t>(&self, tape: &'t Tape, slots: Var<'t>) -> Var<'t> {
         let with_pos = self.pos.forward(tape, slots);
         self.encoder.forward(tape, with_pos)
+    }
+
+    /// Multiply the front end's weights through, once, for a model that
+    /// will no longer train. Embedding, `agg1` and `agg2` are `Linear`
+    /// layers with no activation between them, so each zone's slots are
+    /// one affine map of that zone's raw packets:
+    ///
+    /// * recent zone — the embedding as it is;
+    /// * middle zone — `W_mid[j·F + f, :] = W_e[f, :] · W_1[j·D..(j+1)·D, :]`,
+    ///   `b_mid = b_1 + Σ_j b_e · W_1[j]`;
+    /// * oldest zone — `W_old = [W_mid · W_2[0..D]; W_mid · W_2[D..2D]]`,
+    ///   `b_old = b_2 + [b_mid, b_mid] · W_2`.
+    ///
+    /// Exact in real arithmetic; in `f32` the regrouped sums differ from
+    /// the factored path by rounding (≈1e-6 relative). With
+    /// [`Aggregation::None`] there is nothing to fold and the result
+    /// runs the embedding's own op sequence, bit for bit. The products
+    /// go through the deterministic `gemm_nn`, so two folds of the same
+    /// weights are bit-equal. The result is a snapshot: later updates to
+    /// this model's parameters do not reach it.
+    pub fn fold_front(&self) -> FoldedFront {
+        let embed = (self.embedding.weight.value(), self.embedding.bias.value());
+        let maps = match (&self.agg1, &self.agg2) {
+            (Some(agg1), Some(agg2)) => {
+                let mid = compose(&embed, agg1);
+                vec![compose(&mid, agg2), mid, embed]
+            }
+            (Some(agg1), None) => vec![compose(&embed, agg1)],
+            _ => vec![embed],
+        };
+        FoldedFront {
+            aggregation: self.cfg.aggregation,
+            maps,
+        }
     }
 
     /// Propagate train/eval mode (dropout).
@@ -123,6 +169,81 @@ pub(crate) fn copy_params(src: &dyn Module, dst: &dyn Module) {
     for (a, b) in s.iter().zip(d.iter()) {
         assert_eq!(a.shape(), b.shape(), "shape mismatch for {}", a.name());
         b.set_value(a.value());
+    }
+}
+
+/// Check a `[B, seq_len, NUM_FEATURES]` batch of windows against the
+/// aggregation's geometry; returns `B`.
+fn check_windows(x: Var<'_>, aggregation: Aggregation) -> usize {
+    let shape = x.shape();
+    assert_eq!(shape.len(), 3, "NTT expects [B, T, F]");
+    let (b, t, f) = (shape[0], shape[1], shape[2]);
+    assert_eq!(f, NUM_FEATURES, "feature count mismatch");
+    assert_eq!(
+        t,
+        aggregation.seq_len(),
+        "window length {t} does not match aggregation {aggregation:?}"
+    );
+    b
+}
+
+/// `inner` (`[K, D]` weight, `[D]` bias) applied to each of the `n`
+/// blocks that `outer` (`[n·D, D]`) concatenates, then `outer` itself,
+/// as one `[n·K, D]` weight and `[D]` bias.
+fn compose(inner: &(Tensor, Tensor), outer: &Linear) -> (Tensor, Tensor) {
+    let (w_in, b_in) = inner;
+    let (k, d) = (w_in.shape()[0], w_in.shape()[1]);
+    let w_out = outer.weight.value();
+    let n = w_out.shape()[0] / d;
+    let mut w = vec![0.0f32; n * k * d];
+    let mut b = outer.bias.value().into_data();
+    for (rows, block) in w.chunks_mut(k * d).zip(w_out.data().chunks(d * d)) {
+        kernels::gemm_nn(w_in.data(), block, rows, k, d, d);
+        kernels::gemm_nn(b_in.data(), block, &mut b, 1, d, d);
+    }
+    (Tensor::from_vec(w, &[n * k, d]), Tensor::from_vec(b, &[d]))
+}
+
+/// The front end of a frozen [`Ntt`] with its weights multiplied
+/// through ([`Ntt::fold_front`]): one `[packets·F, D]` matrix and bias
+/// per zone in place of embedding → `agg1` → `agg2`, so the
+/// `[B, seq_len, D]` embedded window never exists. Serving only — it
+/// holds plain tensors, not parameters, and cannot train.
+pub struct FoldedFront {
+    aggregation: Aggregation,
+    /// `(weight, bias)` per zone, oldest first, as [`Aggregation::zones`].
+    maps: Vec<(Tensor, Tensor)>,
+}
+
+impl FoldedFront {
+    /// `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`, the slots
+    /// [`Ntt::encode`] takes: per zone, slice → reshape to one row per
+    /// slot → one product + bias; then concat. A zone that is the whole
+    /// window is not sliced, one packet per slot is not reshaped.
+    pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
+        let b = check_windows(x, self.aggregation);
+        let whole = self.maps.len() == 1;
+        let mut start = 0;
+        let slots: Vec<Var<'t>> = self
+            .aggregation
+            .zones()
+            .iter()
+            .zip(&self.maps)
+            .map(|(&(slots, pkts), (weight, bias))| {
+                let len = slots * pkts;
+                let mut rows = if whole { x } else { x.slice_axis1(start, len) };
+                start += len;
+                if pkts > 1 {
+                    rows = rows.reshape(&[b, slots, pkts * NUM_FEATURES]);
+                }
+                rows.matmul(tape.input_copy(weight))
+                    .add(tape.input_copy(bias))
+            })
+            .collect();
+        match slots[..] {
+            [only] => only,
+            _ => Var::concat_axis1(&slots),
+        }
     }
 }
 
@@ -302,7 +423,6 @@ pub fn build_head(kind: &str, d_model: usize) -> Option<Box<dyn Head>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntt_tensor::Tensor;
 
     fn tiny_cfg(aggregation: Aggregation) -> NttConfig {
         NttConfig {
@@ -464,6 +584,75 @@ mod tests {
         let a = ntt.forward(&tape, tape.input(base)).value();
         let b = ntt.forward(&tape, tape.input(bumped)).value();
         assert!(!a.allclose(&b, 1e-6), "recent packet change must matter");
+    }
+
+    /// A tiny model of the given aggregation with every bias random
+    /// (they initialize to zero, which would hide the folded bias terms).
+    fn biased(aggregation: Aggregation) -> Ntt {
+        let ntt = Ntt::new(tiny_cfg(aggregation));
+        for (i, p) in ntt.params().iter().enumerate() {
+            if p.name().ends_with(".bias") {
+                p.set_value(Tensor::randn(&p.shape(), 100 + i as u64));
+            }
+        }
+        ntt
+    }
+
+    #[test]
+    fn folded_front_matches_the_factored_one() {
+        let mut worst = 0.0f32;
+        for block in [1, 2, 5, 21] {
+            for agg in [
+                Aggregation::MultiScale { block },
+                Aggregation::Fixed { block },
+                Aggregation::None,
+            ] {
+                let ntt = biased(agg);
+                let folded = ntt.fold_front();
+                for batch in [1, 3] {
+                    let x = Tensor::randn(&[batch, agg.seq_len(), NUM_FEATURES], block as u64);
+                    let factored = Tape::inference();
+                    let want = ntt.forward(&factored, factored.input(x.clone())).value();
+                    let tape = Tape::inference();
+                    let got = ntt
+                        .encode(&tape, folded.forward(&tape, tape.input(x)))
+                        .value();
+                    assert_eq!(got.shape(), want.shape());
+                    if agg == Aggregation::None {
+                        // Nothing to fold: the same ops, the same bits.
+                        assert_eq!(got, want);
+                        assert_eq!(tape.len(), factored.len());
+                    }
+                    for (g, w) in got.data().iter().zip(want.data()) {
+                        let err = (g - w).abs() / (1.0 + w.abs());
+                        assert!(err <= 1e-5, "{agg:?} batch {batch}: {g} vs {w}");
+                        worst = worst.max(err);
+                    }
+                }
+            }
+        }
+        // The fold regroups sums; it must not be the identity by accident.
+        assert!(worst > 0.0, "folded and factored paths never differed");
+    }
+
+    #[test]
+    fn folding_twice_gives_the_same_bits() {
+        let ntt = biased(Aggregation::MultiScale { block: 5 });
+        let (a, b) = (ntt.fold_front(), ntt.fold_front());
+        assert_eq!(a.maps.len(), 3);
+        assert_eq!(a.maps, b.maps);
+        // One row per packet feature of a slot, oldest zone first.
+        let rows: Vec<usize> = a.maps.iter().map(|(w, _)| w.shape()[0]).collect();
+        assert_eq!(rows, [10 * NUM_FEATURES, 5 * NUM_FEATURES, NUM_FEATURES]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match aggregation")]
+    fn folded_front_rejects_wrong_window_length() {
+        let ntt = Ntt::new(tiny_cfg(Aggregation::Fixed { block: 3 }));
+        let tape = Tape::inference();
+        let x = tape.input(Tensor::zeros(&[1, 47, NUM_FEATURES]));
+        ntt.fold_front().forward(&tape, x);
     }
 
     #[test]

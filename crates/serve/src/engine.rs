@@ -2,9 +2,22 @@
 //! session, batcher worker, and live feed that serves it.
 //!
 //! An [`InferenceEngine`] owns an [`Ntt`] trunk, its task heads, and
-//! the feature normalizer the model trained with. Weights live once,
-//! behind the model's `Arc`-shared parameters — wrapping the engine in
-//! an `Arc` and handing clones to worker threads duplicates nothing.
+//! the feature normalizer the model trained with. Weights live once —
+//! wrapping the engine in an `Arc` and handing clones to worker threads
+//! duplicates nothing.
+//!
+//! An engine is a **snapshot** of a frozen model. Construction folds the
+//! trunk's affine front end — embedding → `agg1` → `agg2`, three
+//! `Linear` layers with no activation between them — into one matrix
+//! and bias per zone ([`Ntt::fold_front`]), so a request runs folded
+//! front end → [`Ntt::encode`] → head and the `[B, seq_len, D]` embedded
+//! window never exists. The fold is exact in real arithmetic and differs
+//! from the factored `Ntt::forward` by `f32` rounding only (≈1e-6
+//! relative; `Aggregation::None` has nothing to fold and is
+//! bit-identical). A later `Param::set_value` on the trunk's front end
+//! is therefore not seen by a built engine: to change a served model,
+//! build a new engine — hot-swap through the [`crate::ModelRegistry`].
+//!
 //! Every forward pass runs on a pooled **inference tape**
 //! ([`Tape::inference`]): no backward graph recorded, no gradient
 //! slots allocated, and attention routed through the fused
@@ -18,7 +31,7 @@
 //! request after request, so a steady-state serving loop stops
 //! allocating.
 
-use ntt_core::{Ntt, NttConfig, Pretrained};
+use ntt_core::{FoldedFront, Ntt, NttConfig, Pretrained};
 use ntt_data::{Normalizer, CH_DELAY, NUM_FEATURES};
 use ntt_nn::Head;
 use ntt_obs::Counter;
@@ -30,6 +43,8 @@ use std::path::Path;
 /// grad-free. Construct once, share via `Arc`.
 pub struct InferenceEngine {
     model: Ntt,
+    /// `model`'s front end, folded at construction.
+    front: FoldedFront,
     heads: Vec<Box<dyn Head>>,
     norm: Normalizer,
     /// Pooled inference tapes (one per concurrent forward; a tape's
@@ -42,11 +57,14 @@ pub struct InferenceEngine {
 
 impl InferenceEngine {
     /// Wrap a model for serving. Dropout is forced off: serving is
-    /// deterministic evaluation, never a stochastic training pass.
+    /// deterministic evaluation, never a stochastic training pass. The
+    /// front end is folded here, once (~0.4 ms at paper shape), so the
+    /// engine serves the weights the model has now.
     pub fn from_parts(model: Ntt, heads: Vec<Box<dyn Head>>, norm: Normalizer) -> Self {
         assert!(!heads.is_empty(), "an engine needs at least one head");
         model.set_training(false);
         InferenceEngine {
+            front: model.fold_front(),
             model,
             heads,
             norm,
@@ -55,8 +73,9 @@ impl InferenceEngine {
         }
     }
 
-    /// Engine over a [`Pretrained`] pipeline result (shares the same
-    /// parameter storage; nothing is copied).
+    /// Engine over a [`Pretrained`] pipeline result: a snapshot of its
+    /// weights as they are now (the front end is folded, see the module
+    /// docs), not a live view of parameters that keep training.
     pub fn from_pretrained(pre: Pretrained) -> Self {
         Self::from_parts(pre.model, pre.heads, pre.norm)
     }
@@ -152,7 +171,8 @@ impl InferenceEngine {
         // engine allocates nothing per request.
         let _span = ntt_obs::span!("serve.predict_ns");
         let out = self.tapes.with(0, |tape| {
-            let encoded = self.model.forward(tape, tape.input_copy(windows));
+            let slots = self.front.forward(tape, tape.input_copy(windows));
+            let encoded = self.model.encode(tape, slots);
             head.forward_head(tape, encoded, aux.map(|a| tape.input_copy(a)))
                 .value()
         });
@@ -170,7 +190,7 @@ impl InferenceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::tiny_engine;
+    use crate::test_util::{save_engine_checkpoint, tiny_engine};
     use ntt_tensor::{Tape, Tensor};
 
     #[test]
@@ -179,28 +199,56 @@ mod tests {
         let x = Tensor::randn(&[3, eng.seq_len(), NUM_FEATURES], 5);
         let served = eng.predict("delay", &x, None);
         let head = eng.head("delay").unwrap();
-        // Bit-exact reference: a hand-built inference tape runs the
-        // same fused-attention path as the engine's pooled tapes.
+        // Bit-exact reference: the engine's own path — folded front
+        // end, `encode`, head — hand-wired on a fresh inference tape.
         let infer = Tape::inference_with_seed(0);
+        let slots = eng
+            .model
+            .fold_front()
+            .forward(&infer, infer.input(x.clone()));
         let expect = head
-            .forward_head(
-                &infer,
-                eng.model.forward(&infer, infer.input(x.clone())),
-                None,
-            )
+            .forward_head(&infer, eng.model.encode(&infer, slots), None)
             .value();
         assert_eq!(served, expect);
-        // Epsilon reference: a recording tape runs classic (unfused)
-        // attention, so cross-mode agreement is close, not bitwise —
-        // the documented fused-attention contract.
-        let rec = Tape::new();
-        let classic = head
-            .forward_head(&rec, eng.model.forward(&rec, rec.input(x.clone())), None)
-            .value();
-        assert!(served.allclose(&classic, 1e-4), "fused path drifted");
+        // Epsilon references: the factored front end on an inference
+        // tape regroups the same sums (rounding only), and a recording
+        // tape also runs classic (unfused) attention — close, not
+        // bitwise: the documented fold and fused-attention contracts.
+        let through = |tape: &Tape| {
+            head.forward_head(tape, eng.model.forward(tape, tape.input(x.clone())), None)
+                .value()
+        };
+        let unfused = through(&Tape::inference_with_seed(0));
+        assert!(served.allclose(&unfused, 1e-5), "folded front end drifted");
+        assert!(
+            served.allclose(&through(&Tape::new()), 1e-4),
+            "fused path drifted"
+        );
         assert_eq!(eng.windows_served(), 3);
         // Repeat through the pooled (reset) tape: still identical.
         assert_eq!(eng.predict("delay", &x, None), expect);
+    }
+
+    #[test]
+    fn an_engine_reloaded_from_its_checkpoint_serves_the_same_bits() {
+        // The fold is a pure function of the weights: an engine folded
+        // in memory and one folded after NTTCKPT2 save → load agree to
+        // the bit, for every head.
+        let eng = tiny_engine(0.0);
+        let path = std::env::temp_dir().join(format!("ntt_refold_{}.ckpt", std::process::id()));
+        save_engine_checkpoint(&eng, &path);
+        let reloaded = InferenceEngine::load(&path).expect("load checkpoint");
+        std::fs::remove_file(path).ok();
+        let x = Tensor::randn(&[3, eng.seq_len(), NUM_FEATURES], 12);
+        let aux = Tensor::randn(&[3, 1], 13);
+        for kind in eng.head_kinds() {
+            let aux = eng.head(kind).unwrap().needs_aux().then_some(&aux);
+            assert_eq!(
+                eng.predict(kind, &x, aux),
+                reloaded.predict(kind, &x, aux),
+                "{kind} head"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!
 //! * [`InferenceEngine`] — one loaded model (trunk + heads +
 //!   normalizer) executing on grad-free inference tapes
-//!   ([`ntt_tensor::Tape::inference`]): identical kernels to training,
-//!   bit-identical outputs, no backward graph, arena-recycled memory.
-//!   Weights live once; `Arc` clones share them across threads.
+//!   ([`ntt_tensor::Tape::inference`]): the training kernels, no
+//!   backward graph, arena-recycled memory, and the trunk's affine
+//!   front end folded into one matrix per zone at load (a snapshot of
+//!   the weights; outputs agree with training's to rounding). Weights
+//!   live once; `Arc` clones share them across threads.
 //! * [`ModelRegistry`] — named engines for multi-model processes.
 //! * [`InferenceSession`] — single-stream serving: push packets, get
 //!   windowed delay predictions featurized by the *same* code path the

@@ -696,7 +696,14 @@ impl Tape {
     /// heap allocation once the arena is warm). The per-request entry
     /// point for serving loops that keep ownership of their batch.
     pub fn input_copy(&self, value: &Tensor) -> Var<'_> {
-        let staged = self.t_copy(value, value.shape());
+        self.input_slice(value.data(), value.shape())
+    }
+
+    /// [`Tape::input_copy`] of borrowed elements under `shape` — for a
+    /// caller whose constant is a prefix or sub-range of a larger
+    /// buffer (the leading rows of a positional table).
+    pub fn input_slice(&self, data: &[f32], shape: &[usize]) -> Var<'_> {
+        let staged = Tensor::from_vec(self.scratch.take_copy(data), shape);
         self.push(Op::Leaf, staged)
     }
 

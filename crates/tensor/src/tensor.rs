@@ -231,19 +231,6 @@ impl Tensor {
         self.data.iter().any(|x| !x.is_finite())
     }
 
-    /// Transpose of a rank-2 tensor.
-    pub fn transpose2(&self) -> Tensor {
-        assert_eq!(self.rank(), 2, "transpose2 requires rank 2");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_vec(out, &[n, m])
-    }
-
     /// Copy rows `[start, start+len)` along axis 1 of a rank-3 tensor.
     pub fn slice_axis1(&self, start: usize, len: usize) -> Tensor {
         assert_eq!(self.rank(), 3, "slice_axis1 requires rank 3");
@@ -363,15 +350,6 @@ mod tests {
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -4.0);
         assert!((t.norm() - (30.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn transpose2_roundtrip() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
-        let tt = t.transpose2();
-        assert_eq!(tt.shape(), &[3, 2]);
-        assert_eq!(tt.at(&[2, 1]), t.at(&[1, 2]));
-        assert_eq!(tt.transpose2(), t);
     }
 
     #[test]

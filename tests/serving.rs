@@ -5,9 +5,10 @@
 //! epsilon (the online softmax reorders the IEEE reduction; bitwise
 //! cross-mode equality is explicitly not claimed) while staying fully
 //! deterministic *within* the mode: bit-identical across runs, seeds,
-//! worker counts, and batch compositions. The evaluation loops and the
-//! serving engine must both reproduce a hand-wired inference tape to
-//! the bit.
+//! worker counts, and batch compositions. The evaluation loops must
+//! reproduce a hand-wired inference tape to the bit; the serving
+//! engine, which folds the affine front end at load, must reproduce a
+//! hand-wired folded path to the bit and the unfolded one to rounding.
 
 use ntt::core::{
     evaluate, Aggregation, DelayHead, DropHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy,
@@ -144,16 +145,23 @@ fn serving_engine_agrees_with_evaluate() {
     let idx: Vec<usize> = (0..train.len().min(8)).collect();
     let (x, y) = train.batch(&idx);
 
-    // Bit-exact reference through a hand-wired inference tape (the
-    // same fused-attention path evaluate and the engine both run) and
-    // an epsilon reference through a recording tape's classic chain.
+    // Epsilon references: the factored `Ntt::forward` on an inference
+    // tape (the path evaluate runs; the engine's folded front end
+    // regroups the same sums) and on a recording tape (classic
+    // attention on top of that).
     let infer = Tape::inference();
-    let pred_ref = head
+    let pred_unfused = head
         .forward_head(&infer, ntt.forward(&infer, infer.input(x.clone())), None)
         .value();
     let rec = Tape::new();
     let pred_classic = head
         .forward_head(&rec, ntt.forward(&rec, rec.input(x.clone())), None)
+        .value();
+    // Bit-exact reference: the engine's path hand-wired — folded front
+    // end, `encode`, head — on an inference tape.
+    let slots = ntt.fold_front().forward(&infer, infer.input(x.clone()));
+    let pred_ref = head
+        .forward_head(&infer, ntt.encode(&infer, slots), None)
         .value();
 
     let engine = InferenceEngine::from_parts(
@@ -166,6 +174,7 @@ fn serving_engine_agrees_with_evaluate() {
     for (a, b) in served.data().iter().zip(pred_ref.data()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+    assert!(served.allclose(&pred_unfused, 1e-5));
     assert!(served.allclose(&pred_classic, 1e-4));
     assert_eq!(y.shape(), &[idx.len(), 1]);
 }
