@@ -133,7 +133,6 @@ fn soak(engine: &Arc<InferenceEngine>, n: usize, workers: usize, seed: u64) -> S
             queue_cap: 0, // unbounded: this phase measures crash recovery
             max_restarts: 10_000,
             deadline: None,
-            gather: None,
         },
     );
     let row = engine.seq_len() * NUM_FEATURES;
@@ -202,7 +201,6 @@ fn shed_phase(engine: &Arc<InferenceEngine>, n: usize, seed: u64) -> (usize, usi
             queue_cap: 8,
             max_restarts: 0,
             deadline: None,
-            gather: None,
         },
     );
     let row = engine.seq_len() * NUM_FEATURES;

@@ -2,7 +2,7 @@
 //! naive reference, and the paper-scale training step rate against the
 //! pre-overhaul baseline.
 //!
-//! Custom harness (no criterion). Three measurements land in
+//! Custom harness. Three measurements land in
 //! `results/BENCH_kernels.json`:
 //!
 //! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on the shapes
@@ -12,12 +12,11 @@
 //!    [`NAIVE_FLOOR_GFLOPS`], a committed floor above anything the
 //!    naive kernel reaches on supported hardware — CI fails if the
 //!    kernel layer regresses to naive-level throughput.
-//! 2. **Paper-scale `train_steps_per_sec`** (same configuration as
-//!    `train_scaling`, single-threaded), compared against
-//!    [`BASELINE_STEPS_PER_SEC`] — the committed `BENCH_train.json`
-//!    number measured on this container *before* the tensor-engine
-//!    overhaul (i-k-j loop kernels, transpose-heavy attention, fresh
-//!    allocations per step).
+//! 2. **Paper-scale `train_steps_per_sec`** (single-threaded),
+//!    compared against [`BASELINE_STEPS_PER_SEC`] — the number the
+//!    since-retired `train_scaling` bench measured on this container
+//!    *before* the tensor-engine overhaul (i-k-j loop kernels,
+//!    transpose-heavy attention, fresh allocations per step).
 //! 3. **Thread-count invariance**: a short 1-vs-3-worker training run
 //!    whose losses must be bit-identical — the determinism contract the
 //!    kernel rewrite must preserve, re-checked in the same process that
@@ -33,9 +32,9 @@ use ntt_tensor::Tensor;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Pre-overhaul paper-scale steps/s: `results/BENCH_train.json` as
-/// committed by the data-parallel-trainer PR (threads = 1, this
-/// container). The "before" of the before/after this file records.
+/// Pre-overhaul paper-scale steps/s, as measured by the
+/// data-parallel-trainer PR (threads = 1, this container). The
+/// "before" of the before/after this file records.
 const BASELINE_STEPS_PER_SEC: f64 = 3.6342;
 
 /// GFLOP/s floor the tiled `nn` kernel must beat on the reference

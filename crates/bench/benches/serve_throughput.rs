@@ -3,7 +3,7 @@
 //! `Batcher` exists for — interactive single-request serving versus
 //! concurrent coalesced serving.
 //!
-//! Custom harness (no criterion): serving is deterministic per window,
+//! Custom harness: serving is deterministic per window,
 //! so fixed-iteration timed loops are the honest measurement. Three
 //! model shapes are measured:
 //! * the **quick-scale serving shape** (64-packet windows, d_model 32)

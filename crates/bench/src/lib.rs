@@ -9,9 +9,9 @@
 //! * `table2` — fine-tuning cost (data and time) on the same topology
 //! * `table3` — generalization on the larger topology
 //!
-//! Criterion benches cover the §2 quadratic-attention claim
-//! (`attention_scaling`), the matmul kernels, simulator throughput, and
-//! aggregation-mode forward cost.
+//! Four benches remain under `benches/`, each for an assertion with no
+//! other home (`kernels`, `serve_throughput`, `obs_overhead`,
+//! `chaos_soak`); timing lives in the `e2e` benchmark.
 
 pub mod report;
 pub mod runner;

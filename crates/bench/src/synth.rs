@@ -1,7 +1,7 @@
 //! Synthetic training task for engine benchmarks: the delay task's
 //! shapes (random windows, fixed targets) without its simulation or
-//! dataset-construction cost, so `train_scaling` and the `kernels`
-//! bench isolate exactly the tensor/training engine.
+//! dataset-construction cost, so the `kernels` and `obs_overhead`
+//! benches isolate exactly the tensor/training engine.
 
 use ntt_core::{Ntt, Task};
 use ntt_data::NUM_FEATURES;

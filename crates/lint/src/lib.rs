@@ -16,7 +16,9 @@
 //!   exempt.
 //! - **R2** no `HashMap`/`HashSet` in non-test code of the
 //!   deterministic crates (tensor, nn, core, fleet, data, sim).
-//! - **R3** no `Instant::now` / `SystemTime` outside obs, serve, bench, net.
+//! - **R3** no `Instant::now` / `SystemTime` outside obs, serve, bench
+//!   (the wire tier, `net`, carries deadlines as relative `Duration`s
+//!   into the `Batcher` and never reads a clock).
 //! - **R4** no `thread_rng` / `from_entropy` / `RandomState` anywhere.
 //! - **R5** `#[allow(...)]` and non-`Relaxed` atomic `Ordering`s need a
 //!   justification comment.

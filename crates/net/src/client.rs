@@ -6,8 +6,7 @@
 //! ([`NetError::Frame`]), and server-side typed errors
 //! ([`NetError::Server`], carrying the stable [`ErrorCode`]). A client
 //! that needs pipelining opens more connections (that is what the
-//! server's thread-per-connection model expects, and what the
-//! `net_load` bench does).
+//! server's thread-per-connection model expects).
 
 use crate::frame::{self, ErrorCode, Frame, Request, Response, WireError};
 use std::fmt;
@@ -17,6 +16,15 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
+
+/// A deadline as the wire carries it: whole microseconds, `0` meaning
+/// "none" — so a budget under 1 µs, the tightest a caller can ask for,
+/// rounds up to 1 instead of vanishing; one past `u32` saturates.
+fn deadline_micros(deadline: Option<Duration>) -> u32 {
+    deadline.map_or(0, |d| {
+        u32::try_from(d.as_micros()).unwrap_or(u32::MAX).max(1)
+    })
+}
 
 /// Everything that can go wrong with one request, layered.
 #[derive(Debug)]
@@ -144,14 +152,11 @@ impl NetClient {
     ) -> Result<f32, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let deadline_micros = deadline
-            .map(|d| u32::try_from(d.as_micros()).unwrap_or(u32::MAX))
-            .unwrap_or(0);
         let req = Request {
             id,
             model: model.to_string(),
             head: head.to_string(),
-            deadline_micros,
+            deadline_micros: deadline_micros(deadline),
             aux,
             window: window.to_vec(),
         };
@@ -190,5 +195,22 @@ impl NetClient {
                 frame::KIND_REQUEST,
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_microsecond_deadlines_stay_deadlines_on_the_wire() {
+        assert_eq!(deadline_micros(None), 0);
+        assert_eq!(deadline_micros(Some(Duration::ZERO)), 1);
+        assert_eq!(deadline_micros(Some(Duration::from_nanos(999))), 1);
+        assert_eq!(deadline_micros(Some(Duration::from_micros(1))), 1);
+        assert_eq!(
+            deadline_micros(Some(Duration::from_secs(2 * 3600))),
+            u32::MAX
+        );
     }
 }

@@ -15,20 +15,16 @@
 //!   per-(model, head) batcher pools.
 //! * [`NetClient`] — a blocking lockstep client returning layered
 //!   typed errors.
-//! * [`adaptive`] — the SLO controller holding a p99 latency target by
-//!   retuning each pool's `max_batch` from its own histograms.
 //!
 //! Chaos sites `net.conn.drop` (seeded mid-request connection kills,
 //! keyed by request id) and `net.read.stall` (slow-peer reads) thread
 //! the fault plane through the transport; `net.*` counters, gauges,
 //! and the `net.request_ns` span feed `ntt-obs`.
 
-pub mod adaptive;
 pub mod client;
 pub mod frame;
 pub mod server;
 
-pub use adaptive::SloConfig;
 pub use client::{NetClient, NetError};
 pub use frame::{ErrorCode, Frame, FrameError, Request, Response, WireError};
 pub use server::{NetConfig, NetServer};

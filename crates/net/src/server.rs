@@ -40,11 +40,9 @@
 //! engine `Arc` resolved at creation; a registry hot-swap is picked up
 //! on the next request for that model (the old pool drains in the
 //! background, in-flight tickets unaffected — last-good semantics end
-//! to end). When [`NetConfig::slo`] is set, a controller thread
-//! watches each pool's queue-wait/service/batch-size histograms and
-//! retunes its `max_batch` each tick (see [`crate::adaptive`]).
+//! to end). Batch size follows load through the `Batcher`'s one claim
+//! rule, and nothing in this crate reads a clock.
 
-use crate::adaptive::{next_max_batch, PoolTracker, SloConfig};
 use crate::frame::{self, ErrorCode, Frame, Request, Response, WireError};
 use ntt_serve::{BatchConfig, Batcher, InferenceEngine, ModelRegistry};
 use std::collections::BTreeMap;
@@ -56,7 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -71,12 +69,8 @@ pub struct NetConfig {
     /// response frame and is closed.
     pub max_connections: usize,
     /// Template for each per-(model, head) pool; `head` is overridden
-    /// per pool. `workers == 0` auto-sizes from host parallelism
-    /// (capped at 4 — forward passes parallelize internally too).
+    /// per pool; a `max_batch` or `workers` of 0 fails `bind`.
     pub pool: BatchConfig,
-    /// SLO-adaptive max-batch controller (`None` = the pool template's
-    /// `max_batch` stays fixed).
-    pub slo: Option<SloConfig>,
 }
 
 impl Default for NetConfig {
@@ -84,7 +78,6 @@ impl Default for NetConfig {
         NetConfig {
             max_connections: 256,
             pool: BatchConfig::default(),
-            slo: None,
         }
     }
 }
@@ -129,19 +122,10 @@ impl ServerShared {
                 return Arc::clone(&pool.batcher);
             }
         }
-        let workers = if self.cfg.pool.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(4)
-        } else {
-            self.cfg.pool.workers
-        };
         let batcher = Arc::new(Batcher::new(
             Arc::clone(engine),
             BatchConfig {
                 head: head_kind,
-                workers,
                 ..self.cfg.pool.clone()
             },
         ));
@@ -161,13 +145,12 @@ impl ServerShared {
     }
 }
 
-/// A live server: accept loop, connection threads, per-model pools,
-/// and (optionally) the SLO controller. Dropping it shuts everything
-/// down: admission stops, pools drain, threads join.
+/// A live server: accept loop, connection threads, per-model pools.
+/// Dropping it shuts everything down: admission stops, pools drain,
+/// threads join.
 pub struct NetServer {
     shared: Arc<ServerShared>,
     accept: Option<JoinHandle<()>>,
-    controller: Option<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -213,7 +196,17 @@ impl NetServer {
         cfg: NetConfig,
         listener: L,
     ) -> io::Result<NetServer> {
-        let slo = cfg.slo.clone();
+        // `Batcher::new` asserts these, and it runs on a connection
+        // thread holding the `pools` lock: refuse a bad template here.
+        let pool = &cfg.pool;
+        for (field, value) in [("max_batch", pool.max_batch), ("workers", pool.workers)] {
+            if value == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("NetConfig::pool.{field} must be at least 1"),
+                ));
+            }
+        }
         let shared = Arc::new(ServerShared {
             registry,
             cfg,
@@ -229,21 +222,9 @@ impl NetServer {
                 .name("ntt-net-accept".into())
                 .spawn(move || accept_loop(shared, listener))?
         };
-        let controller = match slo {
-            Some(slo) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("ntt-net-slo".into())
-                        .spawn(move || controller_loop(shared, slo))?,
-                )
-            }
-            None => None,
-        };
         Ok(NetServer {
             shared,
             accept: Some(accept),
-            controller: Some(controller).flatten(),
             tcp_addr: None,
             unix_path: None,
         })
@@ -260,17 +241,6 @@ impl NetServer {
         self.shared.conns.load(Ordering::Relaxed)
     }
 
-    /// The live `max_batch` of the pool serving `(model, head)`, if
-    /// that pool exists yet — observability for the adaptive
-    /// controller's effect.
-    pub fn pool_max_batch(&self, model: &str, head: &str) -> Option<usize> {
-        let pools = self.shared.pools.lock().unwrap_or_else(|e| e.into_inner());
-        pools
-            .iter()
-            .find(|((m, h), _)| m == model && *h == head)
-            .map(|(_, p)| p.batcher.max_batch())
-    }
-
     /// Stop admitting connections and requests. Already-accepted
     /// requests drain; the blocking join happens on drop.
     pub fn shutdown(&self) {
@@ -282,9 +252,6 @@ impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.controller.take() {
             let _ = h.join();
         }
         loop {
@@ -615,41 +582,4 @@ fn route(shared: &ServerShared, req: Request) -> Result<f32, WireError> {
         code: ErrorCode::from_serve(&e),
         detail: e.to_string(),
     })
-}
-
-fn controller_loop(shared: Arc<ServerShared>, slo: SloConfig) {
-    let mut trackers: BTreeMap<(String, &'static str), PoolTracker> = BTreeMap::new();
-    while !shared.stopping() {
-        // Sleep one tick in short slices so shutdown stays prompt even
-        // under a long controller period.
-        let t0 = Instant::now();
-        while t0.elapsed() < slo.tick {
-            if shared.stopping() {
-                return;
-            }
-            std::thread::sleep(slo.tick.saturating_sub(t0.elapsed()).min(READ_POLL));
-        }
-        // Clone the pool handles out so histogram reads and retunes
-        // never hold the routing lock.
-        let pools: Vec<((String, &'static str), Arc<Batcher>)> = {
-            let guard = shared.pools.lock().unwrap_or_else(|e| e.into_inner());
-            guard
-                .iter()
-                .map(|(k, p)| (k.clone(), Arc::clone(&p.batcher)))
-                .collect()
-        };
-        for (key, batcher) in pools {
-            let m = batcher.metrics();
-            let tracker = trackers.entry(key).or_default();
-            if let Some(obs) = tracker.observe(m.queue_wait_ns, m.service_ns, m.batch_size) {
-                let cur = batcher.max_batch();
-                let next = next_max_batch(cur, &obs, &slo);
-                if next != cur {
-                    batcher.set_max_batch(next);
-                    ntt_obs::counter!("net.adaptive_steps").inc();
-                }
-                ntt_obs::gauge!("net.adaptive_max_batch").set(next as f64);
-            }
-        }
-    }
 }

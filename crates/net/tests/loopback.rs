@@ -6,12 +6,11 @@
 //! batcher coalescing add exactly zero numeric surface. On top of
 //! that: exact overload accounting (every request is answered or
 //! typed-shed, nothing vanishes), stable error codes for routing
-//! misses, unix-socket parity, and the SLO controller demonstrably
-//! shrinking `max_batch` at low load.
+//! misses, unix-socket parity, and a pool template that could never
+//! serve refused at bind.
 
 use ntt_core::{Aggregation, DelayHead, MctHead, Ntt, NttConfig};
 use ntt_data::{Normalizer, NUM_FEATURES};
-use ntt_net::adaptive::SloConfig;
 use ntt_net::{ErrorCode, NetClient, NetConfig, NetServer};
 use ntt_serve::{BatchConfig, InferenceEngine, ModelRegistry};
 use ntt_tensor::Tensor;
@@ -317,53 +316,23 @@ fn connection_cap_sheds_with_a_typed_frame() {
 }
 
 #[test]
-fn adaptive_controller_shrinks_max_batch_at_low_load() {
-    let registry = registry_with(&[("pretrain", 81)]);
-    // Start oversized: max_batch 32 with a 5ms gather window means a
-    // lone request waits out the window before its batch is cut. At a
-    // serial trickle the controller must observe under-filled batches
-    // missing the 2ms SLO and halve its way down.
-    let server = NetServer::bind_tcp(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        NetConfig {
+fn unservable_pool_template_fails_bind_instead_of_a_connection_thread() {
+    // `Batcher::new` asserts both fields; left to the first request,
+    // that assert fires on a connection thread holding the pools lock.
+    // The check runs before the server spawns anything.
+    for (field, max_batch, workers) in [("max_batch", 0, 1), ("workers", 1, 0)] {
+        let cfg = NetConfig {
             pool: BatchConfig {
-                max_batch: 32,
-                workers: 1,
-                gather: Some(Duration::from_millis(5)),
+                max_batch,
+                workers,
                 ..BatchConfig::default()
             },
-            slo: Some(SloConfig {
-                p99_target: Duration::from_millis(2),
-                min_batch: 1,
-                max_batch: 32,
-                tick: Duration::from_millis(20),
-            }),
             ..NetConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.tcp_addr().expect("addr");
-    let engine = registry.get("pretrain").expect("registered");
-    let wins = windows(&engine, 4, 91);
-    let mut client = NetClient::connect_tcp(addr).expect("connect");
-
-    // Serial low load for ~0.5s: every request eats the gather wait, so
-    // the controller keeps seeing p99 >> target with mean fill ≈ 1.
-    let t0 = std::time::Instant::now();
-    let mut sent = 0usize;
-    while t0.elapsed() < Duration::from_millis(500) {
-        client
-            .predict("pretrain", "delay", &wins[sent % 4], None, None)
-            .expect("low-load prediction");
-        sent += 1;
+        };
+        let e = NetServer::bind_tcp("127.0.0.1:0", registry_with(&[("pretrain", 81)]), cfg)
+            .err()
+            .unwrap_or_else(|| panic!("{field}: 0 was accepted"));
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains(field), "{e} does not name {field}");
     }
-    let tuned = server
-        .pool_max_batch("pretrain", "delay")
-        .expect("pool exists after traffic");
-    assert!(
-        tuned < 32,
-        "controller never shrank max_batch from 32 (still {tuned}) after {sent} serial requests"
-    );
-    drop(server);
 }

@@ -3,8 +3,7 @@
 //! The mechanism behind Transformers (§2 of the paper): every output
 //! position encodes its own information *and* its context. Cost is
 //! quadratic in sequence length — the very property that motivates the
-//! NTT's multi-timescale aggregation layer (and the `attention_scaling`
-//! Criterion bench reproduces that scaling curve).
+//! NTT's multi-timescale aggregation layer.
 
 use crate::linear::Linear;
 use crate::module::Module;

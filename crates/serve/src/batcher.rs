@@ -1,15 +1,19 @@
 //! Micro-batching request coalescing: many concurrent single-window
 //! requests, few large forward passes — self-healing and overload-safe.
 //!
-//! The mTCP/event-loop lesson from the serving literature applies
-//! directly to model inference: per-request fixed costs (tape setup,
-//! weight staging, kernel launch overhead) dominate at batch size 1,
-//! and a GEMM over 16 stacked windows costs far less than 16 GEMMs over
-//! one. The [`Batcher`] owns a FIFO queue and a small worker pool; each
-//! worker drains up to `max_batch` requests **from the queue front in
-//! arrival order**, stacks them into one `[B, T, F]` forward pass, and
-//! routes each row of the result back over the submitting request's own
-//! channel.
+//! What a coalesced forward amortises is per-request fixed cost (tape
+//! setup, weight staging, the queue hand-off, a thread wake-up), and
+//! the `e2e` ledger says what that is worth: most of a request at the
+//! tiny shape, nothing at paper shape, where `Ntt::encode` costs
+//! 774–792 µs a window at batch 1 and 779–780 at batch 16 (ROADMAP's
+//! first open item is where that changes). The [`Batcher`] owns a FIFO
+//! queue and a small worker pool; each worker wakes on a non-empty
+//! queue, drains `min(pending, max_batch)` requests **from the queue
+//! front in arrival order**, stacks them into one `[B, T, F]` forward
+//! pass, and routes each row of the result back over the submitting
+//! request's own channel. That one claim rule has no timer and nothing
+//! to tune: an idle pool serves a lone request alone with no added
+//! wait, and a backlog fills every batch to the limit.
 //!
 //! Coalescing never changes an answer: every kernel in the forward path
 //! is row-wise, so window `i`'s prediction is bit-identical whether it
@@ -85,14 +89,6 @@ pub struct BatchConfig {
     /// (`None` = requests wait indefinitely). Per-request override:
     /// [`Batcher::submit_with_deadline`].
     pub deadline: Option<Duration>,
-    /// How long a worker holds a freshly woken claim open for further
-    /// arrivals while the batch is below the live `max_batch` limit
-    /// (`None` = claim immediately, the pre-adaptive behavior). A
-    /// gather window trades a bounded per-request latency add for
-    /// fuller coalesced batches; pairing it with
-    /// [`Batcher::set_max_batch`] lets an SLO controller shrink the
-    /// limit at low load so the wait collapses to zero.
-    pub gather: Option<Duration>,
 }
 
 impl Default for BatchConfig {
@@ -104,7 +100,6 @@ impl Default for BatchConfig {
             queue_cap: 1024,
             max_restarts: 64,
             deadline: None,
-            gather: None,
         }
     }
 }
@@ -133,11 +128,6 @@ struct Queue {
 struct Shared {
     engine: Arc<InferenceEngine>,
     cfg: BatchConfig,
-    /// Live coalescing limit. Starts at `cfg.max_batch`; an SLO
-    /// controller (e.g. `ntt-net`'s adaptive batching) may retune it at
-    /// runtime through [`Batcher::set_max_batch`], so workers read this
-    /// per claim instead of the frozen config value.
-    max_batch: AtomicUsize,
     queue: Mutex<Queue>,
     ready: Condvar,
     /// Worker join handles — grows when a supervisor respawns a worker,
@@ -274,11 +264,9 @@ impl Batcher {
             engine.head_kinds()
         );
         let workers = cfg.workers;
-        let max_batch = cfg.max_batch;
         let shared = Arc::new(Shared {
             engine,
             cfg,
-            max_batch: AtomicUsize::new(max_batch),
             queue: Mutex::new(Queue {
                 pending: VecDeque::new(),
                 shutdown: false,
@@ -407,25 +395,6 @@ impl Batcher {
             .unwrap_or_else(|e| e.into_inner())
             .shutdown = true;
         self.shared.ready.notify_all();
-    }
-
-    /// The live coalescing limit: how many queued requests one claim
-    /// may stack into a single forward pass right now. Starts at
-    /// [`BatchConfig::max_batch`].
-    pub fn max_batch(&self) -> usize {
-        self.shared.max_batch.load(Ordering::Relaxed)
-    }
-
-    /// Retune the coalescing limit at runtime (clamped to >= 1; takes
-    /// effect from the next claim — a batch already being stacked is
-    /// not re-cut). This is the knob `ntt-net`'s SLO-adaptive
-    /// controller drives to hold a p99 latency target: shrink it when
-    /// the gather window is the latency, grow it when saturated batches
-    /// say coalescing would help.
-    pub fn set_max_batch(&self, n: usize) {
-        let n = n.max(1);
-        self.shared.max_batch.store(n, Ordering::Relaxed);
-        ntt_obs::gauge!("serve.max_batch").set(n as f64);
     }
 
     /// False once the batcher has poisoned terminally (restart budget
@@ -579,37 +548,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-            // Optional gather window: hold the claim open for further
-            // arrivals until the batch can fill to the live limit or
-            // the window lapses. The wait is bounded by `cfg.gather`
-            // and collapses to zero once `max_batch` requests are
-            // already pending — so an adaptive controller shrinking
-            // `max_batch` toward the observed concurrency removes the
-            // gather latency entirely at low load.
-            if let Some(gather) = shared.cfg.gather {
-                let t0 = Instant::now();
-                while q.pending.len() < shared.max_batch.load(Ordering::Relaxed)
-                    && !q.shutdown
-                    && !q.poisoned
-                {
-                    let left = match gather.checked_sub(t0.elapsed()) {
-                        Some(d) if !d.is_zero() => d,
-                        _ => break,
-                    };
-                    let (guard, _) = shared
-                        .ready
-                        .wait_timeout(q, left)
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                }
-                if q.pending.is_empty() {
-                    continue; // a sibling worker drained it mid-gather
-                }
-            }
-            let n = q
-                .pending
-                .len()
-                .min(shared.max_batch.load(Ordering::Relaxed).max(1));
+            let n = q.pending.len().min(shared.cfg.max_batch);
             let claimed: Vec<Request> = q.pending.drain(..n).collect();
             ntt_obs::gauge!("serve.queue_depth").set(q.pending.len() as f64);
             drop(q);
@@ -767,6 +706,16 @@ mod tests {
         inner: DelayHead,
         entered: AtomicUsize,
         open: std::sync::atomic::AtomicBool,
+    }
+    impl GateHead {
+        /// Spin until the worker is blocked inside this head.
+        fn wait_until_entered(&self) {
+            let t0 = std::time::Instant::now();
+            while self.entered.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5 {
+                std::thread::yield_now();
+            }
+            assert_eq!(self.entered.load(Ordering::SeqCst), 1, "worker is gated");
+        }
     }
     impl Module for GateHead {
         fn params(&self) -> Vec<Param> {
@@ -1091,11 +1040,7 @@ mod tests {
         let row = eng.seq_len() * NUM_FEATURES;
         // First request gets claimed and blocks inside the head.
         let served = batcher.submit(vec![0.0; row], None).unwrap();
-        let t0 = std::time::Instant::now();
-        while gate.entered.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5 {
-            std::thread::yield_now();
-        }
-        assert_eq!(gate.entered.load(Ordering::SeqCst), 1, "worker is gated");
+        gate.wait_until_entered();
         // Fill the bounded queue...
         let queued: Vec<Ticket> = (0..3)
             .map(|i| batcher.submit(vec![0.1 * i as f32; row], None).unwrap())
@@ -1130,10 +1075,7 @@ mod tests {
         let row = eng.seq_len() * NUM_FEATURES;
         // Gate the worker on a first request...
         let served = batcher.submit(vec![0.0; row], None).unwrap();
-        let t0 = std::time::Instant::now();
-        while gate.entered.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5 {
-            std::thread::yield_now();
-        }
+        gate.wait_until_entered();
         // ...queue one request with an already-tiny deadline and one
         // without; let the deadline lapse before opening the gate.
         let doomed = batcher
@@ -1233,73 +1175,40 @@ mod tests {
     }
 
     #[test]
-    fn gather_window_coalesces_trickled_arrivals() {
-        // With a generous gather window the worker holds its claim open
-        // until the batch fills, so requests trickling in one at a time
-        // still coalesce into a single forward pass.
-        let eng = Arc::new(tiny_engine(0.0));
-        let ws = windows(&eng, 4, 21);
+    fn idle_pool_claims_one_and_a_backlog_fills_to_the_limit() {
+        // No window, no timer: the first request finds an idle worker and
+        // rides alone; the nine queued behind the gate go out as 4 + 4 + 1.
+        let (eng, gate) = engine_with_gate();
+        let ws = windows(&eng, 10, 21);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
                 max_batch: 4,
                 workers: 1,
-                gather: Some(Duration::from_millis(500)),
+                head: "gate",
                 ..BatchConfig::default()
             },
         );
-        let tickets: Vec<Ticket> = ws
-            .iter()
-            .map(|w| {
-                let t = batcher.submit(w.clone(), None).unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-                t
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait().unwrap().is_finite());
+        let first = batcher.submit(ws[0].clone(), None).unwrap();
+        gate.wait_until_entered();
+        let mut tickets = vec![first];
+        tickets.extend(
+            ws[1..]
+                .iter()
+                .map(|w| batcher.submit(w.clone(), None).unwrap()),
+        );
+        gate.open.store(true, Ordering::SeqCst);
+        // Ticket i answers window i, to the bit.
+        for (t, w) in tickets.into_iter().zip(&ws) {
+            let z = t.wait().unwrap();
+            assert!(z.is_finite());
+            let x = Tensor::from_vec(w.clone(), &[1, eng.seq_len(), NUM_FEATURES]);
+            assert_eq!(z.to_bits(), eng.predict("gate", &x, None).item().to_bits());
         }
         let stats = batcher.stats();
-        assert_eq!(
-            stats.batches, 1,
-            "gather must hold the claim open until the batch fills"
-        );
+        assert_eq!(stats.batches, 4, "1 + 4 + 4 + 1");
         assert_eq!(stats.largest_batch, 4);
-    }
-
-    #[test]
-    fn runtime_max_batch_retune_takes_effect() {
-        // Shrinking the live limit to 1 makes the gather loop exit
-        // immediately (a single pending request already fills the
-        // batch), so a long gather window adds no latency.
-        let eng = Arc::new(tiny_engine(0.0));
-        let ws = windows(&eng, 3, 22);
-        let batcher = Batcher::new(
-            Arc::clone(&eng),
-            BatchConfig {
-                max_batch: 8,
-                workers: 1,
-                gather: Some(Duration::from_secs(30)),
-                ..BatchConfig::default()
-            },
-        );
-        assert_eq!(batcher.max_batch(), 8);
-        batcher.set_max_batch(0); // clamps to 1
-        assert_eq!(batcher.max_batch(), 1);
-        let t0 = Instant::now();
-        for w in &ws {
-            let t = batcher.submit(w.clone(), None).unwrap();
-            assert!(t.wait().unwrap().is_finite());
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "limit 1 must bypass the 30s gather window"
-        );
-        assert_eq!(
-            batcher.stats().batches,
-            3,
-            "limit 1 serves each request in its own batch"
-        );
+        assert_eq!(stats.windows, 10);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   coalescing, and a live sim → features → predictions loop
 //! * [`net`] — the wire-protocol serving tier: `NTTWIRE1` length-
 //!   prefixed binary framing over TCP/unix sockets, multi-model
-//!   routing through the registry into per-model batcher pools, stable
-//!   protocol error codes for every serving failure, and SLO-adaptive
-//!   max-batch control holding a p99 target
+//!   routing through the registry into per-model batcher pools, and
+//!   stable protocol error codes for every serving failure
 //! * [`obs`] — zero-overhead observability: process-global counters,
 //!   gauges, log-scale latency histograms, RAII span timers, and
 //!   JSON/Prometheus snapshot export (`NTT_OBS=off` kill switch)

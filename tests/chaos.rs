@@ -175,7 +175,6 @@ fn soak(
             queue_cap: 0, // unbounded: this soak measures crash recovery
             max_restarts: 1_000,
             deadline: None,
-            gather: None,
         },
     );
     let tickets: Vec<Ticket> = windows
@@ -286,7 +285,6 @@ fn soak_sheds_load_with_typed_errors_under_a_bounded_queue() {
             queue_cap: 8,
             max_restarts: 0,
             deadline: None,
-            gather: None,
         },
     );
     let mut accepted: Vec<Ticket> = Vec::new();
