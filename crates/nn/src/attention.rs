@@ -52,12 +52,18 @@ impl MultiHeadAttention {
     ///
     /// On **inference tapes** the score→softmax→context pipeline runs as
     /// one fused streaming-softmax op ([`Var::attn_fused`]): the
-    /// `[B, H, T, T]` score matrix is never allocated, which is what
-    /// makes batched serving win on FLOPs rather than lose to cache
-    /// spills. On **recording tapes** the classic `attn_scores →
-    /// scaled_softmax → attn_context` chain is kept — its backward
-    /// reuses the materialized weights instead of recomputing
-    /// exponentials, so training throughput is unchanged. The two paths
+    /// `[B, H, T, T]` score matrix is never allocated. That buys memory,
+    /// not time, at the served shape: at 48 slots and `dh` 16 the score
+    /// matrix is 36 KiB a window and, with `exp` vectorised, the classic
+    /// chain measures *faster* — 56–61 µs against the fused tile's 86–89
+    /// per window-layer, at batch 1 and batch 16 alike (PR 21, 2-core
+    /// Xeon 2.1 GHz). The fused op stays on inference tapes because the
+    /// benchmark calls and counts it (`e2e/src/probes.rs`); choosing one
+    /// formulation is ROADMAP's "Make the encoder pay for a batch". On
+    /// **recording tapes** the classic `attn_scores → scaled_softmax →
+    /// attn_context` chain is kept — its backward reuses the
+    /// materialized weights instead of recomputing exponentials (fused
+    /// on recording tapes cost 12 % of `train_paper`, PR 13). The two paths
     /// agree to epsilon, not bitwise (the online softmax reorders the
     /// IEEE sequence); each is individually bit-deterministic across
     /// thread counts and batch compositions.

@@ -614,7 +614,11 @@ fn worker_loop(shared: Arc<Shared>) {
         });
         // With several workers the machine is divided between batches;
         // suppress the GEMM kernels' internal row threading so they do
-        // not oversubscribe it (same discipline as the trainer).
+        // not oversubscribe it (same discipline as the trainer). With
+        // one worker nothing needs suppressing at the shapes served
+        // today: every product of a paper-shape forward over at most
+        // 16 windows is below `kernels::PAR_THRESHOLD`, so it runs on
+        // this thread alone (`tests/serving.rs` pins both halves).
         let out = if shared.cfg.workers > 1 {
             kernels::with_sequential(|| shared.engine.predict(shared.cfg.head, &x, aux.as_ref()))
         } else {

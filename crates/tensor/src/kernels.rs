@@ -35,21 +35,58 @@
 //! zero-skip branch anywhere: dense activations autovectorize, and a
 //! data-dependent branch in the inner loop would defeat that.
 //!
+//! # Threading
+//!
+//! A product is divided over row blocks on scoped std threads only when
+//! a spawn pays for itself: at or above [`PAR_THRESHOLD`]
+//! multiply-accumulates, and never with less than half of that per
+//! thread (the arithmetic is on the constant). A `std::thread::scope`
+//! spawn + join costs 40–75 µs for two threads and 165–250 µs for eight
+//! on the hosts this was measured on — more than an entire 48-row
+//! encoder product — so nothing in a served paper-shape forward, at
+//! batch 1 or batch 16, threads at all; the only products that do are
+//! the trainer's 11–22 M-MAC aggregation GEMMs. The core count is read
+//! once per process ([`cores`]), and every spawned thread is counted in
+//! `tensor.kernel_spawns`.
+//!
 //! # Determinism
 //!
 //! Every output element accumulates its `k` products in ascending `p`
 //! order, grouped only by the fixed [`KC`] blocking — an order that does
 //! not depend on the row split, the thread count, or partial-tile
-//! boundaries. Work above [`PAR_THRESHOLD`] FLOPs is divided over row
-//! blocks on scoped std threads exactly as before, and results stay
-//! bit-identical at any thread count.
+//! boundaries, so results are bit-identical at any thread count.
+//!
+//! `exp` is the crate's own branch-free polynomial ([`exp`], behind
+//! [`gelu_fwd`], [`gelu_bwd`], [`scaled_softmax_fwd`] and the fused
+//! attention tile), not the platform libm: the same weights and inputs
+//! give the same bits on every host and libc. The element-wise kernels
+//! built on it are compiled twice — baseline and AVX2, picked by
+//! [`has_avx2`] like the microkernel — and because Rust never contracts
+//! `a * b + c` into an FMA, both compilations execute the same IEEE
+//! operation sequence per element: the dispatch changes throughput,
+//! never a bit.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Minimum multiply-accumulate count before spawning threads; below this
-/// the spawn overhead dominates.
-pub const PAR_THRESHOLD: usize = 1 << 18;
+/// Minimum multiply-accumulate count before a kernel spawns row-block
+/// threads, and twice the least work a spawned thread is ever handed
+/// (`threads = min(cores, rows, total / (PAR_THRESHOLD / 2))`).
+///
+/// The arithmetic: one thread retires ~21 G MAC/s (the engine's own
+/// 42 GFLOP/s), so 2²² MACs are ~200 µs — the first size at which
+/// halving the work repays a `std::thread::scope` spawn + join, which
+/// measures 41 µs p50 / 75 µs p95 for two threads (67/128 for four,
+/// 165/250 for eight; 2-core Xeon 2.1 GHz). Hence two threads from 2²³
+/// MACs, a third only from 1.5·2²³. The previous value, 2¹⁸ (~12 µs of
+/// work), made every paper-shape `ff1`/`ff2` product (48·64·128 = 393 K
+/// MACs, ~19 µs) pay a spawn that cost two to four times the product.
+/// The largest product of a served forward — `ff1` at batch 16,
+/// 768·64·128 = 6.3 M MACs — stays below this line (`tests/serving.rs`
+/// pins that); the trainer's `agg1` products (256·1344·64 = 22 M MACs)
+/// stay above it. Sweep and end-to-end numbers are in `CHANGES.md`.
+pub const PAR_THRESHOLD: usize = 1 << 23;
 
 /// Microkernel rows: accumulator tile height (distinct A values held as
 /// broadcasts per depth step).
@@ -89,7 +126,11 @@ std::thread_local! {
 /// Run `f` with this thread's kernels forced sequential (restored on
 /// exit, panic included). Results are bit-identical either way — the
 /// row partition assigns every output element to exactly one thread
-/// with an unchanged inner loop — so this is purely a scheduling knob.
+/// with an unchanged inner loop — so this is purely a scheduling knob,
+/// and it only matters for products of at least [`PAR_THRESHOLD`] MACs:
+/// callers that already divide the machine themselves (trainer shards,
+/// a multi-worker `Batcher`) use it so the aggregation-sized GEMMs do
+/// not oversubscribe the cores; everything smaller never threads anyway.
 pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -113,8 +154,27 @@ fn par_rows(m: usize, work_per_row: usize) -> usize {
     if total < PAR_THRESHOLD || SEQUENTIAL.with(|s| s.get()) {
         return 1;
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    cores.min(m).max(1)
+    cores().min(m).min(total / (PAR_THRESHOLD / 2)).max(1)
+}
+
+/// Rows each spawned thread takes when `m` rows are split `threads`
+/// ways. Every kernel that spawns sizes its chunks here, so this is
+/// also where `tensor.kernel_spawns` counts the threads about to start.
+fn rows_per_thread(m: usize, threads: usize) -> usize {
+    let rows_per = m.div_ceil(threads);
+    ntt_obs::counter!("tensor.kernel_spawns").add(m.div_ceil(rows_per) as u64);
+    rows_per
+}
+
+/// Cores available to this process, read once: a fresh
+/// `std::thread::available_parallelism()` re-reads the cgroup files and
+/// costs 12 µs p50 / 21 µs p95 — as long as a whole 48×64×64 product —
+/// and std's own docs say to cache it. An affinity or quota change after
+/// the first call of at least [`PAR_THRESHOLD`] MACs is therefore not
+/// seen; only the thread count can be stale, never a result.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Run `body(row_range, c_chunk)` over `m` rows of a C whose rows are
@@ -130,7 +190,7 @@ where
         body(0..m, c);
         return;
     }
-    let rows_per = m.div_ceil(threads);
+    let rows_per = rows_per_thread(m, threads);
     std::thread::scope(|s| {
         let mut rest = c;
         let mut consumed = 0usize;
@@ -211,12 +271,21 @@ unsafe fn micro_avx2(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32;
 
 type MicroFn = unsafe fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]);
 
+/// The one place CPU features are detected: every twice-compiled kernel
+/// in this file (the microkernel, [`gelu_fwd`], [`gelu_bwd`],
+/// [`exp_shifted`]) asks here. std caches the `cpuid` result, so this
+/// is a relaxed load after the first call.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    is_x86_feature_detected!("avx2")
+}
+
 /// Pick the widest microkernel this CPU supports, once per process.
 fn micro_fn() -> MicroFn {
-    static MICRO: std::sync::OnceLock<MicroFn> = std::sync::OnceLock::new();
+    static MICRO: OnceLock<MicroFn> = OnceLock::new();
     *MICRO.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
+        if has_avx2() {
             return micro_avx2 as MicroFn;
         }
         micro_baseline as MicroFn
@@ -362,10 +431,12 @@ fn gemm_core(
     debug_assert!(c.len() >= (m - 1) * ldc + n, "C too short");
     let n_panels = n.div_ceil(NR);
     let n_blocks = k.div_ceil(KC);
-    // Fixed per-block stride (sized for a full KC block); the tail
-    // block simply leaves its region partially used. Panels *within* a
-    // block are `kc * NR` apart, matching `gemm_row_block`'s indexing.
-    let block_stride = n_panels * KC * NR;
+    // Fixed per-block stride: a full KC block when there are several
+    // (the tail block simply leaves its region partially used), exactly
+    // what is packed when there is one — a 64-deep weight is not
+    // preceded by a 256-deep memset. Panels *within* a block are
+    // `kc * NR` apart, matching `gemm_row_block`'s indexing.
+    let block_stride = n_panels * KC.min(k) * NR;
     BPACK.with(|bp| {
         let mut bp = bp.borrow_mut();
         bp.clear();
@@ -650,8 +721,166 @@ pub fn attn_context_t(
 }
 
 // ---------------------------------------------------------------------------
-// Fused softmax.
+// exp, and the element-wise kernels built on it.
+//
+// One branch-free polynomial replaces every libm `expf`/`tanhf` of the
+// forward and backward passes. The slice kernels are plain loops over
+// `exp`, written once (`*_impl`, `#[inline(always)]`) and compiled
+// twice: at the build's baseline, and again inside a
+// `#[target_feature(enable = "avx2")]` wrapper where LLVM vectorizes
+// the same loop eight lanes wide. No intrinsics, no `mul_add`: both
+// compilations are the same IEEE sequence per element.
 // ---------------------------------------------------------------------------
+
+/// `eˣ` in f32, branch-free: clamp, `n = round(x·log₂e)` by the
+/// add-and-subtract-`1.5·2²³` trick (no `floor`, so the loop vectorizes
+/// at the SSE2 baseline too), Cody–Waite reduction `r = x − n·ln2` in
+/// two steps, the Cephes `expf` degree-5 polynomial on `r`, and `2ⁿ`
+/// built by shifting `n` into the exponent field.
+///
+/// Contract (each line is a test): within 2e-7 relative of the real
+/// `eˣ` on `[-87, 88]` (measured worst, over every f32 in the range:
+/// 8.2e-8; glibc `expf`: 6.0e-8);
+/// exactly `0.0` for `x < -87`, `-inf` included — the fused attention
+/// tile's first-panel `exp(-inf - m)` relies on that zero; exactly `1.0`
+/// at `0`; `exp(88)` (finite) for `x > 88`; NaN in, NaN out.
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    const LOG2_E: f32 = std::f32::consts::LOG2_E;
+    // ln 2 split so that `n * LN2_HI` is exact (355 is nine bits, |n| ≤ 127).
+    const LN2_HI: f32 = 355.0 / 512.0; // 0.693359375
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // 1.5·2²³: adding it pushes the fraction bits out of an f32, leaving
+    // round-to-nearest-even(v) + 0x4B40_0000 in the bit pattern.
+    const ROUND: f32 = 12_582_912.0;
+    // Comparisons, not `f32::min`/`max`: a NaN fails both and passes
+    // through to the result.
+    let c = if x > 88.0 { 88.0 } else { x };
+    let c = if c < -87.0 { -87.0 } else { c };
+    let shifted = c * LOG2_E + ROUND;
+    let n = shifted - ROUND;
+    let r = c - n * LN2_HI - n * LN2_LO;
+    let mut p = 1.987_569_1e-4;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_5e-1;
+    p = p * r + 0.5; // Cephes' 5.0000001201e-1 is 0.5 in f32
+    let y = p * (r * r) + r + 1.0;
+    // n ∈ [-126, 127] sits in the low bits of `shifted`; the shift drops
+    // the 0x4B4 prefix and lands `n + 127` in the exponent field.
+    let pow2 = f32::from_bits((shifted.to_bits() << 23).wrapping_add(0x3F80_0000));
+    if x < -87.0 {
+        0.0
+    } else {
+        y * pow2
+    }
+}
+
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+const GELU_A: f32 = 0.044_715;
+
+/// `σ(2u)` for `u = √(2/π)·(x + 0.044715·x³)`: the tanh-approximation
+/// GELU is `0.5·x·(1 + tanh u) = x·σ(2u)`, so one `exp` serves both the
+/// forward and the backward.
+#[inline(always)]
+fn gelu_gate(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    1.0 / (1.0 + exp(-2.0 * u))
+}
+
+#[inline(always)]
+fn gelu_fwd_impl(x: &[f32], out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = x * gelu_gate(x);
+    }
+}
+
+#[inline(always)]
+fn gelu_bwd_impl(x: &[f32], g: &[f32], out: &mut [f32]) {
+    for ((o, &x), &g) in out.iter_mut().zip(x).zip(g) {
+        let s = gelu_gate(x);
+        let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+        *o = g * (s + x * s * (1.0 - s) * 2.0 * du);
+    }
+}
+
+#[inline(always)]
+fn exp_shifted_impl(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(x) {
+        *o = exp(scale * x - shift);
+    }
+}
+
+/// [`gelu_fwd_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_fwd_avx2(x: &[f32], out: &mut [f32]) {
+    gelu_fwd_impl(x, out);
+}
+
+/// [`gelu_bwd_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_bwd_avx2(x: &[f32], g: &[f32], out: &mut [f32]) {
+    gelu_bwd_impl(x, g, out);
+}
+
+/// [`exp_shifted_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exp_shifted_avx2(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
+    exp_shifted_impl(x, scale, shift, out);
+}
+
+/// GELU (tanh approximation, as in BERT/ViT) over a slice:
+/// `out[i] = x[i] / (1 + exp(-2u))`, which *is* `0.5·x·(1 + tanh u)`.
+/// Within 2e-7·(1 + |y|) of the f64 tanh form on `[-12, 12]` (measured
+/// 9.7e-8; the libm `tanhf` form it replaces: 8.2e-8), at ~1.5 ns an
+/// element with AVX2 and ~2.4 at the SSE2 baseline instead of 18–24.
+pub fn gelu_fwd(x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { gelu_fwd_avx2(x, out) };
+    }
+    gelu_fwd_impl(x, out);
+}
+
+/// GELU backward over a slice: `out[i] = g[i] · d/dx gelu(x[i])`, from
+/// the same gate as the forward: `g·(s + x·s·(1−s)·2·u′)`.
+pub fn gelu_bwd(x: &[f32], g: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    debug_assert_eq!(g.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { gelu_bwd_avx2(x, g, out) };
+    }
+    gelu_bwd_impl(x, g, out);
+}
+
+/// `out[i] = exp(scale · x[i] − shift)`: the exponent pass of a softmax
+/// row, shared by [`scaled_softmax_fwd`] and the fused attention tile.
+fn exp_shifted(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { exp_shifted_avx2(x, scale, shift, out) };
+    }
+    exp_shifted_impl(x, scale, shift, out);
+}
 
 /// Fused `out = softmax(scale * x)` over rows of width `d`, numerically
 /// stabilized. One kernel replaces the previous `scale` op (a full
@@ -665,10 +894,9 @@ pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
         for &v in row {
             mx = mx.max(scale * v);
         }
+        exp_shifted(row, scale, mx, orow);
         let mut sum = 0.0f32;
-        for (o, &v) in orow.iter_mut().zip(row.iter()) {
-            let e = (scale * v - mx).exp();
-            *o = e;
+        for &e in orow.iter() {
             sum += e;
         }
         let inv = 1.0 / sum;
@@ -775,7 +1003,7 @@ pub fn attn_fused_fwd(
         fused_fwd_rows(q, k, v, scale, ctx, stats, 0..b, t, h, dh);
         return;
     }
-    let rows_per = b.div_ceil(threads);
+    let rows_per = rows_per_thread(b, threads);
     std::thread::scope(|s| {
         let mut ctx_rest = ctx;
         let mut stats_rest = stats;
@@ -808,7 +1036,7 @@ pub fn attn_fused_fwd(
 fn fused_pack_k(k_sub: &[f32], hd: usize, t: usize, dh: usize, out: &mut Vec<f32>) -> usize {
     let n_panels = t.div_ceil(NR);
     let n_blocks = dh.div_ceil(KC);
-    let block_stride = n_panels * KC * NR;
+    let block_stride = n_panels * KC.min(dh) * NR;
     out.clear();
     out.resize(n_blocks * block_stride, 0.0);
     for (blk, pc) in (0..dh).step_by(KC).enumerate() {
@@ -920,13 +1148,13 @@ fn fused_fwd_rows(
                                     // First panel: mrow is -inf, so
                                     // corr = exp(-inf) = 0 and the
                                     // (all-zero) accumulator is wiped.
-                                    let corr = (mrow[r] - mnew).exp();
+                                    let corr = exp(mrow[r] - mnew);
                                     mrow[r] = mnew;
                                     let mut e = [0.0f32; NR];
+                                    exp_shifted(&stile[r][..jw], scale, mnew, &mut e[..jw]);
                                     let mut lsum = 0.0f32;
-                                    for (ej, &s) in e[..jw].iter_mut().zip(&stile[r][..jw]) {
-                                        *ej = (scale * s - mnew).exp();
-                                        lsum += *ej;
+                                    for &ej in &e[..jw] {
+                                        lsum += ej;
                                     }
                                     lrow[r] = lrow[r] * corr + lsum;
                                     let acc_row = &mut acc[r * dh..(r + 1) * dh];
@@ -1003,7 +1231,7 @@ pub fn attn_fused_bwd(
         fused_bwd_rows(q, k, v, g, o, stats, scale, gq, gk, gv, 0..b, t, h, dh);
         return;
     }
-    let rows_per = b.div_ceil(threads);
+    let rows_per = rows_per_thread(b, threads);
     std::thread::scope(|s| {
         let (mut gq_rest, mut gk_rest, mut gv_rest) = (gq, gk, gv);
         let mut start = 0usize;
@@ -1090,13 +1318,15 @@ fn fused_bwd_rows(
                                         let qrow = &q[base + i * hd..][..dh];
                                         let di = dvec[i];
                                         let gqrow = &mut gqacc[r * dh..(r + 1) * dh];
-                                        for (j, &s) in stile[r][..jw].iter().enumerate() {
+                                        let mut e = [0.0f32; NR];
+                                        exp_shifted(&stile[r][..jw], scale, mi, &mut e[..jw]);
+                                        for (j, &ej) in e[..jw].iter().enumerate() {
                                             let jj = j0 + j;
                                             let krow = &k[base + jj * hd..][..dh];
                                             let vrow = &v[base + jj * hd..][..dh];
                                             // P_ij from the recomputed
                                             // score and saved stats.
-                                            let p = (scale * s - mi).exp() * inv_l;
+                                            let p = ej * inv_l;
                                             let mut dp = 0.0f32;
                                             for (&gd, &vd) in grow.iter().zip(vrow) {
                                                 dp += gd * vd;
@@ -1634,5 +1864,217 @@ mod tests {
         for threads in [2, 3, 7] {
             assert_eq!(base, run(threads), "bwd bits changed at {threads} threads");
         }
+    }
+
+    // ---- exp, GELU, softmax: the polynomial is a contract ----
+
+    #[test]
+    fn exp_is_within_2e7_relative_on_its_whole_domain() {
+        // 1.75 M points, 1e-4 apart: dense enough to land on both sides
+        // of every rounding boundary of the reduction (they sit ln2 apart).
+        let worst = (0..=1_750_000)
+            .map(|i| {
+                let x = -87.0 + i as f32 * 1e-4;
+                let want = (x as f64).exp();
+                ((exp(x) as f64 - want) / want).abs()
+            })
+            .fold(0.0, f64::max);
+        assert!(worst <= 2e-7, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn exp_edge_values_are_exact() {
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        for x in [-87.000_01f32, -88.0, -1e3, -1e30, f32::MIN] {
+            assert_eq!(exp(x), 0.0, "exp({x})");
+        }
+        assert!(exp(-87.0) > 0.0);
+        assert!(exp(f32::NAN).is_nan());
+        assert!(exp(-f32::NAN).is_nan());
+        // Above the clamp the result saturates at exp(88), finite.
+        assert_eq!(exp(1e3), exp(88.0));
+        assert_eq!(exp(f32::INFINITY), exp(88.0));
+        assert!(exp(88.0).is_finite());
+        // The fused tile's first panel: exp(-inf - m) for a finite m.
+        assert_eq!(exp(f32::NEG_INFINITY - 3.5), 0.0);
+    }
+
+    fn gelu_ref(x: f64) -> f64 {
+        let u = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x * x * x);
+        0.5 * x * (1.0 + u.tanh())
+    }
+
+    fn gelu1(x: f32) -> f32 {
+        let mut y = [0.0];
+        gelu_fwd(&[x], &mut y);
+        y[0]
+    }
+
+    #[test]
+    fn gelu_fwd_matches_f64_tanh_form() {
+        let mut worst = 0.0f64;
+        for i in 0..=240_000 {
+            let x = -12.0 + i as f32 * 1e-4;
+            let want = gelu_ref(x as f64);
+            worst = worst.max((gelu1(x) as f64 - want).abs() / (1.0 + want.abs()));
+        }
+        assert!(worst <= 2e-7, "worst |Δ|/(1+|y|) = {worst:e}");
+        // Saturation: the gate reaches 0 and 1 without NaN or overflow.
+        assert!(gelu1(-40.0).abs() < 1e-30);
+        assert_eq!(gelu1(40.0), 40.0);
+        assert_eq!(gelu1(0.0), 0.0);
+        assert!(gelu1(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn gelu_bwd_matches_central_difference() {
+        let h = 1e-6f64;
+        for i in 0..=2400 {
+            let x = -12.0 + i as f32 * 1e-2;
+            let want = (gelu_ref(x as f64 + h) - gelu_ref(x as f64 - h)) / (2.0 * h);
+            let mut got = [0.0];
+            gelu_bwd(&[x], &[1.0], &mut got);
+            assert!(
+                (got[0] as f64 - want).abs() <= 1e-6 * (1.0 + want.abs()),
+                "gelu'({x}) = {} vs {want}",
+                got[0]
+            );
+            // The upstream gradient is a plain factor.
+            let mut scaled = [0.0];
+            gelu_bwd(&[x], &[-2.5], &mut scaled);
+            assert_eq!(scaled[0], -2.5 * got[0]);
+        }
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one_and_are_shift_invariant() {
+        let d = 48;
+        let x = rand_vec(16 * d, 101);
+        let mut y = vec![0.0; x.len()];
+        scaled_softmax_fwd(&x, 0.25, d, &mut y);
+        for row in y.chunks(d) {
+            let s: f64 = row.iter().map(|&p| p as f64).sum();
+            assert!((s - 1.0).abs() < 1e-6, "row sums to {s}");
+        }
+        // Adding a constant to a row cancels against the row max; what
+        // is left is the rounding of `v + 64` itself (half an ulp of 64,
+        // 4e-6, times the scale), far inside the tolerance.
+        let shifted: Vec<f32> = x.iter().map(|v| v + 64.0).collect();
+        let mut ys = vec![0.0; x.len()];
+        scaled_softmax_fwd(&shifted, 0.25, d, &mut ys);
+        for (a, b) in y.iter().zip(&ys) {
+            assert!((a - b).abs() <= 1e-6, "{a} vs {b}");
+        }
+        // A row with a -inf entry gives that entry exactly zero weight.
+        let mut row = x[..d].to_vec();
+        row[3] = f32::NEG_INFINITY;
+        let mut out = vec![0.0; d];
+        scaled_softmax_fwd(&row, 1.0, d, &mut out);
+        assert_eq!(out[3], 0.0);
+        assert!(out.iter().all(|p| p.is_finite()));
+    }
+
+    #[test]
+    fn baseline_and_avx2_compilations_agree_bit_for_bit() {
+        // Lengths around the 4- and 8-lane vector widths exercise the
+        // scalar tail of both compilations; 6144 is one 48×128 GELU map.
+        for len in [0usize, 1, 7, 8, 9, 6144] {
+            // Spread over the saturating range as well as the O(1) bulk.
+            let x: Vec<f32> = rand_vec(len, 7 + len as u64)
+                .into_iter()
+                .map(|v| v * 6.0)
+                .collect();
+            let g = rand_vec(len, 70 + len as u64);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+
+            let (mut f0, mut b0, mut e0) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            gelu_fwd_impl(&x, &mut f0);
+            gelu_bwd_impl(&x, &g, &mut b0);
+            exp_shifted_impl(&x, 0.25, 1.5, &mut e0);
+            // Whatever the dispatcher picked on this host agrees too.
+            let (mut f1, mut b1, mut e1) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            gelu_fwd(&x, &mut f1);
+            gelu_bwd(&x, &g, &mut b1);
+            exp_shifted(&x, 0.25, 1.5, &mut e1);
+            assert_eq!(bits(&f0), bits(&f1), "gelu_fwd, len {len}");
+            assert_eq!(bits(&b0), bits(&b1), "gelu_bwd, len {len}");
+            assert_eq!(bits(&e0), bits(&e1), "exp_shifted, len {len}");
+            // And element i does not depend on which lane it rode in.
+            for i in 0..len {
+                assert_eq!(f0[i].to_bits(), gelu1(x[i]).to_bits());
+                assert_eq!(e0[i].to_bits(), exp(0.25 * x[i] - 1.5).to_bits());
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                let (mut f2, mut b2, mut e2) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+                // SAFETY: has_avx2 verified the CPU feature the callees need.
+                unsafe {
+                    gelu_fwd_avx2(&x, &mut f2);
+                    gelu_bwd_avx2(&x, &g, &mut b2);
+                    exp_shifted_avx2(&x, 0.25, 1.5, &mut e2);
+                }
+                assert_eq!(bits(&f0), bits(&f2), "gelu_fwd avx2, len {len}");
+                assert_eq!(bits(&b0), bits(&b2), "gelu_bwd avx2, len {len}");
+                assert_eq!(bits(&e0), bits(&e2), "exp_shifted avx2, len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn exp_relative_error_holds_at_random_points(x in -87.0f32..88.0) {
+            let want = (x as f64).exp();
+            let rel = ((exp(x) as f64 - want) / want).abs();
+            proptest::prop_assert!(rel <= 2e-7, "exp({x}): relative error {rel:e}");
+        }
+
+        #[test]
+        fn exp_is_finite_and_non_negative_for_every_finite_input(bits in proptest::any::<u32>()) {
+            let x = f32::from_bits(bits);
+            let y = exp(x);
+            if x.is_nan() {
+                proptest::prop_assert!(y.is_nan());
+            } else {
+                proptest::prop_assert!(y.is_finite() && y >= 0.0, "exp({x}) = {y}");
+                proptest::prop_assert_eq!(y == 0.0, x < -87.0);
+            }
+        }
+    }
+
+    // ---- thread policy ----
+
+    #[test]
+    fn threads_only_where_a_spawn_pays() {
+        // Off the FORCE_THREADS hook, this thread not sequential.
+        let half = PAR_THRESHOLD / 2;
+        assert_eq!(par_rows(1024, PAR_THRESHOLD / 1024 - 1), 1);
+        let at = par_rows(1024, PAR_THRESHOLD / 1024);
+        assert_eq!(at, cores().min(2), "two threads at the threshold");
+        // Never less than half the threshold per thread, never more
+        // threads than cores or rows.
+        for total_halves in [2usize, 3, 5, 64] {
+            let got = par_rows(1024, total_halves * half / 1024);
+            assert_eq!(got, cores().min(total_halves));
+        }
+        assert_eq!(par_rows(1, 64 * PAR_THRESHOLD), 1);
+        assert_eq!(with_sequential(|| par_rows(1024, PAR_THRESHOLD)), 1);
+    }
+
+    #[test]
+    fn spawned_threads_are_counted() {
+        let spawns = || ntt_obs::counter!("tensor.kernel_spawns").get();
+        let (m, k, n) = (53, 67, 41);
+        let a = rand_vec(m * k, 11);
+        let b = rand_vec(k * n, 12);
+        let mut c = vec![0.0; m * n];
+        // Other tests spawn concurrently, so the global counter can only
+        // be bounded from below here; `tests/serving.rs` pins the exact
+        // zero for a served forward in a process of its own.
+        let before = spawns();
+        with_forced_threads(3, || gemm_nn(&a, &b, &mut c, m, k, n));
+        assert!(spawns() >= before + 3);
     }
 }

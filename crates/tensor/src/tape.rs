@@ -485,19 +485,6 @@ impl TapePool {
     }
 }
 
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-const GELU_A: f32 = 0.044_715;
-
-fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh())
-}
-
-fn gelu_bwd(x: f32) -> f32 {
-    let u = GELU_C * (x + GELU_A * x * x * x);
-    let t = u.tanh();
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
-}
-
 impl Tape {
     /// Fresh, empty tape with a process-unique RNG seed (see
     /// [`NEXT_TAPE_SEED`]). Use [`Tape::with_seed`] when the stream
@@ -883,7 +870,9 @@ impl Tape {
             }
             Op::Gelu(a) => {
                 let va = &nodes[*a].value;
-                add_grad(grads, *a, self.t_zip(g, va, |g, x| g * gelu_bwd(x)));
+                let mut gx = self.alloc_overwrite(va.numel());
+                kernels::gelu_bwd(va.data(), g.data(), &mut gx);
+                add_grad(grads, *a, Tensor::from_vec(gx, va.shape()));
             }
             Op::Tanh(a) => {
                 let y = &nodes[id].value;
@@ -1255,7 +1244,9 @@ impl<'t> Var<'t> {
     pub fn gelu(self) -> Var<'t> {
         let out = {
             let va = self.tape.val(self.id);
-            self.tape.t_map(&va, gelu_fwd)
+            let mut buf = self.tape.alloc_overwrite(va.numel());
+            kernels::gelu_fwd(va.data(), &mut buf);
+            Tensor::from_vec(buf, va.shape())
         };
         self.tape.push(Op::Gelu(self.id), out)
     }

@@ -178,3 +178,109 @@ fn serving_engine_agrees_with_evaluate() {
     assert!(served.allclose(&pred_classic, 1e-4));
     assert_eq!(y.shape(), &[idx.len(), 1]);
 }
+
+/// Every kernel product of one engine forward over `b` windows, as
+/// `(name, multiply-accumulates)`, read off the config: the three
+/// folded zones, per encoder layer Q/K/V/O, the fused attention tile,
+/// `ff1` and `ff2`, then the delay head's two layers on the last slot.
+fn forward_products(cfg: &NttConfig, b: usize) -> Vec<(String, usize)> {
+    use ntt::core::{OUT_SLOTS, ZONE_SLOTS};
+    let (d, ff) = (cfg.d_model, cfg.d_ff);
+    let Aggregation::MultiScale { block } = cfg.aggregation else {
+        panic!("the default aggregation is multi-scale");
+    };
+    let mut products: Vec<(String, usize)> = [2 * block, block, 1]
+        .iter()
+        .map(|pkts| {
+            (
+                format!("zone({pkts} packets/slot)"),
+                b * ZONE_SLOTS * (pkts * NUM_FEATURES) * d,
+            )
+        })
+        .collect();
+    let rows = b * OUT_SLOTS;
+    for layer in 0..cfg.n_layers {
+        for proj in ["q", "k", "v", "o"] {
+            products.push((format!("layer{layer}.{proj}"), rows * d * d));
+        }
+        // Scores and context, what `attn_fused_fwd` hands `par_rows`.
+        products.push((
+            format!("layer{layer}.attention"),
+            b * 2 * OUT_SLOTS * OUT_SLOTS * d,
+        ));
+        products.push((format!("layer{layer}.ff1"), rows * d * ff));
+        products.push((format!("layer{layer}.ff2"), rows * ff * d));
+    }
+    products.push(("head.0".into(), b * d * d));
+    products.push(("head.1".into(), b * d));
+    products
+}
+
+#[test]
+fn served_forward_sits_below_the_thread_threshold_and_training_agg1_above() {
+    // Pure arithmetic on the defaults: whoever moves `PAR_THRESHOLD`,
+    // `max_batch` or the model shape is told which side of the spawn
+    // line a served request landed on.
+    use ntt::serve::BatchConfig;
+    use ntt::tensor::kernels::PAR_THRESHOLD;
+    let cfg = NttConfig::default();
+    for b in [1, BatchConfig::default().max_batch] {
+        let products = forward_products(&cfg, b);
+        assert_eq!(products.len(), 3 + cfg.n_layers * 7 + 2);
+        for (name, macs) in products {
+            assert!(
+                macs < PAR_THRESHOLD,
+                "{name} at batch {b} is {macs} MACs: a served request would spawn kernel \
+                 threads (PAR_THRESHOLD = {PAR_THRESHOLD})"
+            );
+        }
+    }
+    // One microbatch of eight training windows through `agg1`: the
+    // oldest zone's 32 blocks a window, `block · d_model` deep.
+    let Aggregation::MultiScale { block } = cfg.aggregation else {
+        panic!("the default aggregation is multi-scale");
+    };
+    let agg1 = (8 * 2 * ntt::core::ZONE_SLOTS) * (block * cfg.d_model) * cfg.d_model;
+    assert_eq!(agg1, 256 * 1344 * 64);
+    assert!(
+        agg1 >= PAR_THRESHOLD,
+        "training agg1 no longer threads: {agg1} MACs < {PAR_THRESHOLD}"
+    );
+}
+
+#[test]
+fn paper_shape_predict_spawns_no_kernel_threads() {
+    // The measured half of the test above. Nothing else in this test
+    // binary comes near the threshold (every other model here is
+    // d_model 16), so the process-wide counter is exact.
+    use ntt::data::Normalizer;
+    use ntt::serve::{BatchConfig, InferenceEngine};
+    use ntt::tensor::kernels;
+    let spawns = || ntt::obs::counter("tensor.kernel_spawns").get();
+    let cfg = NttConfig::default();
+    let engine = InferenceEngine::from_parts(
+        Ntt::new(cfg),
+        vec![Box::new(DelayHead::new(cfg.d_model, 1)) as Box<dyn Head>],
+        Normalizer::identity(NUM_FEATURES),
+    );
+    let before = spawns();
+    for b in [1, BatchConfig::default().max_batch] {
+        let x = Tensor::randn(&[b, cfg.seq_len(), NUM_FEATURES], 31);
+        let y = engine.predict("delay", &x, None);
+        assert!(y.data().iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(spawns(), before, "a served forward spawned kernel threads");
+
+    // And the counter is alive: the training-sized agg1 product threads
+    // wherever there is a second core to thread on, each spawned thread
+    // taking at least half a threshold of work.
+    let (m, k, n) = (256, 1344, 64);
+    let a = Tensor::randn(&[m, k], 32);
+    let w = Tensor::randn(&[k, n], 33);
+    let mut c = vec![0.0f32; m * n];
+    kernels::gemm_nn(a.data(), w.data(), &mut c, m, k, n);
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let want = cores.min(m * k * n / (kernels::PAR_THRESHOLD / 2));
+    let want = if want > 1 { want as u64 } else { 0 };
+    assert_eq!(spawns() - before, want, "{cores} cores");
+}
