@@ -5,12 +5,13 @@
 //! Custom harness. Three measurements land in
 //! `results/BENCH_kernels.json`:
 //!
-//! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on the shapes
-//!    that dominate NTT training (the multi-timescale aggregation
-//!    layer's forward/backward products and a square reference). The
-//!    run *asserts* that the tiled `nn` kernel beats
-//!    [`NAIVE_FLOOR_GFLOPS`], a committed floor above anything the
-//!    naive kernel reaches on supported hardware — CI fails if the
+//! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on the largest
+//!    products a paper-shape training microbatch runs (`ff1` over
+//!    8 · 48 slot rows — the front end folds on the tape, so nothing
+//!    in it is larger — forward and both backward products) and a
+//!    square reference. The run *asserts* that the tiled `nn` kernel
+//!    beats [`NAIVE_FLOOR_GFLOPS`], a committed floor above anything
+//!    the naive kernel reaches on supported hardware — CI fails if the
 //!    kernel layer regresses to naive-level throughput.
 //! 2. **Paper-scale `train_steps_per_sec`** (single-threaded),
 //!    compared against [`BASELINE_STEPS_PER_SEC`] — the number the
@@ -64,9 +65,10 @@ fn time_gflops(mut f: impl FnMut(), flops: f64, min_reps: usize) -> f64 {
 
 fn bench_gemms() -> Vec<GemmRow> {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-    // (label, layout pair, m, k, n): the aggregation layer's forward
-    // (`nn`), input-gradient (`nt`) and weight-gradient (`tn`) shapes at
-    // paper scale, plus a square 256³ reference point.
+    // (label, layout pair, m, k, n): a square 256³ reference point,
+    // then `ff1`'s forward (`nn`), input-gradient (`nt`) and
+    // weight-gradient (`tn`) shapes for a microbatch of eight
+    // paper-shape windows (8 · 48 = 384 rows, 64 → 128).
     let cases: [(&'static str, Kernel, Kernel, usize, usize, usize); 4] = [
         (
             "nn_256x256x256",
@@ -77,28 +79,28 @@ fn bench_gemms() -> Vec<GemmRow> {
             256,
         ),
         (
-            "nn_agg1_fwd",
+            "nn_ff1_fwd",
             kernels::gemm_nn,
             reference::gemm_nn,
-            256,
-            1344,
+            384,
             64,
+            128,
         ),
         (
-            "nt_agg1_dx",
+            "nt_ff1_dx",
             kernels::gemm_nt,
             reference::gemm_nt,
-            256,
+            384,
+            128,
             64,
-            1344,
         ),
         (
-            "tn_agg1_dw",
+            "tn_ff1_dw",
             kernels::gemm_tn,
             reference::gemm_tn,
-            1344,
-            256,
             64,
+            384,
+            128,
         ),
     ];
     cases

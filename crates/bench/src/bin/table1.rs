@@ -12,7 +12,7 @@
 //!
 //! Absolute MSEs differ from the paper (different simulator substrate
 //! and scale); the comparisons — who wins, which ablations break — are
-//! the reproduced result. See EXPERIMENTS.md.
+//! the reproduced result.
 
 use ntt_bench::report::{fmt_duration, fmt_e3, Table};
 use ntt_bench::runner::{delay_sets, experiment, mct_sets, pretrain_variant, Env};

@@ -10,7 +10,7 @@
 //!   1024-packet windows, d_model 64). Hours of CPU training.
 //!
 //! Both scales preserve every *comparison* the paper makes; only
-//! absolute numbers shrink. EXPERIMENTS.md records quick-scale results.
+//! absolute numbers shrink.
 
 use ntt_core::{
     Aggregation, EvalReport, Experiment, NttConfig, ParStrategy, Pretrained, TrainConfig,
@@ -177,8 +177,7 @@ impl Env {
 
     /// Pre-training loop parameters. The quick budget (600 steps) is
     /// calibrated so the MCT task crosses below the naive baselines;
-    /// the delay task keeps improving well past it (see EXPERIMENTS.md
-    /// on scaling).
+    /// the delay task keeps improving well past it.
     pub fn pretrain_cfg(&self) -> TrainConfig {
         match self.scale {
             Scale::Quick => TrainConfig {

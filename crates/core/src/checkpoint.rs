@@ -8,8 +8,9 @@
 //! metadata (scenario grid, seeds, train steps) — so
 //! [`Checkpoint::load`] reconstructs a runnable `(Ntt, heads)` from the
 //! file alone, with no caller-side pre-building. A trailing FNV-1a
-//! checksum detects corruption. (No serde: the approved crate set has
-//! no serde *format* crate, see DESIGN.md.)
+//! checksum detects corruption. (No serde: the workspace builds
+//! offline against no external format crate, so the layout below is
+//! written and read by hand.)
 //!
 //! ```text
 //! magic  b"NTTCKPT2"

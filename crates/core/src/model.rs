@@ -9,10 +9,10 @@
 //! * [`MctHead`] pools the sequence, appends the message size, and
 //!   predicts the log message completion time (fine-tuning task).
 
-use crate::config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
+use crate::config::{Aggregation, NttConfig, OUT_SLOTS};
 use ntt_data::NUM_FEATURES;
 use ntt_nn::{Activation, Head, Linear, Mlp, Module, PositionalEncoding, TransformerEncoder};
-use ntt_tensor::{kernels, Param, Tape, Tensor, Var};
+use ntt_tensor::{Param, Tape, Tensor, Var};
 
 /// The NTT trunk: embedding + aggregation + encoder.
 pub struct Ntt {
@@ -58,60 +58,27 @@ impl Ntt {
         self.encode(tape, self.front(tape, x))
     }
 
-    /// The factored front end — embedding, then the shared aggregation
-    /// layers — `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`. The
-    /// only front end that can train: gradients reach the embedding and
-    /// the shared `agg1`/`agg2`. A frozen model's is [`FoldedFront`].
+    /// The front end, `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`:
+    /// each zone's affine map built on `tape` from the live parameters
+    /// ([`Ntt::zone_maps`]), then applied to that zone's raw packets.
+    /// On a recording tape gradients reach the embedding and the shared
+    /// `agg1`/`agg2` through the fold, and the `[B, seq_len, d_model]`
+    /// embedded window never exists.
     fn front<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let b = check_windows(x, self.cfg.aggregation);
-        let d = self.cfg.d_model;
-        let e = self.embedding.forward(tape, x); // [B, T, D]
-
-        let slots = match self.cfg.aggregation {
-            Aggregation::None => e,
-            Aggregation::Fixed { block } => {
-                let agg1 = self.agg1.as_ref().expect("fixed agg layer");
-                let blocks = e.reshape(&[b, OUT_SLOTS, block * d]);
-                agg1.forward(tape, blocks) // [B, 48, D]
-            }
-            Aggregation::MultiScale { block } => {
-                let agg1 = self.agg1.as_ref().expect("level-1 agg layer");
-                let agg2 = self.agg2.as_ref().expect("level-2 agg layer");
-                // Oldest packets first in the window (time-ordered):
-                // the zone aggregated twice, the one aggregated once,
-                // then the raw recent packets.
-                let [old_len, mid_len, raw_len] = self
-                    .cfg
-                    .aggregation
-                    .zones()
-                    .map(|(slots, pkts)| slots * pkts);
-                let old = e.slice_axis1(0, old_len);
-                let mid = e.slice_axis1(old_len, mid_len);
-                let raw = e.slice_axis1(old_len + mid_len, raw_len);
-                // Level 1 on the old zone: [B, 32, block*D] -> [B, 32, D].
-                let old1 = agg1.forward(tape, old.reshape(&[b, 2 * ZONE_SLOTS, block * d]));
-                // Level 2: adjacent pairs -> [B, 16, D].
-                let old2 = agg2.forward(tape, old1.reshape(&[b, ZONE_SLOTS, 2 * d]));
-                // Level 1 on the middle zone: [B, 16, D].
-                let mid1 = agg1.forward(tape, mid.reshape(&[b, ZONE_SLOTS, block * d]));
-                Var::concat_axis1(&[old2, mid1, raw])
-            }
-        };
-        debug_assert_eq!(slots.shape()[1], OUT_SLOTS);
-        slots
+        zone_slots(self.cfg.aggregation, x, &self.zone_maps(tape))
     }
 
     /// Everything behind the front end: positional encoding, then the
     /// transformer encoder, `[B, 48, d_model] -> [B, 48, d_model]`.
-    /// `forward` is `encode` of the factored front end; a serving engine
-    /// calls it on the slots of a [`FoldedFront`].
+    /// `forward` is `encode` of the front end; a serving engine calls it
+    /// on the slots of a [`FoldedFront`].
     pub fn encode<'t>(&self, tape: &'t Tape, slots: Var<'t>) -> Var<'t> {
         let with_pos = self.pos.forward(tape, slots);
         self.encoder.forward(tape, with_pos)
     }
 
-    /// Multiply the front end's weights through, once, for a model that
-    /// will no longer train. Embedding, `agg1` and `agg2` are `Linear`
+    /// Each zone's `(weight, bias)`, oldest first, as
+    /// [`Aggregation::zones`]. Embedding, `agg1` and `agg2` are `Linear`
     /// layers with no activation between them, so each zone's slots are
     /// one affine map of that zone's raw packets:
     ///
@@ -121,23 +88,37 @@ impl Ntt {
     /// * oldest zone — `W_old = [W_mid · W_2[0..D]; W_mid · W_2[D..2D]]`,
     ///   `b_old = b_2 + [b_mid, b_mid] · W_2`.
     ///
-    /// Exact in real arithmetic; in `f32` the regrouped sums differ from
-    /// the factored path by rounding (≈1e-6 relative). With
-    /// [`Aggregation::None`] there is nothing to fold and the result
-    /// runs the embedding's own op sequence, bit for bit. The products
-    /// go through the deterministic `gemm_nn`, so two folds of the same
-    /// weights are bit-equal. The result is a snapshot: later updates to
+    /// With [`Aggregation::None`] there is nothing to fold and the map
+    /// is the embedding's own parameters, so the front runs the
+    /// embedding's op sequence, bit for bit.
+    fn zone_maps<'t>(&self, tape: &'t Tape) -> Vec<(Var<'t>, Var<'t>)> {
+        let embed = (
+            tape.param(&self.embedding.weight),
+            tape.param(&self.embedding.bias),
+        );
+        match (&self.agg1, &self.agg2) {
+            (Some(agg1), Some(agg2)) => {
+                let mid = fold(tape, embed, agg1);
+                vec![fold(tape, mid, agg2), mid, embed]
+            }
+            (Some(agg1), None) => vec![fold(tape, embed, agg1)],
+            _ => vec![embed],
+        }
+    }
+
+    /// The front end's zone maps ([`Ntt::zone_maps`]) built once on an
+    /// inference tape and kept, for a model that will no longer train:
+    /// the same code and the same deterministic `gemm_nn` products as
+    /// every training step, so the engine's front is bit-equal to
+    /// [`Ntt::forward`]'s. The result is a snapshot: later updates to
     /// this model's parameters do not reach it.
     pub fn fold_front(&self) -> FoldedFront {
-        let embed = (self.embedding.weight.value(), self.embedding.bias.value());
-        let maps = match (&self.agg1, &self.agg2) {
-            (Some(agg1), Some(agg2)) => {
-                let mid = compose(&embed, agg1);
-                vec![compose(&mid, agg2), mid, embed]
-            }
-            (Some(agg1), None) => vec![compose(&embed, agg1)],
-            _ => vec![embed],
-        };
+        let tape = Tape::inference();
+        let maps = self
+            .zone_maps(&tape)
+            .into_iter()
+            .map(|(w, b)| (w.value(), b.value()))
+            .collect();
         FoldedFront {
             aggregation: self.cfg.aggregation,
             maps,
@@ -189,26 +170,66 @@ fn check_windows(x: Var<'_>, aggregation: Aggregation) -> usize {
 
 /// `inner` (`[K, D]` weight, `[D]` bias) applied to each of the `n`
 /// blocks that `outer` (`[n·D, D]`) concatenates, then `outer` itself,
-/// as one `[n·K, D]` weight and `[D]` bias.
-fn compose(inner: &(Tensor, Tensor), outer: &Linear) -> (Tensor, Tensor) {
+/// as one `[n·K, D]` weight and `[D]` bias, recorded on `tape`. Per
+/// block `j`, the homogeneous `[W_in; b_in]` (`[K+1, D]`) times
+/// `W_out[j·D..(j+1)·D]` gives block `j` of the weight in its first `K`
+/// rows and block `j`'s bias term in its last, added into `b_out` in
+/// ascending `j`.
+fn fold<'t>(tape: &'t Tape, inner: (Var<'t>, Var<'t>), outer: &Linear) -> (Var<'t>, Var<'t>) {
     let (w_in, b_in) = inner;
     let (k, d) = (w_in.shape()[0], w_in.shape()[1]);
-    let w_out = outer.weight.value();
-    let n = w_out.shape()[0] / d;
-    let mut w = vec![0.0f32; n * k * d];
-    let mut b = outer.bias.value().into_data();
-    for (rows, block) in w.chunks_mut(k * d).zip(w_out.data().chunks(d * d)) {
-        kernels::gemm_nn(w_in.data(), block, rows, k, d, d);
-        kernels::gemm_nn(b_in.data(), block, &mut b, 1, d, d);
-    }
-    (Tensor::from_vec(w, &[n * k, d]), Tensor::from_vec(b, &[d]))
+    let n = outer.in_features() / d;
+    let homogeneous = Var::concat_axis1(&[w_in.reshape(&[1, k, d]), b_in.reshape(&[1, 1, d])])
+        .reshape(&[k + 1, d]);
+    let w_out = tape.param(&outer.weight).reshape(&[1, n * d, d]);
+    let mut bias = tape.param(&outer.bias);
+    let blocks: Vec<Var<'t>> = (0..n)
+        .map(|j| {
+            let block = w_out.slice_axis1(j * d, d).reshape(&[d, d]);
+            let rows = homogeneous.matmul(block).reshape(&[1, k + 1, d]);
+            bias = bias.add(rows.slice_axis1(k, 1).reshape(&[d]));
+            rows.slice_axis1(0, k)
+        })
+        .collect();
+    (Var::concat_axis1(&blocks).reshape(&[n * k, d]), bias)
 }
 
-/// The front end of a frozen [`Ntt`] with its weights multiplied
-/// through ([`Ntt::fold_front`]): one `[packets·F, D]` matrix and bias
-/// per zone in place of embedding → `agg1` → `agg2`, so the
-/// `[B, seq_len, D]` embedded window never exists. Serving only — it
-/// holds plain tensors, not parameters, and cannot train.
+/// The front end's one zone loop, `[B, seq_len, NUM_FEATURES] ->
+/// [B, 48, d_model]`, over `maps` (`(weight, bias)` per zone, oldest
+/// first): per zone, slice → reshape to one row per slot → one product
+/// plus bias; then concat. A zone that is the whole window is not
+/// sliced, one packet per slot is not reshaped.
+fn zone_slots<'t>(aggregation: Aggregation, x: Var<'t>, maps: &[(Var<'t>, Var<'t>)]) -> Var<'t> {
+    let b = check_windows(x, aggregation);
+    let whole = maps.len() == 1;
+    let mut start = 0;
+    let slots: Vec<Var<'t>> = aggregation
+        .zones()
+        .iter()
+        .zip(maps)
+        .map(|(&(slots, pkts), &(weight, bias))| {
+            let len = slots * pkts;
+            let mut rows = if whole { x } else { x.slice_axis1(start, len) };
+            start += len;
+            if pkts > 1 {
+                rows = rows.reshape(&[b, slots, pkts * NUM_FEATURES]);
+            }
+            rows.matmul(weight).add(bias)
+        })
+        .collect();
+    let slots = match slots[..] {
+        [only] => only,
+        _ => Var::concat_axis1(&slots),
+    };
+    debug_assert_eq!(slots.shape()[1], OUT_SLOTS);
+    slots
+}
+
+/// The front end of a frozen [`Ntt`] with its zone maps built once
+/// ([`Ntt::fold_front`]): one `[packets·F, D]` matrix and bias per zone,
+/// staged as constants and run through the same zone loop as
+/// [`Ntt::forward`]. Serving only — it holds plain tensors, not
+/// parameters, and cannot train.
 pub struct FoldedFront {
     aggregation: Aggregation,
     /// `(weight, bias)` per zone, oldest first, as [`Aggregation::zones`].
@@ -217,33 +238,14 @@ pub struct FoldedFront {
 
 impl FoldedFront {
     /// `[B, seq_len, NUM_FEATURES] -> [B, 48, d_model]`, the slots
-    /// [`Ntt::encode`] takes: per zone, slice → reshape to one row per
-    /// slot → one product + bias; then concat. A zone that is the whole
-    /// window is not sliced, one packet per slot is not reshaped.
+    /// [`Ntt::encode`] takes.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let b = check_windows(x, self.aggregation);
-        let whole = self.maps.len() == 1;
-        let mut start = 0;
-        let slots: Vec<Var<'t>> = self
-            .aggregation
-            .zones()
+        let maps: Vec<_> = self
+            .maps
             .iter()
-            .zip(&self.maps)
-            .map(|(&(slots, pkts), (weight, bias))| {
-                let len = slots * pkts;
-                let mut rows = if whole { x } else { x.slice_axis1(start, len) };
-                start += len;
-                if pkts > 1 {
-                    rows = rows.reshape(&[b, slots, pkts * NUM_FEATURES]);
-                }
-                rows.matmul(tape.input_copy(weight))
-                    .add(tape.input_copy(bias))
-            })
+            .map(|(w, b)| (tape.input_copy(w), tape.input_copy(b)))
             .collect();
-        match slots[..] {
-            [only] => only,
-            _ => Var::concat_axis1(&slots),
-        }
+        zone_slots(self.aggregation, x, &maps)
     }
 }
 
@@ -600,7 +602,6 @@ mod tests {
 
     #[test]
     fn folded_front_matches_the_factored_one() {
-        let mut worst = 0.0f32;
         for block in [1, 2, 5, 21] {
             for agg in [
                 Aggregation::MultiScale { block },
@@ -611,28 +612,81 @@ mod tests {
                 let folded = ntt.fold_front();
                 for batch in [1, 3] {
                     let x = Tensor::randn(&[batch, agg.seq_len(), NUM_FEATURES], block as u64);
-                    let factored = Tape::inference();
-                    let want = ntt.forward(&factored, factored.input(x.clone())).value();
-                    let tape = Tape::inference();
-                    let got = ntt
-                        .encode(&tape, folded.forward(&tape, tape.input(x)))
-                        .value();
-                    assert_eq!(got.shape(), want.shape());
-                    if agg == Aggregation::None {
-                        // Nothing to fold: the same ops, the same bits.
-                        assert_eq!(got, want);
-                        assert_eq!(tape.len(), factored.len());
+                    let served = Tape::inference();
+                    let want = folded.forward(&served, served.input(x.clone())).value();
+                    assert_eq!(want.shape(), [batch, OUT_SLOTS, 16]);
+                    // The training front, on both tape kinds: the same
+                    // map-building code and zone loop, the same bits.
+                    for tape in [Tape::new(), Tape::inference()] {
+                        let got = ntt.front(&tape, tape.input(x.clone())).value();
+                        assert_eq!(got, want, "{agg:?} batch {batch}");
                     }
-                    for (g, w) in got.data().iter().zip(want.data()) {
-                        let err = (g - w).abs() / (1.0 + w.abs());
-                        assert!(err <= 1e-5, "{agg:?} batch {batch}: {g} vs {w}");
-                        worst = worst.max(err);
+                    if agg == Aggregation::None {
+                        // Nothing to fold: the embedding's own ops.
+                        let tape = Tape::new();
+                        let e = ntt.embedding.forward(&tape, tape.input(x)).value();
+                        assert_eq!(e, want);
                     }
                 }
             }
         }
-        // The fold regroups sums; it must not be the identity by accident.
-        assert!(worst > 0.0, "folded and factored paths never differed");
+    }
+
+    #[test]
+    fn front_gradients_match_finite_differences() {
+        use ntt_tensor::grad_check::check_param_grad;
+        for agg in [
+            Aggregation::MultiScale { block: 2 },
+            Aggregation::Fixed { block: 3 },
+        ] {
+            let ntt = biased(agg);
+            let x = Tensor::randn(&[2, agg.seq_len(), NUM_FEATURES], 11).map(|v| v * 0.5);
+            let target = Tensor::randn(&[2, OUT_SLOTS, 16], 12);
+            let layers = [Some(&ntt.embedding), ntt.agg1.as_ref(), ntt.agg2.as_ref()];
+            for p in layers
+                .into_iter()
+                .flatten()
+                .flat_map(|l| [&l.weight, &l.bias])
+            {
+                let report = check_param_grad(p, 1e-2, |tape| {
+                    ntt.forward(tape, tape.input(x.clone())).mse_loss(&target)
+                });
+                assert!(
+                    report.passes(2e-2),
+                    "{agg:?}: gradient check failed for {}: {report:?}",
+                    p.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn training_step_never_allocates_the_embedded_window() {
+        // A recording-tape forward + backward of a multi-scale model
+        // must retire no [B, seq_len, d_model]-sized buffer into the
+        // arena: the front folds before it touches a packet (B chosen
+        // so that length collides with no encoder or zone shape).
+        let agg = Aggregation::MultiScale { block: 2 };
+        let (b, t, d) = (3, agg.seq_len(), 16);
+        let ntt = biased(agg);
+        let head = DelayHead::new(d, 1);
+        let x = Tensor::randn(&[b, t, NUM_FEATURES], 13);
+        let mut tape = Tape::with_seed(4);
+        let pred = head.forward(&tape, ntt.forward(&tape, tape.input(x)));
+        let grads = tape.backward_params(pred.mse_loss(&Tensor::zeros(&[b, 1])));
+        assert_eq!(grads.len(), ntt.params().len() + head.params().len());
+        tape.reset(4);
+        let lens: Vec<usize> = tape
+            .arena_bucket_lens()
+            .iter()
+            .map(|&(len, _)| len)
+            .collect();
+        assert!(
+            !lens.contains(&(b * t * d)),
+            "a training step retired a [B, seq_len, d_model] buffer: {lens:?}"
+        );
+        // Sanity: the run did retire slot-sized buffers.
+        assert!(lens.contains(&(b * OUT_SLOTS * d)), "{lens:?}");
     }
 
     #[test]

@@ -218,10 +218,11 @@ fn mix(a: u64, b: u64) -> u64 {
 /// stealing, as in `ntt-fleet`) and return the results **in index
 /// order**, so any subsequent reduction is deterministic regardless of
 /// completion order. `threads <= 1` degenerates to a plain loop that
-/// keeps the matmul kernels' internal row-block parallelism; with
-/// multiple workers that nesting is suppressed
-/// ([`kernels::with_sequential`]) so the machine is divided between
-/// shards instead of oversubscribed.
+/// keeps the matmul kernels' internal row-block parallelism (at paper
+/// shape no training product reaches `kernels::PAR_THRESHOLD`, so that
+/// loop runs on one core); with multiple workers that nesting is
+/// suppressed ([`kernels::with_sequential`]) so the machine is divided
+/// between shards instead of oversubscribed.
 fn fanout<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();

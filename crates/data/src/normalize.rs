@@ -2,7 +2,7 @@
 //!
 //! Statistics are computed once (on training data) and then applied to
 //! both splits — test-set leakage through normalization would
-//! overstate every result in EXPERIMENTS.md.
+//! overstate every held-out result.
 
 /// Per-channel mean/std.
 #[derive(Debug, Clone, PartialEq)]

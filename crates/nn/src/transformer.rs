@@ -5,7 +5,7 @@
 //!   stable without a warmup-tuned schedule, the right default for the
 //!   small proof-of-concept models in this reproduction.
 //! * **Post-LN** (original Vaswani): `LN(x + Attn(x))` — kept selectable
-//!   so the design choice is testable (DESIGN.md §5).
+//!   so the design choice is testable.
 
 use crate::activation::Activation;
 use crate::attention::MultiHeadAttention;

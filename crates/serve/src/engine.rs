@@ -11,12 +11,12 @@
 //! `Linear` layers with no activation between them — into one matrix
 //! and bias per zone ([`Ntt::fold_front`]), so a request runs folded
 //! front end → [`Ntt::encode`] → head and the `[B, seq_len, D]` embedded
-//! window never exists. The fold is exact in real arithmetic and differs
-//! from the factored `Ntt::forward` by `f32` rounding only (≈1e-6
-//! relative; `Aggregation::None` has nothing to fold and is
-//! bit-identical). A later `Param::set_value` on the trunk's front end
-//! is therefore not seen by a built engine: to change a served model,
-//! build a new engine — hot-swap through the [`crate::ModelRegistry`].
+//! window never exists. The fold is the one `Ntt::forward` runs on its
+//! tape every training step, built once here, so an engine's front end
+//! matches the training front end to the bit. A later `Param::set_value`
+//! on the trunk's front end is therefore not seen by a built engine: to
+//! change a served model, build a new engine — hot-swap through the
+//! [`crate::ModelRegistry`].
 //!
 //! Every forward pass runs on a pooled **inference tape**
 //! ([`Tape::inference`]): no backward graph recorded, no gradient
@@ -210,16 +210,15 @@ mod tests {
             .forward_head(&infer, eng.model.encode(&infer, slots), None)
             .value();
         assert_eq!(served, expect);
-        // Epsilon references: the factored front end on an inference
-        // tape regroups the same sums (rounding only), and a recording
-        // tape also runs classic (unfused) attention — close, not
-        // bitwise: the documented fold and fused-attention contracts.
+        // `Ntt::forward` folds its front end on the tape with the same
+        // code, so on an inference tape it is the same bits too; a
+        // recording tape runs classic (unfused) attention — close, not
+        // bitwise: the documented fused-attention contract.
         let through = |tape: &Tape| {
             head.forward_head(tape, eng.model.forward(tape, tape.input(x.clone())), None)
                 .value()
         };
-        let unfused = through(&Tape::inference_with_seed(0));
-        assert!(served.allclose(&unfused, 1e-5), "folded front end drifted");
+        assert_eq!(served, through(&Tape::inference_with_seed(0)));
         assert!(
             served.allclose(&through(&Tape::new()), 1e-4),
             "fused path drifted"

@@ -11,7 +11,7 @@
 //!   ([`ntt_tensor::Tape::inference`]): the training kernels, no
 //!   backward graph, arena-recycled memory, and the trunk's affine
 //!   front end folded into one matrix per zone at load (a snapshot of
-//!   the weights; outputs agree with training's to rounding). Weights
+//!   the weights; the fold training runs on its tape, to the bit). Weights
 //!   live once; `Arc` clones share them across threads.
 //! * [`ModelRegistry`] — named engines for multi-model processes.
 //! * [`InferenceSession`] — single-stream serving: push packets, get

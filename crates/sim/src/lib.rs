@@ -25,10 +25,11 @@
 //!   [`TopologyBuilder::chain`] and [`TopologyBuilder::leaf_spine`]
 //!   helpers build the underlying graphs for custom setups.
 //!
-//! ## What is deliberately omitted (DESIGN.md §7)
+//! ## What is deliberately omitted
 //! SACK, delayed ACKs, Nagle, window scaling, ECN, byte-granularity
 //! sequence space, IP headers/addressing (the paper uses a receiver-ID
-//! proxy instead).
+//! proxy instead). The four NTT input features — timestamp, size,
+//! receiver ID, delay — read none of them.
 //!
 //! ```
 //! use ntt_sim::scenarios::{run, Scenario, ScenarioConfig};

@@ -24,7 +24,7 @@ pub enum PacketKind {
 
 /// A simulated packet. Packet-granularity sequence numbers: one `seq`
 /// per MSS-sized chunk (ns-3-style simplification; byte-level sequence
-/// space is an omitted feature, see DESIGN.md §7).
+/// space is deliberately not modelled).
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Flow this packet belongs to.

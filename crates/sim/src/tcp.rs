@@ -5,8 +5,9 @@
 //! fast retransmit, and RTO with Karn's rule and exponential backoff —
 //! at packet granularity (one sequence number per MSS chunk).
 //!
-//! Omitted (DESIGN.md §7): SACK, byte-level sequence space, full Reno
-//! fast-recovery window inflation, delayed ACKs, Nagle, window scaling.
+//! Omitted — this models the congestion dynamics above, not a complete
+//! TCP: SACK, byte-level sequence space, full Reno fast-recovery window
+//! inflation, delayed ACKs, Nagle, window scaling.
 //!
 //! Following the smoltcp philosophy, the flow never touches the network:
 //! every entry point is a pure state transition returning the packets to

@@ -6,8 +6,8 @@
 //! packet, a small fraction are megabytes and dominate the byte count.
 //! [`MsgSizeDist::HomaLike`] reproduces that *shape* with a piecewise
 //! log-uniform CDF (the substitution preserves the bursty, highly
-//! variable offered load the paper relies on; exact CDF values are not
-//! load-bearing for any claim — see DESIGN.md §2).
+//! variable offered load the paper relies on; no claim rests on the
+//! exact CDF values, only on the heavy tail).
 
 use rand::rngs::StdRng;
 use rand::Rng;

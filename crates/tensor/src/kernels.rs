@@ -44,10 +44,12 @@
 //! spawn + join costs 40–75 µs for two threads and 165–250 µs for eight
 //! on the hosts this was measured on — more than an entire 48-row
 //! encoder product — so nothing in a served paper-shape forward, at
-//! batch 1 or batch 16, threads at all; the only products that do are
-//! the trainer's 11–22 M-MAC aggregation GEMMs. The core count is read
-//! once per process ([`cores`]), and every spawned thread is counted in
-//! `tensor.kernel_spawns`.
+//! batch 1 or batch 16, threads at all, and nothing in a paper-shape
+//! training microbatch either: since the trainer folds the front end
+//! on its tape, its largest product is `ff1`/`ff2` at 3.1 M MACs, and
+//! training's parallelism is its microbatch shards. The core count is
+//! read once per process ([`cores`]), and every spawned thread is
+//! counted in `tensor.kernel_spawns`.
 //!
 //! # Determinism
 //!
@@ -83,9 +85,11 @@ use std::sync::OnceLock;
 /// work), made every paper-shape `ff1`/`ff2` product (48·64·128 = 393 K
 /// MACs, ~19 µs) pay a spawn that cost two to four times the product.
 /// The largest product of a served forward — `ff1` at batch 16,
-/// 768·64·128 = 6.3 M MACs — stays below this line (`tests/serving.rs`
-/// pins that); the trainer's `agg1` products (256·1344·64 = 22 M MACs)
-/// stay above it. Sweep and end-to-end numbers are in `CHANGES.md`.
+/// 768·64·128 = 6.3 M MACs — stays below this line, and so does the
+/// largest of a training microbatch of eight — `ff1`/`ff2` at
+/// 384·64·128 = 3.1 M MACs, the front end being folded on the tape
+/// (`tests/serving.rs` pins both). At paper shape no product of either
+/// path reaches it. Sweep and end-to-end numbers are in `CHANGES.md`.
 pub const PAR_THRESHOLD: usize = 1 << 23;
 
 /// Microkernel rows: accumulator tile height (distinct A values held as

@@ -1,10 +1,12 @@
-//! Drift gate between the two paths a paper-shape model runs on
-//! (ROADMAP "Gate the paper", item d): the recording tape that trains
-//! it — factored front end, classic attention chain — and the serving
-//! engine — folded front end, fused attention. Both differences are
-//! rounding; the contract elsewhere is 1e-4. This test pins the worst
-//! relative difference at **1e-5**, about ten times what is measured
-//! (8.4e-7; 5.7e-7 before the front end was folded), so drift between
+//! Drift gate between the two paths a paper-shape model runs on: the
+//! recording tape that trains it — classic attention chain — and the
+//! serving engine — fused attention. Both fold the front end with the
+//! same code (training on its tape every step, the engine once at
+//! load), so the front contributes no drift at all; what is left is the
+//! attention's rounding, and the contract elsewhere is 1e-4. This test
+//! pins the worst relative difference at **1e-5**, more than ten times
+//! what is measured (6.0e-7; 4.9e-7 when training still ran the
+//! unfolded front, whose trained weights differ), so drift between
 //! training and serving numerics fails here as a number instead of
 //! widening an epsilon.
 

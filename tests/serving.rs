@@ -7,8 +7,9 @@
 //! deterministic *within* the mode: bit-identical across runs, seeds,
 //! worker counts, and batch compositions. The evaluation loops must
 //! reproduce a hand-wired inference tape to the bit; the serving
-//! engine, which folds the affine front end at load, must reproduce a
-//! hand-wired folded path to the bit and the unfolded one to rounding.
+//! engine, which folds the affine front end once at load with the same
+//! code every training step runs on its tape, must reproduce
+//! `Ntt::forward` on an inference tape to the bit.
 
 use ntt::core::{
     evaluate, Aggregation, DelayHead, DropHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy,
@@ -145,23 +146,21 @@ fn serving_engine_agrees_with_evaluate() {
     let idx: Vec<usize> = (0..train.len().min(8)).collect();
     let (x, y) = train.batch(&idx);
 
-    // Epsilon references: the factored `Ntt::forward` on an inference
-    // tape (the path evaluate runs; the engine's folded front end
-    // regroups the same sums) and on a recording tape (classic
-    // attention on top of that).
+    // Bit-exact references: `Ntt::forward` on an inference tape (the
+    // path evaluate runs, folding its front on the tape) and the
+    // engine's path hand-wired — front folded once, `encode`, head.
     let infer = Tape::inference();
-    let pred_unfused = head
+    let pred_evaluate = head
         .forward_head(&infer, ntt.forward(&infer, infer.input(x.clone())), None)
         .value();
-    let rec = Tape::new();
-    let pred_classic = head
-        .forward_head(&rec, ntt.forward(&rec, rec.input(x.clone())), None)
-        .value();
-    // Bit-exact reference: the engine's path hand-wired — folded front
-    // end, `encode`, head — on an inference tape.
     let slots = ntt.fold_front().forward(&infer, infer.input(x.clone()));
     let pred_ref = head
         .forward_head(&infer, ntt.encode(&infer, slots), None)
+        .value();
+    // Epsilon reference: a recording tape (classic attention).
+    let rec = Tape::new();
+    let pred_classic = head
+        .forward_head(&rec, ntt.forward(&rec, rec.input(x.clone())), None)
         .value();
 
     let engine = InferenceEngine::from_parts(
@@ -171,10 +170,8 @@ fn serving_engine_agrees_with_evaluate() {
     );
     let served = engine.predict("delay", &x, None);
     assert_eq!(served.shape(), &[idx.len(), 1]);
-    for (a, b) in served.data().iter().zip(pred_ref.data()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    assert!(served.allclose(&pred_unfused, 1e-5));
+    assert_eq!(served, pred_ref);
+    assert_eq!(served, pred_evaluate);
     assert!(served.allclose(&pred_classic, 1e-4));
     assert_eq!(y.shape(), &[idx.len(), 1]);
 }
@@ -216,11 +213,31 @@ fn forward_products(cfg: &NttConfig, b: usize) -> Vec<(String, usize)> {
     products
 }
 
+/// The products that fold the front end, as `(name, multiply-
+/// accumulates)`: per block of the layer folded in, one homogeneous
+/// `[K+1, D] · [D, D]` — `agg1` over the embedding (`K = F`), then
+/// `agg2` over the middle zone's map (`K = block · F`). Every training
+/// step runs them on its tape; an engine runs them once at load.
+fn fold_products(cfg: &NttConfig) -> Vec<(String, usize)> {
+    let d = cfg.d_model;
+    let Aggregation::MultiScale { block } = cfg.aggregation else {
+        panic!("the default aggregation is multi-scale");
+    };
+    let agg1 = (0..block).map(|j| (format!("fold.agg1[{j}]"), (NUM_FEATURES + 1) * d * d));
+    let agg2 = (0..2).map(|j| {
+        (
+            format!("fold.agg2[{j}]"),
+            (block * NUM_FEATURES + 1) * d * d,
+        )
+    });
+    agg1.chain(agg2).collect()
+}
+
 #[test]
-fn served_forward_sits_below_the_thread_threshold_and_training_agg1_above() {
+fn served_and_training_products_sit_below_the_thread_threshold() {
     // Pure arithmetic on the defaults: whoever moves `PAR_THRESHOLD`,
-    // `max_batch` or the model shape is told which side of the spawn
-    // line a served request landed on.
+    // `max_batch`, the microbatch or the model shape is told which side
+    // of the spawn line a served request and a training step landed on.
     use ntt::serve::BatchConfig;
     use ntt::tensor::kernels::PAR_THRESHOLD;
     let cfg = NttConfig::default();
@@ -235,17 +252,28 @@ fn served_forward_sits_below_the_thread_threshold_and_training_agg1_above() {
             );
         }
     }
-    // One microbatch of eight training windows through `agg1`: the
-    // oldest zone's 32 blocks a window, `block · d_model` deep.
-    let Aggregation::MultiScale { block } = cfg.aggregation else {
-        panic!("the default aggregation is multi-scale");
-    };
-    let agg1 = (8 * 2 * ntt::core::ZONE_SLOTS) * (block * cfg.d_model) * cfg.d_model;
-    assert_eq!(agg1, 256 * 1344 * 64);
-    assert!(
-        agg1 >= PAR_THRESHOLD,
-        "training agg1 no longer threads: {agg1} MACs < {PAR_THRESHOLD}"
+    // One training microbatch: the fold products, then the three zones
+    // at `mb · 16` rows and the encoder at `mb · 48`. Backward runs each
+    // product's two transposes (`gemm_nt`, `gemm_tn`) at the same MAC
+    // count, so no product of a paper-shape step threads either: the
+    // parallelism of training is its microbatch shards.
+    let mb = ParStrategy::DEFAULT_MICROBATCH;
+    assert_eq!(mb, 8);
+    let mut products = fold_products(&cfg);
+    products.extend(forward_products(&cfg, mb));
+    // The largest are `ff1`/`ff2`, 384 × 64 × 128.
+    let largest = products.iter().map(|&(_, macs)| macs).max();
+    assert_eq!(
+        largest,
+        Some(mb * ntt::core::OUT_SLOTS * cfg.d_model * cfg.d_ff)
     );
+    for (name, macs) in products {
+        assert!(
+            macs < PAR_THRESHOLD,
+            "{name} in a microbatch of {mb} is {macs} MACs: a training step would spawn \
+             kernel threads (PAR_THRESHOLD = {PAR_THRESHOLD})"
+        );
+    }
 }
 
 #[test]
@@ -271,9 +299,10 @@ fn paper_shape_predict_spawns_no_kernel_threads() {
     }
     assert_eq!(spawns(), before, "a served forward spawned kernel threads");
 
-    // And the counter is alive: the training-sized agg1 product threads
-    // wherever there is a second core to thread on, each spawned thread
-    // taking at least half a threshold of work.
+    // And the counter is alive: a product past the threshold (the
+    // 22 M-MAC `agg1` shape the unfolded front end used to run; no path
+    // runs it now) threads wherever there is a second core to thread on,
+    // each spawned thread taking at least half a threshold of work.
     let (m, k, n) = (256, 1344, 64);
     let a = Tensor::randn(&[m, k], 32);
     let w = Tensor::randn(&[k, n], 33);
