@@ -2,7 +2,7 @@
 //! and the ablations of Table 1.
 
 use ntt_data::FeatureMask;
-use ntt_nn::{Activation, EncoderConfig, NormPlacement};
+use ntt_nn::{Activation, EncoderConfig};
 
 /// Slots produced per zone by the multi-timescale aggregator. Three
 /// zones of 16 give the paper's 48-element encoder input.
@@ -125,7 +125,6 @@ impl NttConfig {
             n_layers: self.n_layers,
             dropout: self.dropout,
             activation: Activation::Gelu,
-            norm: NormPlacement::PreNorm,
         }
     }
 }

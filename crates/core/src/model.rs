@@ -106,7 +106,7 @@ impl Ntt {
         }
     }
 
-    /// The front end's zone maps ([`Ntt::zone_maps`]) built once on an
+    /// The front end's zone maps (`Ntt::zone_maps`) built once on an
     /// inference tape and kept, for a model that will no longer train:
     /// the same code and the same deterministic `gemm_nn` products as
     /// every training step, so the engine's front is bit-equal to
@@ -563,9 +563,13 @@ mod tests {
         let x = tape.input(Tensor::randn(&[2, cfg.seq_len(), NUM_FEATURES], 4));
         let pred = head.forward(&tape, ntt.forward(&tape, x));
         let loss = pred.mse_loss(&Tensor::zeros(&[2, 1]));
-        tape.backward(loss);
+        let grads = tape.backward_params(loss);
         for p in ntt.params().iter().chain(head.params().iter()) {
-            assert!(p.grad().norm() > 0.0, "no gradient for {}", p.name());
+            assert!(
+                grads.get(p).is_some_and(|g| g.norm() > 0.0),
+                "no gradient for {}",
+                p.name()
+            );
         }
     }
 

@@ -116,7 +116,9 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Peak learning rate (warmup-cosine schedule).
     pub lr: f32,
-    /// Gradient clipping threshold (global L2 norm).
+    /// Gradient clipping threshold (global L2 norm). Must be positive:
+    /// `train` panics otherwise, since 0 would zero every step and a
+    /// negative value would flip it into gradient ascent.
     pub clip: f32,
     pub seed: u64,
     /// Optional cap on optimizer steps per epoch (quick experiment
@@ -308,6 +310,11 @@ fn fanout_step(
 pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> TrainReport {
     assert!(!task.is_empty(), "training on an empty dataset");
     assert!(cfg.par.microbatch > 0, "microbatch must be positive");
+    assert!(
+        cfg.clip > 0.0,
+        "gradient clip must be positive, got {}",
+        cfg.clip
+    );
     let steps_per_epoch = steps_of(task.len(), cfg);
     let (mut opt, trainable) = optimizer_for(
         ntt,
@@ -366,8 +373,8 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
 }
 
 /// Evaluate `task` on `ntt` (grad-free, dropout off). Each batch runs
-/// on a pooled **inference** tape — no backward graph recorded, no
-/// gradient slots allocated, and attention routed through the fused
+/// on a pooled **inference** tape — no backward graph or backward-only
+/// tensors recorded, and attention routed through the fused
 /// streaming-softmax tile, so evaluation pays neither the autodiff
 /// overhead nor the `[B, H, T, T]` score allocation. Results are
 /// deterministic (bit-identical across runs, thread counts, and batch
@@ -635,5 +642,21 @@ mod tests {
         let (empty_train, _) = ntt_data::DelayDataset::build(data, cfg, None);
         let task = HeadTask::new(&head, &empty_train);
         train(&ntt, &task, &quick_cfg(), TrainMode::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient clip must be positive")]
+    fn non_positive_clip_is_an_error() {
+        // A zero clip would scale every gradient to zero (Adam's moments
+        // stay zero, nothing moves) and a negative one would ascend, both
+        // behind a normal-looking report.
+        let (ntt, head, _) = tiny_model();
+        let (train_ds, _, _) = tiny_datasets();
+        let task = HeadTask::new(&head, &train_ds);
+        let cfg = TrainConfig {
+            clip: 0.0,
+            ..quick_cfg()
+        };
+        train(&ntt, &task, &cfg, TrainMode::Full);
     }
 }

@@ -30,7 +30,7 @@
 //! Every failure on that path maps to a stable [`ErrorCode`]: framing
 //! errors answer `BadRequest` (then close, since the stream may be out
 //! of sync), routing misses answer `UnknownModel`/`UnknownHead`, and
-//! every [`ServeError`] crosses the wire as its protocol code — the
+//! every [`ntt_serve::ServeError`] crosses the wire as its protocol code — the
 //! in-process overload guarantees (bounded queue, typed shedding,
 //! deadlines, restart budgets) surface to remote clients unchanged.
 //! The per-request deadline is *relative* (microseconds of budget) and

@@ -6,8 +6,9 @@
 //!
 //! Provides exactly the blocks Fig. 2/3 of the paper require:
 //! linear layers, layer norm, activations, dropout, sinusoidal
-//! positional encoding, multi-head self-attention, a pre-/post-LN
-//! transformer encoder, MLP task heads, and Adam/SGD with LR schedules.
+//! positional encoding, multi-head self-attention, a pre-LN transformer
+//! encoder, MLP task heads, and Adam with LR schedules and gradient
+//! clipping.
 //!
 //! ```
 //! use ntt_nn::{EncoderConfig, Module, TransformerEncoder};
@@ -42,6 +43,6 @@ pub use linear::Linear;
 pub use mlp::Mlp;
 pub use module::Module;
 pub use norm::LayerNorm;
-pub use optim::{clip_grad_norm, clip_param_grads, Adam, LrSchedule, Sgd};
+pub use optim::{clip_param_grads, Adam, LrSchedule};
 pub use positional::PositionalEncoding;
-pub use transformer::{EncoderConfig, NormPlacement, TransformerEncoder, TransformerEncoderLayer};
+pub use transformer::{EncoderConfig, TransformerEncoder, TransformerEncoderLayer};

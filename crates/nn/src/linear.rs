@@ -109,9 +109,9 @@ mod tests {
         let x = tape.input(Tensor::randn(&[4, 3], 4));
         let y = l.forward(&tape, x);
         let loss = y.mse_loss(&Tensor::zeros(&[4, 2]));
-        tape.backward(loss);
-        assert!(l.weight.grad().norm() > 0.0);
-        assert!(l.bias.grad().norm() > 0.0);
+        let grads = tape.backward_params(loss);
+        assert!(grads.get(&l.weight).unwrap().norm() > 0.0);
+        assert!(grads.get(&l.bias).unwrap().norm() > 0.0);
     }
 
     #[test]

@@ -16,13 +16,6 @@ pub trait Module {
         self.params().iter().map(|p| p.numel()).sum()
     }
 
-    /// Zero every gradient accumulator.
-    fn zero_grad(&self) {
-        for p in self.params() {
-            p.zero_grad();
-        }
-    }
-
     /// Freeze / unfreeze all parameters (used for the paper's
     /// "decoder only" fine-tuning mode, Table 2).
     fn set_trainable(&self, trainable: bool) {
@@ -51,10 +44,8 @@ mod tests {
             Param::new("b", Tensor::zeros(&[4])),
         );
         assert_eq!(m.num_params(), 10);
-        m.params()[0].accumulate_grad(&Tensor::ones(&[2, 3]));
-        m.zero_grad();
-        assert_eq!(m.params()[0].grad().sum(), 0.0);
         m.set_trainable(false);
+        assert!(!m.params()[0].is_trainable());
         assert!(!m.params()[1].is_trainable());
         m.set_trainable(true);
         assert!(m.params()[1].is_trainable());

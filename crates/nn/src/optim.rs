@@ -47,41 +47,9 @@ impl LrSchedule {
     }
 }
 
-/// Scale all gradients so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm (useful for divergence diagnostics).
-pub fn clip_grad_norm(params: &[Param], max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    for p in params {
-        if !p.is_trainable() {
-            continue;
-        }
-        let g = p.grad();
-        sq += g
-            .data()
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>();
-    }
-    let norm = sq.sqrt() as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for p in params {
-            if !p.is_trainable() {
-                continue;
-            }
-            // scale the stored gradient in place
-            let g = p.grad().map(|x| x * scale);
-            p.zero_grad();
-            p.accumulate_grad(&g);
-        }
-    }
-    norm
-}
-
-/// [`clip_grad_norm`] for a reduced [`ParamGrads`] bundle (the
-/// data-parallel trainer's path: gradients never live in the `Param`
-/// slots, so clipping operates on the bundle itself). Returns the
-/// pre-clip global L2 norm.
+/// Scale a reduced [`ParamGrads`] bundle so its global L2 norm is at
+/// most `max_norm`. Returns the pre-clip norm (useful for divergence
+/// diagnostics).
 pub fn clip_param_grads(grads: &mut ParamGrads, max_norm: f32) -> f32 {
     let norm = grads.global_norm();
     if norm > max_norm && norm > 0.0 {
@@ -149,39 +117,12 @@ impl Adam {
         (lr, bc1, bc2)
     }
 
-    /// Apply one update from the per-`Param` gradient slots, then zero
-    /// them (the single-threaded path).
-    pub fn step(&mut self) {
-        let (lr, bc1, bc2) = self.begin_step();
-        for p in &self.params {
-            if !p.is_trainable() {
-                p.zero_grad();
-                continue;
-            }
-            let g = p.grad();
-            adam_apply(
-                &mut self.state,
-                AdamHyper {
-                    beta1: self.beta1,
-                    beta2: self.beta2,
-                    eps: self.eps,
-                    weight_decay: self.weight_decay,
-                },
-                p,
-                &g,
-                (lr, bc1, bc2),
-            );
-            p.zero_grad();
-        }
-    }
-
-    /// Apply one update from a reduced [`ParamGrads`] bundle (the
-    /// data-parallel path). The `Param` gradient slots are neither read
-    /// nor written: gradients live only in the bundle, so there is
-    /// nothing to zero afterwards. Parameters managed by this optimizer
-    /// but absent from the bundle (frozen, or not on this step's tape)
-    /// are left untouched, preserving their moments exactly as the
-    /// slot-based path does.
+    /// Apply one update from a [`ParamGrads`] bundle (one backward
+    /// pass's, or a reduced and clipped sum of several). Every step
+    /// advances the schedule and the bias corrections. Parameters absent
+    /// from the bundle (frozen, or not on this step's tape) are left
+    /// untouched, moments included, so a frozen phase resumes where it
+    /// stopped.
     pub fn step_with(&mut self, grads: &ParamGrads) {
         let (lr, bc1, bc2) = self.begin_step();
         for (p, g) in grads.iter() {
@@ -237,7 +178,7 @@ fn adam_apply(
         *vi = h.beta2 * *vi + (1.0 - h.beta2) * gi * gi;
     }
     let (md, vd) = (m.data(), v.data());
-    p.update(|value, _| {
+    p.update(|value| {
         for (i, val) in value.data_mut().iter_mut().enumerate() {
             let mhat = md[i] / bc1;
             let vhat = vd[i] / bc2;
@@ -246,75 +187,16 @@ fn adam_apply(
     });
 }
 
-/// Plain SGD with optional momentum — the simple baseline optimizer.
-pub struct Sgd {
-    params: Vec<Param>,
-    schedule: LrSchedule,
-    momentum: f32,
-    velocity: BTreeMap<usize, Tensor>,
-    step: usize,
-}
-
-impl Sgd {
-    pub fn new(params: Vec<Param>, schedule: LrSchedule, momentum: f32) -> Self {
-        Sgd {
-            params,
-            schedule,
-            momentum,
-            velocity: BTreeMap::new(),
-            step: 0,
-        }
-    }
-
-    /// Apply one update from accumulated gradients, then zero them.
-    pub fn step(&mut self) {
-        let lr = self.schedule.at(self.step);
-        self.step += 1;
-        for p in &self.params {
-            if !p.is_trainable() {
-                p.zero_grad();
-                continue;
-            }
-            let g = p.grad();
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.key())
-                    .or_insert_with(|| Tensor::zeros(g.shape()));
-                for (vi, gi) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                let vd = v.clone();
-                p.update(|value, _| {
-                    for (val, vi) in value.data_mut().iter_mut().zip(vd.data()) {
-                        *val -= lr * vi;
-                    }
-                });
-            } else {
-                p.update(|value, grad| {
-                    for (val, gi) in value.data_mut().iter_mut().zip(grad.data()) {
-                        *val -= lr * gi;
-                    }
-                });
-            }
-            p.zero_grad();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ntt_tensor::{Tape, Tensor};
 
-    fn quadratic_loss(p: &Param) -> f32 {
-        // loss = mean((w - 3)^2): minimum at w = 3.
+    /// Gradient bundle of loss = mean((w - 3)^2), minimum at w = 3.
+    fn quadratic_grads(p: &Param) -> ParamGrads {
         let tape = Tape::new();
-        let w = tape.param(p);
-        let loss = w.mse_loss(&Tensor::full(&p.shape(), 3.0));
-        let v = loss.value().item();
-        tape.backward(loss);
-        v
+        let loss = tape.param(p).mse_loss(&Tensor::full(&p.shape(), 3.0));
+        tape.backward_params(loss)
     }
 
     #[test]
@@ -322,36 +204,10 @@ mod tests {
         let p = Param::new("w", Tensor::zeros(&[4]));
         let mut opt = Adam::new(vec![p.clone()], LrSchedule::Constant(0.1));
         for _ in 0..300 {
-            quadratic_loss(&p);
-            opt.step();
+            opt.step_with(&quadratic_grads(&p));
         }
         assert!(p.value().allclose(&Tensor::full(&[4], 3.0), 1e-2));
         assert_eq!(opt.steps(), 300);
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let p = Param::new("w", Tensor::zeros(&[2]));
-        let mut opt = Sgd::new(vec![p.clone()], LrSchedule::Constant(0.05), 0.9);
-        for _ in 0..200 {
-            quadratic_loss(&p);
-            opt.step();
-        }
-        assert!(p.value().allclose(&Tensor::full(&[2], 3.0), 1e-2));
-    }
-
-    #[test]
-    fn frozen_params_are_not_updated_but_grads_cleared() {
-        let p = Param::new("w", Tensor::zeros(&[2]));
-        p.set_trainable(false);
-        let mut opt = Adam::new(vec![p.clone()], LrSchedule::Constant(0.1));
-        // Manually force a gradient (accumulate_grad skips frozen params).
-        p.set_trainable(true);
-        p.accumulate_grad(&Tensor::ones(&[2]));
-        p.set_trainable(false);
-        opt.step();
-        assert_eq!(p.value().data(), &[0.0, 0.0]);
-        assert_eq!(p.grad().data(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -381,45 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_scales_down_only_when_needed() {
-        let p = Param::new("w", Tensor::zeros(&[3]));
-        p.accumulate_grad(&Tensor::from_vec(vec![3.0, 4.0, 0.0], &[3]));
-        let pre = clip_grad_norm(std::slice::from_ref(&p), 1.0);
-        assert!((pre - 5.0).abs() < 1e-5);
-        assert!((p.grad().norm() - 1.0).abs() < 1e-5);
-        // Already small: untouched.
-        let q = Param::new("q", Tensor::zeros(&[1]));
-        q.accumulate_grad(&Tensor::from_vec(vec![0.5], &[1]));
-        clip_grad_norm(std::slice::from_ref(&q), 1.0);
-        assert!((q.grad().item() - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn step_with_bundle_matches_slot_path_bitwise() {
-        // Same model, same gradient, two delivery mechanisms: the
-        // reduced-bundle path must produce bit-identical parameters.
-        let mk = || Param::new("w", Tensor::from_vec(vec![1.0, -2.0, 0.5], &[3]));
-        let (a, b) = (mk(), mk());
-        let mut opt_a = Adam::new(vec![a.clone()], LrSchedule::Constant(0.05));
-        let mut opt_b = Adam::new(vec![b.clone()], LrSchedule::Constant(0.05));
-        for _ in 0..5 {
-            // Slot path.
-            let tape = Tape::new();
-            let loss = tape.param(&a).mse_loss(&Tensor::full(&[3], 3.0));
-            tape.backward(loss);
-            opt_a.step();
-            // Bundle path.
-            let tape = Tape::new();
-            let loss = tape.param(&b).mse_loss(&Tensor::full(&[3], 3.0));
-            let bundle = tape.backward_params(loss);
-            opt_b.step_with(&bundle);
-            assert_eq!(a.value(), b.value());
-            assert_eq!(b.grad().data(), &[0.0; 3], "bundle path leaves slots clean");
-        }
-        assert_eq!(opt_a.steps(), opt_b.steps());
-    }
-
-    #[test]
     fn clip_param_grads_matches_slot_clipping() {
         let p = Param::new("w", Tensor::zeros(&[3]));
         let tape = Tape::new();
@@ -443,16 +260,13 @@ mod tests {
     fn adam_state_survives_freeze_unfreeze() {
         let p = Param::new("w", Tensor::zeros(&[1]));
         let mut opt = Adam::new(vec![p.clone()], LrSchedule::Constant(0.1));
-        quadratic_loss(&p);
-        opt.step();
+        opt.step_with(&quadratic_grads(&p));
         let after_one = p.value().item();
         p.set_trainable(false);
-        quadratic_loss(&p);
-        opt.step();
+        opt.step_with(&quadratic_grads(&p));
         assert_eq!(p.value().item(), after_one, "frozen step must not move w");
         p.set_trainable(true);
-        quadratic_loss(&p);
-        opt.step();
+        opt.step_with(&quadratic_grads(&p));
         assert!(p.value().item() > after_one, "unfrozen step moves w again");
     }
 }

@@ -1,11 +1,9 @@
 //! Transformer encoder (stack of attention + feed-forward blocks).
 //!
-//! Supports both normalization placements:
-//! * **Pre-LN** (default): `x + Attn(LN(x))`, `x + FF(LN(x))` — more
-//!   stable without a warmup-tuned schedule, the right default for the
-//!   small proof-of-concept models in this reproduction.
-//! * **Post-LN** (original Vaswani): `LN(x + Attn(x))` — kept selectable
-//!   so the design choice is testable.
+//! Layer norm is **pre-LN**: `x + Attn(LN(x))`, `x + FF(LN(x))`, with a
+//! final LN after the stack — more stable without a warmup-tuned
+//! schedule, the right choice for the small proof-of-concept models in
+//! this reproduction.
 
 use crate::activation::Activation;
 use crate::attention::MultiHeadAttention;
@@ -14,13 +12,6 @@ use crate::linear::Linear;
 use crate::module::Module;
 use crate::norm::LayerNorm;
 use ntt_tensor::{Param, Tape, Var};
-
-/// Where layer norm sits relative to each sublayer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NormPlacement {
-    PreNorm,
-    PostNorm,
-}
 
 /// Configuration of one encoder layer / the whole stack.
 #[derive(Debug, Clone, Copy)]
@@ -32,7 +23,6 @@ pub struct EncoderConfig {
     pub n_layers: usize,
     pub dropout: f32,
     pub activation: Activation,
-    pub norm: NormPlacement,
 }
 
 impl EncoderConfig {
@@ -45,13 +35,12 @@ impl EncoderConfig {
             n_layers,
             dropout: 0.0,
             activation: Activation::Gelu,
-            norm: NormPlacement::PreNorm,
         }
     }
 }
 
 /// One encoder block: self-attention + position-wise feed-forward,
-/// each with residual connection and layer norm.
+/// each with a pre-LN residual connection.
 pub struct TransformerEncoderLayer {
     attn: MultiHeadAttention,
     ff1: Linear,
@@ -61,7 +50,6 @@ pub struct TransformerEncoderLayer {
     drop_attn: Dropout,
     drop_ff: Dropout,
     activation: Activation,
-    norm: NormPlacement,
 }
 
 impl TransformerEncoderLayer {
@@ -75,28 +63,17 @@ impl TransformerEncoderLayer {
             drop_attn: Dropout::new(cfg.dropout, seed ^ 0xd1),
             drop_ff: Dropout::new(cfg.dropout, seed ^ 0xd2),
             activation: cfg.activation,
-            norm: cfg.norm,
         }
     }
 
     /// `[B, T, D] -> [B, T, D]`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        match self.norm {
-            NormPlacement::PreNorm => {
-                let a = self.ln1.forward(tape, x);
-                let a = self.drop_attn.forward(self.attn.forward(tape, a));
-                let x = x.add(a);
-                let f = self.ln2.forward(tape, x);
-                let f = self.ff_block(tape, f);
-                x.add(f)
-            }
-            NormPlacement::PostNorm => {
-                let a = self.drop_attn.forward(self.attn.forward(tape, x));
-                let x = self.ln1.forward(tape, x.add(a));
-                let f = self.ff_block(tape, x);
-                self.ln2.forward(tape, x.add(f))
-            }
-        }
+        let a = self.ln1.forward(tape, x);
+        let a = self.drop_attn.forward(self.attn.forward(tape, a));
+        let x = x.add(a);
+        let f = self.ln2.forward(tape, x);
+        let f = self.ff_block(tape, f);
+        x.add(f)
     }
 
     fn ff_block<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
@@ -121,11 +98,11 @@ impl Module for TransformerEncoderLayer {
     }
 }
 
-/// Stack of encoder layers (+ a final layer norm in pre-norm mode,
-/// following the GPT-2/ViT convention).
+/// Stack of encoder layers + a final layer norm (the GPT-2/ViT
+/// pre-LN convention).
 pub struct TransformerEncoder {
     layers: Vec<TransformerEncoderLayer>,
-    final_ln: Option<LayerNorm>,
+    final_ln: LayerNorm,
 }
 
 impl TransformerEncoder {
@@ -139,12 +116,7 @@ impl TransformerEncoder {
                 )
             })
             .collect();
-        let final_ln = match cfg.norm {
-            NormPlacement::PreNorm => {
-                Some(LayerNorm::new(&format!("{name}.final_ln"), cfg.d_model))
-            }
-            NormPlacement::PostNorm => None,
-        };
+        let final_ln = LayerNorm::new(&format!("{name}.final_ln"), cfg.d_model);
         TransformerEncoder { layers, final_ln }
     }
 
@@ -153,10 +125,7 @@ impl TransformerEncoder {
         for layer in &self.layers {
             x = layer.forward(tape, x);
         }
-        match &self.final_ln {
-            Some(ln) => ln.forward(tape, x),
-            None => x,
-        }
+        self.final_ln.forward(tape, x)
     }
 
     /// Propagate train/eval mode to dropout layers.
@@ -175,9 +144,7 @@ impl TransformerEncoder {
 impl Module for TransformerEncoder {
     fn params(&self) -> Vec<Param> {
         let mut p: Vec<Param> = self.layers.iter().flat_map(|l| l.params()).collect();
-        if let Some(ln) = &self.final_ln {
-            p.extend(ln.params());
-        }
+        p.extend(self.final_ln.params());
         p
     }
 }
@@ -187,7 +154,7 @@ mod tests {
     use super::*;
     use ntt_tensor::{Tape, Tensor};
 
-    fn cfg(norm: NormPlacement) -> EncoderConfig {
+    fn cfg() -> EncoderConfig {
         EncoderConfig {
             d_model: 16,
             n_heads: 4,
@@ -195,23 +162,20 @@ mod tests {
             n_layers: 2,
             dropout: 0.0,
             activation: Activation::Gelu,
-            norm,
         }
     }
 
     #[test]
     fn shapes_preserved_both_placements() {
-        for norm in [NormPlacement::PreNorm, NormPlacement::PostNorm] {
-            let enc = TransformerEncoder::new("e", &cfg(norm), 0);
-            let tape = Tape::new();
-            let x = tape.input(Tensor::randn(&[3, 5, 16], 1));
-            assert_eq!(enc.forward(&tape, x).shape(), vec![3, 5, 16]);
-        }
+        let enc = TransformerEncoder::new("e", &cfg(), 0);
+        let tape = Tape::new();
+        let x = tape.input(Tensor::randn(&[3, 5, 16], 1));
+        assert_eq!(enc.forward(&tape, x).shape(), vec![3, 5, 16]);
     }
 
     #[test]
     fn output_is_finite_after_deep_stack() {
-        let mut c = cfg(NormPlacement::PreNorm);
+        let mut c = cfg();
         c.n_layers = 6;
         let enc = TransformerEncoder::new("e", &c, 2);
         let tape = Tape::new();
@@ -221,15 +185,15 @@ mod tests {
 
     #[test]
     fn gradients_reach_every_parameter() {
-        let enc = TransformerEncoder::new("e", &cfg(NormPlacement::PreNorm), 4);
+        let enc = TransformerEncoder::new("e", &cfg(), 4);
         let tape = Tape::new();
         let x = tape.input(Tensor::randn(&[2, 4, 16], 5));
         let y = enc.forward(&tape, x);
         let loss = y.mse_loss(&Tensor::zeros(&[2, 4, 16]));
-        tape.backward(loss);
+        let grads = tape.backward_params(loss);
         for p in enc.params() {
             assert!(
-                p.grad().norm() > 0.0,
+                grads.get(&p).is_some_and(|g| g.norm() > 0.0),
                 "no gradient reached {} (dead path)",
                 p.name()
             );
@@ -238,8 +202,7 @@ mod tests {
 
     #[test]
     fn param_count_formula() {
-        let c = cfg(NormPlacement::PreNorm);
-        let enc = TransformerEncoder::new("e", &c, 0);
+        let enc = TransformerEncoder::new("e", &cfg(), 0);
         let attn = 4 * (16 * 16 + 16);
         let ff = (16 * 32 + 32) + (32 * 16 + 16);
         let lns = 2 * (16 + 16);
@@ -248,28 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn post_norm_also_trains_and_differs_from_pre_norm() {
-        // Both placements must produce gradients everywhere and must
-        // not be numerically identical (they are different functions).
-        let pre = TransformerEncoder::new("p", &cfg(NormPlacement::PreNorm), 9);
-        let post = TransformerEncoder::new("q", &cfg(NormPlacement::PostNorm), 9);
-        let x = Tensor::randn(&[2, 5, 16], 10);
-        let tape = Tape::new();
-        let ya = pre.forward(&tape, tape.input(x.clone())).value();
-        let yb = post.forward(&tape, tape.input(x.clone())).value();
-        assert_ne!(ya, yb);
-        let tape2 = Tape::new();
-        let y = post.forward(&tape2, tape2.input(x));
-        let loss = y.mse_loss(&Tensor::zeros(&[2, 5, 16]));
-        tape2.backward(loss);
-        for p in post.params() {
-            assert!(p.grad().norm() > 0.0, "post-norm dead path at {}", p.name());
-        }
-    }
-
-    #[test]
     fn encoder_is_deterministic_across_forwards() {
-        let enc = TransformerEncoder::new("e", &cfg(NormPlacement::PreNorm), 11);
+        let enc = TransformerEncoder::new("e", &cfg(), 11);
         let x = Tensor::randn(&[1, 6, 16], 12);
         let tape = Tape::new();
         let a = enc.forward(&tape, tape.input(x.clone())).value();
@@ -279,7 +222,7 @@ mod tests {
 
     #[test]
     fn dropout_only_acts_in_training_mode() {
-        let mut c = cfg(NormPlacement::PreNorm);
+        let mut c = cfg();
         c.dropout = 0.4;
         let enc = TransformerEncoder::new("e", &c, 13);
         let x = Tensor::randn(&[1, 4, 16], 14);
@@ -297,30 +240,24 @@ mod tests {
 
     #[test]
     fn one_gradient_step_reduces_loss() {
-        // Minimal end-to-end sanity: encoder + SGD shrinks a fixed-target loss.
-        let enc = TransformerEncoder::new("e", &cfg(NormPlacement::PreNorm), 6);
+        // Minimal end-to-end sanity: encoder + one plain gradient-descent
+        // step shrinks a fixed-target loss.
+        let enc = TransformerEncoder::new("e", &cfg(), 6);
         let x = Tensor::randn(&[2, 4, 16], 7);
         let target = Tensor::randn(&[2, 4, 16], 8);
-        let run = |backprop: bool| {
-            let tape = Tape::new();
-            let y = enc.forward(&tape, tape.input(x.clone()));
-            let loss = y.mse_loss(&target);
-            let v = loss.value().item();
-            if backprop {
-                tape.backward(loss);
-            }
-            v
-        };
-        let l0 = run(true);
-        for p in enc.params() {
-            p.update(|v, g| {
+        let tape = Tape::new();
+        let loss = enc.forward(&tape, tape.input(x.clone())).mse_loss(&target);
+        let l0 = loss.value().item();
+        for (p, g) in tape.backward_params(loss).iter() {
+            p.update(|v| {
                 for (vi, gi) in v.data_mut().iter_mut().zip(g.data()) {
                     *vi -= 0.05 * gi;
                 }
             });
-            p.zero_grad();
         }
-        let l1 = run(false);
+        let tape = Tape::new();
+        let l1 = enc.forward(&tape, tape.input(x)).mse_loss(&target);
+        let l1 = l1.value().item();
         assert!(l1 < l0, "loss did not decrease: {l0} -> {l1}");
     }
 }

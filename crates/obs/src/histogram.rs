@@ -80,7 +80,7 @@ fn shard_index() -> usize {
 }
 
 /// Lock-free log-scale histogram. Construct standalone ([`Histogram::new`])
-/// or through the global registry ([`crate::histogram`]).
+/// or through the global registry ([`crate::histogram()`]).
 pub struct Histogram {
     /// `SHARDS` stripes of `BUCKETS` counters, flattened.
     buckets: Box<[AtomicU64]>,

@@ -19,8 +19,8 @@
 //! [`crate::ModelRegistry`].
 //!
 //! Every forward pass runs on a pooled **inference tape**
-//! ([`Tape::inference`]): no backward graph recorded, no gradient
-//! slots allocated, and attention routed through the fused
+//! ([`Tape::inference`]): no backward graph or backward-only tensors
+//! recorded, and attention routed through the fused
 //! streaming-softmax tile (`Var::attn_fused`), which never
 //! materializes the `[B, H, T, T]` score matrix. Inference outputs are
 //! **deterministic** — bit-identical across runs, thread counts, and

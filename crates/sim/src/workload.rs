@@ -1,7 +1,7 @@
 //! Message-size and inter-arrival distributions.
 //!
 //! The paper's senders "generate 1 Mbps of messages each, following
-//! real-world traffic distributions [26]" (Homa, SIGCOMM '18). The
+//! real-world traffic distributions \[26\]" (Homa, SIGCOMM '18). The
 //! published Homa workloads are heavy-tailed: most messages are a single
 //! packet, a small fraction are megabytes and dominate the byte count.
 //! [`MsgSizeDist::HomaLike`] reproduces that *shape* with a piecewise

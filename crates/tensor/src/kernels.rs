@@ -1,6 +1,6 @@
 //! Matrix-multiplication and attention kernels.
 //!
-//! One register-blocked, cache-tiled GEMM engine ([`gemm_core`]) serves
+//! One register-blocked, cache-tiled GEMM engine (`gemm_core`) serves
 //! every layout the tape needs:
 //!
 //! * `gemm_nn`: `C += A[m,k] · B[k,n]`
@@ -48,7 +48,7 @@
 //! training microbatch either: since the trainer folds the front end
 //! on its tape, its largest product is `ff1`/`ff2` at 3.1 M MACs, and
 //! training's parallelism is its microbatch shards. The core count is
-//! read once per process ([`cores`]), and every spawned thread is
+//! read once per process (`cores`), and every spawned thread is
 //! counted in `tensor.kernel_spawns`.
 //!
 //! # Determinism
@@ -58,12 +58,12 @@
 //! not depend on the row split, the thread count, or partial-tile
 //! boundaries, so results are bit-identical at any thread count.
 //!
-//! `exp` is the crate's own branch-free polynomial ([`exp`], behind
+//! `exp` is the crate's own branch-free polynomial (`exp`, behind
 //! [`gelu_fwd`], [`gelu_bwd`], [`scaled_softmax_fwd`] and the fused
 //! attention tile), not the platform libm: the same weights and inputs
 //! give the same bits on every host and libc. The element-wise kernels
 //! built on it are compiled twice — baseline and AVX2, picked by
-//! [`has_avx2`] like the microkernel — and because Rust never contracts
+//! `has_avx2` like the microkernel — and because Rust never contracts
 //! `a * b + c` into an FMA, both compilations execute the same IEEE
 //! operation sequence per element: the dispatch changes throughput,
 //! never a bit.
@@ -97,7 +97,7 @@ pub const PAR_THRESHOLD: usize = 1 << 23;
 pub const MR: usize = 4;
 /// Microkernel columns: accumulator tile width. `MR × NR = 64` f32
 /// accumulators are 8 × 256-bit registers on AVX2 (the dispatched fast
-/// path — see [`micro_fn`]), leaving room for the A broadcast and B
+/// path — see `micro_fn`), leaving room for the A broadcast and B
 /// loads; the baseline-SSE2 fallback spills some but stays correct.
 pub const NR: usize = 16;
 /// Depth blocking: packed panels cover at most `KC` of `k` per pass, so

@@ -20,8 +20,10 @@
 //!
 //! let tape = Tape::new();
 //! let loss = tape.input(x).matmul(tape.param(&w)).mse_loss(&y);
-//! tape.backward(loss);
-//! w.update(|value, grad| {
+//! // The one gradient path: a detached per-parameter bundle.
+//! let grads = tape.backward_params(loss);
+//! let grad = grads.get(&w).expect("w reached the loss");
+//! w.update(|value| {
 //!     for (v, g) in value.data_mut().iter_mut().zip(grad.data()) {
 //!         *v -= 0.1 * g;
 //!     }
@@ -38,5 +40,5 @@ mod tape;
 mod tensor;
 
 pub use param::Param;
-pub use tape::{splitmix64, Gradients, ParamGrads, Tape, TapePool, Var};
+pub use tape::{splitmix64, ParamGrads, Tape, TapePool, Var};
 pub use tensor::Tensor;

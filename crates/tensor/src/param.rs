@@ -1,14 +1,15 @@
 //! Trainable parameters.
 //!
-//! A [`Param`] is a shared, named tensor with an accompanying gradient
-//! accumulator. The tape holds clones of the handle so that `backward`
-//! can deposit gradients directly into the parameter, and optimizers
-//! iterate over the same handles to apply updates. Storage is
-//! `Arc<RwLock<..>>` so parameter sets are `Send + Sync`: the
-//! data-parallel trainer shares one model across worker threads, each
-//! running its own forward/backward over a microbatch. Workers only
-//! *read* values (gradient reduction happens in a fixed order on the
-//! coordinating thread via `ParamGrads`), so the lock is effectively
+//! A [`Param`] is a shared, named tensor. The tape records a clone of
+//! the handle at each use, so that `Tape::backward_params` can key the
+//! gradients it collects by parameter; optimizers iterate over the same
+//! handles to apply updates. A `Param` holds no gradient of its own:
+//! gradients live only in the `ParamGrads` bundle a backward pass
+//! returns. Storage is `Arc<RwLock<..>>` so parameter sets are
+//! `Send + Sync`: the data-parallel trainer shares one model across
+//! worker threads, each running its own forward/backward over a
+//! microbatch. Workers only *read* values (gradient reduction happens in
+//! a fixed order on the coordinating thread), so the lock is effectively
 //! uncontended on the hot path.
 
 use crate::Tensor;
@@ -18,7 +19,6 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 struct ParamInner {
     name: String,
     value: Tensor,
-    grad: Tensor,
     /// Frozen parameters receive no gradient and are skipped by
     /// optimizers — this implements the paper's "decoder only"
     /// fine-tuning mode (Table 2).
@@ -33,11 +33,9 @@ pub struct Param(Arc<RwLock<ParamInner>>);
 impl Param {
     /// Create a parameter initialized to `value`.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape());
         Param(Arc::new(RwLock::new(ParamInner {
             name: name.into(),
             value,
-            grad,
             trainable: true,
         })))
     }
@@ -80,11 +78,6 @@ impl Param {
         self.read().value.numel()
     }
 
-    /// Clone of the accumulated gradient.
-    pub fn grad(&self) -> Tensor {
-        self.read().grad.clone()
-    }
-
     /// Replace the value (e.g. when loading a checkpoint).
     pub fn set_value(&self, value: Tensor) {
         let mut inner = self.write();
@@ -97,19 +90,6 @@ impl Param {
         inner.value = value;
     }
 
-    /// Add `g` into the gradient accumulator (no-op when frozen).
-    pub fn accumulate_grad(&self, g: &Tensor) {
-        let mut inner = self.write();
-        if inner.trainable {
-            inner.grad.add_assign(g);
-        }
-    }
-
-    /// Reset the gradient to zero.
-    pub fn zero_grad(&self) {
-        self.write().grad.zero_();
-    }
-
     /// Whether optimizers should update this parameter.
     pub fn is_trainable(&self) -> bool {
         self.read().trainable
@@ -120,10 +100,10 @@ impl Param {
         self.write().trainable = trainable;
     }
 
-    /// Mutate value and gradient together (the optimizer update hook).
-    pub fn update(&self, f: impl FnOnce(&mut Tensor, &Tensor)) {
-        let inner = &mut *self.write();
-        f(&mut inner.value, &inner.grad);
+    /// Mutate the value in place under the write lock (the optimizer
+    /// update hook).
+    pub fn update(&self, f: impl FnOnce(&mut Tensor)) {
+        f(&mut self.write().value);
     }
 
     /// Stable identity for optimizer state maps (two clones of the same
@@ -143,37 +123,18 @@ impl Eq for Param {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_and_grad_lifecycle() {
-        let p = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        assert_eq!(p.name(), "w");
-        assert_eq!(p.grad().data(), &[0.0, 0.0]);
-        p.accumulate_grad(&Tensor::from_vec(vec![0.5, 0.5], &[2]));
-        p.accumulate_grad(&Tensor::from_vec(vec![0.5, 1.0], &[2]));
-        assert_eq!(p.grad().data(), &[1.0, 1.5]);
-        p.zero_grad();
-        assert_eq!(p.grad().data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn frozen_params_reject_gradients() {
-        let p = Param::new("w", Tensor::zeros(&[2]));
-        p.set_trainable(false);
-        p.accumulate_grad(&Tensor::ones(&[2]));
-        assert_eq!(p.grad().data(), &[0.0, 0.0]);
-        assert!(!p.is_trainable());
-        p.set_trainable(true);
-        p.accumulate_grad(&Tensor::ones(&[2]));
-        assert_eq!(p.grad().data(), &[1.0, 1.0]);
-    }
+    use crate::Tape;
 
     #[test]
     fn update_sees_value_and_grad() {
+        // One gradient-descent step: the update closure reads the value
+        // it mutates, and the gradient comes from the backward bundle.
         let p = Param::new("w", Tensor::from_vec(vec![1.0], &[1]));
-        p.accumulate_grad(&Tensor::from_vec(vec![10.0], &[1]));
-        p.update(|v, g| {
-            v.data_mut()[0] -= 0.1 * g.data()[0];
+        let tape = Tape::new();
+        let loss = tape.param(&p).scale(10.0).mean_all(); // dL/dw = 10
+        let g = tape.backward_params(loss).get(&p).unwrap().item();
+        p.update(|v| {
+            v.data_mut()[0] -= 0.1 * g;
         });
         assert!((p.value().data()[0] - 0.0).abs() < 1e-6);
     }
@@ -184,8 +145,10 @@ mod tests {
         let q = p.clone();
         assert_eq!(p, q);
         assert_eq!(p.key(), q.key());
-        q.accumulate_grad(&Tensor::ones(&[1]));
-        assert_eq!(p.grad().data(), &[1.0]);
+        q.set_value(Tensor::ones(&[1]));
+        assert_eq!(p.value().data(), &[1.0]);
+        q.set_trainable(false);
+        assert!(!p.is_trainable());
         let r = Param::new("w", Tensor::zeros(&[1]));
         assert_ne!(p, r);
     }
@@ -201,15 +164,15 @@ mod tests {
     fn params_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Param>();
-        // Shared reads from another thread observe the same storage.
+        // Writes from another thread land in the same storage.
         let p = Param::new("w", Tensor::from_vec(vec![7.0], &[1]));
         let q = p.clone();
         std::thread::spawn(move || {
             assert_eq!(q.value().data(), &[7.0]);
-            q.accumulate_grad(&Tensor::ones(&[1]));
+            q.update(|v| v.data_mut()[0] += 1.0);
         })
         .join()
         .unwrap();
-        assert_eq!(p.grad().data(), &[1.0]);
+        assert_eq!(p.value().data(), &[8.0]);
     }
 }

@@ -2,15 +2,13 @@
 //!
 //! A [`Tape`] records every operation of one forward pass as a node in a
 //! flat arena; [`Var`] is a copyable handle (tape reference + node index).
-//! Backward comes in two halves so the data-parallel trainer can run
-//! microbatches on worker threads:
-//! * [`Tape::backward_params`] walks the arena in reverse and *collects*
-//!   per-parameter gradients into a [`ParamGrads`] bundle without
-//!   touching any `Param` — the bundle is `Send`, so worker threads can
-//!   produce one per microbatch and the coordinator reduces them in a
-//!   fixed shard-index order (bit-identical for any thread count);
-//! * [`Tape::backward`] is the single-threaded convenience that collects
-//!   and immediately deposits into the [`Param`] gradient slots.
+//! There is one way to get a gradient: [`Tape::backward_params`] walks
+//! the arena in reverse and *collects* per-parameter gradients into a
+//! [`ParamGrads`] bundle without touching any [`Param`]. The bundle is
+//! `Send`, so the data-parallel trainer's worker threads produce one per
+//! microbatch and the coordinator reduces them in a fixed shard-index
+//! order (bit-identical for any thread count), clips the sum and hands
+//! it to the optimizer.
 //!
 //! # Scratch arena
 //!
@@ -39,8 +37,8 @@
 //! A tape built with [`Tape::inference`] records no backward metadata:
 //! every node degrades to a leaf, backward-only tensors (layer-norm
 //! `xhat`, dropout masks, MSE targets, fused-attention softmax stats)
-//! are never materialized, and no gradient slot is ever allocated.
-//! [`Tape::backward`] / [`Tape::backward_params`] panic on such a tape.
+//! are never materialized. [`Tape::backward_params`] panics on such a
+//! tape.
 //! This is the execution mode the evaluation loops and the `ntt-serve`
 //! engine run on: training is one mode of the engine, not the engine
 //! itself. Values still live on the tape (later ops read them) and are
@@ -220,7 +218,8 @@ impl Scratch {
 enum Op {
     /// Constant input — receives a gradient but propagates nowhere.
     Leaf,
-    /// Trainable parameter — gradient is accumulated into the `Param`.
+    /// Parameter — its gradient is collected into the [`ParamGrads`]
+    /// bundle (when trainable).
     ParamLeaf(Param),
     Add(usize, usize, Broadcast),
     Sub(usize, usize),
@@ -309,7 +308,7 @@ pub struct Tape {
     /// Retired-buffer pool backing every tape allocation.
     scratch: Scratch,
     /// Whether ops record backward metadata. `false` = inference mode:
-    /// no graph, no backward-only tensors, `backward*` panics.
+    /// no graph, no backward-only tensors, `backward_params` panics.
     grad: bool,
 }
 
@@ -326,18 +325,6 @@ pub struct Var<'t> {
     id: usize,
 }
 
-/// Gradients of every tape node, produced by [`Tape::backward`].
-pub struct Gradients {
-    grads: Vec<Option<Tensor>>,
-}
-
-impl Gradients {
-    /// Gradient of `v`'s node, if it participated in the loss.
-    pub fn get(&self, v: Var<'_>) -> Option<&Tensor> {
-        self.grads.get(v.id).and_then(|g| g.as_ref())
-    }
-}
-
 /// Per-parameter gradients of one backward pass, detached from the tape.
 ///
 /// Produced by [`Tape::backward_params`] on any thread (`Send + Sync`),
@@ -346,8 +333,7 @@ impl Gradients {
 /// are kept in a deterministic tape-derived order (reverse-walk
 /// encounter order), which is identical across microbatches of the same
 /// model — so a fixed-order reduction is bit-reproducible for any
-/// thread count. Frozen (non-trainable) parameters are skipped, exactly
-/// as [`Param::accumulate_grad`] would.
+/// thread count. Frozen (non-trainable) parameters get no entry.
 pub struct ParamGrads {
     entries: Vec<(Param, Tensor)>,
 }
@@ -408,10 +394,8 @@ impl ParamGrads {
         }
     }
 
-    /// Global L2 norm over all entries, accumulated in f64. (Slot-based
-    /// `clip_grad_norm` also sums in f64 but groups per parameter, so
-    /// the two paths agree to f64 rounding, not necessarily to the last
-    /// ULP on multi-parameter models.)
+    /// Global L2 norm over all entries, accumulated in f64 in entry
+    /// order.
     pub fn global_norm(&self) -> f32 {
         let sq: f64 = self
             .entries
@@ -420,14 +404,6 @@ impl ParamGrads {
             .map(|&x| (x as f64) * (x as f64))
             .sum();
         sq.sqrt() as f32
-    }
-
-    /// Deposit every gradient into its parameter's accumulator slot
-    /// (the bridge back to the slot-based optimizer path).
-    pub fn apply(&self) {
-        for (p, g) in &self.entries {
-            p.accumulate_grad(g);
-        }
     }
 }
 
@@ -454,8 +430,8 @@ impl TapePool {
         }
     }
 
-    /// Pool of grad-free tapes ([`Tape::inference`]): no graph, no grad
-    /// slots, and model code may pick cheaper inference-only ops (fused
+    /// Pool of grad-free tapes ([`Tape::inference`]): no graph, and
+    /// model code may pick cheaper inference-only ops (fused
     /// attention) — see the module-level "Inference mode" section.
     pub fn inference() -> Self {
         TapePool {
@@ -486,8 +462,8 @@ impl TapePool {
 }
 
 impl Tape {
-    /// Fresh, empty tape with a process-unique RNG seed (see
-    /// [`NEXT_TAPE_SEED`]). Use [`Tape::with_seed`] when the stream
+    /// Fresh, empty tape with a process-unique RNG seed (drawn from a
+    /// process-wide counter). Use [`Tape::with_seed`] when the stream
     /// must be reproducible across runs and threads.
     pub fn new() -> Self {
         Self::with_seed(NEXT_TAPE_SEED.fetch_add(1, Ordering::Relaxed))
@@ -704,59 +680,14 @@ impl Tape {
     }
 
     /// Run reverse-mode differentiation from `loss` (any shape; the seed
-    /// gradient is all-ones) and deposit parameter gradients directly
-    /// into the `Param` accumulator slots (no intermediate bundle — the
-    /// zero-allocation single-threaded path).
-    pub fn backward(&self, loss: Var<'_>) -> Gradients {
-        self.backward_walk(
-            loss,
-            &mut |p: &Param, g: &Tensor| p.accumulate_grad(g),
-            false,
-        )
-    }
-
-    /// Run reverse-mode differentiation and *collect* per-parameter
-    /// gradients into a detached [`ParamGrads`] bundle, leaving every
-    /// `Param` untouched. This is the worker-thread half of the
-    /// data-parallel trainer: each microbatch produces one bundle, and
-    /// the coordinator reduces them in shard-index order. Intermediate
-    /// gradients are retired into the scratch arena as soon as their
-    /// node is processed, so the walk mostly reuses its own memory.
+    /// gradient is all-ones) and *collect* per-parameter gradients into a
+    /// detached [`ParamGrads`] bundle, leaving every `Param` untouched.
+    /// This is the worker-thread half of the data-parallel trainer: each
+    /// microbatch produces one bundle, and the coordinator reduces them
+    /// in shard-index order. Each node's gradient is retired into the
+    /// scratch arena as soon as the node is processed, so the walk mostly
+    /// reuses its own memory.
     pub fn backward_params(&self, loss: Var<'_>) -> ParamGrads {
-        let mut collected = ParamGrads {
-            entries: Vec::new(),
-        };
-        // Param identity -> entry index, for parameters recorded on the
-        // tape more than once (e.g. a layer applied at two places).
-        let mut slot_of: BTreeMap<usize, usize> = BTreeMap::new();
-        self.backward_walk(
-            loss,
-            &mut |p: &Param, g: &Tensor| {
-                if p.is_trainable() {
-                    match slot_of.get(&p.key()) {
-                        Some(&i) => collected.entries[i].1.add_assign(g),
-                        None => {
-                            slot_of.insert(p.key(), collected.entries.len());
-                            collected.entries.push((p.clone(), g.clone()));
-                        }
-                    }
-                }
-            },
-            true,
-        );
-        collected
-    }
-
-    /// The shared reverse walk; `on_param` receives each parameter
-    /// node's gradient (deposit it or collect it). With `recycle`, each
-    /// node's gradient buffer is retired to the arena once processed
-    /// (the returned [`Gradients`] is then empty of intermediates).
-    fn backward_walk(
-        &self,
-        loss: Var<'_>,
-        on_param: &mut dyn FnMut(&Param, &Tensor),
-        recycle: bool,
-    ) -> Gradients {
         assert!(
             self.grad,
             "backward on an inference tape: it recorded no graph \
@@ -765,27 +696,33 @@ impl Tape {
         let nodes = self.nodes.borrow();
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
+        let mut collected = ParamGrads {
+            entries: Vec::new(),
+        };
+        // Param identity -> entry index, for parameters recorded on the
+        // tape more than once (e.g. a layer applied at two places).
+        let mut slot_of: BTreeMap<usize, usize> = BTreeMap::new();
 
         for id in (0..=loss.id).rev() {
             let Some(g) = grads[id].take() else { continue };
-            self.step_backward(&nodes, &mut grads, on_param, id, &g);
-            if recycle {
-                self.recycle(g);
-            } else {
-                grads[id] = Some(g);
+            match &nodes[id].op {
+                Op::ParamLeaf(p) if p.is_trainable() => match slot_of.get(&p.key()) {
+                    Some(&i) => collected.entries[i].1.add_assign(&g),
+                    None => {
+                        slot_of.insert(p.key(), collected.entries.len());
+                        collected.entries.push((p.clone(), g.clone()));
+                    }
+                },
+                _ => self.step_backward(&nodes, &mut grads, id, &g),
             }
+            self.recycle(g);
         }
-        Gradients { grads }
+        collected
     }
 
-    fn step_backward(
-        &self,
-        nodes: &[Node],
-        grads: &mut [Option<Tensor>],
-        on_param: &mut dyn FnMut(&Param, &Tensor),
-        id: usize,
-        g: &Tensor,
-    ) {
+    /// Propagate node `id`'s gradient `g` to its inputs' slots in
+    /// `grads`. Parameter leaves are collected by the caller.
+    fn step_backward(&self, nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tensor) {
         // Accumulate `inc` into a node's gradient slot; when the slot is
         // already live the increment's buffer is retired to the arena.
         let add_grad = |grads: &mut [Option<Tensor>], to: usize, inc: Tensor| match &mut grads[to] {
@@ -796,8 +733,7 @@ impl Tape {
             slot @ None => *slot = Some(inc),
         };
         match &nodes[id].op {
-            Op::Leaf => {}
-            Op::ParamLeaf(p) => on_param(p, g),
+            Op::Leaf | Op::ParamLeaf(_) => {}
             Op::Add(a, b, bc) => {
                 add_grad(grads, *a, self.t_copy(g, g.shape()));
                 let gb = match bc {
@@ -1665,14 +1601,17 @@ mod tests {
         let y = a.mul(b).add(a); // [4, 10]
         let loss = y.mse_loss(&Tensor::zeros(&[2]));
         assert!((loss.value().item() - (16.0 + 100.0) / 2.0).abs() < 1e-5);
-        t.backward(loss);
+        let grads = t.backward_params(loss);
         // dL/dy = y, dL/da = y*(b+1), dL/db = y*a
-        assert!(pa
-            .grad()
+        assert!(grads
+            .get(&pa)
+            .unwrap()
             .allclose(&Tensor::from_vec(vec![4.0 * 4.0, 10.0 * 5.0], &[2]), 1e-4));
-        assert!(pb
-            .grad()
+        assert!(grads
+            .get(&pb)
+            .unwrap()
             .allclose(&Tensor::from_vec(vec![4.0, 20.0], &[2]), 1e-4));
+        assert_eq!(grads.len(), 2);
     }
 
     #[test]
@@ -1800,10 +1739,10 @@ mod tests {
         let y = Var::concat_axis1(&[a, b]);
         assert_eq!(y.value(), x.value());
         let loss = y.mse_loss(&Tensor::zeros(&[2, 4, 3]));
-        t.backward(loss);
+        let grads = t.backward_params(loss);
         // grad = 2x/N; every element must receive gradient exactly once.
         let expect = p.value().map(|v| 2.0 * v / 24.0);
-        assert!(p.grad().allclose(&expect, 1e-5));
+        assert!(grads.get(&p).unwrap().allclose(&expect, 1e-5));
     }
 
     #[test]
@@ -1834,23 +1773,10 @@ mod tests {
         let y = t.param(&p).mul_const(&mask);
         assert_eq!(y.value().data(), &[1.0, 0.0, 6.0]);
         let loss = y.mse_loss(&Tensor::zeros(&[3]));
-        t.backward(loss);
+        let grads = t.backward_params(loss);
         // dL/dx = 2/3 * y * mask
         let expect = Tensor::from_vec(vec![2.0 / 3.0, 0.0, 8.0], &[3]);
-        assert!(p.grad().allclose(&expect, 1e-5));
-    }
-
-    #[test]
-    fn gradient_accumulates_across_backwards() {
-        let p = Param::new("w", Tensor::from_vec(vec![2.0], &[1]));
-        for _ in 0..2 {
-            let t = Tape::new();
-            let w = t.param(&p);
-            let loss = w.mse_loss(&Tensor::zeros(&[1]));
-            t.backward(loss);
-        }
-        // each pass adds 2*w/1 = 4
-        assert!((p.grad().item() - 8.0).abs() < 1e-5);
+        assert!(grads.get(&p).unwrap().allclose(&expect, 1e-5));
     }
 
     #[test]
@@ -1861,41 +1787,8 @@ mod tests {
         let a = t.param(&p);
         let y = a.add(a);
         let loss = y.mean_all();
-        t.backward(loss);
-        assert!((p.grad().item() - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn backward_params_matches_deposited_grads() {
-        let build = || {
-            (
-                Param::new("a", Tensor::from_vec(vec![1.0, 2.0], &[2])),
-                Param::new("b", Tensor::from_vec(vec![3.0, 4.0], &[2])),
-            )
-        };
-        let (pa, pb) = build();
-        let run = |pa: &Param, pb: &Param, deposit: bool| -> Option<ParamGrads> {
-            let t = Tape::new();
-            let y = t.param(pa).mul(t.param(pb)).add(t.param(pa));
-            let loss = y.mse_loss(&Tensor::zeros(&[2]));
-            if deposit {
-                t.backward(loss);
-                None
-            } else {
-                Some(t.backward_params(loss))
-            }
-        };
-        run(&pa, &pb, true);
-        let (qa, qb) = build();
-        let bundle = run(&qa, &qb, false).unwrap();
-        // Collected bundle bit-matches the deposited slots...
-        assert_eq!(bundle.get(&qa).unwrap(), &pa.grad());
-        assert_eq!(bundle.get(&qb).unwrap(), &pb.grad());
-        assert_eq!(bundle.len(), 2);
-        // ...and collection left the params' own slots untouched.
-        assert_eq!(qa.grad().data(), &[0.0, 0.0]);
-        bundle.apply();
-        assert_eq!(qa.grad(), pa.grad());
+        let grads = t.backward_params(loss);
+        assert!((grads.get(&p).unwrap().item() - 2.0).abs() < 1e-5);
     }
 
     #[test]
@@ -1981,7 +1874,7 @@ mod tests {
         let p = Param::new("w", Tensor::randn(&[2, 2], 1));
         let tape = Tape::inference();
         let loss = tape.param(&p).mse_loss(&Tensor::zeros(&[2, 2]));
-        tape.backward(loss);
+        tape.backward_params(loss);
     }
 
     #[test]
@@ -2035,9 +1928,6 @@ mod tests {
         let scale = 1.0 / (dh as f32).sqrt();
 
         let run = |fused: bool| {
-            for p in [&q, &k, &v] {
-                p.zero_grad();
-            }
             let tape = Tape::new();
             let (qv, kv, vv) = (tape.param(&q), tape.param(&k), tape.param(&v));
             let ctx = if fused {
@@ -2046,13 +1936,14 @@ mod tests {
                 qv.attn_scores(kv).scaled_softmax(scale).attn_context(vv)
             };
             let loss = ctx.reshape(&[b, t, d]).mse_loss(&target);
-            tape.backward(loss);
+            let grads = tape.backward_params(loss);
+            let grad = |p: &Param| grads.get(p).unwrap().clone();
             (
                 ctx.value(),
                 loss.value().item(),
-                q.grad(),
-                k.grad(),
-                v.grad(),
+                grad(&q),
+                grad(&k),
+                grad(&v),
             )
         };
         let fused = run(true);
@@ -2185,19 +2076,5 @@ mod tests {
             s.put(vec![0.0; 8]);
         }
         assert!(s.bucket_lens().contains(&(8, SCRATCH_BUCKET_CAP)));
-    }
-
-    #[test]
-    fn gradients_struct_exposes_intermediates() {
-        let t = Tape::new();
-        let a = t.input(Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let y = a.scale(3.0);
-        let loss = y.mean_all();
-        let grads = t.backward(loss);
-        let ga = grads.get(a).expect("input gradient");
-        assert!(ga.allclose(&Tensor::from_vec(vec![1.5, 1.5], &[2]), 1e-6));
-        // Nodes after the loss (none here) or disconnected nodes have no grad.
-        let unused = t.input(Tensor::ones(&[1]));
-        assert!(grads.get(unused).is_none());
     }
 }

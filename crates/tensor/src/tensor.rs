@@ -190,11 +190,6 @@ impl Tensor {
         }
     }
 
-    /// Fill with zeros, keeping the allocation.
-    pub fn zero_(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f32 {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
@@ -338,8 +333,6 @@ mod tests {
         assert_eq!(c.data(), &[11.0, 18.0]);
         c.scale_assign(0.5);
         assert_eq!(c.data(), &[5.5, 9.0]);
-        c.zero_();
-        assert_eq!(c.data(), &[0.0, 0.0]);
     }
 
     #[test]
