@@ -11,12 +11,8 @@
 //!   throughput. On one core these forwards are compute-bound, so the
 //!   batch-size curve is nearly flat — recorded to keep that honest;
 //! * the **paper-scale shape** (`NttConfig::default()`: 1024-packet
-//!   windows, d_model 64, 2 layers) for the batched-forward curve that
-//!   actually exercised the cache-spill the fused attention tile
-//!   removes. On a 1-core host the bench **asserts** batched
-//!   windows/s no longer falls with batch size (batch 8 ≥ batch 1 and
-//!   batch 32 ≥ batch 1) — recorded only on multi-core, where
-//!   scheduler overlap muddies the single-threaded claim;
+//!   windows, d_model 64, 2 layers) for the batched-forward curve of
+//!   the model the paper deploys — recorded, not asserted;
 //! * the **latency-tier shape** (48-packet windows, d_model 8), where
 //!   per-request costs (thread wakeups, request plumbing) are a large
 //!   share of each ~60 µs forward. This is where micro-batching earns
@@ -226,11 +222,9 @@ fn main() {
 
     // ---- shape P: paper-scale batched forwards ----------------------
     // The model shape the paper actually deploys (`NttConfig::default()`:
-    // 1024-packet windows, d_model 64, 2 layers). Before the fused
-    // attention tile, this curve *fell* with batch size — the
-    // `[B, H, T, T]` score tensors spilled cache between the unfused
-    // kernel phases. The fused tile never materializes them, so batching
-    // must now win on FLOPs.
+    // 1024-packet windows, d_model 64, 2 layers). Attention runs one
+    // `(b, h)` block at a time, so no `[B, H, T, T]` tensor grows with
+    // the batch.
     let cfg_p = NttConfig {
         seed: 3,
         ..NttConfig::default()
@@ -238,45 +232,6 @@ fn main() {
     let (seq_p, d_p) = (cfg_p.seq_len(), cfg_p.d_model);
     let engine_p = engine_for(cfg_p);
     let paper_batched = batched_sweep(&engine_p, &batch_sizes, scale.paper_windows, "P");
-
-    // Batched-throughput monotonicity gate: asserted only on 1-core
-    // hosts, where the curve is a pure single-thread cache/FLOP story;
-    // on multi-core the kernel-level threading already overlaps work
-    // and the comparison stops isolating what it gates.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let wps_at = |pts: &[(usize, f64)], b: usize| {
-        pts.iter()
-            .find(|(bs, _)| *bs == b)
-            .map(|(_, w)| *w)
-            .unwrap_or(0.0)
-    };
-    let (p1, p8, p32) = (
-        wps_at(&paper_batched, 1),
-        wps_at(&paper_batched, 8),
-        wps_at(&paper_batched, 32),
-    );
-    if cores == 1 {
-        assert!(
-            p8 >= p1,
-            "paper-scale batch 8 ({p8:.1} windows/s) fell below batch 1 ({p1:.1})"
-        );
-        assert!(
-            p32 >= p1,
-            "paper-scale batch 32 ({p32:.1} windows/s) fell below batch 1 ({p1:.1})"
-        );
-        eprintln!(
-            "  paper-scale batching is monotone ✓ (batch 8 {:.2}x, batch 32 {:.2}x of batch 1)",
-            p8 / p1,
-            p32 / p1
-        );
-    } else {
-        eprintln!(
-            "  ({cores} cores: paper-scale monotonicity gate not asserted — \
-             batch 8 {:.2}x, batch 32 {:.2}x recorded only)",
-            p8 / p1,
-            p32 / p1
-        );
-    }
 
     // ---- shape B: interactive serving, single vs coalesced ----------
     let cfg_b = NttConfig {
@@ -333,6 +288,7 @@ fn main() {
     // measuring what it gates. Assert only where the claim is defined;
     // elsewhere record the ratio and warn, so the bench never turns
     // hardware weather into a red build.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores == 1 {
         assert!(
             largest >= 8,
@@ -398,14 +354,6 @@ fn main() {
         "  \"paper_shape\": {{\"d_model\": {d_p}, \"seq_len\": {seq_p}}},"
     );
     write_curve(&mut json, "paper_batched", &paper_batched);
-    let _ = writeln!(
-        json,
-        "  \"paper_batch_monotone\": {{\"asserted\": {}, \"batch8_over_batch1\": {:.3}, \
-         \"batch32_over_batch1\": {:.3}}},",
-        cores == 1,
-        p8 / p1,
-        p32 / p1
-    );
     let _ = writeln!(
         json,
         "  \"serving_shape\": {{\"d_model\": {}, \"seq_len\": {}}},",

@@ -2,7 +2,7 @@
 //! and the ablations of Table 1.
 
 use ntt_data::FeatureMask;
-use ntt_nn::{Activation, EncoderConfig};
+use ntt_nn::EncoderConfig;
 
 /// Slots produced per zone by the multi-timescale aggregator. Three
 /// zones of 16 give the paper's 48-element encoder input.
@@ -124,7 +124,6 @@ impl NttConfig {
             d_ff: self.d_ff,
             n_layers: self.n_layers,
             dropout: self.dropout,
-            activation: Activation::Gelu,
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::config::{Aggregation, NttConfig, OUT_SLOTS};
 use ntt_data::NUM_FEATURES;
-use ntt_nn::{Activation, Head, Linear, Mlp, Module, PositionalEncoding, TransformerEncoder};
+use ntt_nn::{Head, Linear, Mlp, Module, PositionalEncoding, TransformerEncoder};
 use ntt_tensor::{Param, Tape, Tensor, Var};
 
 /// The NTT trunk: embedding + aggregation + encoder.
@@ -272,12 +272,7 @@ pub struct DelayHead {
 impl DelayHead {
     pub fn new(d_model: usize, seed: u64) -> Self {
         DelayHead {
-            mlp: Mlp::new(
-                "delay_head",
-                &[d_model, d_model, 1],
-                Activation::Gelu,
-                seed ^ 0xd3,
-            ),
+            mlp: Mlp::new("delay_head", &[d_model, d_model, 1], seed ^ 0xd3),
         }
     }
 
@@ -318,12 +313,7 @@ pub struct MctHead {
 impl MctHead {
     pub fn new(d_model: usize, seed: u64) -> Self {
         MctHead {
-            mlp: Mlp::new(
-                "mct_head",
-                &[d_model + 1, d_model, 1],
-                Activation::Gelu,
-                seed ^ 0xd4,
-            ),
+            mlp: Mlp::new("mct_head", &[d_model + 1, d_model, 1], seed ^ 0xd4),
         }
     }
 
@@ -374,12 +364,7 @@ pub struct DropHead {
 impl DropHead {
     pub fn new(d_model: usize, seed: u64) -> Self {
         DropHead {
-            mlp: Mlp::new(
-                "drop_head",
-                &[d_model, d_model, 1],
-                Activation::Gelu,
-                seed ^ 0xd5,
-            ),
+            mlp: Mlp::new("drop_head", &[d_model, d_model, 1], seed ^ 0xd5),
         }
     }
 

@@ -374,15 +374,13 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
 
 /// Evaluate `task` on `ntt` (grad-free, dropout off). Each batch runs
 /// on a pooled **inference** tape — no backward graph or backward-only
-/// tensors recorded, and attention routed through the fused
-/// streaming-softmax tile, so evaluation pays neither the autodiff
-/// overhead nor the `[B, H, T, T]` score allocation. Results are
-/// deterministic (bit-identical across runs, thread counts, and batch
-/// compositions) and agree with a recording tape's classic attention
-/// chain to within epsilon — the online softmax reorders the IEEE
-/// reduction, so cross-mode bit-equality is not claimed. Batches fan
-/// out over `par` workers; squared errors are accumulated in batch
-/// order, so the result is thread-count invariant like training.
+/// tensors recorded, the attention weights included, so evaluation pays
+/// neither the autodiff overhead nor a `[B, H, T, T]` allocation per
+/// layer. Results are deterministic (bit-identical across runs, thread
+/// counts, and batch compositions) and equal to a recording tape's bit
+/// for bit: both tape kinds run the same ops. Batches fan out over
+/// `par` workers; squared errors are accumulated in batch order, so the
+/// result is thread-count invariant like training.
 pub fn evaluate(ntt: &Ntt, task: &dyn Task, batch_size: usize, par: &ParStrategy) -> EvalReport {
     assert!(!task.is_empty(), "evaluating on an empty dataset");
     ntt.set_training(false);

@@ -7,7 +7,7 @@
 
 use crate::linear::Linear;
 use crate::module::Module;
-use ntt_tensor::{kernels, Param, Tape, Tensor, Var};
+use ntt_tensor::{Param, Tape, Var};
 
 /// Multi-head self-attention with separate Q/K/V/O projections.
 pub struct MultiHeadAttention {
@@ -43,36 +43,14 @@ impl MultiHeadAttention {
         self.n_heads
     }
 
-    /// The single forward path shared by [`Self::forward`] and
-    /// [`Self::forward_with_weights`]: transpose-free scaled dot-product
-    /// attention. Q/K/V stay in the head-interleaved `[B, T, H, dh]`
-    /// layout their projections naturally reshape into, and the head
-    /// merge is a plain reshape — no `Kᵀ` or axis-swap copy is ever
-    /// materialized, in forward or backward.
-    ///
-    /// On **inference tapes** the score→softmax→context pipeline runs as
-    /// one fused streaming-softmax op ([`Var::attn_fused`]): the
-    /// `[B, H, T, T]` score matrix is never allocated. That buys memory,
-    /// not time, at the served shape: at 48 slots and `dh` 16 the score
-    /// matrix is 36 KiB a window and, with `exp` vectorised, the classic
-    /// chain measures *faster* — 56–61 µs against the fused tile's 86–89
-    /// per window-layer, at batch 1 and batch 16 alike (PR 21, 2-core
-    /// Xeon 2.1 GHz). The fused op stays on inference tapes because the
-    /// benchmark calls and counts it (`e2e/src/probes.rs`); choosing one
-    /// formulation is ROADMAP's "Make the encoder pay for a batch". On
-    /// **recording tapes** the classic `attn_scores → scaled_softmax →
-    /// attn_context` chain is kept — its backward reuses the
-    /// materialized weights instead of recomputing exponentials (fused
-    /// on recording tapes cost 12 % of `train_paper`, PR 13). The two paths
-    /// agree to epsilon, not bitwise (the online softmax reorders the
-    /// IEEE sequence); each is individually bit-deterministic across
-    /// thread counts and batch compositions.
-    fn attend<'t>(
-        &self,
-        tape: &'t Tape,
-        x: Var<'t>,
-        want_weights: bool,
-    ) -> (Var<'t>, Option<Tensor>) {
+    /// Self-attention over `x: [B, T, D] -> [B, T, D]`: transpose-free
+    /// scaled dot-product attention. Q/K/V stay in the head-interleaved
+    /// `[B, T, H, dh]` layout their projections naturally reshape into,
+    /// and the head merge is a plain reshape — no `Kᵀ` or axis-swap copy
+    /// is ever materialized, in forward or backward. One attention op,
+    /// [`Var::attn_fused`], runs on both tape kinds, so training,
+    /// evaluation and serving compute the same bits.
+    pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
         let shape = x.shape();
         assert_eq!(shape.len(), 3, "attention expects [B, T, D]");
         let (b, t, d) = (shape[0], shape[1], shape[2]);
@@ -87,40 +65,9 @@ impl MultiHeadAttention {
         let k = split(self.wk.forward(tape, x));
         let v = split(self.wv.forward(tape, x));
 
-        let (ctx, weights) = if tape.records_grad() {
-            let attn = q.attn_scores(k).scaled_softmax(scale);
-            (attn.attn_context(v), want_weights.then(|| attn.value()))
-        } else {
-            let ctx = q.attn_fused(k, v, scale);
-            // Diagnostics only: materialize the weights off-tape, from
-            // the detached Q/K values. The serving hot path never asks
-            // for them, so the fused forward stays score-matrix-free.
-            let w = want_weights.then(|| {
-                let (vq, vk) = (q.value(), k.value());
-                let mut s = vec![0.0; b * h * t * t];
-                kernels::attn_scores(vq.data(), vk.data(), &mut s, b, t, h, dh);
-                let mut w = vec![0.0; b * h * t * t];
-                kernels::scaled_softmax_fwd(&s, scale, t, &mut w);
-                Tensor::from_vec(w, &[b, h, t, t])
-            });
-            (ctx, w)
-        };
-
         // Merge heads and apply the output projection.
-        let merged = ctx.reshape(&[b, t, d]);
-        (self.wo.forward(tape, merged), weights)
-    }
-
-    /// Self-attention over `x: [B, T, D] -> [B, T, D]`.
-    pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        self.attend(tape, x, false).0
-    }
-
-    /// Forward pass that also returns the attention weights `[B, H, T, T]`
-    /// (diagnostics / interpretability; weights are a detached clone).
-    pub fn forward_with_weights<'t>(&self, tape: &'t Tape, x: Var<'t>) -> (Var<'t>, Tensor) {
-        let (out, weights) = self.attend(tape, x, true);
-        (out, weights.expect("attend(want_weights) returns weights"))
+        let merged = q.attn_fused(k, v, scale).reshape(&[b, t, d]);
+        self.wo.forward(tape, merged)
     }
 }
 
@@ -149,14 +96,23 @@ mod tests {
 
     #[test]
     fn attention_weights_are_row_stochastic() {
+        // With the value projection's weight zeroed, every value row is
+        // its bias `c`, so each context row is `c` times its weight row's
+        // sum: if the rows sum to one, every position outputs `wo(c)`
+        // whatever the input.
         let mha = MultiHeadAttention::new("a", 8, 2, 0);
+        mha.wv.weight.set_value(Tensor::zeros(&[8, 8]));
+        let c = Tensor::randn(&[8], 1);
+        mha.wv.bias.set_value(c.clone());
         let tape = Tape::new();
-        let x = tape.input(Tensor::randn(&[1, 5, 8], 2));
-        let (_, w) = mha.forward_with_weights(&tape, x);
-        assert_eq!(w.shape(), &[1, 2, 5, 5]);
-        for row in w.data().chunks(5) {
-            let s: f32 = row.iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
+        let y = mha.forward(&tape, tape.input(Tensor::randn(&[1, 5, 8], 2)));
+        let want = mha
+            .wo
+            .forward(&tape, tape.input(c.reshape(&[1, 8])))
+            .value();
+        for row in y.value().data().chunks(8) {
+            let row = Tensor::from_vec(row.to_vec(), &[1, 8]);
+            assert!(row.allclose(&want, 1e-5), "{row:?} vs {want:?}");
         }
     }
 
@@ -221,9 +177,9 @@ mod tests {
 
     #[test]
     fn grad_check_end_to_end_transpose_free_path() {
-        // Finite-difference validation of the full fused pipeline:
-        // projections -> attn_scores -> scaled_softmax -> attn_context
-        // -> merge -> output projection, for every projection matrix.
+        // Finite-difference validation of the full pipeline: projections
+        // -> attention -> merge -> output projection, for every
+        // projection matrix.
         use ntt_tensor::grad_check::check_param_grad;
         let mha = MultiHeadAttention::new("a", 6, 2, 7);
         let x = Tensor::randn(&[2, 3, 6], 8).map(|v| v * 0.5);
@@ -247,71 +203,44 @@ mod tests {
     }
 
     #[test]
-    fn forward_with_weights_shares_the_forward_path() {
-        // The two entry points are one implementation: outputs must be
-        // bit-identical, not merely close — on both tape modes.
-        let mha = MultiHeadAttention::new("a", 16, 4, 11);
-        let x = Tensor::randn(&[2, 5, 16], 12);
-        for tape in [Tape::with_seed(0), Tape::inference_with_seed(0)] {
-            let y = mha.forward(&tape, tape.input(x.clone())).value();
-            let (y2, w) = mha.forward_with_weights(&tape, tape.input(x.clone()));
-            assert_eq!(y, y2.value());
-            assert_eq!(w.shape(), &[2, 4, 5, 5]);
-        }
-    }
-
-    #[test]
     fn inference_forward_matches_recording_within_eps() {
-        // Inference tapes run the fused streaming-softmax attention, so
-        // cross-mode equality is epsilon-level (the documented
-        // contract), while inference-vs-inference stays bit-identical.
+        // One attention op on both tape kinds: an inference forward is
+        // the recording forward to the bit, and reproduces itself.
         let mha = MultiHeadAttention::new("a", 16, 4, 13);
         let x = Tensor::randn(&[3, 7, 16], 14);
         let run = |tape: &Tape| mha.forward(tape, tape.input(x.clone())).value();
         let recorded = run(&Tape::with_seed(1));
         let inferred = run(&Tape::inference_with_seed(1));
         let inferred2 = run(&Tape::inference_with_seed(99));
-        assert!(recorded.allclose(&inferred, 1e-5), "fused path drifted");
+        assert_eq!(recorded, inferred, "inference drifted from recording");
         assert_eq!(inferred, inferred2, "inference must be bit-reproducible");
     }
 
     #[test]
-    fn inference_weights_match_recording_weights() {
-        // The fused path reconstructs diagnostic weights off-tape; they
-        // must be row-stochastic and agree with the classic path.
-        let mha = MultiHeadAttention::new("a", 8, 2, 15);
-        let x = Tensor::randn(&[1, 5, 8], 16);
-        let rec = Tape::with_seed(2);
-        let inf = Tape::inference_with_seed(2);
-        let (_, wr) = mha.forward_with_weights(&rec, rec.input(x.clone()));
-        let (_, wi) = mha.forward_with_weights(&inf, inf.input(x));
-        assert!(wr.allclose(&wi, 1e-5), "weights diverged across modes");
-        for row in wi.data().chunks(5) {
-            let s: f32 = row.iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn inference_attend_never_allocates_score_matrix() {
-        // The full attention layer — projections included — on an
-        // inference tape must leave no [B,H,T,T]- or [B,T,T]-sized
-        // buffer behind in the tape arena (t chosen so those lengths
-        // collide with no projection/context shape).
+        // The full attention layer — projections included — leaves no
+        // [B,H,T,T]- or [B,T,T]-sized buffer in the arena of an inference
+        // tape, and exactly one, the kept softmax weights, in that of a
+        // recording tape (t chosen so those lengths collide with no
+        // projection/context shape).
         let (b, t, d, h) = (2usize, 19, 8, 2);
         let mha = MultiHeadAttention::new("a", d, h, 17);
         let x = Tensor::randn(&[b, t, d], 18);
-        let mut tape = Tape::inference_with_seed(3);
-        mha.forward(&tape, tape.input(x.clone())).value();
-        tape.reset(3);
-        let forbidden = [b * h * t * t, b * t * t, h * t * t, t * t];
-        for (len, _) in tape.arena_bucket_lens() {
-            assert!(
-                !forbidden.contains(&len),
-                "inference attention retired a score-matrix-sized buffer ({len})"
-            );
+        let square = [b * h * t * t, b * t * t, h * t * t, t * t];
+        for (mut tape, kept) in [
+            (Tape::inference_with_seed(3), vec![]),
+            (Tape::with_seed(3), vec![(b * h * t * t, 1)]),
+        ] {
+            mha.forward(&tape, tape.input(x.clone())).value();
+            tape.reset(3);
+            let lens = tape.arena_bucket_lens();
+            // Sanity: the run did retire context/projection-sized buffers.
+            assert!(!lens.is_empty());
+            let got: Vec<(usize, usize)> = lens
+                .into_iter()
+                .filter(|(len, _)| square.contains(len))
+                .collect();
+            assert_eq!(got, kept, "score-matrix-sized buffers retired");
         }
-        // Sanity: the run did retire context/projection-sized buffers.
-        assert!(tape.scratch_buffers() > 0);
     }
 }

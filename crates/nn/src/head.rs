@@ -42,7 +42,6 @@ pub trait Head: Module + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
     use crate::mlp::Mlp;
     use ntt_tensor::{Param, Tensor};
 
@@ -72,7 +71,7 @@ mod tests {
 
     #[test]
     fn custom_heads_plug_in_through_the_trait() {
-        let head = PoolHead(Mlp::new("pool_head", &[8, 4, 1], Activation::Gelu, 0));
+        let head = PoolHead(Mlp::new("pool_head", &[8, 4, 1], 0));
         assert_eq!(head.kind(), "pool");
         assert_eq!(head.d_model(), 8);
         assert!(!head.needs_aux());

@@ -5,7 +5,7 @@
 //! Transformer reproduction (HotNets '22).
 //!
 //! Provides exactly the blocks Fig. 2/3 of the paper require:
-//! linear layers, layer norm, activations, dropout, sinusoidal
+//! linear layers, layer norm, GELU, dropout, sinusoidal
 //! positional encoding, multi-head self-attention, a pre-LN transformer
 //! encoder, MLP task heads, and Adam with LR schedules and gradient
 //! clipping.
@@ -22,7 +22,6 @@
 //! assert_eq!(y.shape(), vec![8, 48, 32]);
 //! ```
 
-mod activation;
 mod attention;
 mod dropout;
 mod head;
@@ -35,7 +34,6 @@ mod optim;
 mod positional;
 mod transformer;
 
-pub use activation::Activation;
 pub use attention::MultiHeadAttention;
 pub use dropout::Dropout;
 pub use head::Head;

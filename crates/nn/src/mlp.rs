@@ -3,21 +3,19 @@
 //! BERT-style pre-train/fine-tune keeps the transformer trunk and swaps a
 //! small MLP head per task (§2, Fig. 2b/3). `Mlp` is that head.
 
-use crate::activation::Activation;
 use crate::linear::Linear;
 use crate::module::Module;
 use ntt_tensor::{Param, Tape, Var};
 
-/// A stack of linear layers with a pointwise activation between them
-/// (none after the final layer: heads regress unbounded values).
+/// A stack of linear layers with GELU between them (none after the
+/// final layer: heads regress unbounded values).
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
 }
 
 impl Mlp {
     /// Build from a width list, e.g. `[64, 32, 1]` = two layers.
-    pub fn new(name: &str, widths: &[usize], activation: Activation, seed: u64) -> Self {
+    pub fn new(name: &str, widths: &[usize], seed: u64) -> Self {
         assert!(
             widths.len() >= 2,
             "an MLP needs at least input and output widths"
@@ -34,7 +32,7 @@ impl Mlp {
                 )
             })
             .collect();
-        Mlp { layers, activation }
+        Mlp { layers }
     }
 
     /// Input feature dimension.
@@ -53,7 +51,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             x = layer.forward(tape, x);
             if i != last {
-                x = self.activation.forward(x);
+                x = x.gelu();
             }
         }
         x
@@ -73,7 +71,7 @@ mod tests {
 
     #[test]
     fn widths_define_structure() {
-        let m = Mlp::new("head", &[64, 32, 1], Activation::Relu, 0);
+        let m = Mlp::new("head", &[64, 32, 1], 0);
         assert_eq!(m.in_features(), 64);
         assert_eq!(m.out_features(), 1);
         assert_eq!(m.num_params(), 64 * 32 + 32 + 32 + 1);
@@ -81,7 +79,7 @@ mod tests {
 
     #[test]
     fn forward_shape() {
-        let m = Mlp::new("head", &[8, 4, 2], Activation::Gelu, 1);
+        let m = Mlp::new("head", &[8, 4, 2], 1);
         let tape = Tape::new();
         let y = m.forward(&tape, tape.input(Tensor::randn(&[5, 8], 2)));
         assert_eq!(y.shape(), vec![5, 2]);
@@ -89,7 +87,7 @@ mod tests {
 
     #[test]
     fn no_activation_after_last_layer_allows_negative_outputs() {
-        let m = Mlp::new("head", &[4, 4, 1], Activation::Relu, 3);
+        let m = Mlp::new("head", &[4, 4, 1], 3);
         let tape = Tape::new();
         let y = m.forward(&tape, tape.input(Tensor::randn(&[200, 4], 4)));
         assert!(
@@ -100,13 +98,29 @@ mod tests {
 
     #[test]
     fn single_layer_is_linear() {
-        let m = Mlp::new("head", &[3, 2], Activation::Relu, 5);
+        let m = Mlp::new("head", &[3, 2], 5);
         assert_eq!(m.params().len(), 2);
+    }
+
+    #[test]
+    fn hidden_activation_is_gelu() {
+        // A 1 → 1 → 1 stack of identity layers is GELU itself.
+        let m = Mlp::new("head", &[1, 1, 1], 6);
+        for p in m.params() {
+            let one = p.name().ends_with("weight");
+            p.set_value(Tensor::full(&p.shape(), if one { 1.0 } else { 0.0 }));
+        }
+        let tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(vec![0.0, 1.0, -1.0], &[3, 1]));
+        let y = m.forward(&tape, x).value();
+        assert!((y.data()[0]).abs() < 1e-6);
+        assert!((y.data()[1] - 0.8412).abs() < 1e-3);
+        assert!((y.data()[2] + 0.1588).abs() < 1e-3);
     }
 
     #[test]
     #[should_panic(expected = "at least input and output")]
     fn rejects_trivial_widths() {
-        Mlp::new("head", &[3], Activation::Relu, 0);
+        Mlp::new("head", &[3], 0);
     }
 }

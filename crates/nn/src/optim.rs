@@ -58,22 +58,21 @@ pub fn clip_param_grads(grads: &mut ParamGrads, max_norm: f32) -> f32 {
     norm
 }
 
-/// Adam (Kingma & Ba 2015) with decoupled weight decay (AdamW) and
-/// bias-corrected moments. State is keyed by parameter identity, so
-/// freezing/unfreezing parameters between phases keeps their moments.
+/// Adam (Kingma & Ba 2015) with bias-corrected moments. State is keyed
+/// by parameter identity, so freezing/unfreezing parameters between
+/// phases keeps their moments.
 pub struct Adam {
     params: Vec<Param>,
     schedule: LrSchedule,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     step: usize,
     state: BTreeMap<usize, (Tensor, Tensor)>,
 }
 
 impl Adam {
-    /// Standard betas (0.9, 0.999); no weight decay.
+    /// Standard betas (0.9, 0.999).
     pub fn new(params: Vec<Param>, schedule: LrSchedule) -> Self {
         Adam {
             params,
@@ -81,26 +80,14 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             step: 0,
             state: BTreeMap::new(),
         }
     }
 
-    /// Builder: decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Steps taken so far.
     pub fn steps(&self) -> usize {
         self.step
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.schedule.at(self.step)
     }
 
     /// Parameters this optimizer manages.
@@ -135,7 +122,6 @@ impl Adam {
                     beta1: self.beta1,
                     beta2: self.beta2,
                     eps: self.eps,
-                    weight_decay: self.weight_decay,
                 },
                 p,
                 g,
@@ -152,7 +138,6 @@ struct AdamHyper {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
 }
 
 /// Moment update + parameter write for one `(param, grad)` pair;
@@ -182,7 +167,7 @@ fn adam_apply(
         for (i, val) in value.data_mut().iter_mut().enumerate() {
             let mhat = md[i] / bc1;
             let vhat = vd[i] / bc2;
-            *val -= lr * (mhat / (vhat.sqrt() + h.eps) + h.weight_decay * *val);
+            *val -= lr * (mhat / (vhat.sqrt() + h.eps));
         }
     });
 }

@@ -5,7 +5,6 @@
 //! schedule, the right choice for the small proof-of-concept models in
 //! this reproduction.
 
-use crate::activation::Activation;
 use crate::attention::MultiHeadAttention;
 use crate::dropout::Dropout;
 use crate::linear::Linear;
@@ -22,7 +21,6 @@ pub struct EncoderConfig {
     pub d_ff: usize,
     pub n_layers: usize,
     pub dropout: f32,
-    pub activation: Activation,
 }
 
 impl EncoderConfig {
@@ -34,7 +32,6 @@ impl EncoderConfig {
             d_ff: d_model * 2,
             n_layers,
             dropout: 0.0,
-            activation: Activation::Gelu,
         }
     }
 }
@@ -49,7 +46,6 @@ pub struct TransformerEncoderLayer {
     ln2: LayerNorm,
     drop_attn: Dropout,
     drop_ff: Dropout,
-    activation: Activation,
 }
 
 impl TransformerEncoderLayer {
@@ -62,7 +58,6 @@ impl TransformerEncoderLayer {
             ln2: LayerNorm::new(&format!("{name}.ln2"), cfg.d_model),
             drop_attn: Dropout::new(cfg.dropout, seed ^ 0xd1),
             drop_ff: Dropout::new(cfg.dropout, seed ^ 0xd2),
-            activation: cfg.activation,
         }
     }
 
@@ -77,7 +72,7 @@ impl TransformerEncoderLayer {
     }
 
     fn ff_block<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let h = self.activation.forward(self.ff1.forward(tape, x));
+        let h = self.ff1.forward(tape, x).gelu();
         self.drop_ff.forward(self.ff2.forward(tape, h))
     }
 
@@ -161,7 +156,6 @@ mod tests {
             d_ff: 32,
             n_layers: 2,
             dropout: 0.0,
-            activation: Activation::Gelu,
         }
     }
 

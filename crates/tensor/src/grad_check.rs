@@ -130,19 +130,25 @@ mod tests {
 
     #[test]
     fn scaled_softmax_grads() {
-        // The fused scale+softmax kernel, at the attention scale (1/√dh)
+        // The attention softmax on its own: with K = V = I the scores are
+        // Q and the context is the weights. At the attention scale (1/√dh)
         // and at a scale > 1 to catch a dropped factor.
+        let eye = (0..25).map(|i| if i % 6 == 0 { 1.0 } else { 0.0 });
+        let eye = Tensor::from_vec(eye.collect(), &[1, 5, 1, 5]);
         for scale in [0.25f32, 1.7] {
-            let w = Param::new("w", Tensor::randn(&[3, 5], 31));
-            let t = Tensor::randn(&[3, 5], 32);
-            check(&w, |tape| tape.param(&w).scaled_softmax(scale).mse_loss(&t));
+            let w = Param::new("w", Tensor::randn(&[1, 5, 1, 5], 31));
+            let t = Tensor::randn(&[1, 5, 1, 5], 32);
+            check(&w, |tape| {
+                let id = tape.input(eye.clone());
+                tape.param(&w).attn_fused(id, id, scale).mse_loss(&t)
+            });
         }
     }
 
     #[test]
     fn attn_scores_and_context_grads() {
-        // The transpose-free attention products, checked through the
-        // full fused chain for all three operands.
+        // The transpose-free attention products — scores through Q and K,
+        // context through V — checked through the one attention op.
         let (b, t_len, h, dh) = (2usize, 3, 2, 2);
         let q = Param::new("q", Tensor::randn(&[b, t_len, h, dh], 41).map(|v| v * 0.5));
         let k = Param::new("k", Tensor::randn(&[b, t_len, h, dh], 42).map(|v| v * 0.5));
@@ -150,9 +156,7 @@ mod tests {
         let target = Tensor::randn(&[b, t_len, h, dh], 44);
         let f = loss_fn(|tape: &Tape| {
             tape.param(&q)
-                .attn_scores(tape.param(&k))
-                .scaled_softmax(1.0 / (dh as f32).sqrt())
-                .attn_context(tape.param(&v))
+                .attn_fused(tape.param(&k), tape.param(&v), 1.0 / (dh as f32).sqrt())
                 .mse_loss(&target)
         });
         for p in [&q, &k, &v] {
@@ -162,19 +166,10 @@ mod tests {
 
     #[test]
     fn activations_grads() {
-        for (name, which) in [("relu", 0), ("gelu", 1), ("tanh", 2)] {
-            let w = Param::new(name, Tensor::randn(&[2, 6], 9).map(|x| x * 1.5 + 0.1));
-            let t = Tensor::randn(&[2, 6], 10);
-            check(&w, |tape| {
-                let x = tape.param(&w);
-                let y = match which {
-                    0 => x.relu(),
-                    1 => x.gelu(),
-                    _ => x.tanh(),
-                };
-                y.mse_loss(&t)
-            });
-        }
+        // GELU, the one activation.
+        let w = Param::new("gelu", Tensor::randn(&[2, 6], 9).map(|x| x * 1.5 + 0.1));
+        let t = Tensor::randn(&[2, 6], 10);
+        check(&w, |tape| tape.param(&w).gelu().mse_loss(&t));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! * `gemm_tn`: `C += A[k,m]ᵀ · B[k,n]`   (gradient w.r.t. the right operand)
 //!
 //! plus `_strided` variants taking explicit leading dimensions, which let
-//! the attention kernels ([`attn_scores`], [`attn_context`],
-//! [`attn_context_t`]) multiply head-interleaved `[B, T, H, dh]` views
-//! directly — no `Kᵀ` or head-transpose copies are ever materialized.
+//! the attention kernels ([`attn_fused_fwd`], [`attn_fused_bwd`])
+//! multiply head-interleaved `[B, T, H, dh]` views directly — no `Kᵀ`
+//! or head-transpose copies are ever materialized.
 //!
 //! # Kernel design
 //!
@@ -37,19 +37,20 @@
 //!
 //! # Threading
 //!
-//! A product is divided over row blocks on scoped std threads only when
-//! a spawn pays for itself: at or above [`PAR_THRESHOLD`]
-//! multiply-accumulates, and never with less than half of that per
-//! thread (the arithmetic is on the constant). A `std::thread::scope`
-//! spawn + join costs 40–75 µs for two threads and 165–250 µs for eight
-//! on the hosts this was measured on — more than an entire 48-row
-//! encoder product — so nothing in a served paper-shape forward, at
-//! batch 1 or batch 16, threads at all, and nothing in a paper-shape
-//! training microbatch either: since the trainer folds the front end
-//! on its tape, its largest product is `ff1`/`ff2` at 3.1 M MACs, and
-//! training's parallelism is its microbatch shards. The core count is
-//! read once per process (`cores`), and every spawned thread is
-//! counted in `tensor.kernel_spawns`.
+//! A GEMM is divided over row blocks, and attention over batch rows, on
+//! scoped std threads only when a spawn pays for itself: at or above
+//! [`PAR_THRESHOLD`] multiply-accumulates, and never with less than half
+//! of that per thread (the arithmetic is on the constant). A
+//! `std::thread::scope` spawn + join costs 40–75 µs for two threads and
+//! 165–250 µs for eight on the hosts this was measured on — more than an
+//! entire 48-row encoder product — so nothing in a served paper-shape
+//! forward, at batch 1 or batch 16, threads at all, and nothing in a
+//! paper-shape training microbatch either: since the trainer folds the
+//! front end on its tape, its largest product is `ff1`/`ff2` at 3.1 M
+//! MACs, and training's parallelism is its microbatch shards. The core count is
+//! read once per process (`cores`), and every thread either splitter
+//! (`for_row_blocks`, `for_batch_rows`) spawns is counted in
+//! `tensor.kernel_spawns`.
 //!
 //! # Determinism
 //!
@@ -59,14 +60,13 @@
 //! boundaries, so results are bit-identical at any thread count.
 //!
 //! `exp` is the crate's own branch-free polynomial (`exp`, behind
-//! [`gelu_fwd`], [`gelu_bwd`], [`scaled_softmax_fwd`] and the fused
-//! attention tile), not the platform libm: the same weights and inputs
-//! give the same bits on every host and libc. The element-wise kernels
-//! built on it are compiled twice — baseline and AVX2, picked by
-//! `has_avx2` like the microkernel — and because Rust never contracts
-//! `a * b + c` into an FMA, both compilations execute the same IEEE
-//! operation sequence per element: the dispatch changes throughput,
-//! never a bit.
+//! [`gelu_fwd`], [`gelu_bwd`] and [`scaled_softmax_fwd`]), not the
+//! platform libm: the same weights and inputs give the same bits on
+//! every host and libc. The element-wise kernels built on it are
+//! compiled twice — baseline and AVX2, picked by `has_avx2` like the
+//! microkernel — and because Rust never contracts `a * b + c` into an
+//! FMA, both compilations execute the same IEEE operation sequence per
+//! element: the dispatch changes throughput, never a bit.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -162,8 +162,9 @@ fn par_rows(m: usize, work_per_row: usize) -> usize {
 }
 
 /// Rows each spawned thread takes when `m` rows are split `threads`
-/// ways. Every kernel that spawns sizes its chunks here, so this is
-/// also where `tensor.kernel_spawns` counts the threads about to start.
+/// ways. Both splitters (`for_row_blocks`, `for_batch_rows`) size their
+/// chunks here, so this is also where `tensor.kernel_spawns` counts the
+/// threads about to start.
 fn rows_per_thread(m: usize, threads: usize) -> usize {
     let rows_per = m.div_ceil(threads);
     ntt_obs::counter!("tensor.kernel_spawns").add(m.div_ceil(rows_per) as u64);
@@ -603,128 +604,6 @@ pub fn gemm_tn_strided(
 }
 
 // ---------------------------------------------------------------------------
-// Attention products over head-interleaved [B, T, H, dh] layouts.
-//
-// Q/K/V stay exactly as the per-head reshape of the projection output —
-// `[B, T, H, dh]` row-major — and every product below reads them through
-// a row stride of `h * dh`. Nothing is transposed or copied.
-// ---------------------------------------------------------------------------
-
-/// `scores[b,h,i,j] += Σ_d q[b,i,h,d] · k[b,j,h,d]` — the `Q·Kᵀ` of
-/// every head, from `[B, T, H, dh]` views into `[B, H, T, T]`.
-pub fn attn_scores(
-    q: &[f32],
-    k: &[f32],
-    scores: &mut [f32],
-    b: usize,
-    t: usize,
-    h: usize,
-    dh: usize,
-) {
-    debug_assert_eq!(q.len(), b * t * h * dh);
-    debug_assert_eq!(k.len(), b * t * h * dh);
-    debug_assert_eq!(scores.len(), b * h * t * t);
-    if b * t * h * dh == 0 {
-        return;
-    }
-    let hd = h * dh;
-    for bi in 0..b {
-        for hi in 0..h {
-            let qo = bi * t * hd + hi * dh;
-            let so = (bi * h + hi) * t * t;
-            gemm_nt_strided(
-                &q[qo..],
-                hd,
-                &k[qo..],
-                hd,
-                &mut scores[so..so + t * t],
-                t,
-                t,
-                dh,
-                t,
-            );
-        }
-    }
-}
-
-/// `ctx[b,i,h,d] += Σ_j w[b,h,i,j] · v[b,j,h,d]` — attention-weighted
-/// values, written straight back into `[B, T, H, dh]` layout (so the
-/// head merge is a plain reshape). Also the gradient `dQ = G · K` of
-/// [`attn_scores`] when called as `attn_context(g, k, dq, ..)`.
-pub fn attn_context(
-    w: &[f32],
-    v: &[f32],
-    ctx: &mut [f32],
-    b: usize,
-    t: usize,
-    h: usize,
-    dh: usize,
-) {
-    debug_assert_eq!(w.len(), b * h * t * t);
-    debug_assert_eq!(v.len(), b * t * h * dh);
-    debug_assert_eq!(ctx.len(), b * t * h * dh);
-    if b * t * h * dh == 0 {
-        return;
-    }
-    let hd = h * dh;
-    for bi in 0..b {
-        for hi in 0..h {
-            let wo = (bi * h + hi) * t * t;
-            let vo = bi * t * hd + hi * dh;
-            gemm_nn_strided(
-                &w[wo..wo + t * t],
-                t,
-                &v[vo..],
-                hd,
-                &mut ctx[vo..],
-                hd,
-                t,
-                t,
-                dh,
-            );
-        }
-    }
-}
-
-/// `out[b,j,h,d] += Σ_i w[b,h,i,j] · x[b,i,h,d]` — the transposed
-/// counterpart of [`attn_context`], covering the remaining attention
-/// gradients: `dK = Gᵀ · Q` and `dV = Wᵀ · G_ctx`.
-pub fn attn_context_t(
-    w: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    b: usize,
-    t: usize,
-    h: usize,
-    dh: usize,
-) {
-    debug_assert_eq!(w.len(), b * h * t * t);
-    debug_assert_eq!(x.len(), b * t * h * dh);
-    debug_assert_eq!(out.len(), b * t * h * dh);
-    if b * t * h * dh == 0 {
-        return;
-    }
-    let hd = h * dh;
-    for bi in 0..b {
-        for hi in 0..h {
-            let wo = (bi * h + hi) * t * t;
-            let xo = bi * t * hd + hi * dh;
-            gemm_tn_strided(
-                &w[wo..wo + t * t],
-                t,
-                &x[xo..],
-                hd,
-                &mut out[xo..],
-                hd,
-                t,
-                t,
-                dh,
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // exp, and the element-wise kernels built on it.
 //
 // One branch-free polynomial replaces every libm `expf`/`tanhf` of the
@@ -745,9 +624,8 @@ pub fn attn_context_t(
 /// Contract (each line is a test): within 2e-7 relative of the real
 /// `eˣ` on `[-87, 88]` (measured worst, over every f32 in the range:
 /// 8.2e-8; glibc `expf`: 6.0e-8);
-/// exactly `0.0` for `x < -87`, `-inf` included — the fused attention
-/// tile's first-panel `exp(-inf - m)` relies on that zero; exactly `1.0`
-/// at `0`; `exp(88)` (finite) for `x > 88`; NaN in, NaN out.
+/// exactly `0.0` for `x < -87`, `-inf` included; exactly `1.0` at `0`;
+/// `exp(88)` (finite) for `x > 88`; NaN in, NaN out.
 #[inline(always)]
 fn exp(x: f32) -> f32 {
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
@@ -874,8 +752,8 @@ pub fn gelu_bwd(x: &[f32], g: &[f32], out: &mut [f32]) {
     gelu_bwd_impl(x, g, out);
 }
 
-/// `out[i] = exp(scale · x[i] − shift)`: the exponent pass of a softmax
-/// row, shared by [`scaled_softmax_fwd`] and the fused attention tile.
+/// `out[i] = exp(scale · x[i] − shift)`: the exponent pass of a
+/// [`scaled_softmax_fwd`] row.
 fn exp_shifted(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
@@ -886,9 +764,9 @@ fn exp_shifted(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
     exp_shifted_impl(x, scale, shift, out);
 }
 
-/// Fused `out = softmax(scale * x)` over rows of width `d`, numerically
-/// stabilized. One kernel replaces the previous `scale` op (a full
-/// tensor materialization and tape node) plus the separate softmax.
+/// `out = softmax(scale * x)` over rows of width `d`, numerically
+/// stabilized: the weights of one attention block, in one pass per row
+/// with no scaled-score copy.
 pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
     assert!(d > 0, "softmax over empty axis");
     debug_assert_eq!(x.len(), out.len());
@@ -912,8 +790,7 @@ pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
 
 /// Softmax backward in one pass over the rows: given `y = softmax(scale·x)`
 /// and upstream `g`, writes `gx = scale · y ⊙ (g − ⟨y, g⟩)` without any
-/// intermediate tensor. Used by both the fused scaled softmax
-/// (`scale = 1/√dh`) and the plain softmax op (`scale = 1`).
+/// intermediate tensor: the softmax step of [`attn_fused_bwd`].
 pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
     debug_assert_eq!(y.len(), g.len());
     debug_assert_eq!(y.len(), gx.len());
@@ -934,47 +811,82 @@ pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused streaming-softmax attention (flash-attention style).
+// Attention over head-interleaved [B, T, H, dh] layouts.
 //
-// `attn_fused_fwd` computes `softmax(scale · Q·Kᵀ) · V` per `(b, h)`
-// without ever materializing the `[B, H, T, T]` score matrix: for each
-// MR-row tile of queries it walks NR-wide key panels, computes the
-// score tile with the same packed microkernel as the GEMM engine, and
-// folds it into a running (max, sum, context) triple — the online
-// softmax. The context accumulator is rescaled by
-// `exp(m_old − m_new)` whenever a panel raises the running max, and
-// divided by the final sum once per row. Peak extra memory per thread
-// is the packed K panels (`T × dh` floats) plus an `MR × dh` context
-// tile — independent of `T²`.
-//
-// Determinism: panels and row tiles are walked in fixed ascending
-// order, and threads split only the batch dimension (each `bi` is an
-// independent, contiguous slice of every operand), so results are
-// bit-identical across thread counts and batch compositions. The
-// online rescaling *does* reorder the IEEE sequence relative to the
-// classic `attn_scores → scaled_softmax → attn_context` chain, so
-// fused-vs-classic equality is epsilon-level, not bitwise — by design.
+// Q/K/V stay exactly as the per-head reshape of the projection output —
+// `[B, T, H, dh]` row-major — and every product below reads them through
+// a row stride of `h * dh`: nothing is transposed or copied. Each
+// `(b, h)` block runs the classic math on one `T × T` weight matrix —
+// `S = Q·Kᵀ`, `W = softmax(scale · S)` row by row, `ctx = W·V` — with the
+// strided GEMMs and the softmax kernel above, so a block's bits are
+// those of the same kernels run over whole `[B, H, T, T]` tensors.
+// Threads split only the batch (each `b` is an independent, contiguous
+// slice of every operand and output), so results are bit-identical
+// across thread counts and batch compositions.
 // ---------------------------------------------------------------------------
 
 std::thread_local! {
-    /// Fused-attention packing/accumulator scratch, separate from
-    /// BPACK/APACK so a fused call can never clobber an enclosing
-    /// gemm's panels. Capacity is retained across calls: steady-state
-    /// serving does not allocate here.
-    static FUSED_KPACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static FUSED_QPACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static FUSED_ROW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static FUSED_D: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Two `T × T` blocks per thread: the forward's scores and, when the
+    /// caller keeps no weights, its weights; the backward's `∂W` and
+    /// `∂S`. Capacity is retained across calls: steady-state serving
+    /// does not allocate here.
+    static ATTN_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Per-row softmax statistics saved by [`attn_fused_fwd`] for the
-/// backward pass: `(running max, exp-sum)` pairs, laid out `[B, H, T, 2]`.
-pub const FUSED_STATS_PER_ROW: usize = 2;
+/// Run `f` on this thread's two `tt`-long attention scratch blocks.
+fn with_attn_scratch<R>(tt: usize, f: impl FnOnce(&mut [f32], &mut [f32]) -> R) -> R {
+    ATTN_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        if scratch.len() < 2 * tt {
+            scratch.resize(2 * tt, 0.0);
+        }
+        let (first, second) = scratch[..2 * tt].split_at_mut(tt);
+        f(first, second)
+    })
+}
 
-/// Fused attention forward: `ctx[b,i,h,:] = softmax_j(scale · q_i·k_j) · V`
+/// Run `body(rows, chunks)` over `b` batch rows, on scoped threads when
+/// a spawn pays for `work_per_row` multiply-accumulates a row. Every
+/// buffer in `bufs` holds the same number of elements per batch row
+/// (zero included), and `chunks` are the given rows' slices of them.
+fn for_batch_rows<const N: usize, F>(
+    b: usize,
+    work_per_row: usize,
+    mut bufs: [&mut [f32]; N],
+    body: F,
+) where
+    F: Fn(Range<usize>, [&mut [f32]; N]) + Sync,
+{
+    let threads = par_rows(b, work_per_row);
+    if threads <= 1 {
+        body(0..b, bufs);
+        return;
+    }
+    let per_row = bufs.each_ref().map(|buf| buf.len() / b);
+    let rows_per = rows_per_thread(b, threads);
+    std::thread::scope(|s| {
+        let body = &body;
+        let mut start = 0usize;
+        while start < b {
+            let rows = rows_per.min(b - start);
+            let chunks = std::array::from_fn(|i| {
+                let (head, tail) = std::mem::take(&mut bufs[i]).split_at_mut(rows * per_row[i]);
+                bufs[i] = tail;
+                head
+            });
+            let range = start..start + rows;
+            s.spawn(move || body(range, chunks));
+            start += rows;
+        }
+    });
+}
+
+/// Attention forward: `ctx[b,i,h,:] = Σ_j softmax_j(scale · q_i·k_j) · v_j`
 /// over `[B, T, H, dh]` views, overwriting `ctx` (same layout). When
-/// `stats` is `Some`, the per-row `(max, sum)` pairs are written to it
-/// (`[B, H, T, 2]`) so the backward can recompute score tiles exactly.
+/// `weights` is `Some`, the softmax weights are written to it
+/// (`[B, H, T, T]`) for [`attn_fused_bwd`]; with `None` each block's
+/// weights live only in a per-thread `T × T` scratch. Either way the
+/// context is the same bits.
 #[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
 pub fn attn_fused_fwd(
     q: &[f32],
@@ -982,7 +894,7 @@ pub fn attn_fused_fwd(
     v: &[f32],
     scale: f32,
     ctx: &mut [f32],
-    stats: Option<&mut [f32]>,
+    weights: Option<&mut [f32]>,
     b: usize,
     t: usize,
     h: usize,
@@ -992,227 +904,50 @@ pub fn attn_fused_fwd(
     debug_assert_eq!(k.len(), b * t * h * dh);
     debug_assert_eq!(v.len(), b * t * h * dh);
     debug_assert_eq!(ctx.len(), b * t * h * dh);
-    if let Some(st) = stats.as_deref() {
-        debug_assert_eq!(st.len(), b * h * t * FUSED_STATS_PER_ROW);
-    }
     if b == 0 || t == 0 || h == 0 {
         return;
     }
     ntt_obs::counter!("tensor.attn_fused_calls").inc();
-    let hd = h * dh;
-    // Scores + context flops per batch row; the same threshold heuristic
-    // as the GEMM engine decides whether threads pay for themselves.
-    let threads = par_rows(b, 2 * h * t * t * dh.max(1));
-    if threads <= 1 {
-        fused_fwd_rows(q, k, v, scale, ctx, stats, 0..b, t, h, dh);
-        return;
-    }
-    let rows_per = rows_per_thread(b, threads);
-    std::thread::scope(|s| {
-        let mut ctx_rest = ctx;
-        let mut stats_rest = stats;
-        let mut start = 0usize;
-        while start < b {
-            let rows = rows_per.min(b - start);
-            let (ctx_chunk, ctx_tail) = ctx_rest.split_at_mut(rows * t * hd);
-            ctx_rest = ctx_tail;
-            let stats_chunk = match stats_rest.take() {
-                Some(st) => {
-                    let (head, tail) = st.split_at_mut(rows * h * t * FUSED_STATS_PER_ROW);
-                    stats_rest = Some(tail);
-                    Some(head)
+    let (hd, tt) = (h * dh, t * t);
+    // An empty slice stands for "keep no weights".
+    let weights = weights.unwrap_or_default();
+    debug_assert!(weights.is_empty() || weights.len() == b * h * tt);
+    // Scores and context: 2·T²·dh multiply-accumulates per head.
+    let work = 2 * h * tt * dh.max(1);
+    for_batch_rows(b, work, [ctx, weights], |rows, [ctx, weights]| {
+        with_attn_scratch(tt, |scores, own| {
+            ctx.fill(0.0);
+            for (r, bi) in rows.enumerate() {
+                for hi in 0..h {
+                    let base = bi * t * hd + hi * dh;
+                    let w = if weights.is_empty() {
+                        &mut own[..]
+                    } else {
+                        &mut weights[(r * h + hi) * tt..][..tt]
+                    };
+                    scores.fill(0.0);
+                    gemm_nt_strided(&q[base..], hd, &k[base..], hd, scores, t, t, dh, t);
+                    scaled_softmax_fwd(scores, scale, t, w);
+                    let out = &mut ctx[r * t * hd + hi * dh..];
+                    gemm_nn_strided(w, t, &v[base..], hd, out, hd, t, t, dh);
                 }
-                None => None,
-            };
-            let range = start..start + rows;
-            s.spawn(move || {
-                fused_fwd_rows(q, k, v, scale, ctx_chunk, stats_chunk, range, t, h, dh)
-            });
-            start += rows;
-        }
-    });
-}
-
-/// Pack the K rows of one `(b, h)` slice (`k_sub` starting at that
-/// head's first element, row stride `hd`) into NR-column panels, KC
-/// depth blocks — exactly the layout [`gemm_core`] feeds the
-/// microkernel. Returns the per-block stride.
-fn fused_pack_k(k_sub: &[f32], hd: usize, t: usize, dh: usize, out: &mut Vec<f32>) -> usize {
-    let n_panels = t.div_ceil(NR);
-    let n_blocks = dh.div_ceil(KC);
-    let block_stride = n_panels * KC.min(dh) * NR;
-    out.clear();
-    out.resize(n_blocks * block_stride, 0.0);
-    for (blk, pc) in (0..dh).step_by(KC).enumerate() {
-        let kc = KC.min(dh - pc);
-        // Logical B[p, j] = k_sub[j * hd + p]: a transposed (`nt`)
-        // source, so each key row is read contiguously.
-        pack_b(k_sub, 1, hd, pc, kc, t, &mut out[blk * block_stride..]);
-    }
-    block_stride
-}
-
-/// Pack one MR-row tile of Q (`rows ic..ic+mc` of `q_sub`, row stride
-/// `hd`) into per-depth-block micro-panels of fixed `KC × MR` stride.
-fn fused_pack_q(q_sub: &[f32], hd: usize, ic: usize, mc: usize, dh: usize, out: &mut Vec<f32>) {
-    let n_blocks = dh.div_ceil(KC).max(1);
-    out.clear();
-    out.resize(n_blocks * KC * MR, 0.0);
-    for (blk, pc) in (0..dh).step_by(KC).enumerate() {
-        let kc = KC.min(dh - pc);
-        pack_a_block(
-            q_sub,
-            hd,
-            1,
-            ic,
-            mc,
-            pc,
-            kc,
-            &mut out[blk * KC * MR..][..kc * MR],
-        );
-    }
-}
-
-/// One `Q·Kᵀ` score tile: MR query rows × NR key columns, summed over
-/// the KC depth blocks (the microkernel overwrites its accumulator, so
-/// multi-block depths are added here — same ascending-`pc` order as the
-/// GEMM engine).
-fn fused_score_tile(
-    qpack: &[f32],
-    kpack: &[f32],
-    block_stride: usize,
-    jp: usize,
-    dh: usize,
-) -> [[f32; NR]; MR] {
-    let micro = micro_fn();
-    let mut stile = [[0.0f32; NR]; MR];
-    for (blk, pc) in (0..dh).step_by(KC).enumerate() {
-        let kc = KC.min(dh - pc);
-        let qpanel = &qpack[blk * KC * MR..][..kc * MR];
-        let kpanel = &kpack[blk * block_stride + jp * kc * NR..][..kc * NR];
-        let mut acc = [[0.0f32; NR]; MR];
-        // SAFETY: micro_fn verified the required CPU features.
-        unsafe { micro(kc, qpanel, kpanel, &mut acc) };
-        for r in 0..MR {
-            for j in 0..NR {
-                stile[r][j] += acc[r][j];
             }
-        }
-    }
-    stile
-}
-
-/// One thread's share of [`attn_fused_fwd`]: batch rows `range`, with
-/// `ctx_chunk`/`stats_chunk` starting at row `range.start`.
-#[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
-fn fused_fwd_rows(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    ctx_chunk: &mut [f32],
-    mut stats_chunk: Option<&mut [f32]>,
-    range: Range<usize>,
-    t: usize,
-    h: usize,
-    dh: usize,
-) {
-    let hd = h * dh;
-    let n_panels = t.div_ceil(NR);
-    FUSED_KPACK.with(|kp| {
-        FUSED_QPACK.with(|qp| {
-            FUSED_ROW.with(|rowbuf| {
-                let kp = &mut *kp.borrow_mut();
-                let qp = &mut *qp.borrow_mut();
-                let acc = &mut *rowbuf.borrow_mut();
-                for bi in range.clone() {
-                    for hi in 0..h {
-                        let base = bi * t * hd + hi * dh;
-                        let block_stride = fused_pack_k(&k[base..], hd, t, dh, kp);
-                        let mut ic = 0usize;
-                        while ic < t {
-                            let mc = MR.min(t - ic);
-                            fused_pack_q(&q[base..], hd, ic, mc, dh, qp);
-                            let mut mrow = [f32::NEG_INFINITY; MR];
-                            let mut lrow = [0.0f32; MR];
-                            acc.clear();
-                            acc.resize(MR * dh, 0.0);
-                            for jp in 0..n_panels {
-                                let j0 = jp * NR;
-                                let jw = NR.min(t - j0);
-                                let stile = fused_score_tile(qp, kp, block_stride, jp, dh);
-                                for r in 0..mc {
-                                    // Only the jw live lanes enter the
-                                    // softmax: zero-padded tails never
-                                    // contribute an exp term.
-                                    let mut mnew = mrow[r];
-                                    for &s in &stile[r][..jw] {
-                                        mnew = mnew.max(scale * s);
-                                    }
-                                    // First panel: mrow is -inf, so
-                                    // corr = exp(-inf) = 0 and the
-                                    // (all-zero) accumulator is wiped.
-                                    let corr = exp(mrow[r] - mnew);
-                                    mrow[r] = mnew;
-                                    let mut e = [0.0f32; NR];
-                                    exp_shifted(&stile[r][..jw], scale, mnew, &mut e[..jw]);
-                                    let mut lsum = 0.0f32;
-                                    for &ej in &e[..jw] {
-                                        lsum += ej;
-                                    }
-                                    lrow[r] = lrow[r] * corr + lsum;
-                                    let acc_row = &mut acc[r * dh..(r + 1) * dh];
-                                    for a in acc_row.iter_mut() {
-                                        *a *= corr;
-                                    }
-                                    for (j, &ej) in e[..jw].iter().enumerate() {
-                                        let vrow = &v[base + (j0 + j) * hd..][..dh];
-                                        for (a, &vd) in acc_row.iter_mut().zip(vrow) {
-                                            *a += ej * vd;
-                                        }
-                                    }
-                                }
-                            }
-                            for r in 0..mc {
-                                let i = ic + r;
-                                let inv = 1.0 / lrow[r];
-                                let off = ((bi - range.start) * t + i) * hd + hi * dh;
-                                for (dst, &a) in
-                                    ctx_chunk[off..off + dh].iter_mut().zip(&acc[r * dh..])
-                                {
-                                    *dst = a * inv;
-                                }
-                                if let Some(st) = stats_chunk.as_deref_mut() {
-                                    let so = (((bi - range.start) * h + hi) * t + i)
-                                        * FUSED_STATS_PER_ROW;
-                                    st[so] = mrow[r];
-                                    st[so + 1] = lrow[r];
-                                }
-                            }
-                            ic += mc;
-                        }
-                    }
-                }
-            });
-        });
+        })
     });
 }
 
-/// Fused attention backward: given the forward inputs, output `o`,
-/// upstream gradient `g` (all `[B, T, H, dh]`) and the saved softmax
-/// stats (`[B, H, T, 2]`), accumulates `dQ`, `dK`, `dV` into
-/// `gq`/`gk`/`gv` (`+=`, matching the other backward kernels). Score
-/// tiles are recomputed on the fly with the same packed microkernel and
-/// tile order as the forward — the probabilities are bit-identical to
-/// the ones the forward folded in, and nothing `T²`-sized is allocated.
+/// Attention backward from the forward's softmax `weights`
+/// (`[B, H, T, T]`) and the upstream gradient `g` (`[B, T, H, dh]`): per
+/// block `∂W = G·Vᵀ` and `∂S = softmax_bwd(W, ∂W)`, then `dQ = ∂S·K`,
+/// `dK = ∂Sᵀ·Q` and `dV = Wᵀ·G`, accumulated into `gq`/`gk`/`gv` (`+=`,
+/// matching the other backward kernels).
 #[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
 pub fn attn_fused_bwd(
     q: &[f32],
     k: &[f32],
     v: &[f32],
     g: &[f32],
-    o: &[f32],
-    stats: &[f32],
+    weights: &[f32],
     scale: f32,
     gq: &mut [f32],
     gk: &mut [f32],
@@ -1222,159 +957,37 @@ pub fn attn_fused_bwd(
     h: usize,
     dh: usize,
 ) {
-    debug_assert_eq!(q.len(), b * t * h * dh);
     debug_assert_eq!(g.len(), b * t * h * dh);
-    debug_assert_eq!(o.len(), b * t * h * dh);
-    debug_assert_eq!(stats.len(), b * h * t * FUSED_STATS_PER_ROW);
+    debug_assert_eq!(weights.len(), b * h * t * t);
     if b == 0 || t == 0 || h == 0 {
         return;
     }
-    let hd = h * dh;
-    let threads = par_rows(b, 5 * h * t * t * dh.max(1));
-    if threads <= 1 {
-        fused_bwd_rows(q, k, v, g, o, stats, scale, gq, gk, gv, 0..b, t, h, dh);
-        return;
-    }
-    let rows_per = rows_per_thread(b, threads);
-    std::thread::scope(|s| {
-        let (mut gq_rest, mut gk_rest, mut gv_rest) = (gq, gk, gv);
-        let mut start = 0usize;
-        while start < b {
-            let rows = rows_per.min(b - start);
-            let (gq_chunk, gq_tail) = gq_rest.split_at_mut(rows * t * hd);
-            let (gk_chunk, gk_tail) = gk_rest.split_at_mut(rows * t * hd);
-            let (gv_chunk, gv_tail) = gv_rest.split_at_mut(rows * t * hd);
-            gq_rest = gq_tail;
-            gk_rest = gk_tail;
-            gv_rest = gv_tail;
-            let range = start..start + rows;
-            s.spawn(move || {
-                fused_bwd_rows(
-                    q, k, v, g, o, stats, scale, gq_chunk, gk_chunk, gv_chunk, range, t, h, dh,
-                );
-            });
-            start += rows;
-        }
+    let (hd, tt) = (h * dh, t * t);
+    // `∂W`, `dQ`, `dK` and `dV`: 4·T²·dh multiply-accumulates per head.
+    let work = 4 * h * tt * dh.max(1);
+    for_batch_rows(b, work, [gq, gk, gv], |rows, [gq, gk, gv]| {
+        with_attn_scratch(tt, |gw, gs| {
+            for (r, bi) in rows.enumerate() {
+                for hi in 0..h {
+                    let base = bi * t * hd + hi * dh;
+                    let out = r * t * hd + hi * dh;
+                    let w = &weights[(bi * h + hi) * tt..][..tt];
+                    gw.fill(0.0);
+                    gemm_nt_strided(&g[base..], hd, &v[base..], hd, gw, t, t, dh, t);
+                    softmax_bwd(w, gw, scale, t, gs);
+                    gemm_nn_strided(gs, t, &k[base..], hd, &mut gq[out..], hd, t, t, dh);
+                    gemm_tn_strided(gs, t, &q[base..], hd, &mut gk[out..], hd, t, t, dh);
+                    gemm_tn_strided(w, t, &g[base..], hd, &mut gv[out..], hd, t, t, dh);
+                }
+            }
+        })
     });
 }
 
-/// One thread's share of [`attn_fused_bwd`]: batch rows `range`, grad
-/// chunks starting at row `range.start`.
-#[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
-fn fused_bwd_rows(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    g: &[f32],
-    o: &[f32],
-    stats: &[f32],
-    scale: f32,
-    gq_chunk: &mut [f32],
-    gk_chunk: &mut [f32],
-    gv_chunk: &mut [f32],
-    range: Range<usize>,
-    t: usize,
-    h: usize,
-    dh: usize,
-) {
-    let hd = h * dh;
-    let n_panels = t.div_ceil(NR);
-    FUSED_KPACK.with(|kp| {
-        FUSED_QPACK.with(|qp| {
-            FUSED_ROW.with(|rowbuf| {
-                FUSED_D.with(|dbuf| {
-                    let kp = &mut *kp.borrow_mut();
-                    let qp = &mut *qp.borrow_mut();
-                    let gqacc = &mut *rowbuf.borrow_mut();
-                    let dvec = &mut *dbuf.borrow_mut();
-                    for bi in range.clone() {
-                        for hi in 0..h {
-                            let base = bi * t * hd + hi * dh;
-                            let rel = (bi - range.start) * t * hd + hi * dh;
-                            // D_i = ⟨dO_i, O_i⟩ — the softmax-row dot
-                            // term, precomputed once per (b, h).
-                            dvec.clear();
-                            dvec.resize(t, 0.0);
-                            for (i, d) in dvec.iter_mut().enumerate() {
-                                let grow = &g[base + i * hd..][..dh];
-                                let orow = &o[base + i * hd..][..dh];
-                                for (&gd, &od) in grow.iter().zip(orow) {
-                                    *d += gd * od;
-                                }
-                            }
-                            let block_stride = fused_pack_k(&k[base..], hd, t, dh, kp);
-                            let mut ic = 0usize;
-                            while ic < t {
-                                let mc = MR.min(t - ic);
-                                fused_pack_q(&q[base..], hd, ic, mc, dh, qp);
-                                gqacc.clear();
-                                gqacc.resize(MR * dh, 0.0);
-                                for jp in 0..n_panels {
-                                    let j0 = jp * NR;
-                                    let jw = NR.min(t - j0);
-                                    let stile = fused_score_tile(qp, kp, block_stride, jp, dh);
-                                    for r in 0..mc {
-                                        let i = ic + r;
-                                        let so = ((bi * h + hi) * t + i) * FUSED_STATS_PER_ROW;
-                                        let (mi, li) = (stats[so], stats[so + 1]);
-                                        let inv_l = 1.0 / li;
-                                        let grow = &g[base + i * hd..][..dh];
-                                        let qrow = &q[base + i * hd..][..dh];
-                                        let di = dvec[i];
-                                        let gqrow = &mut gqacc[r * dh..(r + 1) * dh];
-                                        let mut e = [0.0f32; NR];
-                                        exp_shifted(&stile[r][..jw], scale, mi, &mut e[..jw]);
-                                        for (j, &ej) in e[..jw].iter().enumerate() {
-                                            let jj = j0 + j;
-                                            let krow = &k[base + jj * hd..][..dh];
-                                            let vrow = &v[base + jj * hd..][..dh];
-                                            // P_ij from the recomputed
-                                            // score and saved stats.
-                                            let p = ej * inv_l;
-                                            let mut dp = 0.0f32;
-                                            for (&gd, &vd) in grow.iter().zip(vrow) {
-                                                dp += gd * vd;
-                                            }
-                                            let ds = scale * p * (dp - di);
-                                            for (a, &kd) in gqrow.iter_mut().zip(krow) {
-                                                *a += ds * kd;
-                                            }
-                                            let goff = rel + jj * hd;
-                                            for (a, &qd) in
-                                                gk_chunk[goff..goff + dh].iter_mut().zip(qrow)
-                                            {
-                                                *a += ds * qd;
-                                            }
-                                            for (a, &gd) in
-                                                gv_chunk[goff..goff + dh].iter_mut().zip(grow)
-                                            {
-                                                *a += p * gd;
-                                            }
-                                        }
-                                    }
-                                }
-                                for r in 0..mc {
-                                    let off = rel + (ic + r) * hd;
-                                    for (dst, &a) in
-                                        gq_chunk[off..off + dh].iter_mut().zip(&gqacc[r * dh..])
-                                    {
-                                        *dst += a;
-                                    }
-                                }
-                                ic += mc;
-                            }
-                        }
-                    }
-                });
-            });
-        });
-    });
-}
-
-/// Naive triple-loop reference kernels: the ground truth the tiled
-/// engine is proptested against, and the baseline the `kernels` bench
-/// measures its GFLOP/s floor from. Deliberately unblocked and
-/// unpacked — do not "optimize" these.
+/// Naive triple-loop reference kernels, and attention composed from
+/// them: the ground truth the tiled engine is proptested against, and
+/// the baseline the `kernels` bench measures its GFLOP/s floor from.
+/// Deliberately unblocked and unpacked — do not "optimize" these.
 pub mod reference {
     /// `C[m,n] += A[m,k] · B[k,n]`, i-j-k order.
     pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -1413,6 +1026,46 @@ pub mod reference {
                 c[i * n + j] += acc;
             }
         }
+    }
+
+    /// Attention by definition: each `(b, h)` head of the interleaved
+    /// `[B, T, H, dh]` layout transposed out into dense `[T, dh]`
+    /// matrices, the classic chain and its backward run on them with the
+    /// GEMMs above and the row-wise softmax kernels, and the results
+    /// scattered back. Returns `[ctx, weights, dQ, dK, dV]` for the
+    /// upstream gradient `g`.
+    pub fn attention(
+        [q, k, v, g]: [&[f32]; 4],
+        scale: f32,
+        [b, t, h, dh]: [usize; 4],
+    ) -> [Vec<f32>; 5] {
+        let [mut ctx, mut gq, mut gk, mut gv] = [(); 4].map(|_| vec![0.0; b * t * h * dh]);
+        let mut weights = vec![0.0; b * h * t * t];
+        let at = |bi: usize, e: usize, hi: usize| ((bi * t + e / dh) * h + hi) * dh + e % dh;
+        for bi in 0..b {
+            for hi in 0..h {
+                let head =
+                    |x: &[f32]| -> Vec<f32> { (0..t * dh).map(|e| x[at(bi, e, hi)]).collect() };
+                let (qh, kh, vh, gh) = (head(q), head(k), head(v), head(g));
+                let [mut s, mut gw, mut gs] = [(); 3].map(|_| vec![0.0; t * t]);
+                gemm_nt(&qh, &kh, &mut s, t, dh, t);
+                let w = &mut weights[(bi * h + hi) * t * t..][..t * t];
+                super::scaled_softmax_fwd(&s, scale, t, w);
+                gemm_nt(&gh, &vh, &mut gw, t, dh, t);
+                super::softmax_bwd(w, &gw, scale, t, &mut gs);
+                let mut outs = [(); 4].map(|_| vec![0.0; t * dh]);
+                gemm_nn(w, &vh, &mut outs[0], t, t, dh);
+                gemm_nn(&gs, &kh, &mut outs[1], t, t, dh);
+                gemm_tn(&gs, &qh, &mut outs[2], t, t, dh);
+                gemm_tn(w, &gh, &mut outs[3], t, t, dh);
+                for (dst, src) in [&mut ctx, &mut gq, &mut gk, &mut gv].into_iter().zip(&outs) {
+                    for (e, &x) in src.iter().enumerate() {
+                        dst[at(bi, e, hi)] = x;
+                    }
+                }
+            }
+        }
+        [ctx, weights, gq, gk, gv]
     }
 }
 
@@ -1572,48 +1225,41 @@ mod tests {
         }
     }
 
+    /// `[q, k, v, g]` of one `[B, T, H, dh]` shape.
+    fn attn_inputs(n: usize, seed: u64) -> [Vec<f32>; 4] {
+        [0, 1, 2, 3].map(|i| rand_vec(n, seed + i))
+    }
+
+    fn attn_refs(inputs: &[Vec<f32>; 4]) -> [&[f32]; 4] {
+        inputs.each_ref().map(Vec::as_slice)
+    }
+
+    /// Shapes straddling every tile boundary: `t` below/at/above NR,
+    /// `t = 1`, primes, `dh` a multiple of nothing, and the served shape.
+    const ATTN_SHAPES: [(usize, usize, usize, usize); 7] = [
+        (1, 1, 1, 3),
+        (2, 5, 3, 4),
+        (1, 15, 2, 7),
+        (1, 16, 1, 8),
+        (2, 17, 2, 5),
+        (1, 31, 1, 16),
+        (1, 48, 4, 16),
+    ];
+
     #[test]
     fn attn_kernels_match_transpose_reference() {
-        let (b, t, h, dh) = (2usize, 5, 3, 4);
-        let q = rand_vec(b * t * h * dh, 31);
-        let k = rand_vec(b * t * h * dh, 32);
-        let v = rand_vec(b * t * h * dh, 33);
-        let mut scores = vec![0.0; b * h * t * t];
-        attn_scores(&q, &k, &mut scores, b, t, h, dh);
-        let idx = |bi: usize, ti: usize, hi: usize, d: usize| ((bi * t + ti) * h + hi) * dh + d;
-        for bi in 0..b {
-            for hi in 0..h {
-                for i in 0..t {
-                    for j in 0..t {
-                        let mut want = 0.0f32;
-                        for d in 0..dh {
-                            want += q[idx(bi, i, hi, d)] * k[idx(bi, j, hi, d)];
-                        }
-                        let got = scores[((bi * h + hi) * t + i) * t + j];
-                        assert!((got - want).abs() < 1e-4, "scores {got} vs {want}");
-                    }
-                }
-            }
-        }
-        let mut ctx = vec![0.0; b * t * h * dh];
-        attn_context(&scores, &v, &mut ctx, b, t, h, dh);
-        let mut ctx_t = vec![0.0; b * t * h * dh];
-        attn_context_t(&scores, &v, &mut ctx_t, b, t, h, dh);
-        for bi in 0..b {
-            for hi in 0..h {
-                for i in 0..t {
-                    for d in 0..dh {
-                        let (mut want, mut want_t) = (0.0f32, 0.0f32);
-                        for j in 0..t {
-                            want += scores[((bi * h + hi) * t + i) * t + j] * v[idx(bi, j, hi, d)];
-                            want_t +=
-                                scores[((bi * h + hi) * t + j) * t + i] * v[idx(bi, j, hi, d)];
-                        }
-                        assert!((ctx[idx(bi, i, hi, d)] - want).abs() < 1e-3);
-                        assert!((ctx_t[idx(bi, i, hi, d)] - want_t).abs() < 1e-3);
-                    }
-                }
-            }
+        // Every depth here fits one KC block, where the engine sums each
+        // product in the reference's order: the match is exact.
+        for (b, t, h, dh) in ATTN_SHAPES {
+            let inputs = attn_inputs(b * t * h * dh, 31);
+            let [q, k, v, _] = &inputs;
+            let scale = 1.0 / (dh as f32).sqrt();
+            let [want, want_w, ..] = reference::attention(attn_refs(&inputs), scale, [b, t, h, dh]);
+            let mut ctx = vec![f32::NAN; want.len()];
+            let mut w = vec![f32::NAN; want_w.len()];
+            attn_fused_fwd(q, k, v, scale, &mut ctx, Some(&mut w), b, t, h, dh);
+            assert_eq!(ctx, want, "context at (b={b},t={t},h={h},dh={dh})");
+            assert_eq!(w, want_w, "weights at (b={b},t={t},h={h},dh={dh})");
         }
     }
 
@@ -1655,101 +1301,58 @@ mod tests {
         let mut c = vec![0.0];
         gemm_nn(&a, &b, &mut c, 1, 1, 1);
         assert_eq!(c, vec![6.0]);
-        attn_scores(&[], &[], &mut [], 0, 0, 2, 0);
         scaled_softmax_fwd(&[], 1.0, 3, &mut []);
         attn_fused_fwd(&[], &[], &[], 1.0, &mut [], None, 0, 3, 2, 4);
-    }
-
-    /// The classic three-kernel chain the fused path replaces.
-    #[allow(clippy::too_many_arguments)]
-    fn classic_attention(
-        q: &[f32],
-        k: &[f32],
-        v: &[f32],
-        scale: f32,
-        b: usize,
-        t: usize,
-        h: usize,
-        dh: usize,
-    ) -> (Vec<f32>, Vec<f32>) {
-        let mut scores = vec![0.0; b * h * t * t];
-        attn_scores(q, k, &mut scores, b, t, h, dh);
-        let mut w = vec![0.0; b * h * t * t];
-        scaled_softmax_fwd(&scores, scale, t, &mut w);
-        let mut ctx = vec![0.0; b * t * h * dh];
-        attn_context(&w, v, &mut ctx, b, t, h, dh);
-        (ctx, w)
+        attn_fused_bwd(
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            1.0,
+            &mut [],
+            &mut [],
+            &mut [],
+            0,
+            3,
+            2,
+            4,
+        );
     }
 
     #[test]
     fn fused_attention_matches_classic_chain() {
-        // Shapes straddling every tile boundary: t below/at/above NR,
-        // t = 1, primes, and dh not a multiple of anything.
-        for (b, t, h, dh) in [
-            (1usize, 1usize, 1usize, 3usize),
-            (2, 5, 3, 4),
-            (1, 15, 2, 7),
-            (1, 16, 1, 8),
-            (2, 17, 2, 5),
-            (1, 31, 1, 16),
-            (1, 48, 4, 16),
-        ] {
-            let n = b * t * h * dh;
-            let q = rand_vec(n, 51);
-            let k = rand_vec(n, 52);
-            let v = rand_vec(n, 53);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let (want, _) = classic_attention(&q, &k, &v, scale, b, t, h, dh);
-            let mut got = vec![f32::NAN; n];
-            let mut stats = vec![f32::NAN; b * h * t * FUSED_STATS_PER_ROW];
-            attn_fused_fwd(&q, &k, &v, scale, &mut got, Some(&mut stats), b, t, h, dh);
-            for (x, y) in got.iter().zip(&want) {
-                assert!(
-                    (x - y).abs() < 1e-5,
-                    "fused {x} vs classic {y} at (b={b},t={t},h={h},dh={dh})"
-                );
-            }
-            // Stats must be fully written and finite (l >= 1: the max
-            // element always contributes exp(0) = 1).
-            for pair in stats.chunks(2) {
-                assert!(pair[0].is_finite());
-                assert!(pair[1] >= 1.0);
-            }
+        // The context is the classic chain's whether the caller keeps the
+        // weights or not, and a stale `ctx` never leaks into it.
+        for (b, t, h, dh) in ATTN_SHAPES {
+            let inputs = attn_inputs(b * t * h * dh, 51);
+            let [q, k, v, _] = &inputs;
+            let [want, ..] = reference::attention(attn_refs(&inputs), 0.7, [b, t, h, dh]);
+            let mut ctx = vec![f32::NAN; want.len()];
+            attn_fused_fwd(q, k, v, 0.7, &mut ctx, None, b, t, h, dh);
+            assert_eq!(ctx, want, "(b={b},t={t},h={h},dh={dh})");
         }
     }
 
     #[test]
     fn fused_attention_is_bit_identical_across_threads() {
-        // Threads split only the batch dimension; the per-(b,h) tile
-        // walk is fixed — so any forced split must reproduce the
-        // sequential bits exactly.
+        // Threads split only the batch dimension; the per-(b,h) block walk
+        // is fixed — so any forced split must reproduce the sequential
+        // bits exactly.
         let (b, t, h, dh) = (5usize, 17, 3, 8);
         let n = b * t * h * dh;
-        let q = rand_vec(n, 61);
-        let k = rand_vec(n, 62);
-        let v = rand_vec(n, 63);
-        let mut base = vec![0.0; n];
-        let mut base_stats = vec![0.0; b * h * t * FUSED_STATS_PER_ROW];
-        attn_fused_fwd(
-            &q,
-            &k,
-            &v,
-            0.5,
-            &mut base,
-            Some(&mut base_stats),
-            b,
-            t,
-            h,
-            dh,
-        );
-        for threads in [2, 3, 7] {
+        let [q, k, v, _] = attn_inputs(n, 61);
+        let run = |threads: usize| {
             let mut ctx = vec![0.0; n];
-            let mut stats = vec![0.0; b * h * t * FUSED_STATS_PER_ROW];
+            let mut w = vec![0.0; b * h * t * t];
             with_forced_threads(threads, || {
-                attn_fused_fwd(&q, &k, &v, 0.5, &mut ctx, Some(&mut stats), b, t, h, dh);
+                attn_fused_fwd(&q, &k, &v, 0.5, &mut ctx, Some(&mut w), b, t, h, dh);
             });
-            assert_eq!(base, ctx, "fwd bits changed at {threads} threads");
-            assert_eq!(base_stats, stats, "stats bits changed at {threads} threads");
+            (ctx, w)
+        };
+        let base = run(0);
+        for threads in [2, 3, 7] {
+            assert_eq!(base, run(threads), "fwd bits changed at {threads} threads");
         }
     }
 
@@ -1760,18 +1363,17 @@ mod tests {
         // identically-ordered computation.
         let (b, t, h, dh) = (4usize, 13, 2, 6);
         let n = b * t * h * dh;
-        let q = rand_vec(n, 71);
-        let k = rand_vec(n, 72);
-        let v = rand_vec(n, 73);
+        let [q, k, v, _] = attn_inputs(n, 71);
         let mut batched = vec![0.0; n];
         attn_fused_fwd(&q, &k, &v, 0.3, &mut batched, None, b, t, h, dh);
         let per = t * h * dh;
         for bi in 0..b {
             let mut solo = vec![0.0; per];
+            let row = |x: &[f32]| x[bi * per..][..per].to_vec();
             attn_fused_fwd(
-                &q[bi * per..][..per],
-                &k[bi * per..][..per],
-                &v[bi * per..][..per],
+                &row(&q),
+                &row(&k),
+                &row(&v),
                 0.3,
                 &mut solo,
                 None,
@@ -1790,52 +1392,19 @@ mod tests {
 
     #[test]
     fn fused_backward_matches_classic_chain_backward() {
-        for (b, t, h, dh) in [
-            (1usize, 1usize, 1usize, 3usize),
-            (2, 17, 2, 5),
-            (1, 20, 3, 4),
-        ] {
+        // dQ, dK and dV from the kept weights, exactly the reference
+        // chain's backward: ∂W = G·Vᵀ, ∂S by softmax_bwd, dQ = ∂S·K,
+        // dK = ∂Sᵀ·Q, dV = Wᵀ·G.
+        for (b, t, h, dh) in ATTN_SHAPES {
             let n = b * t * h * dh;
-            let q = rand_vec(n, 81);
-            let k = rand_vec(n, 82);
-            let v = rand_vec(n, 83);
-            let g = rand_vec(n, 84);
+            let inputs = attn_inputs(n, 81);
+            let [q, k, v, g] = &inputs;
             let scale = 1.0 / (dh as f32).sqrt();
-
-            // Classic chain gradients, composed from the existing
-            // kernels: dV = Wᵀ·G, dW[i,j] = ⟨g_i, v_j⟩, dS via
-            // softmax_bwd, dQ = dS·K, dK = dSᵀ·Q.
-            let (_, w) = classic_attention(&q, &k, &v, scale, b, t, h, dh);
-            let mut want_gv = vec![0.0; n];
-            attn_context_t(&w, &g, &mut want_gv, b, t, h, dh);
-            let mut dw = vec![0.0; b * h * t * t];
-            attn_scores(&g, &v, &mut dw, b, t, h, dh);
-            let mut ds = vec![0.0; b * h * t * t];
-            softmax_bwd(&w, &dw, scale, t, &mut ds);
-            let mut want_gq = vec![0.0; n];
-            attn_context(&ds, &k, &mut want_gq, b, t, h, dh);
-            let mut want_gk = vec![0.0; n];
-            attn_context_t(&ds, &q, &mut want_gk, b, t, h, dh);
-
-            let mut ctx = vec![0.0; n];
-            let mut stats = vec![0.0; b * h * t * FUSED_STATS_PER_ROW];
-            attn_fused_fwd(&q, &k, &v, scale, &mut ctx, Some(&mut stats), b, t, h, dh);
-            let (mut gq, mut gk, mut gv) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            attn_fused_bwd(
-                &q, &k, &v, &g, &ctx, &stats, scale, &mut gq, &mut gk, &mut gv, b, t, h, dh,
-            );
-            for (name, got, want) in [
-                ("gq", &gq, &want_gq),
-                ("gk", &gk, &want_gk),
-                ("gv", &gv, &want_gv),
-            ] {
-                for (x, y) in got.iter().zip(want.iter()) {
-                    assert!(
-                        (x - y).abs() < 1e-4,
-                        "{name}: fused {x} vs classic {y} (b={b},t={t},h={h},dh={dh})"
-                    );
-                }
-            }
+            let [_, w, want @ ..] = reference::attention(attn_refs(&inputs), scale, [b, t, h, dh]);
+            let mut got = [(); 3].map(|_| vec![0.0; n]);
+            let [gq, gk, gv] = &mut got;
+            attn_fused_bwd(q, k, v, g, &w, scale, gq, gk, gv, b, t, h, dh);
+            assert_eq!(got, want, "(b={b},t={t},h={h},dh={dh})");
         }
     }
 
@@ -1843,26 +1412,17 @@ mod tests {
     fn fused_backward_is_bit_identical_across_threads() {
         let (b, t, h, dh) = (5usize, 11, 2, 7);
         let n = b * t * h * dh;
-        let q = rand_vec(n, 91);
-        let k = rand_vec(n, 92);
-        let v = rand_vec(n, 93);
-        let g = rand_vec(n, 94);
+        let [q, k, v, g] = attn_inputs(n, 91);
         let mut ctx = vec![0.0; n];
-        let mut stats = vec![0.0; b * h * t * FUSED_STATS_PER_ROW];
-        attn_fused_fwd(&q, &k, &v, 0.4, &mut ctx, Some(&mut stats), b, t, h, dh);
+        let mut w = vec![0.0; b * h * t * t];
+        attn_fused_fwd(&q, &k, &v, 0.4, &mut ctx, Some(&mut w), b, t, h, dh);
         let run = |threads: usize| {
-            let (mut gq, mut gk, mut gv) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            let mut go = || {
-                attn_fused_bwd(
-                    &q, &k, &v, &g, &ctx, &stats, 0.4, &mut gq, &mut gk, &mut gv, b, t, h, dh,
-                )
-            };
-            if threads == 0 {
-                go();
-            } else {
-                with_forced_threads(threads, go);
-            }
-            (gq, gk, gv)
+            let mut grads = [(); 3].map(|_| vec![0.0; n]);
+            let [gq, gk, gv] = &mut grads;
+            with_forced_threads(threads, || {
+                attn_fused_bwd(&q, &k, &v, &g, &w, 0.4, gq, gk, gv, b, t, h, dh)
+            });
+            grads
         };
         let base = run(0);
         for threads in [2, 3, 7] {
@@ -1901,7 +1461,7 @@ mod tests {
         assert_eq!(exp(1e3), exp(88.0));
         assert_eq!(exp(f32::INFINITY), exp(88.0));
         assert!(exp(88.0).is_finite());
-        // The fused tile's first panel: exp(-inf - m) for a finite m.
+        // A softmax row's -inf score less its finite row max.
         assert_eq!(exp(f32::NEG_INFINITY - 3.5), 0.0);
     }
 

@@ -36,9 +36,8 @@
 //!
 //! A tape built with [`Tape::inference`] records no backward metadata:
 //! every node degrades to a leaf, backward-only tensors (layer-norm
-//! `xhat`, dropout masks, MSE targets, fused-attention softmax stats)
-//! are never materialized. [`Tape::backward_params`] panics on such a
-//! tape.
+//! `xhat`, dropout masks, MSE targets, attention softmax weights) are
+//! never materialized. [`Tape::backward_params`] panics on such a tape.
 //! This is the execution mode the evaluation loops and the `ntt-serve`
 //! engine run on: training is one mode of the engine, not the engine
 //! itself. Values still live on the tape (later ops read them) and are
@@ -46,25 +45,19 @@
 //! that resets one inference tape per request reuses the same memory
 //! request after request.
 //!
-//! For any *given* graph, an inference tape runs the identical kernel
-//! sequence as a recording tape — forward values are bit-for-bit the
-//! same. Model code may however *choose* a different (cheaper) op on
-//! inference tapes: multi-head attention runs [`Var::attn_fused`] there
-//! instead of the classic three-op chain, which makes inference
-//! forwards epsilon-close — not bit-equal — to recording forwards (see
-//! [`Var::attn_fused`] for the exact contract). Inference results
-//! remain bit-identical across thread counts, batch compositions, runs,
-//! and resets.
+//! Every op runs the identical kernel sequence on both tape kinds, so
+//! an inference forward is bit-for-bit the recording forward of the
+//! same graph, and bit-identical across thread counts, batch
+//! compositions, runs, and resets. The tape kind changes what is
+//! *kept*, never a value.
 //!
 //! The op set is exactly what the Network Traffic Transformer needs
-//! (linear algebra, attention plumbing, sequence slicing for the
-//! multi-timescale aggregator, fused layer-norm, softmax and MSE). The
-//! attention ops ([`Var::attn_scores`], [`Var::attn_context`],
-//! [`Var::scaled_softmax`], and the fused [`Var::attn_fused`])
-//! work directly on head-interleaved `[B, T, H, dh]` layouts so
-//! multi-head attention never materializes a transpose. Each op's
-//! backward rule is unit-tested against finite differences in
-//! [`crate::grad_check`].
+//! (linear algebra, one attention op, sequence slicing for the
+//! multi-timescale aggregator, fused layer-norm, GELU and MSE).
+//! Attention ([`Var::attn_fused`]) works directly on head-interleaved
+//! `[B, T, H, dh]` layouts so multi-head attention never materializes a
+//! transpose. Each op's backward rule is unit-tested against finite
+//! differences in [`crate::grad_check`].
 
 use crate::shape::{self, Broadcast};
 use crate::{kernels, Param, Tensor};
@@ -99,8 +92,8 @@ const SCRATCH_BUCKET_CAP: usize = 32;
 /// Per-bucket *byte* budget: a bucket stops absorbing retirements once
 /// it already pools this many bytes (it always keeps at least one
 /// buffer, so exact-length reuse keeps working for any shape). The
-/// count cap alone let giant buffers — e.g. `[B, H, T, T]` score
-/// matrices from classic-path attention at large batch — pin up to
+/// count cap alone let giant buffers — e.g. `[B, H, T, T]` attention
+/// weights at large batch — pin up to
 /// 32 × their size indefinitely. Sized so it never binds at paper-scale
 /// training shapes (largest recurring bucket there is ~8 MiB × a
 /// handful live); only pathological one-off shapes are shed.
@@ -231,35 +224,16 @@ enum Op {
     Scale(usize, f32),
     AddScalar(usize),
     MatMul(usize, usize),
-    Relu(usize),
     Gelu(usize),
-    Tanh(usize),
-    /// Fused `softmax(scale * x)` over the last axis: one kernel, one
-    /// tape node, no materialized scaled scores.
-    ScaledSoftmax(usize, f32),
-    /// `Q·Kᵀ` per head from `[B, T, H, dh]` views (no transposes):
-    /// `[B, T, H, dh] x [B, T, H, dh] -> [B, H, T, T]`.
-    AttnScores {
-        q: usize,
-        k: usize,
-    },
-    /// Attention-weighted values, back in head-interleaved layout:
-    /// `[B, H, T, T] x [B, T, H, dh] -> [B, T, H, dh]`.
-    AttnContext {
-        attn: usize,
-        v: usize,
-    },
-    /// Fused streaming-softmax attention: `softmax(scale·Q·Kᵀ)·V` per
-    /// head, `[B, T, H, dh]` in and out, never materializing the
-    /// `[B, H, T, T]` scores. `stats` saves the per-row `(max, sum)`
-    /// softmax statistics (`[B, H, T, 2]`) so the backward can
-    /// recompute probability tiles bit-exactly.
+    /// Attention `softmax(scale·Q·Kᵀ)·V` per head, `[B, T, H, dh]` in
+    /// and out. `weights` saves the `[B, H, T, T]` softmax weights for
+    /// the backward.
     AttnFused {
         q: usize,
         k: usize,
         v: usize,
         scale: f32,
-        stats: Vec<f32>,
+        weights: Vec<f32>,
     },
     LayerNorm {
         x: usize,
@@ -430,9 +404,9 @@ impl TapePool {
         }
     }
 
-    /// Pool of grad-free tapes ([`Tape::inference`]): no graph, and
-    /// model code may pick cheaper inference-only ops (fused
-    /// attention) — see the module-level "Inference mode" section.
+    /// Pool of grad-free tapes ([`Tape::inference`]): no graph and no
+    /// backward-only tensors, the same values — see the module-level
+    /// "Inference mode" section.
     pub fn inference() -> Self {
         TapePool {
             tapes: Mutex::new(Vec::new()),
@@ -481,11 +455,11 @@ impl Tape {
         }
     }
 
-    /// Fresh **inference** tape: no backward graph, and model code may
-    /// route through cheaper inference-only ops (fused attention). See
-    /// the module-level "Inference mode" section for the exact value
-    /// contract. The mode is a property of the tape, not of a call —
-    /// `reset` keeps it, so pooled inference tapes stay inference tapes.
+    /// Fresh **inference** tape: no backward graph and no backward-only
+    /// tensors, the same values as a recording tape (see the
+    /// module-level "Inference mode" section). The mode is a property of
+    /// the tape, not of a call — `reset` keeps it, so pooled inference
+    /// tapes stay inference tapes.
     pub fn inference() -> Self {
         Self::inference_with_seed(NEXT_TAPE_SEED.fetch_add(1, Ordering::Relaxed))
     }
@@ -498,12 +472,6 @@ impl Tape {
             grad: false,
             ..Self::with_seed(seed)
         }
-    }
-
-    /// Whether this tape records a backward graph (`false` for tapes
-    /// built with [`Tape::inference`]).
-    pub fn records_grad(&self) -> bool {
-        self.grad
     }
 
     /// Clear the recorded graph, retire every node's buffer into the
@@ -521,7 +489,7 @@ impl Tape {
                 Op::MulConst(_, mask) => self.scratch.put(mask.into_data()),
                 Op::LayerNorm { xhat, .. } => self.scratch.put(xhat.into_data()),
                 Op::MseLoss { target, .. } => self.scratch.put(target.into_data()),
-                Op::AttnFused { stats, .. } => self.scratch.put(stats),
+                Op::AttnFused { weights, .. } => self.scratch.put(weights),
                 _ => {}
             }
         }
@@ -550,7 +518,7 @@ impl Tape {
     /// length. After a [`Tape::reset`], every buffer the previous run
     /// allocated through the tape shows up here — which lets tests
     /// assert that a code path never allocated a given shape (e.g. that
-    /// the fused attention path retired no `[B, H, T, T]` score buffer).
+    /// attention on an inference tape retired no `[B, H, T, T]` buffer).
     pub fn arena_bucket_lens(&self) -> Vec<(usize, usize)> {
         self.scratch.bucket_lens()
     }
@@ -639,7 +607,7 @@ impl Tape {
             Op::MulConst(_, saved) => self.recycle(saved),
             Op::LayerNorm { xhat, .. } => self.recycle(xhat),
             Op::MseLoss { target, .. } => self.recycle(target),
-            Op::AttnFused { stats, .. } => self.scratch.put(stats),
+            Op::AttnFused { weights, .. } => self.scratch.put(weights),
             _ => {}
         }
         Op::Leaf
@@ -796,74 +764,26 @@ impl Tape {
                 add_grad(grads, *a, Tensor::from_vec(ga, va.shape()));
                 add_grad(grads, *b, Tensor::from_vec(gb, vb.shape()));
             }
-            Op::Relu(a) => {
-                let va = &nodes[*a].value;
-                add_grad(
-                    grads,
-                    *a,
-                    self.t_zip(g, va, |g, x| if x > 0.0 { g } else { 0.0 }),
-                );
-            }
             Op::Gelu(a) => {
                 let va = &nodes[*a].value;
                 let mut gx = self.alloc_overwrite(va.numel());
                 kernels::gelu_bwd(va.data(), g.data(), &mut gx);
                 add_grad(grads, *a, Tensor::from_vec(gx, va.shape()));
             }
-            Op::Tanh(a) => {
-                let y = &nodes[id].value;
-                add_grad(grads, *a, self.t_zip(g, y, |g, y| g * (1.0 - y * y)));
-            }
-            Op::ScaledSoftmax(a, scale) => {
-                let y = &nodes[id].value;
-                let d = *y.shape().last().unwrap();
-                let mut gx = self.alloc_overwrite(y.numel());
-                kernels::softmax_bwd(y.data(), g.data(), *scale, d, &mut gx);
-                add_grad(grads, *a, Tensor::from_vec(gx, y.shape()));
-            }
-            Op::AttnScores { q, k } => {
-                let vq = &nodes[*q].value;
-                let vk = &nodes[*k].value;
-                let s = vq.shape();
-                let (b, t, h, dh) = (s[0], s[1], s[2], s[3]);
-                // dQ = G · K ; dK = Gᵀ · Q, all in [B, T, H, dh] layout.
-                let mut gq = self.alloc_zeroed(vq.numel());
-                kernels::attn_context(g.data(), vk.data(), &mut gq, b, t, h, dh);
-                let mut gk = self.alloc_zeroed(vk.numel());
-                kernels::attn_context_t(g.data(), vq.data(), &mut gk, b, t, h, dh);
-                add_grad(grads, *q, Tensor::from_vec(gq, s));
-                add_grad(grads, *k, Tensor::from_vec(gk, s));
-            }
-            Op::AttnContext { attn, v } => {
-                let vw = &nodes[*attn].value;
-                let vv = &nodes[*v].value;
-                let s = vv.shape();
-                let (b, t, h, dh) = (s[0], s[1], s[2], s[3]);
-                // dW[b,h,i,j] = Σ_d g[b,i,h,d]·v[b,j,h,d]  (a scores product);
-                // dV = Wᵀ · G.
-                let mut gw = self.alloc_zeroed(vw.numel());
-                kernels::attn_scores(g.data(), vv.data(), &mut gw, b, t, h, dh);
-                let mut gv = self.alloc_zeroed(vv.numel());
-                kernels::attn_context_t(vw.data(), g.data(), &mut gv, b, t, h, dh);
-                add_grad(grads, *attn, Tensor::from_vec(gw, vw.shape()));
-                add_grad(grads, *v, Tensor::from_vec(gv, s));
-            }
             Op::AttnFused {
                 q,
                 k,
                 v,
                 scale,
-                stats,
+                weights,
             } => {
                 let vq = &nodes[*q].value;
                 let vk = &nodes[*k].value;
                 let vv = &nodes[*v].value;
-                let o = &nodes[id].value;
                 let s = vq.shape();
                 let (b, t, h, dh) = (s[0], s[1], s[2], s[3]);
-                // One pass recomputes score tiles from the saved stats
-                // and accumulates all three gradients — still nothing
-                // [B, H, T, T]-sized.
+                // All three gradients from the saved weights, block by
+                // block: the `T × T` intermediates live in kernel scratch.
                 let mut gq = self.alloc_zeroed(vq.numel());
                 let mut gk = self.alloc_zeroed(vk.numel());
                 let mut gv = self.alloc_zeroed(vv.numel());
@@ -872,8 +792,7 @@ impl Tape {
                     vk.data(),
                     vv.data(),
                     g.data(),
-                    o.data(),
-                    stats,
+                    weights,
                     *scale,
                     &mut gq,
                     &mut gk,
@@ -1167,15 +1086,6 @@ impl<'t> Var<'t> {
             .push(Op::MatMul(self.id, rhs.id), Tensor::from_vec(out, &oshape))
     }
 
-    /// Rectified linear unit.
-    pub fn relu(self) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            self.tape.t_map(&va, |x| x.max(0.0))
-        };
-        self.tape.push(Op::Relu(self.id), out)
-    }
-
     /// GELU activation (tanh approximation, as in BERT/ViT).
     pub fn gelu(self) -> Var<'t> {
         let out = {
@@ -1187,109 +1097,18 @@ impl<'t> Var<'t> {
         self.tape.push(Op::Gelu(self.id), out)
     }
 
-    /// Hyperbolic tangent.
-    pub fn tanh(self) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            self.tape.t_map(&va, f32::tanh)
-        };
-        self.tape.push(Op::Tanh(self.id), out)
-    }
-
-    /// Fused `softmax(c * x)` over the last axis (numerically
-    /// stabilized): one kernel and one tape node, no materialized
-    /// scaled scores. This is the attention-score nonlinearity
-    /// (`c = 1/√dh`).
-    pub fn scaled_softmax(self, c: f32) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            let d = *va.shape().last().expect("softmax requires rank >= 1");
-            let mut buf = self.tape.alloc_overwrite(va.numel());
-            kernels::scaled_softmax_fwd(va.data(), c, d, &mut buf);
-            Tensor::from_vec(buf, va.shape())
-        };
-        self.tape.push(Op::ScaledSoftmax(self.id, c), out)
-    }
-
-    /// Per-head attention scores `Q·Kᵀ` computed directly from
-    /// head-interleaved layouts: `self` and `k` are `[B, T, H, dh]`
-    /// (the natural reshape of a projection output — no transpose), the
-    /// result is `[B, H, T, T]`.
-    pub fn attn_scores(self, k: Var<'t>) -> Var<'t> {
-        let (out, oshape) = {
-            let vq = self.tape.val(self.id);
-            let vk = self.tape.val(k.id);
-            assert_eq!(vq.rank(), 4, "attn_scores expects [B, T, H, dh]");
-            assert_eq!(
-                vq.shape(),
-                vk.shape(),
-                "attn_scores operands must agree: {:?} vs {:?}",
-                vq.shape(),
-                vk.shape()
-            );
-            let s = vq.shape();
-            let (b, t, h, dh) = (s[0], s[1], s[2], s[3]);
-            let mut out = self.tape.alloc_zeroed(b * h * t * t);
-            kernels::attn_scores(vq.data(), vk.data(), &mut out, b, t, h, dh);
-            (out, vec![b, h, t, t])
-        };
-        self.tape.push(
-            Op::AttnScores {
-                q: self.id,
-                k: k.id,
-            },
-            Tensor::from_vec(out, &oshape),
-        )
-    }
-
-    /// Attention-weighted values: `self` is `[B, H, T, T]` attention
-    /// weights, `v` is `[B, T, H, dh]` values; the result comes back in
-    /// `[B, T, H, dh]` layout, so merging heads is a plain reshape.
-    pub fn attn_context(self, v: Var<'t>) -> Var<'t> {
-        let out = {
-            let vw = self.tape.val(self.id);
-            let vv = self.tape.val(v.id);
-            assert_eq!(vw.rank(), 4, "attn_context expects [B, H, T, T] weights");
-            assert_eq!(vv.rank(), 4, "attn_context expects [B, T, H, dh] values");
-            let (b, h, t, t2) = (vw.shape()[0], vw.shape()[1], vw.shape()[2], vw.shape()[3]);
-            let dh = vv.shape()[3];
-            assert_eq!(t, t2, "attention weights must be square per head");
-            assert_eq!(
-                (vv.shape()[0], vv.shape()[1], vv.shape()[2]),
-                (b, t, h),
-                "attn_context values {:?} incompatible with weights {:?}",
-                vv.shape(),
-                vw.shape()
-            );
-            let mut out = self.tape.alloc_zeroed(b * t * h * dh);
-            kernels::attn_context(vw.data(), vv.data(), &mut out, b, t, h, dh);
-            Tensor::from_vec(out, &[b, t, h, dh])
-        };
-        self.tape.push(
-            Op::AttnContext {
-                attn: self.id,
-                v: v.id,
-            },
-            out,
-        )
-    }
-
-    /// Fused streaming-softmax attention (flash-attention style):
-    /// `softmax(scale · Q·Kᵀ) · V` per head, where `self`, `k`, and `v`
-    /// are all `[B, T, H, dh]` and the result comes back in the same
-    /// layout. Unlike the `attn_scores → scaled_softmax →
-    /// attn_context` chain this never materializes the `[B, H, T, T]`
-    /// score matrix — on recording tapes it saves only the `[B, H, T, 2]`
-    /// per-row softmax stats, and on inference tapes nothing at all.
+    /// Scaled dot-product attention `softmax(scale · Q·Kᵀ) · V` per head:
+    /// `self`, `k` and `v` are `[B, T, H, dh]` (the natural reshape of a
+    /// projection output — no transpose) and the result comes back in
+    /// the same layout, so merging heads is a plain reshape.
     ///
-    /// Values are bit-identical across thread counts, batch
-    /// compositions, and runs, but only epsilon-close to the classic
-    /// chain: the online softmax evaluates the same math in a different
-    /// IEEE order (running max with rescaled partial sums instead of a
-    /// two-pass max-then-sum), so exact bit-equality with the unfused
-    /// path is deliberately not claimed.
+    /// One op on both tape kinds, computed block by block
+    /// ([`kernels::attn_fused_fwd`]): a recording tape keeps the
+    /// `[B, H, T, T]` softmax weights for the backward, an inference tape
+    /// keeps nothing `T²`-sized. The values are the same bits either way,
+    /// and across thread counts, batch compositions, and runs.
     pub fn attn_fused(self, k: Var<'t>, v: Var<'t>, scale: f32) -> Var<'t> {
-        let (out, stats) = {
+        let (out, weights) = {
             let vq = self.tape.val(self.id);
             let vk = self.tape.val(k.id);
             let vv = self.tape.val(v.id);
@@ -1311,34 +1130,32 @@ impl<'t> Var<'t> {
             let s = vq.shape();
             let (b, t, h, dh) = (s[0], s[1], s[2], s[3]);
             let mut out = self.tape.alloc_overwrite(b * t * h * dh);
-            // Inference tapes skip the stats entirely: the fused
-            // forward is then allocation-free beyond the output itself.
-            let mut stats = self.tape.grad.then(|| {
-                self.tape
-                    .alloc_overwrite(b * h * t * kernels::FUSED_STATS_PER_ROW)
-            });
+            let mut weights = self
+                .tape
+                .grad
+                .then(|| self.tape.alloc_overwrite(b * h * t * t));
             kernels::attn_fused_fwd(
                 vq.data(),
                 vk.data(),
                 vv.data(),
                 scale,
                 &mut out,
-                stats.as_deref_mut(),
+                weights.as_deref_mut(),
                 b,
                 t,
                 h,
                 dh,
             );
-            (Tensor::from_vec(out, s), stats)
+            (Tensor::from_vec(out, s), weights)
         };
-        match stats {
-            Some(stats) => self.tape.push(
+        match weights {
+            Some(weights) => self.tape.push(
                 Op::AttnFused {
                     q: self.id,
                     k: k.id,
                     v: v.id,
                     scale,
-                    stats,
+                    weights,
                 },
                 out,
             ),
@@ -1644,11 +1461,25 @@ mod tests {
         a.matmul(b);
     }
 
+    /// `[1, t, 1, t]` identity: as attention's K and V it makes the
+    /// scores Q itself and the context the softmax weights.
+    fn eye(t: usize) -> Tensor {
+        let data = (0..t * t).map(|i| if i % (t + 1) == 0 { 1.0 } else { 0.0 });
+        Tensor::from_vec(data.collect(), &[1, t, 1, t])
+    }
+
+    /// `softmax(scale · x)` over the rows of a square `x`, read out of
+    /// the attention op.
+    fn softmax_rows(tape: &Tape, x: &Tensor, scale: f32) -> Tensor {
+        let t = x.shape()[0];
+        let id = tape.input(eye(t));
+        let q = tape.input(x.reshape(&[1, t, 1, t]));
+        q.attn_fused(id, id, scale).value().reshape(&[t, t])
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
-        let t = Tape::new();
-        let x = t.input(Tensor::randn(&[4, 7], 3));
-        let y = x.scaled_softmax(1.0).value();
+        let y = softmax_rows(&Tape::new(), &Tensor::randn(&[7, 7], 3), 1.0);
         for row in y.data().chunks(7) {
             let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
@@ -1658,20 +1489,21 @@ mod tests {
 
     #[test]
     fn softmax_is_shift_invariant() {
+        // A constant added to every score of a row cancels against the
+        // row max (integers, so the shift itself rounds nothing).
         let t = Tape::new();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        let shifted = x.map(|v| v + 1000.0);
-        let y1 = t.input(x).scaled_softmax(1.0).value();
-        let y2 = t.input(shifted).scaled_softmax(1.0).value();
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, -4.0, 0.0, 5.0, 2.0, 2.0, -1.0], &[3, 3]);
+        let y1 = softmax_rows(&t, &x, 1.0);
+        let y2 = softmax_rows(&t, &x.map(|v| v + 1000.0), 1.0);
         assert!(y1.allclose(&y2, 1e-5));
     }
 
     #[test]
     fn scaled_softmax_matches_scale_then_softmax() {
         let t = Tape::new();
-        let x = Tensor::randn(&[3, 6], 17);
-        let fused = t.input(x.clone()).scaled_softmax(0.25).value();
-        let composed = t.input(x).scale(0.25).scaled_softmax(1.0).value();
+        let x = Tensor::randn(&[6, 6], 17);
+        let fused = softmax_rows(&t, &x, 0.25);
+        let composed = softmax_rows(&t, &x.map(|v| v * 0.25), 1.0);
         assert!(fused.allclose(&composed, 1e-6));
     }
 
@@ -1705,7 +1537,7 @@ mod tests {
     fn backward_params_recycles_intermediates() {
         let p = Param::new("w", Tensor::randn(&[8, 8], 11));
         let tape = Tape::with_seed(7);
-        let y = tape.param(&p).relu().matmul(tape.param(&p));
+        let y = tape.param(&p).gelu().matmul(tape.param(&p));
         let loss = y.mse_loss(&Tensor::zeros(&[8, 8]));
         tape.backward_params(loss);
         assert!(
@@ -1836,7 +1668,7 @@ mod tests {
     }
 
     /// A forward pass touching every op with a no-grad specialization
-    /// (matmul, layer_norm, mul_const, scaled softmax, mse_loss).
+    /// (matmul, layer_norm, mul_const, attention, mse_loss).
     fn mixed_forward(tape: &Tape, p: &Param, x: &Tensor) -> (Tensor, f32) {
         let gamma = tape.input(Tensor::ones(&[6]));
         let beta = tape.input(Tensor::zeros(&[6]));
@@ -1846,8 +1678,8 @@ mod tests {
             .matmul(tape.param(p))
             .layer_norm(gamma, beta, 1e-5)
             .mul_const(&mask)
-            .scaled_softmax(0.7)
-            .gelu();
+            .reshape(&[1, 4, 2, 3]);
+        let h = h.attn_fused(h, h, 0.7).reshape(&[4, 6]).gelu();
         let loss = h.mse_loss(&Tensor::zeros(&[4, 6]));
         (h.value(), loss.value().item())
     }
@@ -1858,8 +1690,8 @@ mod tests {
         let x = Tensor::randn(&[4, 6], 20);
         let train = Tape::with_seed(3);
         let infer = Tape::inference_with_seed(3);
-        assert!(train.records_grad());
-        assert!(!infer.records_grad());
+        assert!(train.grad);
+        assert!(!infer.grad);
         let (yt, lt) = mixed_forward(&train, &p, &x);
         let (yi, li) = mixed_forward(&infer, &p, &x);
         assert_eq!(yt, yi, "inference values must be bit-identical");
@@ -1885,7 +1717,7 @@ mod tests {
         let run = |tape: &Tape| tape.input(x.clone()).matmul(tape.param(&p)).value();
         let first = run(&tape);
         tape.reset(0);
-        assert!(!tape.records_grad(), "reset must not change the mode");
+        assert!(!tape.grad, "reset must not change the mode");
         assert!(
             tape.scratch_buffers() > 0,
             "reset must retire inference buffers into the arena"
@@ -1895,7 +1727,8 @@ mod tests {
 
     #[test]
     fn inference_mode_skips_backward_only_allocations() {
-        // The backward-only saved tensors (mask copy, xhat, target) must
+        // The backward-only saved tensors (mask copy, xhat, attention
+        // weights, target) must
         // not survive on an inference tape: after reset, the recording
         // tape has strictly more retired buffers than the inference tape
         // for the same program.
@@ -1916,49 +1749,48 @@ mod tests {
 
     #[test]
     fn attn_fused_matches_classic_chain_values_and_grads() {
-        // The fused op must agree with the three-op chain to epsilon —
-        // values and all three input gradients. (Bit-equality is not
-        // claimed: the online softmax reorders the IEEE sequence.)
+        // The op is its kernels, bit for bit: the value is
+        // `attn_fused_fwd`'s, and the three input gradients are
+        // `attn_fused_bwd`'s from the weights the tape kept. The kernel
+        // tests pin both to the classic chain.
         let (b, t, h, dh) = (2usize, 17, 2, 5);
-        let d = h * dh;
+        let n = b * t * h * dh;
         let q = Param::new("q", Tensor::randn(&[b, t, h, dh], 1));
         let k = Param::new("k", Tensor::randn(&[b, t, h, dh], 2));
         let v = Param::new("v", Tensor::randn(&[b, t, h, dh], 3));
-        let target = Tensor::randn(&[b, t, d], 4);
+        let target = Tensor::randn(&[b, t, h, dh], 4);
         let scale = 1.0 / (dh as f32).sqrt();
+        let tape = Tape::new();
+        let ctx = tape
+            .param(&q)
+            .attn_fused(tape.param(&k), tape.param(&v), scale);
+        let grads = tape.backward_params(ctx.mse_loss(&target));
 
-        let run = |fused: bool| {
-            let tape = Tape::new();
-            let (qv, kv, vv) = (tape.param(&q), tape.param(&k), tape.param(&v));
-            let ctx = if fused {
-                qv.attn_fused(kv, vv, scale)
-            } else {
-                qv.attn_scores(kv).scaled_softmax(scale).attn_context(vv)
-            };
-            let loss = ctx.reshape(&[b, t, d]).mse_loss(&target);
-            let grads = tape.backward_params(loss);
-            let grad = |p: &Param| grads.get(p).unwrap().clone();
-            (
-                ctx.value(),
-                loss.value().item(),
-                grad(&q),
-                grad(&k),
-                grad(&v),
-            )
-        };
-        let fused = run(true);
-        let classic = run(false);
-        assert!(fused.0.allclose(&classic.0, 1e-5), "forward diverged");
-        assert!((fused.1 - classic.1).abs() < 1e-5, "loss diverged");
-        assert!(fused.2.allclose(&classic.2, 1e-4), "dQ diverged");
-        assert!(fused.3.allclose(&classic.3, 1e-4), "dK diverged");
-        assert!(fused.4.allclose(&classic.4, 1e-4), "dV diverged");
+        let (vq, vk, vv) = (q.value(), k.value(), v.value());
+        let (qd, kd, vd) = (vq.data(), vk.data(), vv.data());
+        let mut want = vec![0.0; n];
+        let mut w = vec![0.0; b * h * t * t];
+        kernels::attn_fused_fwd(qd, kd, vd, scale, &mut want, Some(&mut w), b, t, h, dh);
+        assert_eq!(ctx.value().data(), &want[..]);
+        // The MSE backward hands attention 2·(ctx − target)/N.
+        let c = 2.0 / n as f32;
+        let g: Vec<f32> = want
+            .iter()
+            .zip(target.data())
+            .map(|(p, t)| c * (p - t))
+            .collect();
+        let mut want_grads = [(); 3].map(|_| vec![0.0; n]);
+        let [gq, gk, gv] = &mut want_grads;
+        kernels::attn_fused_bwd(qd, kd, vd, &g, &w, scale, gq, gk, gv, b, t, h, dh);
+        for (p, want) in [&q, &k, &v].into_iter().zip(&want_grads) {
+            assert_eq!(grads.get(p).unwrap().data(), &want[..], "d{}", p.name());
+        }
     }
 
     #[test]
     fn attn_fused_grad_check() {
-        // Finite-difference ground truth for the recompute-on-the-fly
-        // backward, for each of the three operands.
+        // Finite-difference ground truth for the backward from the kept
+        // weights, for each of the three operands.
         let (b, t, h, dh) = (2usize, 5, 2, 3);
         let q = Param::new("q", Tensor::randn(&[b, t, h, dh], 41));
         let k = Param::new("k", Tensor::randn(&[b, t, h, dh], 42));
@@ -1982,48 +1814,42 @@ mod tests {
 
     #[test]
     fn attn_fused_inference_tape_allocates_no_score_matrix() {
-        // The zero-score-allocation claim, asserted through the arena:
-        // after a reset retires every tape-allocated buffer, no bucket
-        // may hold a [B,H,T,T]- or [B,T,T]-sized buffer. Shape chosen so
-        // those lengths collide with nothing legitimate (t > h*dh).
+        // Asserted through the arena: after a reset retires every
+        // tape-allocated buffer, an inference tape holds no [B,H,T,T]- or
+        // [B,T,T]-sized buffer, and a recording tape — forward and
+        // backward — exactly one, the kept weights. Shape chosen so those
+        // lengths collide with nothing legitimate (t > h*dh).
         let (b, t, h, dh) = (2usize, 19, 2, 4);
-        let q = Tensor::randn(&[b, t, h, dh], 51);
+        let q = Param::new("q", Tensor::randn(&[b, t, h, dh], 51));
         let k = Tensor::randn(&[b, t, h, dh], 52);
         let v = Tensor::randn(&[b, t, h, dh], 53);
         let run = |mut tape: Tape| {
-            let ctx =
-                tape.input(q.clone())
-                    .attn_fused(tape.input(k.clone()), tape.input(v.clone()), 0.5);
+            let (k, v) = (tape.input(k.clone()), tape.input(v.clone()));
+            let ctx = tape.param(&q).attn_fused(k, v, 0.5);
             let val = ctx.value();
+            if tape.grad {
+                tape.backward_params(ctx.mean_all());
+            }
             tape.reset(0);
-            (val, tape.arena_bucket_lens())
+            let square = [b * h * t * t, b * t * t, h * t * t, t * t];
+            let buckets = tape.arena_bucket_lens();
+            let kept: Vec<(usize, usize)> = buckets
+                .into_iter()
+                .filter(|(len, _)| square.contains(len))
+                .collect();
+            (val, kept)
         };
-        let (iv, infer_buckets) = run(Tape::inference_with_seed(7));
-        let (rv, record_buckets) = run(Tape::with_seed(7));
-        assert_eq!(iv, rv, "fused forward must not depend on the tape mode");
-        let forbidden = [b * h * t * t, b * t * t, h * t * t, t * t];
-        for (len, _) in &infer_buckets {
-            assert!(
-                !forbidden.contains(len),
-                "inference fused path retired a score-matrix-sized buffer ({len})"
-            );
-        }
-        for (len, _) in &record_buckets {
-            assert!(
-                !forbidden.contains(len),
-                "recording fused path retired a score-matrix-sized buffer ({len})"
-            );
-        }
-        // Recording tapes additionally retire the [B,H,T,2] stats...
-        let stats_len = b * h * t * kernels::FUSED_STATS_PER_ROW;
+        let (iv, infer_kept) = run(Tape::inference_with_seed(7));
+        let (rv, record_kept) = run(Tape::with_seed(7));
+        assert_eq!(iv, rv, "attention must not depend on the tape mode");
         assert!(
-            record_buckets.iter().any(|&(len, _)| len == stats_len),
-            "recording tape should have retired the softmax stats"
+            infer_kept.is_empty(),
+            "inference attention retired a score-matrix-sized buffer: {infer_kept:?}"
         );
-        // ...which the inference tape never allocates.
-        assert!(
-            !infer_buckets.iter().any(|&(len, _)| len == stats_len),
-            "inference tape must not allocate softmax stats"
+        assert_eq!(
+            record_kept,
+            [(b * h * t * t, 1)],
+            "recording attention keeps the weights and nothing else T²-sized"
         );
     }
 
@@ -2041,7 +1867,7 @@ mod tests {
         };
         let first = run(&tape);
         tape.reset(1);
-        assert_eq!(first, run(&tape), "reset fused tape must reproduce bits");
+        assert_eq!(first, run(&tape), "reset tape must reproduce bits");
     }
 
     #[test]

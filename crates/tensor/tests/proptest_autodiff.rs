@@ -30,9 +30,15 @@ proptest! {
 
     #[test]
     fn softmax_rows_are_distributions(rows in 1usize..6, d in 1usize..8, vals_seed in 0u64..1000) {
+        // The attention softmax read out directly: with K = V = I per
+        // batch row the scores are Q and the context is the weights.
         let t = Tape::new();
-        let x = t.input(Tensor::randn(&[rows, d], vals_seed).map(|v| v * 5.0));
-        let y = x.scaled_softmax(1.0).value();
+        let eye: Vec<f32> = (0..rows * d * d)
+            .map(|i| if (i % (d * d)) % (d + 1) == 0 { 1.0 } else { 0.0 })
+            .collect();
+        let id = t.input(Tensor::from_vec(eye, &[rows, d, 1, d]));
+        let q = t.input(Tensor::randn(&[rows, d, 1, d], vals_seed).map(|v| v * 5.0));
+        let y = q.attn_fused(id, id, 1.0).value();
         for row in y.data().chunks(d) {
             let s: f32 = row.iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-4);

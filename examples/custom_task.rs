@@ -13,7 +13,7 @@
 use ntt::core::{Aggregation, Experiment, FinetuneOpts, NttConfig, TrainConfig, TrainMode};
 use ntt::data::{DelayDataset, TaskDataset};
 use ntt::fleet::SweepSpec;
-use ntt::nn::{Activation, Head, Mlp, Module};
+use ntt::nn::{Head, Mlp, Module};
 use ntt::sim::scenarios::{Scenario, ScenarioConfig};
 use ntt::tensor::{Param, Tape, Tensor, Var};
 
@@ -24,12 +24,7 @@ struct P95Head(Mlp);
 
 impl P95Head {
     fn new(d_model: usize, seed: u64) -> Self {
-        P95Head(Mlp::new(
-            "p95_head",
-            &[d_model, d_model, 1],
-            Activation::Gelu,
-            seed,
-        ))
+        P95Head(Mlp::new("p95_head", &[d_model, d_model, 1], seed))
     }
 }
 

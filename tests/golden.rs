@@ -31,8 +31,8 @@ const TRAIN_FULL_LOSSES: u64 = 0xc096_6740_6bd8_c029;
 const TRAIN_FULL_PARAMS: u64 = 0xd4d7_ecde_4edb_ebb4;
 const TRAIN_DECODER_ONLY_LOSSES: u64 = 0x8867_a8a7_e097_4bad;
 const TRAIN_DECODER_ONLY_PARAMS: u64 = 0x3721_69f7_a3a8_3554;
-const PREDICT_PAPER_B1: u64 = 0xdf37_093f_662d_045b;
-const PREDICT_PAPER_B16: u64 = 0xdf37_093f_662d_045b;
+const PREDICT_PAPER_B1: u64 = 0xf177_964d_653c_4e51;
+const PREDICT_PAPER_B16: u64 = 0xf177_964d_653c_4e51;
 const CHECKPOINT_TINY: u64 = 0x87b2_c85f_173d_93c7;
 
 /// FNV-1a 64-bit, the hash NTTCKPT2 checksums its body with.

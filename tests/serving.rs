@@ -1,15 +1,13 @@
 //! Execution-mode correctness: the grad-free inference path must be a
-//! *mode* of the same engine, not a second implementation. Inference
-//! tapes route attention through the fused streaming-softmax tile, so
-//! inference forwards agree with recording-tape forwards to within
-//! epsilon (the online softmax reorders the IEEE reduction; bitwise
-//! cross-mode equality is explicitly not claimed) while staying fully
-//! deterministic *within* the mode: bit-identical across runs, seeds,
-//! worker counts, and batch compositions. The evaluation loops must
-//! reproduce a hand-wired inference tape to the bit; the serving
+//! *mode* of the same engine, not a second implementation. Every op,
+//! attention included, runs the same kernels on both tape kinds, so
+//! inference forwards equal recording-tape forwards bit for bit, and
+//! stay bit-identical across runs, seeds, worker counts, and batch
+//! compositions. The evaluation loops must reproduce a hand-wired
+//! inference tape and a recording-tape replay to the bit; the serving
 //! engine, which folds the affine front end once at load with the same
 //! code every training step runs on its tape, must reproduce
-//! `Ntt::forward` on an inference tape to the bit.
+//! `Ntt::forward` on either tape kind to the bit.
 
 use ntt::core::{
     evaluate, Aggregation, DelayHead, DropHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy,
@@ -36,8 +34,7 @@ fn tiny_model(dropout: f32) -> Ntt {
 #[test]
 fn inference_forward_is_deterministic_and_close_to_recording() {
     // Dropout present in the config but disabled (eval mode). The
-    // inference tape runs fused attention, so it agrees with the
-    // recording tape to within epsilon — and must reproduce *itself*
+    // inference tape must reproduce the recording tape, and itself,
     // bit for bit regardless of tape seed, since nothing stochastic
     // runs in eval mode.
     let ntt = tiny_model(0.2);
@@ -63,8 +60,9 @@ fn inference_forward_is_deterministic_and_close_to_recording() {
             "{}: shape diverged",
             head.kind()
         );
-        assert!(
-            inferred.allclose(&recorded, 1e-4),
+        assert_eq!(
+            inferred,
+            recorded,
             "{}: inference forward drifted from recording forward",
             head.kind()
         );
@@ -97,7 +95,7 @@ fn grad_free_evaluate_is_reproducible_and_close_to_recording() {
     // same reduction order — on hand-wired inference tapes, and require
     // the grad-free evaluate to match to the bit, sequentially and
     // fanned out over 4 workers. A recording-tape replay of the same
-    // loop (classic attention chain) must land within epsilon.
+    // loop must match to the bit too.
     let ntt = tiny_model(0.1);
     let head = DelayHead::new(16, 5);
     let (train, test) = tiny_dataset(ntt.cfg.seq_len());
@@ -117,10 +115,11 @@ fn grad_free_evaluate_is_reproducible_and_close_to_recording() {
         se / n as f64
     };
     let reference = loop_mse(Tape::inference);
-    let classic = loop_mse(Tape::new);
-    assert!(
-        (reference - classic).abs() <= 1e-4 * classic.abs().max(1.0),
-        "fused evaluate drifted from the classic chain: {reference} vs {classic}"
+    let recorded = loop_mse(Tape::new);
+    assert_eq!(
+        reference.to_bits(),
+        recorded.to_bits(),
+        "evaluate drifted from the recording tape: {reference} vs {recorded}"
     );
 
     for threads in [1usize, 4] {
@@ -157,9 +156,9 @@ fn serving_engine_agrees_with_evaluate() {
     let pred_ref = head
         .forward_head(&infer, ntt.encode(&infer, slots), None)
         .value();
-    // Epsilon reference: a recording tape (classic attention).
+    // And the training path: a recording tape.
     let rec = Tape::new();
-    let pred_classic = head
+    let pred_recorded = head
         .forward_head(&rec, ntt.forward(&rec, rec.input(x.clone())), None)
         .value();
 
@@ -172,13 +171,13 @@ fn serving_engine_agrees_with_evaluate() {
     assert_eq!(served.shape(), &[idx.len(), 1]);
     assert_eq!(served, pred_ref);
     assert_eq!(served, pred_evaluate);
-    assert!(served.allclose(&pred_classic, 1e-4));
+    assert_eq!(served, pred_recorded);
     assert_eq!(y.shape(), &[idx.len(), 1]);
 }
 
 /// Every kernel product of one engine forward over `b` windows, as
 /// `(name, multiply-accumulates)`, read off the config: the three
-/// folded zones, per encoder layer Q/K/V/O, the fused attention tile,
+/// folded zones, per encoder layer Q/K/V/O, attention,
 /// `ff1` and `ff2`, then the delay head's two layers on the last slot.
 fn forward_products(cfg: &NttConfig, b: usize) -> Vec<(String, usize)> {
     use ntt::core::{OUT_SLOTS, ZONE_SLOTS};
