@@ -1,14 +1,14 @@
 //! Chaos soak: the robustness acceptance run. A seeded fault plan
-//! crashes and stalls batcher workers while hundreds of concurrent
-//! requests are in flight, and the harness asserts the self-healing
-//! contract end to end:
+//! panics and stalls batches while hundreds of concurrent requests are
+//! in flight, and the harness asserts the self-healing contract end to
+//! end:
 //!
 //! * **no hangs** — the soak completing at all is the proof: every
 //!   ticket resolves, to a value or a typed error, never blocks;
 //! * **full accounting** — served + failed == submitted, exactly;
-//! * **self-healing** — every injected panic is matched by one worker
-//!   respawn (restart counter == panic count) and the pool stays
-//!   healthy;
+//! * **self-healing** — every injected panic is caught and counted by
+//!   the worker that ran it (restart counter == panic count) and the
+//!   pool stays healthy;
 //! * **typed shedding** — a stalled pool behind a bounded queue rejects
 //!   with `Overloaded`, and everything it did accept still resolves;
 //! * **replayability** — the same plan seed produces the identical
@@ -115,7 +115,7 @@ struct SoakOutcome {
 fn soak(engine: &Arc<InferenceEngine>, n: usize, workers: usize, seed: u64) -> SoakOutcome {
     let guard = ntt_chaos::scoped(
         ChaosPlan::new(seed)
-            // ~1 in 16 batch claims crashes the worker mid-batch.
+            // ~1 in 16 batch claims panics mid-batch.
             .rule(Rule::new("serve.worker.panic", FaultKind::Panic).rate(1, 16))
             // ~1 in 8 claims stalls 1ms before serving (slow consumer).
             .rule(Rule::new("serve.worker.stall", FaultKind::Delay { millis: 1 }).rate(1, 8))
@@ -161,18 +161,13 @@ fn soak(engine: &Arc<InferenceEngine>, n: usize, workers: usize, seed: u64) -> S
     assert_eq!(served + died, n, "completed + failed must equal submitted");
     assert!(died > 0, "a 1/16 panic rate over {n} claims must fire");
     assert!(served > n / 2, "most requests must survive the chaos");
-    // A dying worker fails its ticket (channel drop during unwind)
-    // *before* its supervisor bumps the restart counter, so let the
-    // final respawn land before reading stats.
-    let t0 = Instant::now();
-    while (batcher.stats().restarts as usize) < died && t0.elapsed().as_secs() < 10 {
-        std::thread::yield_now();
-    }
+    // A worker counts a caught panic before it fails that batch's
+    // ticket, so the stats are final once every ticket has resolved.
     let stats = batcher.stats();
     assert!(batcher.is_healthy(), "ample budget: no terminal poison");
     assert_eq!(
         stats.restarts as usize, died,
-        "every panic must be healed by exactly one respawn"
+        "every panic must be counted as exactly one restart"
     );
     let report_json = ntt_chaos::report().to_json();
     drop(batcher);
@@ -275,7 +270,7 @@ fn main() {
     let panics = a.trace.iter().filter(|e| e.kind == "panic").count();
     eprintln!(
         "  soak: {} served + {} died = {requests} in {soak_secs:.2}s, \
-         {} respawns for {panics} injected panics, trace replays ✓",
+         {} restarts for {panics} injected panics, trace replays ✓",
         a.served, a.died, a.restarts
     );
 

@@ -311,8 +311,9 @@ fn main() {
     // ---- robustness counters ----------------------------------------
     // The self-healing counters the chaos plane exercises. A clean bench
     // run must come out all-zero (no chaos plan is installed here): any
-    // nonzero value means the serving path shed, expired, or respawned
-    // under plain load, which is itself a finding worth recording.
+    // nonzero value means the serving path shed, expired, or recovered
+    // from a panic under plain load, which is itself a finding worth
+    // recording.
     let restarts = ntt_obs::counter!("serve.worker_restarts").get();
     let shed = ntt_obs::counter!("serve.shed_total").get();
     let expired = ntt_obs::counter!("serve.deadline_exceeded").get();

@@ -6,8 +6,8 @@
 //! down to **one relaxed load** when chaos is off (the same discipline
 //! as `ntt-obs`'s `NTT_OBS` switch).
 //!
-//! The plane exists so the serving stack's recovery paths — worker
-//! respawn, load shedding, checkpoint last-good retention, shard retry
+//! The plane exists so the serving stack's recovery paths — panicked
+//! batches, load shedding, checkpoint last-good retention, shard retry
 //! — are exercised by *replayable* failures: every injection decision
 //! is a pure function of `(plan seed, site, key)`, never of the clock
 //! or ambient entropy, so a chaos run reproduces from its seed alone

@@ -119,7 +119,7 @@ pub enum ErrorCode {
     Overloaded,
     /// Deadline passed before service ([`ServeError::DeadlineExceeded`]).
     DeadlineExceeded,
-    /// The serving worker died mid-batch ([`ServeError::WorkerDied`]).
+    /// The request's batch panicked ([`ServeError::WorkerDied`]).
     WorkerDied,
     /// Server or pool is draining ([`ServeError::ShuttingDown`]).
     ShuttingDown,

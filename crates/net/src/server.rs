@@ -16,9 +16,12 @@
 //! the `Batcher`'s bounded-admission philosophy: at most
 //! [`NetConfig::max_connections`] threads/sockets exist, and the
 //! overflow connection gets a typed `Overloaded` response frame and a
-//! close — shed, not queued. Accept and per-connection reads run with
-//! short timeouts polling a shutdown flag, so teardown never hangs on
-//! a silent peer.
+//! close — shed, not queued. Every thread blocks on its socket and
+//! nothing polls: [`NetServer::shutdown`] wakes the accept loop with one
+//! connection to the server's own address, and each connection thread
+//! by ending its socket's read half. A blocked read then returns EOF,
+//! while a reply already being computed still goes out on the write
+//! half — so teardown never hangs on a silent peer.
 //!
 //! # Request path
 //!
@@ -46,20 +49,26 @@
 use crate::frame::{self, ErrorCode, Frame, Request, Response, WireError};
 use ntt_serve::{BatchConfig, Batcher, InferenceEngine, ModelRegistry};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a blocked read waits before re-checking the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(50);
-/// How long an idle accept loop sleeps between polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (EMFILE, ENOBUFS, ...). Such an error
+/// persists until some connection closes, so retrying at once would
+/// spin the accept thread on it. The serving tier's one sleep. It also
+/// bounds each wake-up connect, and how long `Drop` waits for the
+/// accept loop before it wakes it again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Wake-ups `Drop` sends before it gives up on an unreachable accept loop.
+const WAKE_ATTEMPTS: u32 = 20;
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -89,6 +98,14 @@ struct Pool {
     batcher: Arc<Batcher>,
 }
 
+/// One accepted connection, as the shutdown sweep and `Drop` see it.
+struct Conn {
+    /// Ends the read half of the connection's socket (through a clone
+    /// of its stream), waking the thread blocked reading it.
+    stop_reading: Box<dyn Fn() + Send>,
+    thread: JoinHandle<()>,
+}
+
 struct ServerShared {
     registry: Arc<ModelRegistry>,
     cfg: NetConfig,
@@ -96,7 +113,12 @@ struct ServerShared {
     conns: AtomicUsize,
     inflight: AtomicUsize,
     pools: Mutex<BTreeMap<(String, &'static str), Pool>>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections: the accept loop registers each, and its thread
+    /// unregisters it on the way out. The loop checks `shutdown`
+    /// and registers under this lock, the one `NetServer::shutdown`
+    /// sweeps under, so every connection is either swept or never
+    /// served.
+    open: Mutex<Vec<Conn>>,
 }
 
 impl ServerShared {
@@ -150,7 +172,9 @@ impl ServerShared {
 /// threads join.
 pub struct NetServer {
     shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<()>>,
+    /// The accept thread, and a channel that disconnects when it exits
+    /// (in a `Mutex` only to keep the server `Sync`).
+    accept: Option<(JoinHandle<()>, Mutex<Receiver<()>>)>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -164,15 +188,15 @@ impl NetServer {
         cfg: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let tcp_addr = listener.local_addr()?;
         let mut server = NetServer::start(registry, cfg, listener)?;
         server.tcp_addr = Some(tcp_addr);
         Ok(server)
     }
 
-    /// Serve `registry` over a unix-domain socket at `path` (a stale
-    /// socket file from a dead process is replaced). The file is
+    /// Serve `registry` over a unix-domain socket at `path`. A stale
+    /// socket file from a dead process is replaced; one a live server
+    /// still accepts on fails the bind with `AddrInUse`. The file is
     /// removed again on drop.
     #[cfg(unix)]
     pub fn bind_unix(
@@ -180,12 +204,18 @@ impl NetServer {
         registry: Arc<ModelRegistry>,
         cfg: NetConfig,
     ) -> io::Result<NetServer> {
-        let path = path.as_ref().to_path_buf();
-        // A previous bind leaves the inode behind even after the
-        // process dies; re-binding over it requires removing it.
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
+        // Absolute, so the shutdown wake-up and the removal on drop
+        // find the socket even after the process changes directory.
+        let path = std::path::absolute(path)?;
+        let listener = match UnixListener::bind(&path) {
+            // Replace only a file no one accepts on: unlinking a live
+            // server's file leaves it unreachable, even by its shutdown.
+            Err(e) if e.kind() == ErrorKind::AddrInUse && UnixStream::connect(&path).is_err() => {
+                std::fs::remove_file(&path)?;
+                UnixListener::bind(&path)?
+            }
+            bound => bound?,
+        };
         let mut server = NetServer::start(registry, cfg, listener)?;
         server.unix_path = Some(path);
         Ok(server)
@@ -214,17 +244,21 @@ impl NetServer {
             conns: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             pools: Mutex::new(BTreeMap::new()),
-            conn_handles: Mutex::new(Vec::new()),
+            open: Mutex::new(Vec::new()),
         });
+        let (exit_tx, exited) = mpsc::channel::<()>();
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ntt-net-accept".into())
-                .spawn(move || accept_loop(shared, listener))?
+                .spawn(move || {
+                    let _disconnects_on_exit = exit_tx;
+                    accept_loop(shared, listener)
+                })?
         };
         Ok(NetServer {
             shared,
-            accept: Some(accept),
+            accept: Some((accept, Mutex::new(exited))),
             tcp_addr: None,
             unix_path: None,
         })
@@ -236,37 +270,72 @@ impl NetServer {
         self.tcp_addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.conns.load(Ordering::Relaxed)
+    /// Stop admitting connections and requests, and wake every blocked
+    /// thread: the accept loop through one connection to the server's
+    /// own address, each connection by ending its read half. A request
+    /// already read still gets its reply, and then its connection
+    /// closes. The blocking join happens on drop.
+    pub fn shutdown(&self) {
+        if self.shared.shutdown.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        self.wake_accept();
+        for conn in self
+            .shared
+            .open
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
+            (conn.stop_reading)();
+        }
     }
 
-    /// Stop admitting connections and requests. Already-accepted
-    /// requests drain; the blocking join happens on drop.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+    /// Connect once to the server's own address, so a blocked `accept`
+    /// returns and the loop sees the shutdown flag.
+    fn wake_accept(&self) {
+        let woke = match (self.tcp_addr, &self.unix_path) {
+            (Some(mut addr), _) => {
+                // A listener on an unspecified address is reachable
+                // through loopback of the same family.
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, ACCEPT_ERROR_BACKOFF).map(drop)
+            }
+            #[cfg(unix)]
+            (None, Some(path)) => UnixStream::connect(path).map(drop),
+            _ => Ok(()),
+        };
+        if let Err(e) = woke {
+            eprintln!("ntt-net: shutdown could not wake the accept loop: {e}");
+        }
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        loop {
-            let handle = self
-                .shared
-                .conn_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
+        if let Some((thread, exited)) = self.accept.take() {
+            // The wake-up can miss (no descriptor left, socket file
+            // removed): repeat it until the loop exits and drops the
+            // sender, then give up rather than hang. With the flag set,
+            // a loop that wakes later registers nothing.
+            let exited = exited.into_inner().unwrap_or_else(|e| e.into_inner());
+            for _ in 0..WAKE_ATTEMPTS {
+                if exited.recv_timeout(ACCEPT_ERROR_BACKOFF) != Err(RecvTimeoutError::Timeout) {
+                    let _ = thread.join();
+                    break;
                 }
-                None => break,
+                self.wake_accept();
             }
+        }
+        let open = std::mem::take(&mut *self.shared.open.lock().unwrap_or_else(|e| e.into_inner()));
+        for conn in open {
+            let _ = conn.thread.join();
         }
         // Dropping the pools drains them (Batcher's graceful drop).
         self.shared
@@ -280,22 +349,29 @@ impl Drop for NetServer {
     }
 }
 
-/// The two transports, unified for the accept loop. Streams only need
-/// `Read + Write` plus a read timeout (the shutdown-poll hook).
-trait ConnStream: Read + Write + Send + 'static {
-    fn set_read_timeout_on(&self, d: Option<Duration>) -> io::Result<()>;
+/// The two transports, unified for the accept loop: a stream, a clone
+/// of it for the shutdown sweep, and the half-close that sweep uses.
+trait ConnStream: Read + Write + Send + Sized + 'static {
+    fn try_clone(&self) -> io::Result<Self>;
+    fn shutdown(&self, how: Shutdown) -> io::Result<()>;
 }
 
 impl ConnStream for TcpStream {
-    fn set_read_timeout_on(&self, d: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(d)
+    fn try_clone(&self) -> io::Result<Self> {
+        TcpStream::try_clone(self)
+    }
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        TcpStream::shutdown(self, how)
     }
 }
 
 #[cfg(unix)]
 impl ConnStream for UnixStream {
-    fn set_read_timeout_on(&self, d: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(d)
+    fn try_clone(&self) -> io::Result<Self> {
+        UnixStream::try_clone(self)
+    }
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        UnixStream::shutdown(self, how)
     }
 }
 
@@ -325,42 +401,22 @@ impl Acceptor for UnixListener {
 }
 
 fn accept_loop<L: Acceptor>(shared: Arc<ServerShared>, listener: L) {
-    while !shared.stopping() {
-        // Reap finished connection threads so the handle list tracks
-        // live connections, not connection history.
-        {
-            let mut handles = shared
-                .conn_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let mut done = Vec::new();
-            let mut i = 0;
-            while i < handles.len() {
-                if handles[i].is_finished() {
-                    done.push(handles.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            drop(handles);
-            for h in done {
-                let _ = h.join();
-            }
-        }
+    loop {
         let stream = match listener.accept_stream() {
             Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
+            Err(_) if shared.stopping() => return,
             Err(_) => {
-                // Transient accept failure (e.g. EMFILE): back off.
-                std::thread::sleep(READ_POLL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                 continue;
             }
         };
+        let mut open = shared.open.lock().unwrap_or_else(|e| e.into_inner());
+        if shared.stopping() {
+            return; // this is most likely `shutdown`'s wake-up
+        }
         ntt_obs::counter!("net.conn_total").inc();
         if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_connections {
+            drop(open);
             // Shed the connection itself: one typed frame, then close.
             ntt_obs::counter!("net.conn_shed").inc();
             let mut stream = stream;
@@ -377,23 +433,37 @@ fn accept_loop<L: Acceptor>(shared: Arc<ServerShared>, listener: L) {
             let _ = stream.write_all(&frame::encode_response(&resp));
             continue;
         }
+        let Ok(clone) = stream.try_clone() else {
+            continue; // no descriptor left: the connection closes by drop
+        };
         shared.conns.fetch_add(1, Ordering::Relaxed);
         ntt_obs::gauge!("net.conns_active").set(shared.conns.load(Ordering::Relaxed) as f64);
         let conn_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()
             .name("ntt-net-conn".into())
             .spawn(move || {
-                serve_conn(&conn_shared, stream);
+                let mut stream = stream;
+                serve_conn(&conn_shared, &mut stream);
                 conn_shared.conns.fetch_sub(1, Ordering::Relaxed);
                 ntt_obs::gauge!("net.conns_active")
                     .set(conn_shared.conns.load(Ordering::Relaxed) as f64);
+                // Unregister, dropping the sweep's clone, so a finished
+                // connection holds no descriptor. The accept loop
+                // registers it before releasing the lock taken here.
+                let me = std::thread::current().id();
+                conn_shared
+                    .open
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .retain(|c| c.thread.thread().id() != me);
             });
         match spawned {
-            Ok(handle) => shared
-                .conn_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle),
+            Ok(thread) => open.push(Conn {
+                stop_reading: Box::new(move || {
+                    let _ = clone.shutdown(Shutdown::Read);
+                }),
+                thread,
+            }),
             Err(_) => {
                 // Thread exhaustion: undo the count; the connection
                 // closes by drop, which the client sees as an io error.
@@ -403,63 +473,25 @@ fn accept_loop<L: Acceptor>(shared: Arc<ServerShared>, listener: L) {
     }
 }
 
-/// Read exactly `buf.len()` bytes, riding out read-timeout polls while
-/// `keep_going()` holds. `Ok(false)` = clean EOF at offset 0 (the peer
-/// closed between frames); mid-buffer EOF is an error. Partial reads
-/// before a timeout are preserved, so polling never loses frame sync.
-fn read_full<S: Read>(
-    stream: &mut S,
-    buf: &mut [u8],
-    keep_going: impl Fn() -> bool,
-) -> io::Result<bool> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-frame",
-                    ))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if !keep_going() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "server shutting down",
-                    ));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
-    if stream.set_read_timeout_on(Some(READ_POLL)).is_err() {
-        return;
-    }
+fn serve_conn<S: Read + Write>(shared: &ServerShared, stream: &mut S) {
     let mut prefix = [0u8; 4];
     loop {
-        match read_full(&mut stream, &mut prefix, || !shared.stopping()) {
-            Ok(true) => {}
-            // Clean EOF, shutdown, or transport error: close quietly.
-            Ok(false) | Err(_) => return,
+        // After shutdown a connection starts no new request: bytes that
+        // reach a socket after `shutdown(Read)` are still readable.
+        if shared.stopping() {
+            return;
+        }
+        // EOF (the peer hung up, or shutdown ended the read half) or a
+        // transport error, between frames or inside one: close quietly.
+        if stream.read_exact(&mut prefix).is_err() {
+            return;
         }
         let len = match frame::body_len(prefix) {
             Ok(len) => len,
             Err(e) => {
                 // An unframeable prefix means the stream can never
                 // re-sync: answer once, then close.
-                respond(&mut stream, bad_request(0, &e));
+                respond(stream, bad_request(0, &e));
                 return;
             }
         };
@@ -467,16 +499,15 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
         // a body read — exercises the slow-peer path.
         ntt_chaos::maybe_delay("net.read.stall");
         let mut body = vec![0u8; len];
-        match read_full(&mut stream, &mut body, || !shared.stopping()) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
+        if stream.read_exact(&mut body).is_err() {
+            return;
         }
         ntt_obs::counter!("net.bytes_in").add((4 + len) as u64);
         let req = match frame::decode_body(&body) {
             Ok(Frame::Request(req)) => req,
             Ok(Frame::Response(r)) => {
                 respond(
-                    &mut stream,
+                    stream,
                     Response {
                         id: r.id,
                         result: Err(WireError {
@@ -488,7 +519,7 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
                 return;
             }
             Err(e) => {
-                respond(&mut stream, bad_request(0, &e));
+                respond(stream, bad_request(0, &e));
                 return;
             }
         };
@@ -501,7 +532,7 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
             return;
         }
         let resp = handle_request(shared, req);
-        if !respond(&mut stream, resp) {
+        if !respond(stream, resp) {
             return;
         }
     }

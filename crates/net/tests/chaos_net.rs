@@ -7,7 +7,8 @@
 //! (successes + drops == requests sent), and — because drop decisions
 //! are keyed by the client-chosen request id — the chaos trace is a
 //! pure function of the seed, byte-identical across server worker
-//! counts.
+//! counts. A held forward pass also pins what `shutdown` does to a
+//! request in flight.
 
 use ntt_chaos::{self as chaos, ChaosPlan, FaultKind, Rule};
 use ntt_core::{Aggregation, DelayHead, Ntt, NttConfig};
@@ -16,6 +17,7 @@ use ntt_net::{ErrorCode, NetClient, NetConfig, NetError, NetServer, Request};
 use ntt_serve::{BatchConfig, InferenceEngine, ModelRegistry};
 use ntt_tensor::Tensor;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn registry(seed: u64) -> Arc<ModelRegistry> {
     let cfg = NttConfig {
@@ -168,6 +170,48 @@ fn drop_schedule_is_invariant_across_worker_counts() {
         drops(&trace1),
         drops(&trace4),
         "replayed drop trace diverged across worker counts"
+    );
+}
+
+/// `shutdown` ends only the read half of each connection: a request
+/// held inside the forward pass still gets its bit-exact answer, and
+/// the next request on that connection finds it closed.
+#[test]
+fn shutdown_answers_the_request_in_flight_then_closes_the_connection() {
+    let registry = registry(107);
+    let engine = registry.get("pretrain").expect("registered");
+    let w = window(&engine, 11);
+    let expect = {
+        let x = Tensor::from_vec(w.clone(), &[1, engine.seq_len(), NUM_FEATURES]);
+        engine.predict("delay", &x, None).item()
+    };
+    let server = NetServer::bind_tcp("127.0.0.1:0", Arc::clone(&registry), NetConfig::default())
+        .expect("bind");
+    let mut client = NetClient::connect_tcp(server.tcp_addr().expect("addr")).expect("connect");
+    // The delay only bounds how long `shutdown` may take to land once
+    // the forward pass is held; when it lands does not depend on it.
+    let guard = chaos::scoped(ChaosPlan::new(7).rule(Rule::new(
+        "serve.predict.delay",
+        FaultKind::Delay { millis: 500 },
+    )));
+    let (served, next) = std::thread::scope(|s| {
+        s.spawn(|| {
+            // Land once the request is held in the forward pass: the
+            // server has read it, and has not yet answered it.
+            while chaos::report().injected_total() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            server.shutdown();
+        });
+        let served = client.predict("pretrain", "delay", &w, None, None);
+        (served, client.predict("pretrain", "delay", &w, None, None))
+    });
+    drop(guard);
+    let served = served.expect("the request in flight is answered");
+    assert_eq!(served.to_bits(), expect.to_bits());
+    assert!(
+        matches!(next, Err(NetError::Io(_))),
+        "a request after shutdown must find the connection closed, got {next:?}"
     );
 }
 

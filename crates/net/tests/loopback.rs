@@ -6,16 +6,18 @@
 //! batcher coalescing add exactly zero numeric surface. On top of
 //! that: exact overload accounting (every request is answered or
 //! typed-shed, nothing vanishes), stable error codes for routing
-//! misses, unix-socket parity, and a pool template that could never
-//! serve refused at bind.
+//! misses, unix-socket parity, a pool template that could never serve
+//! refused at bind, and a teardown that never waits on a quiet peer.
 
 use ntt_core::{Aggregation, DelayHead, MctHead, Ntt, NttConfig};
 use ntt_data::{Normalizer, NUM_FEATURES};
 use ntt_net::{ErrorCode, NetClient, NetConfig, NetServer};
 use ntt_serve::{BatchConfig, InferenceEngine, ModelRegistry};
 use ntt_tensor::Tensor;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_engine(seed: u64) -> InferenceEngine {
     let cfg = NttConfig {
@@ -260,6 +262,62 @@ fn unix_socket_serves_identically_to_tcp() {
     assert!(!path.exists(), "socket file must be removed on server drop");
 }
 
+/// A second bind on a live server's path fails instead of unlinking
+/// it, so the first server keeps serving and its drop still reaches its
+/// own accept loop. A stale file, which nothing accepts on, is replaced.
+#[cfg(unix)]
+#[test]
+fn binding_a_live_unix_path_fails_and_a_stale_one_is_replaced() {
+    let registry = registry_with(&[("pretrain", 43)]);
+    let path = std::env::temp_dir().join(format!("ntt_net_twice_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    drop(std::os::unix::net::UnixListener::bind(&path).expect("leave a stale socket file"));
+    let first = NetServer::bind_unix(&path, Arc::clone(&registry), NetConfig::default())
+        .expect("a stale socket file is replaced");
+    let second = NetServer::bind_unix(&path, Arc::clone(&registry), NetConfig::default());
+    assert_eq!(
+        second.err().map(|e| e.kind()),
+        Some(std::io::ErrorKind::AddrInUse),
+        "a second bind must not take over a live server's path"
+    );
+    let engine = registry.get("pretrain").expect("registered");
+    let w = windows(&engine, 1, 53).remove(0);
+    let served = NetClient::connect_unix(&path)
+        .expect("connect to the first server")
+        .predict("pretrain", "delay", &w, None, None)
+        .expect("the first server still serves");
+    assert_eq!(
+        served.to_bits(),
+        direct_prediction(&engine, "delay", &w).to_bits()
+    );
+    let t = Instant::now();
+    drop(first);
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "drop took {:?}",
+        t.elapsed()
+    );
+    assert!(!path.exists(), "socket file must be removed on server drop");
+}
+
+/// With its socket file gone, no wake-up reaches the accept loop: the
+/// drop gives up on that thread after a bounded wait instead of hanging.
+#[cfg(unix)]
+#[test]
+fn dropping_a_unix_server_whose_socket_file_is_gone_still_returns() {
+    let registry = registry_with(&[("pretrain", 47)]);
+    let path = std::env::temp_dir().join(format!("ntt_net_gone_{}.sock", std::process::id()));
+    let server = NetServer::bind_unix(&path, registry, NetConfig::default()).expect("bind unix");
+    std::fs::remove_file(&path).expect("remove the socket file");
+    let t = Instant::now();
+    drop(server);
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "drop took {:?}",
+        t.elapsed()
+    );
+}
+
 #[test]
 fn connection_cap_sheds_with_a_typed_frame() {
     let registry = registry_with(&[("pretrain", 61)]);
@@ -313,6 +371,36 @@ fn connection_cap_sheds_with_a_typed_frame() {
     );
     drop(first);
     drop(server);
+}
+
+#[test]
+fn dropping_the_server_never_waits_on_a_silent_or_half_sent_peer() {
+    let registry = registry_with(&[("pretrain", 91)]);
+    let server = NetServer::bind_tcp("127.0.0.1:0", Arc::clone(&registry), NetConfig::default())
+        .expect("bind");
+    let addr = server.tcp_addr().expect("addr");
+    let engine = registry.get("pretrain").expect("registered");
+    let w = windows(&engine, 1, 93).remove(0);
+    // A peer that announces a 100-byte body and never sends it: its
+    // connection thread blocks mid-frame.
+    let mut half_sent = TcpStream::connect(addr).expect("connect half-sent");
+    half_sent
+        .write_all(&100u32.to_le_bytes())
+        .expect("write prefix");
+    // A peer served once that then goes quiet. Connections are accepted
+    // in order, so once it has its answer both connections are served.
+    let mut silent = NetClient::connect_tcp(addr).expect("connect silent");
+    silent
+        .predict("pretrain", "delay", &w, None, None)
+        .expect("served before going quiet");
+    let t = Instant::now();
+    drop(server);
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "drop waited {:?} on quiet peers",
+        t.elapsed()
+    );
+    drop((half_sent, silent));
 }
 
 #[test]

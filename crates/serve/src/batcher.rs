@@ -27,17 +27,20 @@
 //! A serving pool must outlive its failures, so the batcher never has a
 //! state where a caller hangs:
 //!
-//! * **Worker panic → supervised respawn.** A panicking worker's
-//!   in-flight tickets fail fast with [`ServeError::WorkerDied`] (their
-//!   response channels drop during unwind), a replacement worker is
-//!   spawned before the dying thread finishes unwinding, and
-//!   [`BatcherStats::restarts`] / the `serve.worker_restarts` counter
-//!   record the event. Queued requests survive and are served by the
-//!   replacement. Only when the restart budget
-//!   ([`BatchConfig::max_restarts`]) is exhausted does the batcher
-//!   poison terminally: pending tickets resolve to
-//!   [`ServeError::Poisoned`], `submit` rejects, and `stats()` /
-//!   `metrics()` freeze at their pre-poison values for the post-mortem.
+//! * **Panicked batch → caught on its worker.** A worker serves each
+//!   batch inside `catch_unwind`, so a panic in the engine, a head, or
+//!   an injected fault costs that batch and nothing else. Under the
+//!   queue lock the worker charges the restart budget
+//!   ([`BatchConfig::max_restarts`]) and counts
+//!   [`BatcherStats::restarts`] / `serve.worker_restarts`; only then
+//!   does it drop the batch, which resolves its tickets to
+//!   [`ServeError::WorkerDied`] — so the accounting is exact by the
+//!   time a caller sees the error. The same worker then claims the
+//!   next batch: queued requests are served, during a drain too. Once
+//!   the budget is spent the batcher poisons terminally: pending
+//!   tickets resolve to [`ServeError::Poisoned`], `submit` rejects, and
+//!   no worker claims again, so `stats()` / `metrics()` already hold
+//!   the final numbers for the post-mortem.
 //! * **Overload → bounded queue + shedding.** The admission queue holds
 //!   at most [`BatchConfig::queue_cap`] requests; beyond that, `submit`
 //!   sheds with [`ServeError::Overloaded`] instead of queuing
@@ -52,9 +55,9 @@
 //!
 //! Fault injection for all of these paths rides on `ntt_chaos` sites
 //! (`serve.worker.panic`, `serve.worker.stall`): a seeded plan makes
-//! workers crash or stall on a replayable schedule, which is how the
+//! batches panic or stall on a replayable schedule, which is how the
 //! chaos soak suite drives thousands of requests through real
-//! panic/respawn/shed cycles deterministically.
+//! panic/recover/shed cycles deterministically.
 
 use crate::engine::InferenceEngine;
 use crate::error::ServeError;
@@ -62,6 +65,7 @@ use ntt_data::NUM_FEATURES;
 use ntt_obs::{Histogram, HistogramSnapshot};
 use ntt_tensor::{kernels, Tensor};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -81,9 +85,8 @@ pub struct BatchConfig {
     /// [`ServeError::Overloaded`] once this many requests are waiting
     /// (`0` = unbounded, the pre-robustness behavior).
     pub queue_cap: usize,
-    /// Worker respawns tolerated before the batcher poisons terminally.
-    /// `0` makes the first panic fatal (the old poison-on-panic
-    /// behavior).
+    /// Panicked batches the pool recovers from before it poisons
+    /// terminally. `0` makes the first panic fatal.
     pub max_restarts: usize,
     /// Default per-request deadline applied by [`Batcher::submit`]
     /// (`None` = requests wait indefinitely). Per-request override:
@@ -119,9 +122,9 @@ struct Request {
 struct Queue {
     pending: VecDeque<Request>,
     shutdown: bool,
-    /// Set when the restart budget is exhausted (or a respawn failed).
-    /// A poisoned batcher rejects new submissions and has resolved
-    /// every pending request with an error.
+    /// Set when the restart budget is exhausted. A poisoned batcher
+    /// rejects new submissions, has resolved every pending request with
+    /// an error, and never claims again.
     poisoned: bool,
 }
 
@@ -130,17 +133,10 @@ struct Shared {
     cfg: BatchConfig,
     queue: Mutex<Queue>,
     ready: Condvar,
-    /// Worker join handles — grows when a supervisor respawns a worker,
-    /// drained by `Batcher::drop`. Lock order: `queue` before
-    /// `handles`, everywhere.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Workers currently running their loop (respawns keep it stable;
-    /// it only sinks when a worker exits without replacement).
-    live_workers: AtomicUsize,
     batches_run: AtomicU64,
     windows_run: AtomicU64,
     largest_batch: AtomicUsize,
-    /// Workers respawned after a panic (`serve.worker_restarts`).
+    /// Panicked batches recovered from (`serve.worker_restarts`).
     restarts: AtomicU64,
     /// Requests shed at admission (`serve.shed_total`).
     shed: AtomicU64,
@@ -152,50 +148,6 @@ struct Shared {
     queue_wait: Histogram,
     service: Histogram,
     batch_size: Histogram,
-    /// Final stats + metrics captured by the terminal poison path. Once
-    /// the restart budget is exhausted the live counters stop moving,
-    /// and this freeze guarantees `stats()`/`metrics()` keep exposing
-    /// the last pre-poison view for post-mortems instead of whatever a
-    /// half-dead pool reports.
-    frozen: Mutex<Option<(BatcherStats, BatcherMetrics)>>,
-}
-
-impl Shared {
-    fn live_stats(&self) -> BatcherStats {
-        BatcherStats {
-            batches: self.batches_run.load(Ordering::Relaxed),
-            windows: self.windows_run.load(Ordering::Relaxed),
-            largest_batch: self.largest_batch.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            deadline_exceeded: self.expired.load(Ordering::Relaxed),
-        }
-    }
-
-    fn live_metrics(&self) -> BatcherMetrics {
-        BatcherMetrics {
-            queue_wait_ns: self.queue_wait.snapshot(),
-            service_ns: self.service.snapshot(),
-            batch_size: self.batch_size.snapshot(),
-        }
-    }
-
-    /// Terminal failure: freeze the post-mortem view, mark the pool
-    /// dead, and resolve every pending ticket with `Poisoned`. Caller
-    /// holds the queue lock.
-    fn poison(&self, q: &mut Queue) {
-        {
-            let snapshot = (self.live_stats(), self.live_metrics());
-            let mut frozen = self.frozen.lock().unwrap_or_else(|e| e.into_inner());
-            frozen.get_or_insert(snapshot);
-        }
-        q.poisoned = true;
-        for r in q.pending.drain(..) {
-            let _ = r.tx.send(Err(ServeError::Poisoned));
-        }
-        ntt_obs::gauge!("serve.queue_depth").set(0.0);
-        self.ready.notify_all();
-    }
 }
 
 /// Handle to one in-flight request.
@@ -206,13 +158,13 @@ pub struct Ticket {
 impl Ticket {
     /// Block until this request resolves: the prediction (normalized
     /// model output), or a typed error — [`ServeError::WorkerDied`] if
-    /// the serving worker panicked mid-batch (the response channel
-    /// dropped during unwind, and a respawned worker cannot recover a
-    /// batch that died with its thread), [`ServeError::DeadlineExceeded`]
-    /// if the request expired in the queue, [`ServeError::Poisoned`] if
-    /// the pool died terminally while the request waited. A ticket
-    /// never hangs: every accepted request is either served, expired,
-    /// or failed by the worker/pool teardown paths.
+    /// serving its batch panicked (the worker caught the panic, counted
+    /// it in [`BatcherStats::restarts`] or poisoned the pool, and then
+    /// dropped the batch), [`ServeError::DeadlineExceeded`] if the
+    /// request expired in the queue, [`ServeError::Poisoned`] if the
+    /// pool died terminally while the request waited. A ticket never
+    /// hangs: every accepted request is either served, expired, or
+    /// failed by a caught panic or the poison path.
     pub fn wait(self) -> Result<f32, ServeError> {
         self.rx.recv().map_err(|_| ServeError::WorkerDied)?
     }
@@ -225,7 +177,7 @@ pub struct BatcherStats {
     pub windows: u64,
     /// Largest coalesced batch observed.
     pub largest_batch: usize,
-    /// Workers respawned after a panic.
+    /// Panicked batches caught and recovered (the pool kept serving).
     pub restarts: u64,
     /// Requests shed at admission (bounded queue full).
     pub shed: u64,
@@ -250,6 +202,8 @@ pub struct BatcherMetrics {
 /// Micro-batching front end over one engine + one head.
 pub struct Batcher {
     shared: Arc<Shared>,
+    /// Every worker runs for the life of the pool; `drop` joins them.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Batcher {
@@ -273,8 +227,6 @@ impl Batcher {
                 poisoned: false,
             }),
             ready: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
-            live_workers: AtomicUsize::new(workers),
             batches_run: AtomicU64::new(0),
             windows_run: AtomicU64::new(0),
             largest_batch: AtomicUsize::new(0),
@@ -284,16 +236,14 @@ impl Batcher {
             queue_wait: Histogram::new(),
             service: Histogram::new(),
             batch_size: Histogram::new(),
-            frozen: Mutex::new(None),
         });
-        {
-            let mut handles = shared.handles.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..workers {
+        let workers = (0..workers)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                handles.push(std::thread::spawn(move || worker_loop(shared)));
-            }
-        }
-        Batcher { shared }
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
+        Batcher { shared, workers }
     }
 
     /// Submit one featurized window (`seq_len * NUM_FEATURES` values,
@@ -398,9 +348,9 @@ impl Batcher {
     }
 
     /// False once the batcher has poisoned terminally (restart budget
-    /// exhausted, or a respawn failed): it rejects further submissions
-    /// and has already resolved every pending ticket. Individual worker
-    /// panics within budget do *not* unhealth the pool — they respawn.
+    /// exhausted): it rejects further submissions and has already
+    /// resolved every pending ticket. A panicked batch within budget
+    /// does *not* unhealth the pool — its worker keeps serving.
     pub fn is_healthy(&self) -> bool {
         !self
             .shared
@@ -410,26 +360,29 @@ impl Batcher {
             .poisoned
     }
 
-    /// Batching statistics so far. After terminal poisoning this
-    /// returns the frozen pre-poison view, so the numbers a post-mortem
-    /// reads are the final ones.
+    /// Batching statistics so far. After terminal poisoning no worker
+    /// claims again, so these are the final numbers for a post-mortem.
     pub fn stats(&self) -> BatcherStats {
-        let frozen = self.shared.frozen.lock().unwrap_or_else(|e| e.into_inner());
-        match &*frozen {
-            Some((stats, _)) => *stats,
-            None => self.shared.live_stats(),
+        let s = &self.shared;
+        BatcherStats {
+            batches: s.batches_run.load(Ordering::Relaxed),
+            windows: s.windows_run.load(Ordering::Relaxed),
+            largest_batch: s.largest_batch.load(Ordering::Relaxed),
+            restarts: s.restarts.load(Ordering::Relaxed),
+            shed: s.shed.load(Ordering::Relaxed),
+            deadline_exceeded: s.expired.load(Ordering::Relaxed),
         }
     }
 
     /// Queue-wait, service-time, and batch-size distributions for this
     /// batcher (its own histograms, not the process-global ones —
-    /// several batchers never mix). Frozen at the last pre-poison view
-    /// once the pool has died terminally.
+    /// several batchers never mix). Final once the pool has poisoned,
+    /// like [`Batcher::stats`].
     pub fn metrics(&self) -> BatcherMetrics {
-        let frozen = self.shared.frozen.lock().unwrap_or_else(|e| e.into_inner());
-        match &*frozen {
-            Some((_, metrics)) => metrics.clone(),
-            None => self.shared.live_metrics(),
+        BatcherMetrics {
+            queue_wait_ns: self.shared.queue_wait.snapshot(),
+            service_ns: self.shared.service.snapshot(),
+            batch_size: self.shared.batch_size.snapshot(),
         }
     }
 }
@@ -439,209 +392,164 @@ impl Drop for Batcher {
     /// exiting, so already-issued tickets still resolve.
     fn drop(&mut self) {
         self.shutdown();
-        // Join every worker, including respawns registered while we
-        // drain (a supervisor never respawns after `shutdown` is set,
-        // so the handle list strictly shrinks once this loop starts).
-        loop {
-            let handle = self
-                .shared
-                .handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
 
-/// Supervision guard living on each worker's stack. On a panic it
-/// respawns a replacement worker (within `max_restarts`), so one bad
-/// batch — a poisoned input, an engine bug, an injected chaos fault —
-/// costs its own tickets but never the pool. The panicked batch's
-/// response senders drop during unwind, resolving those tickets with
-/// [`ServeError::WorkerDied`] before the replacement even starts.
-struct Supervise {
-    shared: Arc<Shared>,
-}
-
-impl Drop for Supervise {
-    fn drop(&mut self) {
-        let shared = &self.shared;
-        let was_live = shared.live_workers.fetch_sub(1, Ordering::Relaxed);
-        if !std::thread::panicking() {
-            return; // normal shutdown exit
+/// One worker, alive for the life of the pool: claim a batch, serve it
+/// inside `catch_unwind`, repeat until a drained shutdown or a poison.
+fn worker_loop(shared: &Shared) {
+    while let Some(batch) = claim(shared) {
+        if catch_unwind(AssertUnwindSafe(|| serve(shared, &batch))).is_err() {
+            recover(shared);
         }
-        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.poisoned {
-            return;
-        }
-        if q.shutdown {
-            // Never respawn into a draining pool. If this was the last
-            // worker, whatever is still queued can no longer be served
-            // — fail those tickets rather than stranding them.
-            if was_live == 1 {
-                for r in q.pending.drain(..) {
-                    let _ = r.tx.send(Err(ServeError::WorkerDied));
-                }
-            }
-            return;
-        }
-        // Charge the restart budget; exhaustion is terminal.
-        let within_budget = shared
-            .restarts
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < shared.cfg.max_restarts as u64).then_some(n + 1)
-            })
-            .is_ok();
-        if !within_budget {
-            shared.poison(&mut q);
-            return;
-        }
-        ntt_obs::counter!("serve.worker_restarts").inc();
-        shared.live_workers.fetch_add(1, Ordering::Relaxed);
-        let respawn = Arc::clone(shared);
-        match std::thread::Builder::new().spawn(move || worker_loop(respawn)) {
-            Ok(handle) => {
-                // Still holding the queue lock: `Batcher::drop` sets
-                // `shutdown` under it, so the handle is registered
-                // before any join loop can begin, or not spawned at
-                // all.
-                shared
-                    .handles
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(handle);
-            }
-            Err(_) => {
-                // Could not replace the worker (thread exhaustion):
-                // the pool can no longer honor its contract.
-                shared.live_workers.fetch_sub(1, Ordering::Relaxed);
-                shared.poison(&mut q);
-            }
-        }
+        // Dropping the batch resolves every ticket it did not answer to
+        // `WorkerDied` — after `recover`, so a caller who sees that
+        // error also sees the restart or the poison it caused.
+        drop(batch);
     }
 }
 
-fn worker_loop(shared: Arc<Shared>) {
-    let _supervise = Supervise {
-        shared: Arc::clone(&shared),
-    };
+/// Claim an arrival-order run from the queue front, resolving requests
+/// whose deadline already passed; `None` once a shutdown has drained
+/// the queue or the pool is poisoned. This runs outside the worker's
+/// `catch_unwind` and cannot panic: it touches only the queue, the
+/// requests' deadlines and their reply channels.
+fn claim(shared: &Shared) -> Option<Vec<Request>> {
     loop {
-        // Claim an arrival-order run from the queue front, dropping
-        // requests whose deadline already passed.
-        let batch: Vec<Request> = {
-            // Lock/condvar poisoning maps to our own `poisoned` flag;
-            // recovering the guard here keeps the drain loop alive so
-            // shutdown still resolves outstanding tickets.
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if !q.pending.is_empty() {
-                    break;
-                }
-                if q.shutdown || q.poisoned {
-                    return;
-                }
-                q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        // Lock/condvar poisoning maps to our own `poisoned` flag;
+        // recovering the guard keeps the drain loop alive so shutdown
+        // still resolves outstanding tickets.
+        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        while q.pending.is_empty() {
+            if q.shutdown || q.poisoned {
+                return None;
             }
-            let n = q.pending.len().min(shared.cfg.max_batch);
-            let claimed: Vec<Request> = q.pending.drain(..n).collect();
-            ntt_obs::gauge!("serve.queue_depth").set(q.pending.len() as f64);
-            drop(q);
-            // One clock read per claim covers every carried deadline.
-            let now = claimed
+            q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        let n = q.pending.len().min(shared.cfg.max_batch);
+        let claimed: Vec<Request> = q.pending.drain(..n).collect();
+        ntt_obs::gauge!("serve.queue_depth").set(q.pending.len() as f64);
+        drop(q);
+        // One clock read per claim covers every carried deadline.
+        let now = claimed
+            .iter()
+            .any(|r| r.deadline.is_some())
+            .then(Instant::now);
+        let mut live = Vec::with_capacity(claimed.len());
+        for r in claimed {
+            match (r.deadline, now) {
+                (Some(d), Some(now)) if now >= d => {
+                    shared.expired.fetch_add(1, Ordering::Relaxed);
+                    ntt_obs::counter!("serve.deadline_exceeded").inc();
+                    let _ = r.tx.send(Err(ServeError::DeadlineExceeded));
+                }
+                _ => live.push(r),
+            }
+        }
+        if !live.is_empty() {
+            return Some(live);
+        }
+        // The whole claim had expired: claim again.
+    }
+}
+
+/// A served batch panicked. Under the queue lock, charge the restart
+/// budget — or, once it is spent, poison the pool: mark it dead and
+/// resolve every pending ticket with `Poisoned`.
+fn recover(shared: &Shared) {
+    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+    let within_budget = shared
+        .restarts
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < shared.cfg.max_restarts as u64).then_some(n + 1)
+        })
+        .is_ok();
+    if within_budget {
+        ntt_obs::counter!("serve.worker_restarts").inc();
+        return;
+    }
+    q.poisoned = true;
+    for r in q.pending.drain(..) {
+        let _ = r.tx.send(Err(ServeError::Poisoned));
+    }
+    ntt_obs::gauge!("serve.queue_depth").set(0.0);
+    shared.ready.notify_all();
+}
+
+/// Run one claimed batch through the engine and answer every ticket.
+/// Everything that can panic — the engine, the head, chaos sites,
+/// request data — runs here, inside the worker's `catch_unwind`.
+fn serve(shared: &Shared, batch: &[Request]) {
+    // Chaos sites: a seeded plan can stall this worker (slow consumer —
+    // the queue backs up and admission sheds) or panic mid-batch
+    // (exercising ticket fail-fast and recovery). Both compile to one
+    // relaxed load when chaos is off.
+    ntt_chaos::maybe_delay("serve.worker.stall");
+    ntt_chaos::maybe_panic("serve.worker.panic");
+
+    // Queue wait: submit -> claim, one clock read for the batch.
+    if ntt_obs::enabled() {
+        let now = Instant::now();
+        for r in batch {
+            if let Some(t0) = r.enqueued {
+                let ns = now.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64;
+                shared.queue_wait.record_always(ns);
+                ntt_obs::histogram!("serve.queue_wait_ns").record_always(ns);
+            }
+        }
+    }
+    let service_t0 = ntt_obs::enabled().then(Instant::now);
+
+    let b = batch.len();
+    let seq = shared.engine.seq_len();
+    let mut x = Vec::with_capacity(b * seq * NUM_FEATURES);
+    for r in batch {
+        x.extend_from_slice(&r.window);
+    }
+    let x = Tensor::from_vec(x, &[b, seq, NUM_FEATURES]);
+    let aux = batch[0].aux.is_some().then(|| {
+        Tensor::from_vec(
+            batch
                 .iter()
-                .any(|r| r.deadline.is_some())
-                .then(Instant::now);
-            let mut live = Vec::with_capacity(claimed.len());
-            for r in claimed {
-                match (r.deadline, now) {
-                    (Some(d), Some(now)) if now >= d => {
-                        shared.expired.fetch_add(1, Ordering::Relaxed);
-                        ntt_obs::counter!("serve.deadline_exceeded").inc();
-                        let _ = r.tx.send(Err(ServeError::DeadlineExceeded));
-                    }
-                    _ => live.push(r),
-                }
-            }
-            if live.is_empty() {
-                continue; // the whole claim had expired
-            }
-            live
-        };
+                // PANIC-OK: submit rejects aux mismatches for this
+                // head, so a batch is all-aux or all-none.
+                .map(|r| r.aux.expect("checked on submit"))
+                .collect(),
+            &[b, 1],
+        )
+    });
+    // With several workers the machine is divided between batches;
+    // suppress the GEMM kernels' internal row threading so they do not
+    // oversubscribe it (same discipline as the trainer). With one
+    // worker nothing needs suppressing at the shapes served today:
+    // every product of a paper-shape forward over at most 16 windows is
+    // below `kernels::PAR_THRESHOLD`, so it runs on this thread alone
+    // (`tests/serving.rs` pins both halves).
+    let out = if shared.cfg.workers > 1 {
+        kernels::with_sequential(|| shared.engine.predict(shared.cfg.head, &x, aux.as_ref()))
+    } else {
+        shared.engine.predict(shared.cfg.head, &x, aux.as_ref())
+    };
 
-        // Chaos sites: a seeded plan can stall this worker (slow
-        // consumer — the queue backs up and admission sheds) or crash
-        // it mid-batch (exercising ticket fail-fast + respawn). Both
-        // compile to one relaxed load when chaos is off.
-        ntt_chaos::maybe_delay("serve.worker.stall");
-        ntt_chaos::maybe_panic("serve.worker.panic");
-
-        // Queue wait: submit -> claim, one clock read for the batch.
-        if ntt_obs::enabled() {
-            let now = Instant::now();
-            for r in &batch {
-                if let Some(t0) = r.enqueued {
-                    let ns = now.duration_since(t0).as_nanos().min(u64::MAX as u128) as u64;
-                    shared.queue_wait.record_always(ns);
-                    ntt_obs::histogram!("serve.queue_wait_ns").record_always(ns);
-                }
-            }
-        }
-        let service_t0 = ntt_obs::enabled().then(Instant::now);
-
-        let b = batch.len();
-        let seq = shared.engine.seq_len();
-        let mut x = Vec::with_capacity(b * seq * NUM_FEATURES);
-        for r in &batch {
-            x.extend_from_slice(&r.window);
-        }
-        let x = Tensor::from_vec(x, &[b, seq, NUM_FEATURES]);
-        let aux = batch[0].aux.is_some().then(|| {
-            Tensor::from_vec(
-                batch
-                    .iter()
-                    // PANIC-OK: submit rejects aux mismatches for this
-                    // head, so a batch is all-aux or all-none.
-                    .map(|r| r.aux.expect("checked on submit"))
-                    .collect(),
-                &[b, 1],
-            )
-        });
-        // With several workers the machine is divided between batches;
-        // suppress the GEMM kernels' internal row threading so they do
-        // not oversubscribe it (same discipline as the trainer). With
-        // one worker nothing needs suppressing at the shapes served
-        // today: every product of a paper-shape forward over at most
-        // 16 windows is below `kernels::PAR_THRESHOLD`, so it runs on
-        // this thread alone (`tests/serving.rs` pins both halves).
-        let out = if shared.cfg.workers > 1 {
-            kernels::with_sequential(|| shared.engine.predict(shared.cfg.head, &x, aux.as_ref()))
-        } else {
-            shared.engine.predict(shared.cfg.head, &x, aux.as_ref())
-        };
-
-        shared.batches_run.fetch_add(1, Ordering::Relaxed);
-        shared.windows_run.fetch_add(b as u64, Ordering::Relaxed);
-        shared.largest_batch.fetch_max(b, Ordering::Relaxed);
-        shared.batch_size.record(b as u64);
-        ntt_obs::histogram!("serve.batch_size").record(b as u64);
-        // Service time = stack + forward pass, recorded *before* the
-        // responses go out so a caller that saw every ticket resolve
-        // also sees every service sample.
-        if let Some(t0) = service_t0 {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            shared.service.record_always(ns);
-            ntt_obs::histogram!("serve.service_ns").record_always(ns);
-        }
-        for (r, &z) in batch.iter().zip(out.data()) {
-            // A dropped ticket (caller gave up) is not an error.
-            let _ = r.tx.send(Ok(z));
-        }
+    shared.batches_run.fetch_add(1, Ordering::Relaxed);
+    shared.windows_run.fetch_add(b as u64, Ordering::Relaxed);
+    shared.largest_batch.fetch_max(b, Ordering::Relaxed);
+    shared.batch_size.record(b as u64);
+    ntt_obs::histogram!("serve.batch_size").record(b as u64);
+    // Service time = stack + forward pass, recorded *before* the
+    // responses go out so a caller that saw every ticket resolve also
+    // sees every service sample.
+    if let Some(t0) = service_t0 {
+        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        shared.service.record_always(ns);
+        ntt_obs::histogram!("serve.service_ns").record_always(ns);
+    }
+    for (r, &z) in batch.iter().zip(out.data()) {
+        // A dropped ticket (caller gave up) is not an error.
+        let _ = r.tx.send(Ok(z));
     }
 }
 
@@ -661,22 +569,37 @@ mod tests {
             .collect()
     }
 
-    /// Delegates to a real delay head but panics on configured calls —
-    /// stands in for transient or persistent engine failures.
-    struct FlakyHead {
-        inner: DelayHead,
-        calls: AtomicUsize,
+    /// Test controls for a [`FlakyHead`]: every forward waits at the
+    /// gate until it opens (deterministic queue pressure), and the
+    /// configured calls then panic (engine failures).
+    struct Gate {
         /// Calls (0-based) that panic.
         boom: &'static [usize],
+        /// (forwards entered, gate open).
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
     }
-    impl FlakyHead {
-        fn boxed(d_model: usize, boom: &'static [usize]) -> Box<dyn Head> {
-            Box::new(FlakyHead {
-                inner: DelayHead::new(d_model, 1),
-                calls: AtomicUsize::new(0),
-                boom,
-            })
+    impl Gate {
+        /// Block until the worker is held inside the head.
+        fn wait_until_entered(&self) {
+            let state = self.state.lock().unwrap();
+            let (state, _) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(5), |s| s.0 == 0)
+                .unwrap();
+            assert_eq!(state.0, 1, "worker is gated");
         }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// A real delay head behind a [`Gate`].
+    struct FlakyHead {
+        inner: DelayHead,
+        gate: Arc<Gate>,
     }
     impl Module for FlakyHead {
         fn params(&self) -> Vec<Param> {
@@ -696,102 +619,41 @@ mod tests {
             encoded: Var<'t>,
             aux: Option<Var<'t>>,
         ) -> Var<'t> {
-            let call = self.calls.fetch_add(1, Ordering::SeqCst);
-            if self.boom.contains(&call) {
+            let call = {
+                let gate = &self.gate;
+                let mut state = gate.state.lock().unwrap();
+                let call = state.0;
+                state.0 += 1;
+                gate.changed.notify_all();
+                drop(gate.changed.wait_while(state, |s| !s.1).unwrap());
+                call
+            };
+            if self.gate.boom.contains(&call) {
                 panic!("injected head failure");
             }
             self.inner.forward_head(tape, encoded, aux)
         }
     }
 
-    /// Blocks every forward until released — deterministic queue
-    /// pressure for the overload and deadline tests.
-    struct GateHead {
-        inner: DelayHead,
-        entered: AtomicUsize,
-        open: std::sync::atomic::AtomicBool,
-    }
-    impl GateHead {
-        /// Spin until the worker is blocked inside this head.
-        fn wait_until_entered(&self) {
-            let t0 = std::time::Instant::now();
-            while self.entered.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5 {
-                std::thread::yield_now();
-            }
-            assert_eq!(self.entered.load(Ordering::SeqCst), 1, "worker is gated");
-        }
-    }
-    impl Module for GateHead {
-        fn params(&self) -> Vec<Param> {
-            self.inner.params()
-        }
-    }
-    impl Head for GateHead {
-        fn kind(&self) -> &'static str {
-            "gate"
-        }
-        fn d_model(&self) -> usize {
-            self.inner.d_model()
-        }
-        fn forward_head<'t>(
-            &self,
-            tape: &'t ntt_tensor::Tape,
-            encoded: Var<'t>,
-            aux: Option<Var<'t>>,
-        ) -> Var<'t> {
-            self.entered.fetch_add(1, Ordering::SeqCst);
-            while !self.open.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            self.inner.forward_head(tape, encoded, aux)
-        }
-    }
-
-    /// Engine around one custom head plus an `Arc` handle to it.
-    fn engine_with_gate() -> (Arc<InferenceEngine>, Arc<GateHead>) {
+    /// Engine whose one head is a [`FlakyHead`] panicking on the `boom`
+    /// calls, with its gate `open` or shut, plus the gate's handle.
+    fn flaky_engine(boom: &'static [usize], open: bool) -> (Arc<InferenceEngine>, Arc<Gate>) {
         let cfg = crate::test_util::tiny_cfg(0.0);
-        let gate = Arc::new(GateHead {
-            inner: DelayHead::new(cfg.d_model, 1),
-            entered: AtomicUsize::new(0),
-            open: std::sync::atomic::AtomicBool::new(false),
+        let gate = Arc::new(Gate {
+            boom,
+            state: Mutex::new((0, open)),
+            changed: Condvar::new(),
         });
-        struct Fwd(Arc<GateHead>);
-        impl Module for Fwd {
-            fn params(&self) -> Vec<Param> {
-                self.0.params()
-            }
-        }
-        impl Head for Fwd {
-            fn kind(&self) -> &'static str {
-                "gate"
-            }
-            fn d_model(&self) -> usize {
-                self.0.d_model()
-            }
-            fn forward_head<'t>(
-                &self,
-                tape: &'t ntt_tensor::Tape,
-                encoded: Var<'t>,
-                aux: Option<Var<'t>>,
-            ) -> Var<'t> {
-                self.0.forward_head(tape, encoded, aux)
-            }
-        }
+        let head = FlakyHead {
+            inner: DelayHead::new(cfg.d_model, 1),
+            gate: Arc::clone(&gate),
+        };
         let eng = Arc::new(InferenceEngine::from_parts(
             ntt_core::Ntt::new(cfg),
-            vec![Box::new(Fwd(Arc::clone(&gate)))],
+            vec![Box::new(head)],
             ntt_data::Normalizer::identity(NUM_FEATURES),
         ));
         (eng, gate)
-    }
-
-    fn flaky_engine(boom: &'static [usize]) -> Arc<InferenceEngine> {
-        let cfg = crate::test_util::tiny_cfg(0.0);
-        Arc::new(InferenceEngine::from_parts(
-            ntt_core::Ntt::new(cfg),
-            vec![FlakyHead::boxed(cfg.d_model, boom)],
-            ntt_data::Normalizer::identity(NUM_FEATURES),
-        ))
     }
 
     #[test]
@@ -901,11 +763,11 @@ mod tests {
     }
 
     #[test]
-    fn panicked_worker_respawns_and_the_pool_keeps_serving() {
+    fn a_panicked_batch_is_caught_and_the_worker_keeps_serving() {
         // Call 0 panics; every later call succeeds. The first request's
-        // ticket fails fast, a replacement worker spawns, and the pool
-        // serves the rest as if nothing happened.
-        let eng = flaky_engine(&[0]);
+        // ticket fails fast, and the same worker serves the rest as if
+        // nothing happened.
+        let (eng, _) = flaky_engine(&[0], true);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
@@ -922,12 +784,13 @@ mod tests {
             Err(ServeError::WorkerDied),
             "the in-flight ticket of a panicked batch fails fast"
         );
-        // The respawned worker serves subsequent requests.
+        // The restart is counted by the time the ticket resolves.
+        assert_eq!(batcher.stats().restarts, 1);
         for i in 0..4 {
             let t = batcher.submit(vec![0.1 * i as f32; row], None).unwrap();
-            assert!(t.wait().unwrap().is_finite(), "request {i} after respawn");
+            assert!(t.wait().unwrap().is_finite(), "request {i} after the panic");
         }
-        assert!(batcher.is_healthy(), "a respawn within budget is healthy");
+        assert!(batcher.is_healthy(), "a panic within budget is healthy");
         let stats = batcher.stats();
         assert_eq!(stats.restarts, 1);
         assert_eq!(stats.windows, 4, "stats keep moving after the restart");
@@ -937,8 +800,8 @@ mod tests {
     fn queued_requests_survive_a_worker_panic() {
         // Two requests queued back-to-back; serving the first panics
         // (max_batch 1 keeps them in separate batches). The second must
-        // be served by the replacement worker, not dropped.
-        let eng = flaky_engine(&[0]);
+        // be served, not dropped.
+        let (eng, _) = flaky_engine(&[0], true);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
@@ -954,16 +817,48 @@ mod tests {
         assert_eq!(doomed.wait(), Err(ServeError::WorkerDied));
         assert!(
             survivor.wait().unwrap().is_finite(),
-            "a queued request must survive the panic and be served by the respawn"
+            "a queued request must survive the panic"
         );
     }
 
     #[test]
+    fn a_panic_while_draining_costs_only_its_own_batch() {
+        // Three requests queued behind a gated first call, then a
+        // shutdown: the first batch panics mid-drain, and the one worker
+        // still serves the other two before it exits.
+        let (eng, gate) = flaky_engine(&[0], false);
+        let batcher = Batcher::new(
+            Arc::clone(&eng),
+            BatchConfig {
+                max_batch: 1,
+                workers: 1,
+                head: "flaky",
+                ..BatchConfig::default()
+            },
+        );
+        let row = eng.seq_len() * NUM_FEATURES;
+        let doomed = batcher.submit(vec![0.0; row], None).unwrap();
+        gate.wait_until_entered();
+        let queued: Vec<Ticket> = (1..3)
+            .map(|i| batcher.submit(vec![0.1 * i as f32; row], None).unwrap())
+            .collect();
+        batcher.shutdown();
+        gate.open();
+        assert_eq!(doomed.wait(), Err(ServeError::WorkerDied));
+        for t in queued {
+            assert!(t.wait().unwrap().is_finite(), "drained after the panic");
+        }
+        let stats = batcher.stats();
+        assert_eq!(stats.restarts, 1);
+        assert_eq!(stats.windows, 2);
+    }
+
+    #[test]
     fn exhausted_restart_budget_poisons_terminally() {
-        // Every call panics and the budget is one respawn: the second
-        // panic poisons the pool — submissions reject, pending tickets
-        // resolve, and stats freeze.
-        let eng = flaky_engine(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        // Every call panics and the budget is one restart: the second
+        // panic poisons the pool — submissions reject and pending
+        // tickets resolve.
+        let (eng, _) = flaky_engine(&[0, 1, 2, 3, 4, 5, 6, 7], true);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
@@ -983,26 +878,22 @@ mod tests {
             batcher.submit(vec![0.1; row], None).unwrap().wait(),
             Err(ServeError::WorkerDied)
         );
-        // The second panic exhausted the budget; the poison flag is set
-        // by the dying worker's supervisor, so give it a moment.
-        let t0 = std::time::Instant::now();
-        while batcher.is_healthy() && t0.elapsed().as_secs() < 5 {
-            std::thread::yield_now();
-        }
+        // The second panic exhausted the budget, and the pool poisoned
+        // before that ticket resolved.
         assert!(!batcher.is_healthy());
         assert_eq!(
             batcher.submit(vec![0.2; row], None).err(),
             Some(ServeError::Poisoned)
         );
         let stats = batcher.stats();
-        assert_eq!(stats.restarts, 1, "one respawn happened before poisoning");
+        assert_eq!(stats.restarts, 1, "one restart happened before poisoning");
     }
 
     #[test]
     fn legacy_zero_budget_poisons_on_first_panic() {
         // max_restarts: 0 restores the old poison-on-first-panic
         // behavior exactly.
-        let eng = flaky_engine(&[0]);
+        let (eng, _) = flaky_engine(&[0], true);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
@@ -1016,10 +907,6 @@ mod tests {
         let row = eng.seq_len() * NUM_FEATURES;
         let ticket = batcher.submit(vec![0.0; row], None).unwrap();
         assert_eq!(ticket.wait(), Err(ServeError::WorkerDied));
-        let t0 = std::time::Instant::now();
-        while batcher.is_healthy() && t0.elapsed().as_secs() < 5 {
-            std::thread::yield_now();
-        }
         assert!(!batcher.is_healthy());
         assert_eq!(
             batcher.submit(vec![0.0; row], None).err(),
@@ -1030,13 +917,13 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded() {
-        let (eng, gate) = engine_with_gate();
+        let (eng, gate) = flaky_engine(&[], false);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
                 max_batch: 1,
                 workers: 1,
-                head: "gate",
+                head: "flaky",
                 queue_cap: 3,
                 ..BatchConfig::default()
             },
@@ -1056,7 +943,7 @@ mod tests {
         );
         assert_eq!(batcher.stats().shed, 1);
         // Release the gate: everything accepted still resolves.
-        gate.open.store(true, Ordering::SeqCst);
+        gate.open();
         assert!(served.wait().unwrap().is_finite());
         for t in queued {
             assert!(t.wait().unwrap().is_finite());
@@ -1066,13 +953,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_resolves_instead_of_occupying_a_batch() {
-        let (eng, gate) = engine_with_gate();
+        let (eng, gate) = flaky_engine(&[], false);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
                 max_batch: 4,
                 workers: 1,
-                head: "gate",
+                head: "flaky",
                 ..BatchConfig::default()
             },
         );
@@ -1087,7 +974,7 @@ mod tests {
             .unwrap();
         let patient = batcher.submit(vec![0.2; row], None).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        gate.open.store(true, Ordering::SeqCst);
+        gate.open();
         assert!(served.wait().unwrap().is_finite());
         assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
         assert!(
@@ -1134,11 +1021,11 @@ mod tests {
     }
 
     #[test]
-    fn poison_freezes_final_stats_and_metrics() {
+    fn poisoned_pool_keeps_its_final_stats_and_metrics() {
         ntt_obs::set_enabled(true);
         // First call succeeds, the second panics; a zero restart budget
         // makes that panic terminal.
-        let eng = flaky_engine(&[1]);
+        let (eng, _) = flaky_engine(&[1], true);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
@@ -1157,18 +1044,14 @@ mod tests {
             .wait()
             .unwrap()
             .is_finite());
-        // Second request kills the worker.
+        // Second request panics, and the pool poisons.
         let doomed = batcher.submit(vec![0.1; row], None).unwrap();
         assert_eq!(doomed.wait(), Err(ServeError::WorkerDied));
-        let t0 = std::time::Instant::now();
-        while batcher.is_healthy() && t0.elapsed().as_secs() < 5 {
-            std::thread::yield_now();
-        }
         assert!(!batcher.is_healthy());
         // The pre-poison numbers survive: one successful batch of one
         // window, with its latency samples intact.
         let stats = batcher.stats();
-        assert_eq!(stats.batches, 1, "final stats must be frozen, not reset");
+        assert_eq!(stats.batches, 1, "final stats must survive, not reset");
         assert_eq!(stats.windows, 1);
         let m = batcher.metrics();
         assert_eq!(m.batch_size.count, 1);
@@ -1182,14 +1065,14 @@ mod tests {
     fn idle_pool_claims_one_and_a_backlog_fills_to_the_limit() {
         // No window, no timer: the first request finds an idle worker and
         // rides alone; the nine queued behind the gate go out as 4 + 4 + 1.
-        let (eng, gate) = engine_with_gate();
+        let (eng, gate) = flaky_engine(&[], false);
         let ws = windows(&eng, 10, 21);
         let batcher = Batcher::new(
             Arc::clone(&eng),
             BatchConfig {
                 max_batch: 4,
                 workers: 1,
-                head: "gate",
+                head: "flaky",
                 ..BatchConfig::default()
             },
         );
@@ -1201,13 +1084,13 @@ mod tests {
                 .iter()
                 .map(|w| batcher.submit(w.clone(), None).unwrap()),
         );
-        gate.open.store(true, Ordering::SeqCst);
+        gate.open();
         // Ticket i answers window i, to the bit.
         for (t, w) in tickets.into_iter().zip(&ws) {
             let z = t.wait().unwrap();
             assert!(z.is_finite());
             let x = Tensor::from_vec(w.clone(), &[1, eng.seq_len(), NUM_FEATURES]);
-            assert_eq!(z.to_bits(), eng.predict("gate", &x, None).item().to_bits());
+            assert_eq!(z.to_bits(), eng.predict("flaky", &x, None).item().to_bits());
         }
         let stats = batcher.stats();
         assert_eq!(stats.batches, 4, "1 + 4 + 4 + 1");

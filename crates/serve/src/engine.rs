@@ -6,7 +6,7 @@
 //! wrapping the engine in an `Arc` and handing clones to worker threads
 //! duplicates nothing.
 //!
-//! An engine is a **snapshot** of a frozen model. Construction folds the
+//! An engine is a **snapshot** of a fixed model. Construction folds the
 //! trunk's affine front end — embedding → `agg1` → `agg2`, three
 //! `Linear` layers with no activation between them — into one matrix
 //! and bias per zone ([`Ntt::fold_front`]), so a request runs folded
@@ -48,7 +48,7 @@ pub struct InferenceEngine {
     /// scratch arena survives between requests).
     tapes: TapePool,
     /// Windows predicted since construction (all entry points). An
-    /// `ntt_obs` counter: frozen at its last value while `NTT_OBS=off`.
+    /// `ntt_obs` counter: it holds its last value while `NTT_OBS=off`.
     served: Counter,
 }
 
@@ -124,7 +124,7 @@ impl InferenceEngine {
     }
 
     /// Total windows predicted since construction. Counts only while
-    /// observability is enabled (the `NTT_OBS` kill switch freezes it);
+    /// observability is enabled (the `NTT_OBS` kill switch stops it);
     /// the process-wide total across every engine is the registry's
     /// `serve.windows_served` counter.
     pub fn windows_served(&self) -> u64 {

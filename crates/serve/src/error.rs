@@ -1,7 +1,7 @@
 //! Typed errors for client-reachable serving paths.
 //!
 //! A serving process must not panic on a request path (lint R6): a bad
-//! request, a shut-down pool, or a crashed worker are *runtime
+//! request, a shut-down pool, or a panicked batch are *runtime
 //! conditions a caller can hit*, and each maps to a [`ServeError`]
 //! variant the caller can match on. Panics remain only for invariants
 //! that are established at construction and cannot be violated by any
@@ -20,11 +20,12 @@ pub enum ServeError {
     AuxMismatch { head: &'static str, needs_aux: bool },
     /// The batcher is shutting down and no longer accepts requests.
     ShuttingDown,
-    /// A worker thread panicked; the batcher rejects new submissions
-    /// (accepting requests nobody will answer would hang the client).
+    /// Panicked batches spent the restart budget; the batcher rejects
+    /// new submissions (accepting requests nobody will answer would
+    /// hang the client).
     Poisoned,
-    /// The worker serving this request died before answering; the
-    /// ticket can never resolve.
+    /// Serving this request's batch panicked. The worker caught the
+    /// panic and kept serving; this request got no answer.
     WorkerDied,
     /// The admission queue is full (`cap` requests waiting): the
     /// batcher sheds load instead of queuing unboundedly. Back off and
