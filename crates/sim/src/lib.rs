@@ -5,9 +5,14 @@
 //! ("A New Hope for Network Model Generalization", HotNets '22).
 //!
 //! ## What is implemented
-//! * nanosecond event queue with deterministic tie-breaking
+//! * nanosecond event queue with deterministic `(time, seq)`
+//!   tie-breaking, 32-byte heap entries and reservable sequence numbers
 //! * store-and-forward links: rate, propagation delay, drop-tail FIFO
-//!   queues sized in packets, optional random-loss fault injection
+//!   queues sized in packets, optional random-loss fault injection;
+//!   packets propagate in a per-link FIFO, never inside the event queue
+//! * one queued retransmission-timer entry per flow: re-arming reserves
+//!   the timer's place in the event order instead of queueing an event
+//!   that would pop only to be discarded
 //! * static BFS shortest-path routing over arbitrary topologies
 //! * simplified TCP Reno (slow start, AIMD, dup-ACK fast retransmit,
 //!   RTO with Karn's rule + exponential backoff), packet-granularity

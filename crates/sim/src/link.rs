@@ -6,6 +6,12 @@
 //! `DropTailQueue` semantics), and delivers after a fixed propagation
 //! delay. Queue overflow drops the arriving packet (drop-tail).
 //!
+//! A serialized packet waits out its propagation delay in a second FIFO
+//! on the link ([`Link::finish_tx`] pushes, [`Link::arrive`] pops). That
+//! FIFO is in arrival order: packets finish serializing one at a time,
+//! each at least a nanosecond after the last, and all take the same
+//! propagation delay.
+//!
 //! Fault injection: `loss_prob` drops packets at enqueue time with the
 //! given probability — the smoltcp-style `--drop-chance` knob, used by
 //! robustness tests.
@@ -70,6 +76,9 @@ pub struct Link {
     queue: VecDeque<Packet>,
     /// Packet currently being serialized, if any.
     in_flight: Option<Packet>,
+    /// Serialized packets still propagating, oldest (next to arrive)
+    /// first.
+    propagating: VecDeque<Packet>,
     pub stats: LinkStats,
 }
 
@@ -81,6 +90,7 @@ impl Link {
             cfg,
             queue: VecDeque::new(),
             in_flight: None,
+            propagating: VecDeque::new(),
             stats: LinkStats::default(),
         }
     }
@@ -124,20 +134,23 @@ impl Link {
         SimTime::tx_time(p.size_bytes as u64, self.cfg.rate_bps)
     }
 
-    /// Complete the current transmission: returns the transmitted packet
-    /// and, if the queue was non-empty, starts serializing the next one
+    /// Complete the current transmission: the packet starts propagating
+    /// and, if the queue was non-empty, the next one starts serializing
     /// (returned as `true`).
-    pub fn finish_tx(&mut self) -> (Packet, bool) {
+    pub fn finish_tx(&mut self) -> bool {
         let done = self.in_flight.take().expect("finish_tx on idle link");
         self.stats.transmitted += 1;
         self.stats.bytes_transmitted += done.size_bytes as u64;
-        let more = if let Some(next) = self.queue.pop_front() {
-            self.in_flight = Some(next);
-            true
-        } else {
-            false
-        };
-        (done, more)
+        self.propagating.push_back(done);
+        self.in_flight = self.queue.pop_front();
+        self.in_flight.is_some()
+    }
+
+    /// The oldest propagating packet reaches the far end.
+    pub fn arrive(&mut self) -> Packet {
+        self.propagating
+            .pop_front()
+            .expect("arrival on a link with nothing propagating")
     }
 }
 
@@ -188,16 +201,35 @@ mod tests {
         l.offer(pkt(0), 1.0);
         l.offer(pkt(1), 1.0);
         l.offer(pkt(2), 1.0);
-        let (p0, more) = l.finish_tx();
-        assert_eq!(p0.seq, 0);
-        assert!(more);
-        let (p1, more) = l.finish_tx();
-        assert_eq!(p1.seq, 1);
-        assert!(more);
-        let (p2, more) = l.finish_tx();
-        assert_eq!(p2.seq, 2);
-        assert!(!more);
+        assert!(l.finish_tx());
+        assert_eq!(l.arrive().seq, 0);
+        assert!(l.finish_tx());
+        assert_eq!(l.arrive().seq, 1);
+        assert!(!l.finish_tx());
+        assert_eq!(l.arrive().seq, 2);
         assert!(!l.busy());
+    }
+
+    #[test]
+    fn packets_arrive_in_the_order_they_finished_serializing() {
+        let mut l = tiny_link(10);
+        l.offer(pkt(0), 1.0);
+        l.offer(pkt(1), 1.0);
+        l.finish_tx();
+        l.offer(pkt(2), 1.0);
+        l.finish_tx();
+        l.finish_tx();
+        // Three packets on the wire at once; the first one sent lands first.
+        let order: Vec<u64> = (0..3).map(|_| l.arrive().seq).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "nothing propagating")]
+    fn arrival_with_nothing_propagating_is_a_bug() {
+        let mut l = tiny_link(1);
+        l.offer(pkt(0), 1.0);
+        l.arrive();
     }
 
     #[test]

@@ -28,6 +28,15 @@ pub struct SimStats {
     pub packets_dropped: u64,
 }
 
+/// One flow's retransmission timer, keyed by `(deadline, seq)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct RtoTimer {
+    /// The latest arming and its epoch: the only one that can fire.
+    armed: Option<((SimTime, u64), u64)>,
+    /// The flow's tracked queue entry, never later than `armed`.
+    queued: Option<(SimTime, u64)>,
+}
+
 /// A packet-level network simulator instance.
 pub struct Simulator {
     pub queue: EventQueue,
@@ -38,6 +47,8 @@ pub struct Simulator {
     pub trace: TraceCollector,
     rng: StdRng,
     pub stats: SimStats,
+    /// `timers[flow]`: that flow's retransmission timer.
+    timers: Vec<RtoTimer>,
     /// Queue telemetry: link -> sampling interval + collected series.
     telemetry: BTreeMap<usize, (SimTime, Vec<QueueSample>)>,
 }
@@ -53,6 +64,7 @@ impl Simulator {
         seed: u64,
     ) -> Self {
         let trace = TraceCollector::new(flows.len(), nodes.len());
+        let timers = vec![RtoTimer::default(); flows.len()];
         Simulator {
             queue: EventQueue::new(),
             nodes,
@@ -62,6 +74,7 @@ impl Simulator {
             trace,
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
+            timers,
             telemetry: BTreeMap::new(),
         }
     }
@@ -120,13 +133,13 @@ impl Simulator {
             if t > end {
                 break;
             }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
+            let (now, seq, ev) = self.queue.pop().expect("peeked event vanished");
             self.stats.events_processed += 1;
-            self.handle(now, ev);
+            self.handle(now, seq, ev);
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: Event) {
+    fn handle(&mut self, now: SimTime, seq: u64, ev: Event) {
         match ev {
             Event::AppWake { app } => {
                 let action = self.apps[app].on_wake(now, &mut self.rng);
@@ -140,22 +153,39 @@ impl Simulator {
                 }
             }
             Event::TxComplete { link } => {
-                let (pkt, more) = self.links[link].finish_tx();
+                let more = self.links[link].finish_tx();
                 let delay = self.links[link].cfg.prop_delay;
-                self.queue
-                    .schedule_in(delay, Event::Arrival { link, packet: pkt });
+                self.queue.schedule_in(delay, Event::Arrival { link });
                 if more {
                     let tx = self.links[link].current_tx_time();
                     self.queue.schedule_in(tx, Event::TxComplete { link });
                 }
             }
-            Event::Arrival { link, packet } => {
+            Event::Arrival { link } => {
                 let node = self.links[link].to;
+                let packet = self.links[link].arrive();
                 self.receive_at(node, packet, now);
             }
-            Event::RtoCheck { flow, epoch } => {
-                let send = self.flows[flow].on_rto(now, epoch);
-                self.dispatch(flow, send, now);
+            Event::RtoCheck { flow } => {
+                let timer = &mut self.timers[flow];
+                if timer.queued != Some((now, seq)) {
+                    return; // replaced by an entry with an earlier deadline
+                }
+                timer.queued = None;
+                let Some((key, epoch)) = timer.armed else {
+                    return;
+                };
+                if key == (now, seq) {
+                    timer.armed = None;
+                    let send = self.flows[flow].on_rto(now, epoch);
+                    self.dispatch(flow, send, now);
+                } else {
+                    // Re-armed since this entry was queued: queue the
+                    // armed timer at the place it reserved.
+                    timer.queued = Some(key);
+                    self.queue
+                        .schedule_reserved(key.0, key.1, Event::RtoCheck { flow });
+                }
             }
             Event::Telemetry { link } => {
                 let l = &self.links[link];
@@ -179,13 +209,13 @@ impl Simulator {
     fn receive_at(&mut self, node: NodeId, pkt: Packet, now: SimTime) {
         if pkt.dst != node {
             self.stats.packets_forwarded += 1;
-            self.transmit_from(node, pkt, now);
+            self.transmit_from(node, pkt);
             return;
         }
         match pkt.kind {
             PacketKind::Data => {
                 let flow = pkt.flow;
-                let res = self.flows[flow].on_data(now, &pkt);
+                let res = self.flows[flow].on_data(&pkt);
                 if res.newly_received {
                     self.trace.on_packet(PacketRecord {
                         recv_ns: now.as_nanos(),
@@ -212,7 +242,7 @@ impl Simulator {
                         completed_ns: now.as_nanos(),
                     });
                 }
-                self.transmit_from(node, res.ack, now);
+                self.transmit_from(node, res.ack);
             }
             PacketKind::Ack => {
                 let flow = pkt.flow;
@@ -223,24 +253,31 @@ impl Simulator {
     }
 
     /// Apply a flow's send actions: route its packets, arm its timer.
+    ///
+    /// Arming reserves an event number, as scheduling would, but queues an
+    /// entry only if its deadline beats the flow's queued one; otherwise
+    /// that entry re-queues the armed timer when it pops. The timer that
+    /// fires pops at its own `(time, seq)`, and the stale armings it
+    /// overrode get no entry.
     fn dispatch(&mut self, flow: FlowId, send: SendResult, now: SimTime) {
         for pkt in send.packets {
             let origin = pkt.src;
-            self.transmit_from(origin, pkt, now);
+            self.transmit_from(origin, pkt);
         }
         if let Some(arm) = send.timer {
-            self.queue.schedule_in(
-                arm.delay,
-                Event::RtoCheck {
-                    flow,
-                    epoch: arm.epoch,
-                },
-            );
+            let key = (now + arm.delay, self.queue.reserve());
+            let timer = &mut self.timers[flow];
+            timer.armed = Some((key, arm.epoch));
+            if timer.queued.is_none_or(|queued| key < queued) {
+                timer.queued = Some(key);
+                self.queue
+                    .schedule_reserved(key.0, key.1, Event::RtoCheck { flow });
+            }
         }
     }
 
     /// Put a packet on `node`'s next-hop link toward its destination.
-    fn transmit_from(&mut self, node: NodeId, pkt: Packet, _now: SimTime) {
+    fn transmit_from(&mut self, node: NodeId, pkt: Packet) {
         let link_id = self.nodes[node].route(pkt.dst);
         let roll: f64 = self.rng.gen();
         match self.links[link_id].offer(pkt, roll) {
@@ -355,6 +392,26 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn timer_events_do_not_grow_with_message_length() {
+        // Lossless, and the whole message is acknowledged within one RTO:
+        // each data packet costs exactly four events (its TxComplete and
+        // Arrival, then its ACK's), so the timer pops must be a constant.
+        let events = |pkts: u64| {
+            let mut sim = two_host_sim(MSS as u64 * pkts, 1_000_000_000);
+            sim.start_app(0, SimTime::ZERO);
+            sim.run_until(SimTime::from_secs(5));
+            assert_eq!(sim.trace.packets.len() as u64, pkts);
+            assert_eq!(sim.flows[0].stats.timeouts, 0);
+            sim.stats.events_processed - 4 * pkts
+        };
+        assert_eq!(
+            events(8),
+            events(16),
+            "timer pops grew with the window count"
+        );
     }
 
     #[test]

@@ -376,17 +376,17 @@ impl TcpFlow {
     // ------------------------------------------------------------------
 
     /// Process an arriving data packet at the receiver.
-    pub fn on_data(&mut self, now: SimTime, pkt: &Packet) -> RecvResult {
+    pub fn on_data(&mut self, pkt: &Packet) -> RecvResult {
         assert_eq!(pkt.kind, PacketKind::Data);
         assert_eq!(pkt.flow, self.id);
         let mut completed = Vec::new();
         let newly_received = if pkt.seq < self.rcv_next || self.ooo.contains_key(&pkt.seq) {
             false // duplicate
         } else if pkt.seq == self.rcv_next {
-            self.deliver(pkt.chunk_meta(), now, &mut completed);
+            self.deliver(pkt.chunk_meta(), &mut completed);
             // Drain any buffered continuation.
             while let Some(chunk) = self.ooo.remove(&self.rcv_next) {
-                self.deliver(chunk, now, &mut completed);
+                self.deliver(chunk, &mut completed);
             }
             true
         } else {
@@ -403,11 +403,10 @@ impl TcpFlow {
         }
     }
 
-    fn deliver(&mut self, chunk: Chunk, now: SimTime, completed: &mut Vec<CompletedMsg>) {
+    fn deliver(&mut self, chunk: Chunk, completed: &mut Vec<CompletedMsg>) {
         self.rcv_next += 1;
         if chunk.msg_last {
             self.stats.msgs_completed += 1;
-            let _ = now; // completion timestamp recorded by the caller
             completed.push(CompletedMsg {
                 msg_id: chunk.msg_id,
                 msg_size: chunk.msg_size,
@@ -536,10 +535,10 @@ mod tests {
         let mut snd = flow();
         let (_, out) = snd.app_submit(t(0), MSS as u64 * 2);
         let mut rcv = flow();
-        let r0 = rcv.on_data(t(1), &out.packets[0]);
+        let r0 = rcv.on_data(&out.packets[0]);
         assert_eq!(r0.ack.ack, 1);
         assert!(r0.newly_received);
-        let r1 = rcv.on_data(t(2), &out.packets[1]);
+        let r1 = rcv.on_data(&out.packets[1]);
         assert_eq!(r1.ack.ack, 2);
         assert_eq!(r1.completed.len(), 1, "two-chunk message completes");
         assert_eq!(r1.completed[0].msg_size, MSS as u64 * 2);
@@ -553,12 +552,12 @@ mod tests {
         assert_eq!(out.packets.len(), 3);
         let mut rcv = flow();
         // Deliver 2, 0, 1.
-        let r2 = rcv.on_data(t(1), &out.packets[2]);
+        let r2 = rcv.on_data(&out.packets[2]);
         assert_eq!(r2.ack.ack, 0, "hole: still expecting 0");
         assert!(r2.newly_received);
-        let r0 = rcv.on_data(t(2), &out.packets[0]);
+        let r0 = rcv.on_data(&out.packets[0]);
         assert_eq!(r0.ack.ack, 1);
-        let r1 = rcv.on_data(t(3), &out.packets[1]);
+        let r1 = rcv.on_data(&out.packets[1]);
         assert_eq!(r1.ack.ack, 3, "drains buffered seq 2");
         assert_eq!(r1.completed.len(), 1);
     }
@@ -568,10 +567,10 @@ mod tests {
         let mut snd = flow();
         let (_, out) = snd.app_submit(t(0), 500);
         let mut rcv = flow();
-        let r = rcv.on_data(t(1), &out.packets[0]);
+        let r = rcv.on_data(&out.packets[0]);
         assert!(r.newly_received);
         assert_eq!(r.completed.len(), 1);
-        let rdup = rcv.on_data(t(2), &out.packets[0]);
+        let rdup = rcv.on_data(&out.packets[0]);
         assert!(!rdup.newly_received);
         assert!(rdup.completed.is_empty());
         assert_eq!(rcv.stats.packets_delivered, 1);
@@ -608,8 +607,8 @@ mod tests {
         let mut rcv = flow();
         let order = [5usize, 3, 0, 4, 1, 2];
         let mut last_ack = 0;
-        for (i, &idx) in order.iter().enumerate() {
-            let r = rcv.on_data(t(i as u64 + 1), &out.packets[idx]);
+        for idx in order {
+            let r = rcv.on_data(&out.packets[idx]);
             assert!(r.ack.ack >= last_ack, "ACK went backwards");
             last_ack = r.ack.ack;
         }

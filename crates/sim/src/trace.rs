@@ -117,7 +117,6 @@ impl TraceCollector {
     }
 
     /// Record a delivered foreground packet (no-op for untraced flows).
-    #[allow(clippy::too_many_arguments)] // flat constructor mirrors the on-wire record layout
     pub fn on_packet(&mut self, rec: PacketRecord) {
         if self.is_recorded(rec.flow) {
             self.packets.push(rec);

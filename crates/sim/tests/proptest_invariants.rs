@@ -4,7 +4,7 @@
 
 use ntt_sim::workload::MsgSizeDist;
 use ntt_sim::{
-    App, Enqueue, EventQueue, Link, LinkConfig, Node, NodeKind, Packet, SimTime, Simulator,
+    App, Enqueue, Event, EventQueue, Link, LinkConfig, Node, NodeKind, Packet, SimTime, Simulator,
     TcpConfig, TcpFlow, MSS,
 };
 use proptest::prelude::*;
@@ -13,16 +13,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..60)) {
+    fn event_queue_pops_sorted(ops in proptest::collection::vec(0u32..40, 1..200)) {
+        // Interleave schedule, pop, and reserve-now-schedule-later, all
+        // within 8 ns of the clock so that many events tie on time, then
+        // drain. Every pop must be the minimum of a (time, seq) reference.
+        // Each event's app id is its seq, so the payload is checked too.
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), ntt_sim::Event::AppWake { app: i });
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut next_seq = 0u64;
+        let mut i = 0;
+        loop {
+            let op = match ops.get(i) {
+                Some(&op) => op,
+                None if !pending.is_empty() => 2, // drain
+                None => break,
+            };
+            i += 1;
+            let at = q.now().as_nanos() + (op / 5) as u64;
+            match op % 5 {
+                0 | 1 => {
+                    q.schedule(SimTime(at), Event::AppWake { app: next_seq as usize });
+                    pending.push((at, next_seq));
+                    next_seq += 1;
+                }
+                2 => {
+                    let want = pending.iter().copied().min();
+                    let got = q.pop().map(|(t, seq, ev)| {
+                        assert_eq!(ev, Event::AppWake { app: seq as usize });
+                        (t.as_nanos(), seq)
+                    });
+                    prop_assert_eq!(got, want);
+                    pending.retain(|&p| Some(p) != want);
+                }
+                3 => {
+                    prop_assert_eq!(q.reserve(), next_seq);
+                    reserved.push(next_seq);
+                    next_seq += 1;
+                }
+                _ => {
+                    if let Some(seq) = reserved.pop() {
+                        // One past the clock: a reservation older than the
+                        // last pop may not land at the clock's own instant.
+                        let at = at + 1;
+                        q.schedule_reserved(SimTime(at), seq, Event::AppWake { app: seq as usize });
+                        pending.push((at, seq));
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), pending.len());
         }
-        let mut prev = 0u64;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t.as_nanos() >= prev);
-            prev = t.as_nanos();
-        }
+        prop_assert!(q.pop().is_none());
     }
 
     #[test]
@@ -47,7 +88,8 @@ proptest! {
         // Drain preserves FIFO order.
         let mut last_seq = None;
         while link.busy() {
-            let (pkt, _) = link.finish_tx();
+            link.finish_tx();
+            let pkt = link.arrive();
             if let Some(prev) = last_seq {
                 prop_assert!(pkt.seq > prev, "FIFO violated");
             }
@@ -107,8 +149,8 @@ proptest! {
         }
         let mut rcv = TcpFlow::new(0, 0, 1, TcpConfig::default());
         let mut last = 0u64;
-        for (k, &i) in order.iter().enumerate() {
-            let r = rcv.on_data(SimTime::from_millis(k as u64 + 1), &pkts[i]);
+        for i in order {
+            let r = rcv.on_data(&pkts[i]);
             prop_assert!(r.ack.ack >= last, "cumulative ACK decreased");
             last = r.ack.ack;
         }

@@ -21,12 +21,14 @@ use ntt::data::{DatasetConfig, DelayDataset, Normalizer, TraceData, NUM_FEATURES
 use ntt::nn::{Head, Module};
 use ntt::serve::InferenceEngine;
 use ntt::sim::persist::save_trace;
-use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
+use ntt::sim::scenarios::{pretrain, run, RunTrace, Scenario, ScenarioConfig};
+use ntt::sim::tcp::FlowStats;
 use ntt::tensor::{Param, Tensor};
 use std::path::PathBuf;
 
 const TRACE_CASE2: u64 = 0x9531_4c26_8694_2648;
 const TRACE_LEAFSPINE: u64 = 0x71f3_dcf6_1d0e_836c;
+const TRACE_LOSSY: u64 = 0x2503_2a9e_7a02_f241;
 const TRAIN_FULL_LOSSES: u64 = 0xc096_6740_6bd8_c029;
 const TRAIN_FULL_PARAMS: u64 = 0xd4d7_ecde_4edb_ebb4;
 const TRAIN_DECODER_ONLY_LOSSES: u64 = 0x8867_a8a7_e097_4bad;
@@ -70,9 +72,42 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 fn trace_fingerprint(scenario: Scenario, seed: u64) -> u64 {
-    let trace = run(scenario, &ScenarioConfig::tiny(seed));
-    let base = temp_path(&scenario.label());
-    save_trace(&base, &trace).expect("save trace");
+    persisted_fingerprint(
+        &scenario.label(),
+        &run(scenario, &ScenarioConfig::tiny(seed)),
+    )
+}
+
+/// A tiny `Pretrain` run with 2 % random loss on the bottleneck. The
+/// lossless scenarios drop almost nothing, so this is the one that pins
+/// loss recovery: timeouts, dup-ACK fast retransmits and out-of-order
+/// buffering at the receiver. Records stay in delivery order (unsorted),
+/// so a reordered same-time event moves the bytes too.
+fn lossy_trace_fingerprint(seed: u64) -> u64 {
+    let cfg = ScenarioConfig::tiny(seed);
+    let mut sim = pretrain(&cfg);
+    sim.links[0].cfg.loss_prob = 0.02; // sw_l -> sw_r, the bottleneck
+    sim.start_all_apps_jittered(cfg.start_jitter);
+    sim.run_until(cfg.duration + cfg.drain);
+    let stat = |f: fn(&FlowStats) -> u64| sim.flows.iter().map(|fl| f(&fl.stats)).sum::<u64>();
+    assert!(stat(|s| s.timeouts) > 0, "lossy run saw no timeout");
+    assert!(
+        stat(|s| s.fast_retransmits) > 0,
+        "lossy run saw no fast retransmit"
+    );
+    let trace = RunTrace {
+        packets: std::mem::take(&mut sim.trace.packets),
+        messages: std::mem::take(&mut sim.trace.messages),
+        events: sim.stats.events_processed,
+        drops: sim.total_drops(),
+    };
+    persisted_fingerprint("pretrain_lossy", &trace)
+}
+
+/// FNV-1a of the bytes `save_trace` writes for `trace`.
+fn persisted_fingerprint(label: &str, trace: &RunTrace) -> u64 {
+    let base = temp_path(label);
+    save_trace(&base, trace).expect("save trace");
     let mut bytes = Vec::new();
     for suffix in [".packets.tsv", ".messages.tsv"] {
         let mut path = base.clone().into_os_string();
@@ -100,6 +135,7 @@ fn persisted_traces_hold() {
             TRACE_LEAFSPINE,
             trace_fingerprint(leaf_spine, 2),
         ),
+        ("TRACE_LOSSY", TRACE_LOSSY, lossy_trace_fingerprint(3)),
     ]);
 }
 
