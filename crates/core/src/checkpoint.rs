@@ -28,13 +28,15 @@
 //! ```
 //!
 //! The reader parses from memory with bounds checks: truncated files,
-//! wrong magics, corrupted sizes, duplicate names, and checksum
-//! mismatches return typed [`io::Error`]s — never panic, never
-//! over-allocate beyond the file size.
+//! wrong magics, corrupted sizes, duplicate names, checksum mismatches
+//! and a normalizer that cannot scale the model's features (a channel
+//! count other than `NUM_FEATURES`, a non-finite mean, a std that is
+//! not finite and positive) return typed [`io::Error`]s — never panic,
+//! never over-allocate beyond the file size.
 
 use crate::config::{Aggregation, NttConfig};
 use crate::model::{build_head, Ntt};
-use ntt_data::{FeatureMask, Normalizer};
+use ntt_data::{FeatureMask, Normalizer, NUM_FEATURES};
 use ntt_nn::{Head, Module};
 use ntt_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -49,6 +51,25 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 
 fn bad_input(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg.into())
+}
+
+/// Why a normalizer with these statistics cannot scale the model's
+/// input features, if it cannot: it needs one channel per feature,
+/// finite means and finite positive stds.
+fn norm_problem(means: &[f32], stds: &[f32]) -> Option<String> {
+    if means.len() != NUM_FEATURES {
+        return Some(format!(
+            "normalizer has {} channels, the model reads {NUM_FEATURES} features",
+            means.len()
+        ));
+    }
+    if let Some(m) = means.iter().find(|m| !m.is_finite()) {
+        return Some(format!("normalizer mean {m} is not finite"));
+    }
+    if let Some(s) = stds.iter().find(|s| !(s.is_finite() && **s > 0.0)) {
+        return Some(format!("normalizer std {s} is not finite and positive"));
+    }
+    None
 }
 
 /// FNV-1a 64-bit content checksum.
@@ -339,13 +360,21 @@ impl LoadedModel {
 
 impl Checkpoint {
     /// Snapshot a model + heads (+ normalizer, + provenance) into a
-    /// checkpoint object ready to [`save`](Checkpoint::save).
+    /// checkpoint object ready to [`save`](Checkpoint::save). A
+    /// normalizer that cannot scale the model's features is an
+    /// `InvalidInput` error.
     pub fn capture(
         model: &Ntt,
         heads: &[&dyn Head],
         norm: Option<Normalizer>,
         provenance: Vec<(String, String)>,
     ) -> io::Result<Checkpoint> {
+        if let Some(msg) = norm
+            .as_ref()
+            .and_then(|n| norm_problem(n.means(), n.stds()))
+        {
+            return Err(bad_input(msg));
+        }
         let mut modules: Vec<&dyn Module> = vec![model];
         let mut specs = Vec::with_capacity(heads.len());
         for h in heads {
@@ -469,11 +498,11 @@ impl Checkpoint {
             0 => None,
             1 => {
                 let channels = r.u32()? as usize;
-                if channels == 0 {
-                    return Err(bad_data("normalizer with zero channels"));
-                }
                 let means = r.f32s(channels)?;
                 let stds = r.f32s(channels)?;
+                if let Some(msg) = norm_problem(&means, &stds) {
+                    return Err(bad_data(msg));
+                }
                 Some(Normalizer::from_stats(means, stds))
             }
             other => return Err(bad_data(format!("bad normalizer flag {other}"))),
@@ -643,6 +672,33 @@ mod tests {
         ckpt.save(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded.norm, Some(norm));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_normalizer_that_cannot_scale_the_features_is_refused() {
+        let model = Ntt::new(tiny_cfg(14));
+        let ones = || vec![1.0; NUM_FEATURES];
+        let bad = [
+            Normalizer::identity(1),
+            Normalizer::from_stats(vec![0.0; NUM_FEATURES], vec![0.0; NUM_FEATURES]),
+            Normalizer::from_stats(vec![f32::NAN, 0.0, 0.0, 0.0], ones()),
+            Normalizer::from_stats(vec![0.0, f32::INFINITY, 0.0, 0.0], ones()),
+            Normalizer::from_stats(ones(), vec![1.0, f32::INFINITY, 1.0, 1.0]),
+            Normalizer::from_stats(ones(), vec![1.0, 1.0, -1.0, f32::NAN]),
+        ];
+        let path = tmp("bad_norm");
+        for norm in bad {
+            let err = Checkpoint::capture(&model, &[], Some(norm.clone()), vec![]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{norm:?}");
+            // The same statistics written past `capture` fail to load.
+            let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
+            ckpt.norm = Some(norm.clone());
+            ckpt.save(&path).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{norm:?}");
+            assert!(err.to_string().contains("normalizer"), "{err}");
+        }
         std::fs::remove_file(path).ok();
     }
 

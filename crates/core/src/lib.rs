@@ -37,7 +37,6 @@
 pub mod baselines;
 pub mod checkpoint;
 mod config;
-pub mod federated;
 mod model;
 pub mod pipeline;
 mod task;

@@ -12,8 +12,6 @@ use crate::grid::{Shard, SweepSpec};
 use ntt_data::{RunData, TraceData};
 use ntt_sim::scenarios::{run, RunTrace, Scenario};
 use std::collections::BTreeMap;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -97,35 +95,15 @@ impl ShardSink for CollectTraces {
 /// Streaming ingestion: folds each trace into compact
 /// [`ntt_data::RunData`] the moment it arrives and drops the raw trace,
 /// so peak memory is bounded by shards-in-flight plus the (much
-/// smaller) preprocessed runs. Optionally spills every raw trace to
-/// `<dir>/shard-NNNN-<scenario>` via `ntt_sim::persist` first, so the
-/// dataset can be reloaded without re-simulating.
+/// smaller) preprocessed runs.
 #[derive(Default)]
 pub struct StreamToData {
     runs: Vec<RunData>,
-    spill_dir: Option<PathBuf>,
-    /// First error hit while spilling (spilling is best-effort for the
-    /// dataset but surfaced here for callers that require it).
-    pub spill_error: Option<io::Error>,
 }
 
 impl StreamToData {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Also persist each raw trace under `dir` (created if missing).
-    pub fn with_spill_dir(dir: impl Into<PathBuf>) -> Self {
-        StreamToData {
-            runs: Vec::new(),
-            spill_dir: Some(dir.into()),
-            spill_error: None,
-        }
-    }
-
-    /// The file stem a shard spills to (under the spill dir).
-    pub fn spill_stem(shard: &Shard) -> String {
-        format!("shard-{:04}-{}", shard.index, shard.scenario.label())
     }
 
     /// Finish ingestion and hand the dataset over.
@@ -135,15 +113,7 @@ impl StreamToData {
 }
 
 impl ShardSink for StreamToData {
-    fn on_shard(&mut self, shard: &Shard, trace: RunTrace) {
-        if let Some(dir) = &self.spill_dir {
-            let res = std::fs::create_dir_all(dir).and_then(|()| {
-                ntt_sim::persist::save_trace(dir.join(Self::spill_stem(shard)), &trace)
-            });
-            if let (Err(e), None) = (res, &self.spill_error) {
-                self.spill_error = Some(e);
-            }
-        }
+    fn on_shard(&mut self, _shard: &Shard, trace: RunTrace) {
         self.runs.push(RunData::from_trace(&trace));
         // `trace` dropped here: streaming, not accumulation.
     }

@@ -18,9 +18,8 @@
 //!   depend only on the shard config, and a reorder buffer folds
 //!   finished shards into the sink in grid order;
 //! * [`ShardSink`] streaming ingestion — each finished shard's
-//!   `RunTrace` is folded straight into compact [`ntt_data::RunData`]
-//!   (and optionally spilled to disk via `ntt_sim::persist`), so peak
-//!   memory stays bounded by shards-in-flight instead of all raw
+//!   `RunTrace` is folded straight into compact [`ntt_data::RunData`],
+//!   so peak memory stays bounded by shards-in-flight instead of all raw
 //!   traces;
 //! * [`FleetReport`] — fleet-level aggregates (simulated packets/sec,
 //!   drops, per-shard timing).

@@ -5,8 +5,7 @@
 
 use ntt_data::TraceData;
 use ntt_fleet::{
-    run_fleet, run_fleet_dataset, run_fleet_traces, run_many_parallel, FleetConfig, SeedSchedule,
-    StreamToData, SweepSpec,
+    run_fleet_dataset, run_fleet_traces, run_many_parallel, FleetConfig, SeedSchedule, SweepSpec,
 };
 use ntt_sim::scenarios::{Scenario, ScenarioConfig};
 use ntt_sim::SimTime;
@@ -102,31 +101,6 @@ fn streaming_ingestion_matches_batch_construction() {
             assert_eq!(ps.receiver, pb.receiver);
         }
     }
-}
-
-#[test]
-fn spilled_shards_reload_to_the_same_traces() {
-    let dir = std::env::temp_dir().join(format!("ntt-fleet-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = SweepSpec::new(fast_cfg(5)).runs_per_cell(2);
-
-    let mut sink = StreamToData::with_spill_dir(&dir);
-    let report = run_fleet(&spec, &FleetConfig::default(), &mut sink);
-    assert!(
-        sink.spill_error.is_none(),
-        "spill failed: {:?}",
-        sink.spill_error
-    );
-
-    let (traces, _) = run_fleet_traces(&spec, &FleetConfig::default());
-    for (shard, trace) in spec.expand().iter().zip(traces.iter()) {
-        let loaded = ntt_sim::persist::load_trace(dir.join(StreamToData::spill_stem(shard)))
-            .expect("spilled shard must reload");
-        assert_eq!(loaded.packets, trace.packets);
-        assert_eq!(loaded.messages, trace.messages);
-    }
-    assert_eq!(report.shards.len(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Weight initializers.
 //!
-//! Transformers are sensitive to initialization scale; these follow the
-//! standard Glorot/He recipes. All are deterministic in the given seed.
+//! Transformers are sensitive to initialization scale; linear layers
+//! follow the standard Glorot recipe, deterministic in the given seed.
 
 use ntt_tensor::Tensor;
 
@@ -10,18 +10,6 @@ use ntt_tensor::Tensor;
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
     let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::uniform(&[fan_in, fan_out], -a, a, seed)
-}
-
-/// He/Kaiming normal: `N(0, 2 / fan_in)`, for ReLU-family activations.
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::randn(&[fan_in, fan_out], seed).map(|x| x * std)
-}
-
-/// Small-scale normal `N(0, std^2)` — used for output projections where
-/// a near-zero start stabilizes early training.
-pub fn scaled_normal(shape: &[usize], std: f32, seed: u64) -> Tensor {
-    Tensor::randn(shape, seed).map(|x| x * std)
 }
 
 #[cfg(test)]
@@ -36,21 +24,5 @@ mod tests {
         assert_eq!(w, xavier_uniform(64, 64, 1));
         assert_ne!(w, xavier_uniform(64, 64, 2));
         assert_eq!(w.shape(), &[64, 64]);
-    }
-
-    #[test]
-    fn kaiming_variance_matches_fan_in() {
-        let w = kaiming_normal(128, 128, 3);
-        let mean = w.mean();
-        let var = w.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / w.numel() as f32;
-        let expect = 2.0 / 128.0;
-        assert!((var - expect).abs() < expect * 0.2, "var {var} vs {expect}");
-    }
-
-    #[test]
-    fn scaled_normal_scale() {
-        let w = scaled_normal(&[1000], 0.02, 4);
-        let var = w.data().iter().map(|x| x * x).sum::<f32>() / 1000.0;
-        assert!((var.sqrt() - 0.02).abs() < 0.005);
     }
 }

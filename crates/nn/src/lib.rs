@@ -7,8 +7,8 @@
 //! Provides exactly the blocks Fig. 2/3 of the paper require:
 //! linear layers, layer norm, GELU, dropout, sinusoidal
 //! positional encoding, multi-head self-attention, a pre-LN transformer
-//! encoder, MLP task heads, and Adam with LR schedules and gradient
-//! clipping.
+//! encoder, MLP task heads, and Adam with a warmup-cosine LR schedule
+//! and gradient clipping.
 //!
 //! ```
 //! use ntt_nn::{EncoderConfig, Module, TransformerEncoder};

@@ -6,8 +6,6 @@ use std::collections::BTreeMap;
 /// Learning-rate schedule, evaluated per optimizer step.
 #[derive(Debug, Clone, Copy)]
 pub enum LrSchedule {
-    /// Fixed learning rate.
-    Constant(f32),
     /// Linear warmup to `peak` over `warmup` steps, then cosine decay to
     /// `peak * floor_frac` at `total` steps (the transformer default).
     WarmupCosine {
@@ -16,15 +14,12 @@ pub enum LrSchedule {
         total: usize,
         floor_frac: f32,
     },
-    /// Multiply by `gamma` every `every` steps.
-    StepDecay { base: f32, gamma: f32, every: usize },
 }
 
 impl LrSchedule {
     /// Learning rate at a zero-based step index.
     pub fn at(&self, step: usize) -> f32 {
         match *self {
-            LrSchedule::Constant(lr) => lr,
             LrSchedule::WarmupCosine {
                 peak,
                 warmup,
@@ -39,9 +34,6 @@ impl LrSchedule {
                 let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
                 let floor = peak * floor_frac;
                 floor + (peak - floor) * cos
-            }
-            LrSchedule::StepDecay { base, gamma, every } => {
-                base * gamma.powi((step / every.max(1)) as i32)
             }
         }
     }
@@ -62,7 +54,6 @@ pub fn clip_param_grads(grads: &mut ParamGrads, max_norm: f32) -> f32 {
 /// by parameter identity, so freezing/unfreezing parameters between
 /// phases keeps their moments.
 pub struct Adam {
-    params: Vec<Param>,
     schedule: LrSchedule,
     beta1: f32,
     beta2: f32,
@@ -72,10 +63,12 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Standard betas (0.9, 0.999).
-    pub fn new(params: Vec<Param>, schedule: LrSchedule) -> Self {
+    /// Standard betas (0.9, 0.999). `_params` are the parameters the
+    /// caller will pass gradients for; moments are keyed by parameter
+    /// identity and created on a parameter's first update, so the list
+    /// itself is not kept.
+    pub fn new(_params: Vec<Param>, schedule: LrSchedule) -> Self {
         Adam {
-            params,
             schedule,
             beta1: 0.9,
             beta2: 0.999,
@@ -88,11 +81,6 @@ impl Adam {
     /// Steps taken so far.
     pub fn steps(&self) -> usize {
         self.step
-    }
-
-    /// Parameters this optimizer manages.
-    pub fn params(&self) -> &[Param] {
-        &self.params
     }
 
     /// Advance the step counter; returns `(lr, bias corrections)`.
@@ -132,7 +120,7 @@ impl Adam {
 }
 
 /// Adam's Copy hyper-parameters, bundled so the update helper can
-/// borrow the moment state mutably while the param list stays borrowed.
+/// borrow the moment state mutably.
 #[derive(Clone, Copy)]
 struct AdamHyper {
     beta1: f32,
@@ -177,6 +165,16 @@ mod tests {
     use super::*;
     use ntt_tensor::{Tape, Tensor};
 
+    /// `lr` at every step: no warmup, and a floor equal to the peak.
+    fn constant(lr: f32) -> LrSchedule {
+        LrSchedule::WarmupCosine {
+            peak: lr,
+            warmup: 0,
+            total: 1,
+            floor_frac: 1.0,
+        }
+    }
+
     /// Gradient bundle of loss = mean((w - 3)^2), minimum at w = 3.
     fn quadratic_grads(p: &Param) -> ParamGrads {
         let tape = Tape::new();
@@ -187,7 +185,7 @@ mod tests {
     #[test]
     fn adam_converges_on_quadratic() {
         let p = Param::new("w", Tensor::zeros(&[4]));
-        let mut opt = Adam::new(vec![p.clone()], LrSchedule::Constant(0.1));
+        let mut opt = Adam::new(vec![p.clone()], constant(0.1));
         for _ in 0..300 {
             opt.step_with(&quadratic_grads(&p));
         }
@@ -207,18 +205,7 @@ mod tests {
         assert!((s.at(9) - 1.0).abs() < 1e-6);
         assert!(s.at(50) < 1.0);
         assert!((s.at(1000) - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_decay_halves() {
-        let s = LrSchedule::StepDecay {
-            base: 1.0,
-            gamma: 0.5,
-            every: 10,
-        };
-        assert_eq!(s.at(0), 1.0);
-        assert_eq!(s.at(10), 0.5);
-        assert_eq!(s.at(25), 0.25);
+        assert!([0, 1, 7, 1000].iter().all(|&i| constant(0.1).at(i) == 0.1));
     }
 
     #[test]
@@ -226,10 +213,7 @@ mod tests {
         let p = Param::new("w", Tensor::zeros(&[3]));
         let tape = Tape::new();
         // loss with a known large gradient
-        let loss = tape
-            .param(&p)
-            .add_scalar(10.0)
-            .mse_loss(&Tensor::zeros(&[3]));
+        let loss = tape.param(&p).mse_loss(&Tensor::full(&[3], -10.0));
         let mut bundle = tape.backward_params(loss.scale(100.0));
         let pre = clip_param_grads(&mut bundle, 1.0);
         assert!(pre > 1.0);
@@ -244,7 +228,7 @@ mod tests {
     #[test]
     fn adam_state_survives_freeze_unfreeze() {
         let p = Param::new("w", Tensor::zeros(&[1]));
-        let mut opt = Adam::new(vec![p.clone()], LrSchedule::Constant(0.1));
+        let mut opt = Adam::new(vec![p.clone()], constant(0.1));
         opt.step_with(&quadratic_grads(&p));
         let after_one = p.value().item();
         p.set_trainable(false);

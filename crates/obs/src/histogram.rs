@@ -120,12 +120,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Record a duration in nanoseconds (saturating past ~584 years).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Merge the per-thread shards into an immutable snapshot. Shard
     /// merging is plain addition of `u64` counts, so the result does not
     /// depend on which thread recorded what.

@@ -1,5 +1,5 @@
 //! The grad-free inference engine: one loaded model, shared by every
-//! session, batcher worker, and live feed that serves it.
+//! session and batcher worker that serves it.
 //!
 //! An [`InferenceEngine`] owns an [`Ntt`] trunk, its task heads, and
 //! the feature normalizer the model trained with. Weights live once —

@@ -22,8 +22,6 @@
 //!   over per-request channels. Row-wise kernels make coalescing
 //!   answer-preserving: every window's prediction is bit-identical at
 //!   any batch size.
-//! * [`live`] — the closed loop: simulator scenario → featurization →
-//!   engine, for end-to-end serving validation.
 //!
 //! ```
 //! use ntt_core::{Aggregation, DelayHead, Ntt, NttConfig};
@@ -71,14 +69,12 @@
 mod batcher;
 mod engine;
 mod error;
-pub mod live;
 mod registry;
 mod session;
 
 pub use batcher::{BatchConfig, Batcher, BatcherMetrics, BatcherStats, Ticket};
 pub use engine::InferenceEngine;
 pub use error::ServeError;
-pub use live::{LiveOptions, LiveReport};
 pub use registry::ModelRegistry;
 pub use session::{DelayPrediction, InferenceSession, SessionConfig};
 

@@ -28,9 +28,6 @@ pub enum Event {
     /// popped `(time, seq)` against the flow's armed timer, and the flow's
     /// epoch decides whether that timer is still live.
     RtoCheck { flow: FlowId },
-    /// Periodic queue-occupancy telemetry sample for a link (§5's
-    /// "network telemetry" extension).
-    Telemetry { link: LinkId },
 }
 
 struct Scheduled {

@@ -75,4 +75,4 @@ pub use sim::{SimStats, Simulator};
 pub use tcp::{TcpConfig, TcpFlow};
 pub use time::SimTime;
 pub use topology::TopologyBuilder;
-pub use trace::{MessageRecord, PacketRecord, QueueSample, TraceCollector};
+pub use trace::{MessageRecord, PacketRecord, TraceCollector};

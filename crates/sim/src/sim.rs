@@ -15,10 +15,9 @@ use crate::node::Node;
 use crate::packet::{AppId, FlowId, NodeId, Packet, PacketKind};
 use crate::tcp::{SendResult, TcpFlow};
 use crate::time::SimTime;
-use crate::trace::{MessageRecord, PacketRecord, QueueSample, TraceCollector};
+use crate::trace::{MessageRecord, PacketRecord, TraceCollector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Aggregate counters for a finished run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,8 +48,6 @@ pub struct Simulator {
     pub stats: SimStats,
     /// `timers[flow]`: that flow's retransmission timer.
     timers: Vec<RtoTimer>,
-    /// Queue telemetry: link -> sampling interval + collected series.
-    telemetry: BTreeMap<usize, (SimTime, Vec<QueueSample>)>,
 }
 
 impl Simulator {
@@ -75,31 +72,7 @@ impl Simulator {
             rng: StdRng::seed_from_u64(seed),
             stats: SimStats::default(),
             timers,
-            telemetry: BTreeMap::new(),
         }
-    }
-
-    /// Enable periodic queue-occupancy sampling on a link (§5's
-    /// telemetry extension). Samples continue until the run's time
-    /// bound; retrieve them with [`Simulator::telemetry_of`].
-    pub fn enable_queue_telemetry(&mut self, link: usize, interval: SimTime) {
-        assert!(link < self.links.len(), "unknown link {link}");
-        assert!(interval > SimTime::ZERO, "interval must be positive");
-        if self
-            .telemetry
-            .insert(link, (interval, Vec::new()))
-            .is_none()
-        {
-            self.queue.schedule_in(interval, Event::Telemetry { link });
-        }
-    }
-
-    /// Collected telemetry for a link (empty if not enabled).
-    pub fn telemetry_of(&self, link: usize) -> &[QueueSample] {
-        self.telemetry
-            .get(&link)
-            .map(|(_, s)| s.as_slice())
-            .unwrap_or(&[])
     }
 
     /// Current simulated time.
@@ -186,21 +159,6 @@ impl Simulator {
                     self.queue
                         .schedule_reserved(key.0, key.1, Event::RtoCheck { flow });
                 }
-            }
-            Event::Telemetry { link } => {
-                let l = &self.links[link];
-                let sample = QueueSample {
-                    t_ns: now.as_nanos(),
-                    queue_len: l.queue_len(),
-                    dropped: l.stats.dropped_overflow + l.stats.dropped_fault,
-                };
-                let (interval, series) = self
-                    .telemetry
-                    .get_mut(&link)
-                    .expect("telemetry not enabled");
-                series.push(sample);
-                let next = *interval;
-                self.queue.schedule_in(next, Event::Telemetry { link });
             }
         }
     }
@@ -412,40 +370,6 @@ mod tests {
             events(16),
             "timer pops grew with the window count"
         );
-    }
-
-    #[test]
-    fn queue_telemetry_tracks_occupancy() {
-        // Slow link + cwnd burst: the queue must fill and then drain,
-        // and the telemetry series must see it happen.
-        let mut sim = two_host_sim(MSS as u64 * 30, 1_000_000);
-        sim.flows[0] = TcpFlow::new(
-            0,
-            0,
-            1,
-            TcpConfig {
-                init_cwnd: 30.0,
-                ..TcpConfig::default()
-            },
-        );
-        sim.enable_queue_telemetry(0, SimTime::from_millis(10));
-        sim.start_app(0, SimTime::ZERO);
-        sim.run_until(SimTime::from_secs(10));
-        let series = sim.telemetry_of(0);
-        assert!(
-            series.len() > 50,
-            "expected many samples, got {}",
-            series.len()
-        );
-        let peak = series.iter().map(|s| s.queue_len).max().unwrap();
-        assert!(peak >= 10, "burst should build a queue, peak {peak}");
-        assert_eq!(series.last().unwrap().queue_len, 0, "queue drains");
-        // Timestamps strictly increase by the interval.
-        assert!(series
-            .windows(2)
-            .all(|w| w[1].t_ns == w[0].t_ns + 10_000_000));
-        // Untapped links report nothing.
-        assert!(sim.telemetry_of(1).is_empty());
     }
 
     #[test]

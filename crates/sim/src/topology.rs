@@ -47,25 +47,9 @@ impl TopologyBuilder {
         (self.link(a, b, cfg), self.link(b, a, cfg))
     }
 
-    /// Asymmetric convenience: distinct configs per direction.
-    pub fn connect_asym(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        ab: LinkConfig,
-        ba: LinkConfig,
-    ) -> (LinkId, LinkId) {
-        (self.link(a, b, ab), self.link(b, a, ba))
-    }
-
     /// Number of nodes added so far.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of (unidirectional) links added so far.
-    pub fn n_links(&self) -> usize {
-        self.links.len()
     }
 
     /// Add a chain of `n` switches connected consecutively with

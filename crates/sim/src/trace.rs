@@ -52,18 +52,6 @@ impl MessageRecord {
     }
 }
 
-/// One queue-occupancy telemetry sample (§5 extension: "we may collect
-/// telemetry data like packet drops or buffer occupancy").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueSample {
-    /// Sample time (ns).
-    pub t_ns: u64,
-    /// Waiting-queue length at that instant (packets).
-    pub queue_len: usize,
-    /// Cumulative drops (overflow + fault) on the link so far.
-    pub dropped: u64,
-}
-
 /// Receiver-side trace accumulator.
 #[derive(Default)]
 pub struct TraceCollector {

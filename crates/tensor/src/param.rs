@@ -131,7 +131,7 @@ mod tests {
         // it mutates, and the gradient comes from the backward bundle.
         let p = Param::new("w", Tensor::from_vec(vec![1.0], &[1]));
         let tape = Tape::new();
-        let loss = tape.param(&p).scale(10.0).mean_all(); // dL/dw = 10
+        let loss = tape.param(&p).mse_loss(&Tensor::full(&[1], -4.0)); // dL/dw = 2(w + 4) = 10
         let g = tape.backward_params(loss).get(&p).unwrap().item();
         p.update(|v| {
             v.data_mut()[0] -= 0.1 * g;

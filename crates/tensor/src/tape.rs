@@ -215,14 +215,10 @@ enum Op {
     /// bundle (when trainable).
     ParamLeaf(Param),
     Add(usize, usize, Broadcast),
-    Sub(usize, usize),
-    Mul(usize, usize),
-    /// Elementwise product with a constant tensor (dropout masks,
-    /// feature-ablation masks): gradient flows to the variable only.
+    /// Elementwise product with a constant tensor (dropout masks):
+    /// gradient flows to the variable only.
     MulConst(usize, Tensor),
-    Neg(usize),
     Scale(usize, f32),
-    AddScalar(usize),
     MatMul(usize, usize),
     Gelu(usize),
     /// Attention `softmax(scale·Q·Kᵀ)·V` per head, `[B, T, H, dh]` in
@@ -261,7 +257,6 @@ enum Op {
     MeanAxis1(usize),
     /// Concatenate rank-2 tensors along the last axis.
     ConcatLast(usize, usize),
-    MeanAll(usize),
     /// Fused mean-squared-error against a constant target.
     MseLoss {
         pred: usize,
@@ -720,24 +715,11 @@ impl Tape {
                 };
                 add_grad(grads, *b, gb);
             }
-            Op::Sub(a, b) => {
-                add_grad(grads, *a, self.t_copy(g, g.shape()));
-                add_grad(grads, *b, self.t_map(g, |x| -x));
-            }
-            Op::Mul(a, b) => {
-                let (va, vb) = (&nodes[*a].value, &nodes[*b].value);
-                let ga = self.t_zip(g, vb, |g, b| g * b);
-                let gb = self.t_zip(g, va, |g, a| g * a);
-                add_grad(grads, *a, ga);
-                add_grad(grads, *b, gb);
-            }
             Op::MulConst(a, c) => add_grad(grads, *a, self.t_zip(g, c, |g, c| g * c)),
-            Op::Neg(a) => add_grad(grads, *a, self.t_map(g, |x| -x)),
             Op::Scale(a, c) => {
                 let c = *c;
                 add_grad(grads, *a, self.t_map(g, |x| x * c));
             }
-            Op::AddScalar(a) => add_grad(grads, *a, self.t_copy(g, g.shape())),
             Op::MatMul(a, b) => {
                 let va = &nodes[*a].value;
                 let vb = &nodes[*b].value;
@@ -909,13 +891,6 @@ impl Tape {
                 add_grad(grads, *a, Tensor::from_vec(ga, nodes[*a].value.shape()));
                 add_grad(grads, *b, Tensor::from_vec(gb, nodes[*b].value.shape()));
             }
-            Op::MeanAll(a) => {
-                let va = &nodes[*a].value;
-                let c = g.item() / va.numel() as f32;
-                let mut gx = self.alloc_overwrite(va.numel());
-                gx.fill(c);
-                add_grad(grads, *a, Tensor::from_vec(gx, va.shape()));
-            }
             Op::MseLoss { pred, target } => {
                 let vp = &nodes[*pred].value;
                 let c = 2.0 * g.item() / vp.numel() as f32;
@@ -925,7 +900,7 @@ impl Tape {
     }
 }
 
-#[allow(clippy::should_implement_trait)] // add/sub/mul/neg mirror the op names on a by-value Var, deliberately
+#[allow(clippy::should_implement_trait)] // `add` mirrors the op name on a by-value Var, deliberately
 impl<'t> Var<'t> {
     /// The tape this variable lives on (e.g. for drawing from the
     /// tape-local RNG stream in stochastic layers).
@@ -972,24 +947,6 @@ impl<'t> Var<'t> {
         self.tape.push(Op::Add(self.id, rhs.id, bc), out)
     }
 
-    /// Elementwise subtraction (identical shapes).
-    pub fn sub(self, rhs: Var<'t>) -> Var<'t> {
-        let out = {
-            let (va, vb) = (self.tape.val(self.id), self.tape.val(rhs.id));
-            self.tape.t_zip(&va, &vb, |a, b| a - b)
-        };
-        self.tape.push(Op::Sub(self.id, rhs.id), out)
-    }
-
-    /// Elementwise product (identical shapes).
-    pub fn mul(self, rhs: Var<'t>) -> Var<'t> {
-        let out = {
-            let (va, vb) = (self.tape.val(self.id), self.tape.val(rhs.id));
-            self.tape.t_zip(&va, &vb, |a, b| a * b)
-        };
-        self.tape.push(Op::Mul(self.id, rhs.id), out)
-    }
-
     /// Elementwise product with a constant tensor (no gradient to it).
     pub fn mul_const(self, mask: &Tensor) -> Var<'t> {
         let out = {
@@ -1003,15 +960,6 @@ impl<'t> Var<'t> {
         self.tape.push(Op::MulConst(self.id, saved), out)
     }
 
-    /// Negation.
-    pub fn neg(self) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            self.tape.t_map(&va, |x| -x)
-        };
-        self.tape.push(Op::Neg(self.id), out)
-    }
-
     /// Multiply by a scalar constant.
     pub fn scale(self, c: f32) -> Var<'t> {
         let out = {
@@ -1019,15 +967,6 @@ impl<'t> Var<'t> {
             self.tape.t_map(&va, |x| x * c)
         };
         self.tape.push(Op::Scale(self.id, c), out)
-    }
-
-    /// Add a scalar constant.
-    pub fn add_scalar(self, c: f32) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            self.tape.t_map(&va, |x| x + c)
-        };
-        self.tape.push(Op::AddScalar(self.id), out)
     }
 
     /// Matrix product. Operands are stacks of matrices: rank-2 tensors
@@ -1342,12 +1281,6 @@ impl<'t> Var<'t> {
         self.tape.push(Op::ConcatLast(self.id, rhs.id), out)
     }
 
-    /// Mean over all elements, producing shape `[1]`.
-    pub fn mean_all(self) -> Var<'t> {
-        let out = Tensor::scalar(self.tape.val(self.id).mean());
-        self.tape.push(Op::MeanAll(self.id), out)
-    }
-
     /// Mean squared error against a constant target, producing shape `[1]`.
     pub fn mse_loss(self, target: &Tensor) -> Var<'t> {
         let loss = {
@@ -1382,13 +1315,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn forward_add_sub_mul() {
+    fn forward_add_and_scale() {
         let t = Tape::new();
         let a = t.input(Tensor::from_vec(vec![1.0, 2.0], &[2]));
         let b = t.input(Tensor::from_vec(vec![3.0, 5.0], &[2]));
         assert_eq!(a.add(b).value().data(), &[4.0, 7.0]);
-        assert_eq!(a.sub(b).value().data(), &[-2.0, -3.0]);
-        assert_eq!(a.mul(b).value().data(), &[3.0, 10.0]);
+        assert_eq!(a.scale(-2.0).value().data(), &[-2.0, -4.0]);
     }
 
     #[test]
@@ -1409,25 +1341,25 @@ mod tests {
 
     #[test]
     fn backward_through_chain() {
-        // loss = mean((a*b + a)^2) with a=[1,2], b=[3,4]
+        // loss = mean((a·B + a)^2) with a=[1,2], B=diag(3,4)
         let t = Tape::new();
-        let pa = Param::new("a", Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let pb = Param::new("b", Tensor::from_vec(vec![3.0, 4.0], &[2]));
+        let pa = Param::new("a", Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
+        let pb = Param::new("b", Tensor::from_vec(vec![3.0, 0.0, 0.0, 4.0], &[2, 2]));
         let a = t.param(&pa);
         let b = t.param(&pb);
-        let y = a.mul(b).add(a); // [4, 10]
-        let loss = y.mse_loss(&Tensor::zeros(&[2]));
+        let y = a.matmul(b).add(a); // [4, 10]
+        let loss = y.mse_loss(&Tensor::zeros(&[1, 2]));
         assert!((loss.value().item() - (16.0 + 100.0) / 2.0).abs() < 1e-5);
         let grads = t.backward_params(loss);
-        // dL/dy = y, dL/da = y*(b+1), dL/db = y*a
-        assert!(grads
-            .get(&pa)
-            .unwrap()
-            .allclose(&Tensor::from_vec(vec![4.0 * 4.0, 10.0 * 5.0], &[2]), 1e-4));
+        // dL/dy = y, dL/da = y·Bᵀ + y, dL/dB = aᵀ·y
+        assert!(grads.get(&pa).unwrap().allclose(
+            &Tensor::from_vec(vec![4.0 * 4.0, 10.0 * 5.0], &[1, 2]),
+            1e-4
+        ));
         assert!(grads
             .get(&pb)
             .unwrap()
-            .allclose(&Tensor::from_vec(vec![4.0, 20.0], &[2]), 1e-4));
+            .allclose(&Tensor::from_vec(vec![4.0, 10.0, 8.0, 20.0], &[2, 2]), 1e-4));
         assert_eq!(grads.len(), 2);
     }
 
@@ -1613,14 +1545,14 @@ mod tests {
 
     #[test]
     fn diamond_graph_sums_gradients() {
-        // y = a + a -> dy/da = 2
+        // y = a + a = 6, L = y^2 -> dL/da = 2 · dL/dy = 2 · 2y = 24
         let t = Tape::new();
         let p = Param::new("a", Tensor::from_vec(vec![3.0], &[1]));
         let a = t.param(&p);
         let y = a.add(a);
-        let loss = y.mean_all();
+        let loss = y.mse_loss(&Tensor::zeros(&[1]));
         let grads = t.backward_params(loss);
-        assert!((grads.get(&p).unwrap().item() - 2.0).abs() < 1e-5);
+        assert!((grads.get(&p).unwrap().item() - 24.0).abs() < 1e-5);
     }
 
     #[test]
@@ -1828,7 +1760,7 @@ mod tests {
             let ctx = tape.param(&q).attn_fused(k, v, 0.5);
             let val = ctx.value();
             if tape.grad {
-                tape.backward_params(ctx.mean_all());
+                tape.backward_params(ctx.mse_loss(&Tensor::zeros(&[b, t, h, dh])));
             }
             tape.reset(0);
             let square = [b * h * t * t, b * t * t, h * t * t, t * t];

@@ -183,13 +183,6 @@ impl Tensor {
         }
     }
 
-    /// In-place scale.
-    pub fn scale_assign(&mut self, c: f32) {
-        for a in self.data.iter_mut() {
-            *a *= c;
-        }
-    }
-
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f32 {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
@@ -331,8 +324,6 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.data(), &[11.0, 18.0]);
-        c.scale_assign(0.5);
-        assert_eq!(c.data(), &[5.5, 9.0]);
     }
 
     #[test]

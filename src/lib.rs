@@ -10,15 +10,14 @@
 //! * [`sim`] — deterministic packet-level network simulator (ns-3 substitute)
 //! * [`data`] — traces → training windows (features, splits, normalization)
 //! * [`core`] — the NTT model, the task-generic trainer, baselines,
-//!   self-describing checkpoints (`NTTCKPT2`), federated averaging, and
-//!   the `Experiment` pipeline (sweep → pretrain → share → fine-tune in
-//!   a few calls)
+//!   self-describing checkpoints (`NTTCKPT2`), and the `Experiment`
+//!   pipeline (sweep → pretrain → share → fine-tune in a few calls)
 //! * [`fleet`] — parallel scenario-fleet engine: declarative sweep
 //!   grids over (scenario × topology × load × seed), a work-stealing
 //!   executor, and streaming trace ingestion
 //! * [`serve`] — batched model serving: checkpoint registry, grad-free
-//!   inference engine, streaming sessions, micro-batching request
-//!   coalescing, and a live sim → features → predictions loop
+//!   inference engine, streaming sessions, and micro-batching request
+//!   coalescing
 //! * [`net`] — the wire-protocol serving tier: `NTTWIRE1` length-
 //!   prefixed binary framing over TCP/unix sockets, multi-model
 //!   routing through the registry into per-model batcher pools, and

@@ -138,6 +138,7 @@ fn tensor_and_nn_methods_keep_their_signatures() {
         MultiHeadAttention::forward;
     let _: for<'t> fn(&TransformerEncoder, &'t Tape, Var<'t>) -> Var<'t> =
         TransformerEncoder::forward;
+    let _: fn(&TransformerEncoder, bool) = TransformerEncoder::set_training;
     let _: fn(Vec<Param>, LrSchedule) -> Adam = Adam::new;
     let _: fn(&mut Adam, &ParamGrads) = Adam::step_with;
     let _: fn(&DelayHead) -> Vec<Param> = <DelayHead as Module>::params;
@@ -149,6 +150,7 @@ fn tensor_and_nn_methods_keep_their_signatures() {
 fn model_and_serving_constructors_keep_their_signatures() {
     let _: fn(NttConfig) -> Ntt = Ntt::new;
     let _: for<'t> fn(&Ntt, &'t Tape, Var<'t>) -> Var<'t> = Ntt::forward;
+    let _: fn(&Ntt, bool) = Ntt::set_training;
     let _: fn(&NttConfig) -> usize = NttConfig::seq_len;
     let _: fn(usize, u64) -> DelayHead = DelayHead::new;
     let _: fn(usize) -> Normalizer = Normalizer::identity;
@@ -166,7 +168,7 @@ fn model_and_serving_constructors_keep_their_signatures() {
 #[test]
 fn counters_the_trace_reads_exist_under_their_names() {
     // One tiny forward on an inference tape touches the GEMM funnel, the
-    // fused attention tile and the tape pool; the names e2e looks up in
+    // attention op and the tape pool; the names e2e looks up in
     // a snapshot must then be registered (a renamed counter would read
     // as a silent zero in the ledger, not as an error).
     let cfg = NttConfig {
