@@ -28,11 +28,13 @@
 //! ```
 //!
 //! The reader parses from memory with bounds checks: truncated files,
-//! wrong magics, corrupted sizes, duplicate names, checksum mismatches
-//! and a normalizer that cannot scale the model's features (a channel
-//! count other than `NUM_FEATURES`, a non-finite mean, a std that is
-//! not finite and positive) return typed [`io::Error`]s — never panic,
-//! never over-allocate beyond the file size.
+//! wrong magics, corrupted sizes, duplicate names, checksum mismatches,
+//! a config the model cannot be built from (a dropout outside `[0, 1)`,
+//! a head whose width is not the trunk's `d_model`) and a normalizer
+//! that cannot scale the model's features (a channel count other than
+//! `NUM_FEATURES`, a non-finite mean, a std that is not finite and
+//! positive) return typed [`io::Error`]s — never panic, never
+//! over-allocate beyond the file size.
 
 use crate::config::{Aggregation, NttConfig};
 use crate::model::{build_head, Ntt};
@@ -70,6 +72,10 @@ fn norm_problem(means: &[f32], stds: &[f32]) -> Option<String> {
         return Some(format!("normalizer std {s} is not finite and positive"));
     }
     None
+}
+
+fn head_width_problem(kind: &str, head: usize, trunk: usize) -> String {
+    format!("head {kind:?} is {head} wide but the trunk's d_model is {trunk}")
 }
 
 /// FNV-1a 64-bit content checksum.
@@ -275,6 +281,9 @@ fn read_config(r: &mut Reader) -> io::Result<NttConfig> {
             "implausible model dimensions: d_model {d_model}, n_heads {n_heads}, n_layers {n_layers}, d_ff {d_ff}"
         )));
     }
+    if !(0.0..1.0).contains(&dropout) {
+        return Err(bad_data(format!("dropout {dropout} outside [0, 1)")));
+    }
     Ok(NttConfig {
         aggregation,
         d_model,
@@ -361,8 +370,8 @@ impl LoadedModel {
 impl Checkpoint {
     /// Snapshot a model + heads (+ normalizer, + provenance) into a
     /// checkpoint object ready to [`save`](Checkpoint::save). A
-    /// normalizer that cannot scale the model's features is an
-    /// `InvalidInput` error.
+    /// normalizer that cannot scale the model's features, or a head
+    /// built for another encoder width, is an `InvalidInput` error.
     pub fn capture(
         model: &Ntt,
         heads: &[&dyn Head],
@@ -378,6 +387,13 @@ impl Checkpoint {
         let mut modules: Vec<&dyn Module> = vec![model];
         let mut specs = Vec::with_capacity(heads.len());
         for h in heads {
+            if h.d_model() != model.cfg.d_model {
+                return Err(bad_input(head_width_problem(
+                    h.kind(),
+                    h.d_model(),
+                    model.cfg.d_model,
+                )));
+            }
             specs.push(HeadSpec {
                 kind: h.kind().to_string(),
                 d_model: h.d_model(),
@@ -492,6 +508,9 @@ impl Checkpoint {
         for _ in 0..n_heads {
             let kind = r.string()?;
             let d_model = r.u32()? as usize;
+            if d_model != config.d_model {
+                return Err(bad_data(head_width_problem(&kind, d_model, config.d_model)));
+            }
             heads.push(HeadSpec { kind, d_model });
         }
         let norm = match r.u8()? {
@@ -698,6 +717,50 @@ mod tests {
             let err = Checkpoint::load(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{norm:?}");
             assert!(err.to_string().contains("normalizer"), "{err}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_the_model_cannot_be_built_from_is_refused() {
+        // Each case edits a good checkpoint past `capture`, as a foreign
+        // or hand-built file would; loading it must be a typed error,
+        // never a panic in a layer constructor or the first forward.
+        let model = Ntt::new(tiny_cfg(15));
+        let narrow = DelayHead::new(8, 1);
+        let err = Checkpoint::capture(&model, &[&narrow], None, vec![]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("d_model"), "{err}");
+
+        type Edit = Box<dyn Fn(&mut Checkpoint)>;
+        let dropout = |p: f32| -> Edit { Box::new(move |c| c.config.dropout = p) };
+        let cases: Vec<(&str, Edit, &str)> = vec![
+            ("dropout 1.5", dropout(1.5), "dropout"),
+            ("dropout 1", dropout(1.0), "dropout"),
+            ("dropout -0.1", dropout(-0.1), "dropout"),
+            ("dropout NaN", dropout(f32::NAN), "dropout"),
+            (
+                "head narrower than the trunk",
+                Box::new(|c| {
+                    c.heads.push(HeadSpec {
+                        kind: "delay".into(),
+                        d_model: 8,
+                    });
+                    let head = DelayHead::new(8, 1);
+                    c.params
+                        .extend(head.params().iter().map(|p| (p.name(), p.value())));
+                }),
+                "d_model",
+            ),
+        ];
+        let path = tmp("unbuildable");
+        for (name, edit, needle) in cases {
+            let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
+            edit(&mut ckpt);
+            ckpt.save(&path).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(err.to_string().contains(needle), "{name}: {err}");
         }
         std::fs::remove_file(path).ok();
     }

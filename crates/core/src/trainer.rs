@@ -31,7 +31,7 @@ use crate::model::Ntt;
 use crate::task::Task;
 use ntt_data::BatchIter;
 use ntt_nn::{clip_param_grads, Adam, LrSchedule, Module};
-use ntt_tensor::{kernels, splitmix64, Param, ParamGrads, TapePool};
+use ntt_tensor::{splitmix64, Param, ParamGrads, TapePool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -219,12 +219,7 @@ fn mix(a: u64, b: u64) -> u64 {
 /// Run `f(0..n)` across `threads` scoped workers (atomic-cursor work
 /// stealing, as in `ntt-fleet`) and return the results **in index
 /// order**, so any subsequent reduction is deterministic regardless of
-/// completion order. `threads <= 1` degenerates to a plain loop that
-/// keeps the matmul kernels' internal row-block parallelism (at paper
-/// shape no training product reaches `kernels::PAR_THRESHOLD`, so that
-/// loop runs on one core); with multiple workers that nesting is
-/// suppressed ([`kernels::with_sequential`]) so the machine is divided
-/// between shards instead of oversubscribed.
+/// completion order. `threads <= 1` degenerates to a plain loop.
 fn fanout<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
@@ -237,16 +232,14 @@ fn fanout<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> V
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            scope.spawn(move || {
-                kernels::with_sequential(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if tx.send((i, f(i))).is_err() {
-                        break; // collector gone
-                    }
-                })
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                if tx.send((i, f(i))).is_err() {
+                    break; // collector gone
+                }
             });
         }
         drop(tx);

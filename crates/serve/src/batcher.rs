@@ -63,7 +63,7 @@ use crate::engine::InferenceEngine;
 use crate::error::ServeError;
 use ntt_data::NUM_FEATURES;
 use ntt_obs::{Histogram, HistogramSnapshot};
-use ntt_tensor::{kernels, Tensor};
+use ntt_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -521,18 +521,7 @@ fn serve(shared: &Shared, batch: &[Request]) {
             &[b, 1],
         )
     });
-    // With several workers the machine is divided between batches;
-    // suppress the GEMM kernels' internal row threading so they do not
-    // oversubscribe it (same discipline as the trainer). With one
-    // worker nothing needs suppressing at the shapes served today:
-    // every product of a paper-shape forward over at most 16 windows is
-    // below `kernels::PAR_THRESHOLD`, so it runs on this thread alone
-    // (`tests/serving.rs` pins both halves).
-    let out = if shared.cfg.workers > 1 {
-        kernels::with_sequential(|| shared.engine.predict(shared.cfg.head, &x, aux.as_ref()))
-    } else {
-        shared.engine.predict(shared.cfg.head, &x, aux.as_ref())
-    };
+    let out = shared.engine.predict(shared.cfg.head, &x, aux.as_ref());
 
     shared.batches_run.fetch_add(1, Ordering::Relaxed);
     shared.windows_run.fetch_add(b as u64, Ordering::Relaxed);

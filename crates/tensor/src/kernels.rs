@@ -19,9 +19,9 @@
 //! registers across the whole depth loop, fed by *packed* operand
 //! panels:
 //!
-//! * B is packed once per `k`-block into `[KC × NR]` column panels
-//!   (shared read-only by all row threads), so the microkernel streams
-//!   it contiguously regardless of the source layout or stride;
+//! * B is packed once per `k`-block into `[KC × NR]` column panels, so
+//!   the microkernel streams it contiguously regardless of the source
+//!   layout or stride;
 //! * A is packed per `[MC]`-row block into `[KC × MR]` micro-panels,
 //!   turning both `nn` (rows) and `tn` (columns) sources into the same
 //!   contiguous broadcast-friendly layout;
@@ -37,27 +37,20 @@
 //!
 //! # Threading
 //!
-//! A GEMM is divided over row blocks, and attention over batch rows, on
-//! scoped std threads only when a spawn pays for itself: at or above
-//! [`PAR_THRESHOLD`] multiply-accumulates, and never with less than half
-//! of that per thread (the arithmetic is on the constant). A
-//! `std::thread::scope` spawn + join costs 40–75 µs for two threads and
-//! 165–250 µs for eight on the hosts this was measured on — more than an
-//! entire 48-row encoder product — so nothing in a served paper-shape
-//! forward, at batch 1 or batch 16, threads at all, and nothing in a
-//! paper-shape training microbatch either: since the trainer folds the
-//! front end on its tape, its largest product is `ff1`/`ff2` at 3.1 M
-//! MACs, and training's parallelism is its microbatch shards. The core count is
-//! read once per process (`cores`), and every thread either splitter
-//! (`for_row_blocks`, `for_batch_rows`) spawns is counted in
-//! `tensor.kernel_spawns`.
+//! Kernels never spawn threads: every GEMM and attention call runs on
+//! its caller's thread. Parallelism lives one level up, at the natural
+//! unit of each path — fleet shards, the trainer's microbatch shards,
+//! evaluation batches and `Batcher` workers. A second level beneath
+//! those would oversubscribe the cores they already divide, and a
+//! `std::thread::scope` spawn + join (40–75 µs for two threads) costs
+//! more than an entire 48-row encoder product.
 //!
 //! # Determinism
 //!
 //! Every output element accumulates its `k` products in ascending `p`
 //! order, grouped only by the fixed [`KC`] blocking — an order that does
-//! not depend on the row split, the thread count, or partial-tile
-//! boundaries, so results are bit-identical at any thread count.
+//! not depend on partial-tile boundaries or on which thread calls, so
+//! results are bit-identical at any thread count.
 //!
 //! `exp` is the crate's own branch-free polynomial (`exp`, behind
 //! [`gelu_fwd`], [`gelu_bwd`] and [`scaled_softmax_fwd`]), not the
@@ -68,29 +61,8 @@
 //! FMA, both compilations execute the same IEEE operation sequence per
 //! element: the dispatch changes throughput, never a bit.
 
-use std::cell::{Cell, RefCell};
-use std::ops::Range;
+use std::cell::RefCell;
 use std::sync::OnceLock;
-
-/// Minimum multiply-accumulate count before a kernel spawns row-block
-/// threads, and twice the least work a spawned thread is ever handed
-/// (`threads = min(cores, rows, total / (PAR_THRESHOLD / 2))`).
-///
-/// The arithmetic: one thread retires ~21 G MAC/s (the engine's own
-/// 42 GFLOP/s), so 2²² MACs are ~200 µs — the first size at which
-/// halving the work repays a `std::thread::scope` spawn + join, which
-/// measures 41 µs p50 / 75 µs p95 for two threads (67/128 for four,
-/// 165/250 for eight; 2-core Xeon 2.1 GHz). Hence two threads from 2²³
-/// MACs, a third only from 1.5·2²³. The previous value, 2¹⁸ (~12 µs of
-/// work), made every paper-shape `ff1`/`ff2` product (48·64·128 = 393 K
-/// MACs, ~19 µs) pay a spawn that cost two to four times the product.
-/// The largest product of a served forward — `ff1` at batch 16,
-/// 768·64·128 = 6.3 M MACs — stays below this line, and so does the
-/// largest of a training microbatch of eight — `ff1`/`ff2` at
-/// 384·64·128 = 3.1 M MACs, the front end being folded on the tape
-/// (`tests/serving.rs` pins both). At paper shape no product of either
-/// path reaches it. Sweep and end-to-end numbers are in `CHANGES.md`.
-pub const PAR_THRESHOLD: usize = 1 << 23;
 
 /// Microkernel rows: accumulator tile height (distinct A values held as
 /// broadcasts per depth step).
@@ -108,113 +80,19 @@ pub const KC: usize = 256;
 pub const MC: usize = 64;
 
 std::thread_local! {
-    /// When set, kernels on this thread never spawn row-block threads.
-    /// The data-parallel trainer sets it on its workers: parallelism
-    /// then comes from microbatch shards, and nesting gemm threads
-    /// underneath would oversubscribe the cores.
-    static SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
-    /// Reusable packing buffers (per thread, so row-block workers and
-    /// trainer shards never contend): B panels for the current k-block,
-    /// A micro-panels for the current row block.
+    /// Reusable packing buffers (per thread, so trainer shards and
+    /// `Batcher` workers never contend): B panels for the current
+    /// k-block, A micro-panels for the current row block.
     static BPACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static APACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-#[cfg(test)]
-std::thread_local! {
-    /// Test hook: force a row-split thread count so the chunked path is
-    /// exercised (and proven bit-identical) even on single-core hosts.
-    static FORCE_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Run `f` with this thread's kernels forced sequential (restored on
-/// exit, panic included). Results are bit-identical either way — the
-/// row partition assigns every output element to exactly one thread
-/// with an unchanged inner loop — so this is purely a scheduling knob,
-/// and it only matters for products of at least [`PAR_THRESHOLD`] MACs:
-/// callers that already divide the machine themselves (trainer shards,
-/// a multi-worker `Batcher`) use it so the aggregation-sized GEMMs do
-/// not oversubscribe the cores; everything smaller never threads anyway.
+/// Run `f`. Kernels never spawn threads, so there is nothing left to
+/// make sequential; this identity is kept only because the benchmark
+/// harness's `e2e/src/probes.rs` calls it, and goes when `e2e` joins the
+/// workspace.
 pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SEQUENTIAL.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(SEQUENTIAL.with(|s| s.replace(true)));
     f()
-}
-
-fn par_rows(m: usize, work_per_row: usize) -> usize {
-    #[cfg(test)]
-    {
-        let forced = FORCE_THREADS.with(|f| f.get());
-        if forced > 0 {
-            return forced.min(m).max(1);
-        }
-    }
-    let total = m * work_per_row;
-    if total < PAR_THRESHOLD || SEQUENTIAL.with(|s| s.get()) {
-        return 1;
-    }
-    cores().min(m).min(total / (PAR_THRESHOLD / 2)).max(1)
-}
-
-/// Rows each spawned thread takes when `m` rows are split `threads`
-/// ways. Both splitters (`for_row_blocks`, `for_batch_rows`) size their
-/// chunks here, so this is also where `tensor.kernel_spawns` counts the
-/// threads about to start.
-fn rows_per_thread(m: usize, threads: usize) -> usize {
-    let rows_per = m.div_ceil(threads);
-    ntt_obs::counter!("tensor.kernel_spawns").add(m.div_ceil(rows_per) as u64);
-    rows_per
-}
-
-/// Cores available to this process, read once: a fresh
-/// `std::thread::available_parallelism()` re-reads the cgroup files and
-/// costs 12 µs p50 / 21 µs p95 — as long as a whole 48×64×64 product —
-/// and std's own docs say to cache it. An affinity or quota change after
-/// the first call of at least [`PAR_THRESHOLD`] MACs is therefore not
-/// seen; only the thread count can be stale, never a result.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Run `body(row_range, c_chunk)` over `m` rows of a C whose rows are
-/// `ldc` apart (`n` live columns each), in parallel when profitable.
-/// `c_chunk[0]` is the first element of row `row_range.start`.
-fn for_row_blocks<F>(m: usize, n: usize, ldc: usize, work_per_row: usize, c: &mut [f32], body: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    debug_assert!(n <= ldc || m <= 1, "row chunks would overlap");
-    let threads = par_rows(m, work_per_row);
-    if threads <= 1 {
-        body(0..m, c);
-        return;
-    }
-    let rows_per = rows_per_thread(m, threads);
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut consumed = 0usize;
-        let mut start = 0usize;
-        while start < m {
-            let rows = rows_per.min(m - start);
-            // Rows start..start+rows occupy [start*ldc, (start+rows-1)*ldc + n):
-            // chunks are disjoint ascending because n <= ldc.
-            let end = (start + rows - 1) * ldc + n;
-            let (head, tail) = rest.split_at_mut(end - consumed);
-            let chunk = &mut head[start * ldc - consumed..];
-            rest = tail;
-            consumed = end;
-            let range = start..start + rows;
-            let body = &body;
-            s.spawn(move || body(range, chunk));
-            start += rows;
-        }
-    });
 }
 
 /// The register-resident core: `acc[r][j] += apanel[p][r] * bpanel[p][j]`
@@ -406,12 +284,8 @@ fn pack_a_block(
 /// operand layouts are described by stride pairs (see [`pack_b`] /
 /// [`pack_a_block`]). All public gemm entry points funnel here.
 ///
-/// Every KC depth block of B is packed up front, then one thread scope
-/// covers the entire product: each row worker walks the depth blocks
-/// itself, so a multi-block `k` pays a single spawn/join instead of one
-/// barrier (with a serialized re-pack) per block. The per-element
-/// accumulation order — ascending `pc`, then ascending `p` within the
-/// block — is unchanged.
+/// Depth blocks run in ascending `pc`: B's block is packed, then every
+/// [`MC`]-row block of A is packed and multiplied against it.
 #[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
 fn gemm_core(
     a: &[f32],
@@ -435,93 +309,45 @@ fn gemm_core(
     debug_assert!(b.len() > (k - 1) * brs + (n - 1) * bcs, "B too short");
     debug_assert!(c.len() >= (m - 1) * ldc + n, "C too short");
     let n_panels = n.div_ceil(NR);
-    let n_blocks = k.div_ceil(KC);
-    // Fixed per-block stride: a full KC block when there are several
-    // (the tail block simply leaves its region partially used), exactly
-    // what is packed when there is one — a 64-deep weight is not
-    // preceded by a 256-deep memset. Panels *within* a block are
-    // `kc * NR` apart, matching `gemm_row_block`'s indexing.
-    let block_stride = n_panels * KC.min(k) * NR;
+    let micro = micro_fn();
     BPACK.with(|bp| {
-        let mut bp = bp.borrow_mut();
-        bp.clear();
-        bp.resize(n_blocks * block_stride, 0.0);
-        for (bi, pc) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - pc);
-            pack_b(b, brs, bcs, pc, kc, n, &mut bp[bi * block_stride..]);
-        }
-        let bp = &*bp;
-        for_row_blocks(m, n, ldc, k * n, c, |rows, chunk| {
-            for (bi, pc) in (0..k).step_by(KC).enumerate() {
+        APACK.with(|ap| {
+            let (mut bp, mut ap) = (bp.borrow_mut(), ap.borrow_mut());
+            for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                gemm_row_block(
-                    a,
-                    ars,
-                    acs,
-                    &bp[bi * block_stride..],
-                    chunk,
-                    ldc,
-                    rows.clone(),
-                    pc,
-                    kc,
-                    n,
-                    n_panels,
-                );
-            }
-        });
-    });
-}
-
-/// One thread's share of [`gemm_core`]: rows `rows` of C (chunk-relative,
-/// stride `ldc`) against the packed B panels for depth block `pc..pc+kc`.
-#[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
-fn gemm_row_block(
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    bpack: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    rows: Range<usize>,
-    pc: usize,
-    kc: usize,
-    n: usize,
-    n_panels: usize,
-) {
-    APACK.with(|ap| {
-        let mut ap = ap.borrow_mut();
-        let row0 = rows.start;
-        let mut ic = rows.start;
-        while ic < rows.end {
-            let mc = MC.min(rows.end - ic);
-            let mp = mc.div_ceil(MR);
-            ap.clear();
-            ap.resize(mp * kc * MR, 0.0);
-            pack_a_block(a, ars, acs, ic, mc, pc, kc, &mut ap);
-            // Column panels outermost: each B panel stays L1-hot across
-            // every micro-row of this MC block.
-            let micro = micro_fn();
-            for jp in 0..n_panels {
-                let j0 = jp * NR;
-                let jw = NR.min(n - j0);
-                let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-                for ip in 0..mp {
-                    let i0 = ic + ip * MR;
-                    let iw = MR.min(rows.end - i0);
-                    let apanel = &ap[ip * kc * MR..(ip + 1) * kc * MR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    // SAFETY: micro_fn verified the required CPU features.
-                    unsafe { micro(kc, apanel, bpanel, &mut acc) };
-                    for r in 0..iw {
-                        let crow = &mut c[(i0 + r - row0) * ldc + j0..][..jw];
-                        for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
-                            *cv += av;
+                bp.clear();
+                bp.resize(n_panels * kc * NR, 0.0);
+                pack_b(b, brs, bcs, pc, kc, n, &mut bp);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    let mp = mc.div_ceil(MR);
+                    ap.clear();
+                    ap.resize(mp * kc * MR, 0.0);
+                    pack_a_block(a, ars, acs, ic, mc, pc, kc, &mut ap);
+                    // Column panels outermost: each B panel stays L1-hot
+                    // across every micro-row of this MC block.
+                    for jp in 0..n_panels {
+                        let j0 = jp * NR;
+                        let jw = NR.min(n - j0);
+                        let bpanel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
+                        for ip in 0..mp {
+                            let i0 = ic + ip * MR;
+                            let iw = MR.min(m - i0);
+                            let apanel = &ap[ip * kc * MR..(ip + 1) * kc * MR];
+                            let mut acc = [[0.0f32; NR]; MR];
+                            // SAFETY: micro_fn verified the required CPU features.
+                            unsafe { micro(kc, apanel, bpanel, &mut acc) };
+                            for r in 0..iw {
+                                let crow = &mut c[(i0 + r) * ldc + j0..][..jw];
+                                for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
+                                    *cv += av;
+                                }
+                            }
                         }
                     }
                 }
             }
-            ic += mc;
-        }
+        })
     });
 }
 
@@ -820,9 +646,8 @@ pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
 // `S = Q·Kᵀ`, `W = softmax(scale · S)` row by row, `ctx = W·V` — with the
 // strided GEMMs and the softmax kernel above, so a block's bits are
 // those of the same kernels run over whole `[B, H, T, T]` tensors.
-// Threads split only the batch (each `b` is an independent, contiguous
-// slice of every operand and output), so results are bit-identical
-// across thread counts and batch compositions.
+// Each `b` is an independent, contiguous slice of every operand and
+// output, so results are bit-identical across batch compositions.
 // ---------------------------------------------------------------------------
 
 std::thread_local! {
@@ -843,42 +668,6 @@ fn with_attn_scratch<R>(tt: usize, f: impl FnOnce(&mut [f32], &mut [f32]) -> R) 
         let (first, second) = scratch[..2 * tt].split_at_mut(tt);
         f(first, second)
     })
-}
-
-/// Run `body(rows, chunks)` over `b` batch rows, on scoped threads when
-/// a spawn pays for `work_per_row` multiply-accumulates a row. Every
-/// buffer in `bufs` holds the same number of elements per batch row
-/// (zero included), and `chunks` are the given rows' slices of them.
-fn for_batch_rows<const N: usize, F>(
-    b: usize,
-    work_per_row: usize,
-    mut bufs: [&mut [f32]; N],
-    body: F,
-) where
-    F: Fn(Range<usize>, [&mut [f32]; N]) + Sync,
-{
-    let threads = par_rows(b, work_per_row);
-    if threads <= 1 {
-        body(0..b, bufs);
-        return;
-    }
-    let per_row = bufs.each_ref().map(|buf| buf.len() / b);
-    let rows_per = rows_per_thread(b, threads);
-    std::thread::scope(|s| {
-        let body = &body;
-        let mut start = 0usize;
-        while start < b {
-            let rows = rows_per.min(b - start);
-            let chunks = std::array::from_fn(|i| {
-                let (head, tail) = std::mem::take(&mut bufs[i]).split_at_mut(rows * per_row[i]);
-                bufs[i] = tail;
-                head
-            });
-            let range = start..start + rows;
-            s.spawn(move || body(range, chunks));
-            start += rows;
-        }
-    });
 }
 
 /// Attention forward: `ctx[b,i,h,:] = Σ_j softmax_j(scale · q_i·k_j) · v_j`
@@ -912,28 +701,23 @@ pub fn attn_fused_fwd(
     // An empty slice stands for "keep no weights".
     let weights = weights.unwrap_or_default();
     debug_assert!(weights.is_empty() || weights.len() == b * h * tt);
-    // Scores and context: 2·T²·dh multiply-accumulates per head.
-    let work = 2 * h * tt * dh.max(1);
-    for_batch_rows(b, work, [ctx, weights], |rows, [ctx, weights]| {
-        with_attn_scratch(tt, |scores, own| {
-            ctx.fill(0.0);
-            for (r, bi) in rows.enumerate() {
-                for hi in 0..h {
-                    let base = bi * t * hd + hi * dh;
-                    let w = if weights.is_empty() {
-                        &mut own[..]
-                    } else {
-                        &mut weights[(r * h + hi) * tt..][..tt]
-                    };
-                    scores.fill(0.0);
-                    gemm_nt_strided(&q[base..], hd, &k[base..], hd, scores, t, t, dh, t);
-                    scaled_softmax_fwd(scores, scale, t, w);
-                    let out = &mut ctx[r * t * hd + hi * dh..];
-                    gemm_nn_strided(w, t, &v[base..], hd, out, hd, t, t, dh);
-                }
+    with_attn_scratch(tt, |scores, own| {
+        ctx.fill(0.0);
+        for bi in 0..b {
+            for hi in 0..h {
+                let base = bi * t * hd + hi * dh;
+                let w = if weights.is_empty() {
+                    &mut own[..]
+                } else {
+                    &mut weights[(bi * h + hi) * tt..][..tt]
+                };
+                scores.fill(0.0);
+                gemm_nt_strided(&q[base..], hd, &k[base..], hd, scores, t, t, dh, t);
+                scaled_softmax_fwd(scores, scale, t, w);
+                gemm_nn_strided(w, t, &v[base..], hd, &mut ctx[base..], hd, t, t, dh);
             }
-        })
-    });
+        }
+    })
 }
 
 /// Attention backward from the forward's softmax `weights`
@@ -963,25 +747,20 @@ pub fn attn_fused_bwd(
         return;
     }
     let (hd, tt) = (h * dh, t * t);
-    // `∂W`, `dQ`, `dK` and `dV`: 4·T²·dh multiply-accumulates per head.
-    let work = 4 * h * tt * dh.max(1);
-    for_batch_rows(b, work, [gq, gk, gv], |rows, [gq, gk, gv]| {
-        with_attn_scratch(tt, |gw, gs| {
-            for (r, bi) in rows.enumerate() {
-                for hi in 0..h {
-                    let base = bi * t * hd + hi * dh;
-                    let out = r * t * hd + hi * dh;
-                    let w = &weights[(bi * h + hi) * tt..][..tt];
-                    gw.fill(0.0);
-                    gemm_nt_strided(&g[base..], hd, &v[base..], hd, gw, t, t, dh, t);
-                    softmax_bwd(w, gw, scale, t, gs);
-                    gemm_nn_strided(gs, t, &k[base..], hd, &mut gq[out..], hd, t, t, dh);
-                    gemm_tn_strided(gs, t, &q[base..], hd, &mut gk[out..], hd, t, t, dh);
-                    gemm_tn_strided(w, t, &g[base..], hd, &mut gv[out..], hd, t, t, dh);
-                }
+    with_attn_scratch(tt, |gw, gs| {
+        for bi in 0..b {
+            for hi in 0..h {
+                let base = bi * t * hd + hi * dh;
+                let w = &weights[(bi * h + hi) * tt..][..tt];
+                gw.fill(0.0);
+                gemm_nt_strided(&g[base..], hd, &v[base..], hd, gw, t, t, dh, t);
+                softmax_bwd(w, gw, scale, t, gs);
+                gemm_nn_strided(gs, t, &k[base..], hd, &mut gq[base..], hd, t, t, dh);
+                gemm_tn_strided(gs, t, &q[base..], hd, &mut gk[base..], hd, t, t, dh);
+                gemm_tn_strided(w, t, &g[base..], hd, &mut gv[base..], hd, t, t, dh);
             }
-        })
-    });
+        }
+    })
 }
 
 /// Naive triple-loop reference kernels, and attention composed from
@@ -1090,13 +869,6 @@ mod tests {
         }
     }
 
-    fn with_forced_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-        FORCE_THREADS.with(|t| t.set(threads));
-        let r = f();
-        FORCE_THREADS.with(|t| t.set(0));
-        r
-    }
-
     #[test]
     fn nn_matches_naive_small() {
         let (m, k, n) = (3, 4, 5);
@@ -1108,42 +880,14 @@ mod tests {
     }
 
     #[test]
-    fn nn_matches_naive_large_parallel() {
-        // Larger than every tile dimension, odd in every axis, and run
-        // with a forced row split to exercise the threaded path.
+    fn nn_matches_naive_large() {
+        // Larger than every tile dimension and odd in every axis.
         let (m, k, n) = (97, 300, 130);
         let a = rand_vec(m * k, 3);
         let b = rand_vec(k * n, 4);
         let mut c = vec![0.0; m * n];
-        with_forced_threads(3, || gemm_nn(&a, &b, &mut c, m, k, n));
+        gemm_nn(&a, &b, &mut c, m, k, n);
         assert_close(&c, &naive_nn(&a, &b, m, k, n));
-    }
-
-    #[test]
-    fn row_split_is_bit_identical() {
-        // The determinism contract behind `with_sequential`: the thread
-        // count must not change a single bit, in any layout.
-        let (m, k, n) = (53, 67, 41);
-        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-        let cases: [(&str, Kernel, usize, usize); 3] = [
-            ("nn", gemm_nn, m * k, k * n),
-            ("nt", gemm_nt, m * k, n * k),
-            ("tn", gemm_tn, k * m, k * n),
-        ];
-        for (name, run, alen, blen) in cases {
-            let a = rand_vec(alen, 11);
-            let b = rand_vec(blen, 12);
-            for threads in [2, 3, 7] {
-                let mut c1 = vec![0.0; m * n];
-                run(&a, &b, &mut c1, m, k, n);
-                let mut c2 = vec![0.0; m * n];
-                with_forced_threads(threads, || run(&a, &b, &mut c2, m, k, n));
-                assert_eq!(
-                    c1, c2,
-                    "{name}: thread count changed bits ({threads} threads)"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1190,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn tn_large_parallel_path() {
+    fn tn_large() {
         let (m, k, n) = (80, 270, 90);
         let at = rand_vec(k * m, 9);
         let b = rand_vec(k * n, 10);
@@ -1201,7 +945,7 @@ mod tests {
             }
         }
         let mut c1 = vec![0.0; m * n];
-        with_forced_threads(4, || gemm_tn(&at, &b, &mut c1, m, k, n));
+        gemm_tn(&at, &b, &mut c1, m, k, n);
         assert_close(&c1, &naive_nn(&a, &b, m, k, n));
     }
 
@@ -1335,28 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_attention_is_bit_identical_across_threads() {
-        // Threads split only the batch dimension; the per-(b,h) block walk
-        // is fixed — so any forced split must reproduce the sequential
-        // bits exactly.
-        let (b, t, h, dh) = (5usize, 17, 3, 8);
-        let n = b * t * h * dh;
-        let [q, k, v, _] = attn_inputs(n, 61);
-        let run = |threads: usize| {
-            let mut ctx = vec![0.0; n];
-            let mut w = vec![0.0; b * h * t * t];
-            with_forced_threads(threads, || {
-                attn_fused_fwd(&q, &k, &v, 0.5, &mut ctx, Some(&mut w), b, t, h, dh);
-            });
-            (ctx, w)
-        };
-        let base = run(0);
-        for threads in [2, 3, 7] {
-            assert_eq!(base, run(threads), "fwd bits changed at {threads} threads");
-        }
-    }
-
-    #[test]
     fn fused_attention_is_batch_composition_invariant() {
         // Window w's context must be bit-identical whether it rides in
         // a batch of 4 or alone — each batch row is an independent,
@@ -1405,28 +1127,6 @@ mod tests {
             let [gq, gk, gv] = &mut got;
             attn_fused_bwd(q, k, v, g, &w, scale, gq, gk, gv, b, t, h, dh);
             assert_eq!(got, want, "(b={b},t={t},h={h},dh={dh})");
-        }
-    }
-
-    #[test]
-    fn fused_backward_is_bit_identical_across_threads() {
-        let (b, t, h, dh) = (5usize, 11, 2, 7);
-        let n = b * t * h * dh;
-        let [q, k, v, g] = attn_inputs(n, 91);
-        let mut ctx = vec![0.0; n];
-        let mut w = vec![0.0; b * h * t * t];
-        attn_fused_fwd(&q, &k, &v, 0.4, &mut ctx, Some(&mut w), b, t, h, dh);
-        let run = |threads: usize| {
-            let mut grads = [(); 3].map(|_| vec![0.0; n]);
-            let [gq, gk, gv] = &mut grads;
-            with_forced_threads(threads, || {
-                attn_fused_bwd(&q, &k, &v, &g, &w, 0.4, gq, gk, gv, b, t, h, dh)
-            });
-            grads
-        };
-        let base = run(0);
-        for threads in [2, 3, 7] {
-            assert_eq!(base, run(threads), "bwd bits changed at {threads} threads");
         }
     }
 
@@ -1606,39 +1306,5 @@ mod tests {
                 proptest::prop_assert_eq!(y == 0.0, x < -87.0);
             }
         }
-    }
-
-    // ---- thread policy ----
-
-    #[test]
-    fn threads_only_where_a_spawn_pays() {
-        // Off the FORCE_THREADS hook, this thread not sequential.
-        let half = PAR_THRESHOLD / 2;
-        assert_eq!(par_rows(1024, PAR_THRESHOLD / 1024 - 1), 1);
-        let at = par_rows(1024, PAR_THRESHOLD / 1024);
-        assert_eq!(at, cores().min(2), "two threads at the threshold");
-        // Never less than half the threshold per thread, never more
-        // threads than cores or rows.
-        for total_halves in [2usize, 3, 5, 64] {
-            let got = par_rows(1024, total_halves * half / 1024);
-            assert_eq!(got, cores().min(total_halves));
-        }
-        assert_eq!(par_rows(1, 64 * PAR_THRESHOLD), 1);
-        assert_eq!(with_sequential(|| par_rows(1024, PAR_THRESHOLD)), 1);
-    }
-
-    #[test]
-    fn spawned_threads_are_counted() {
-        let spawns = || ntt_obs::counter!("tensor.kernel_spawns").get();
-        let (m, k, n) = (53, 67, 41);
-        let a = rand_vec(m * k, 11);
-        let b = rand_vec(k * n, 12);
-        let mut c = vec![0.0; m * n];
-        // Other tests spawn concurrently, so the global counter can only
-        // be bounded from below here; `tests/serving.rs` pins the exact
-        // zero for a served forward in a process of its own.
-        let before = spawns();
-        with_forced_threads(3, || gemm_nn(&a, &b, &mut c, m, k, n));
-        assert!(spawns() >= before + 3);
     }
 }

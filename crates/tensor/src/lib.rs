@@ -8,7 +8,8 @@
 //! dtype zoo. The design optimizes for auditability: each tape op has a
 //! hand-written backward rule validated against finite differences
 //! ([`grad_check`]), and the matmul kernels ([`kernels`]) are the only
-//! performance-tuned (blocked + threaded) code.
+//! performance-tuned (blocked + packed) code. Kernels run on their
+//! caller's thread; parallelism lives in the callers.
 //!
 //! ```
 //! use ntt_tensor::{Param, Tape, Tensor};

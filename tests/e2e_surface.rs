@@ -73,6 +73,8 @@ struct Named(
 fn free_functions_keep_their_signatures() {
     // The three kernels e2e/src/probes.rs times directly.
     let _: fn(&[f32], &[f32], &mut [f32], usize, usize, usize) = kernels::gemm_nn;
+    // An identity now (kernels never spawn threads), kept only because
+    // e2e/src/probes.rs still calls it.
     let _: fn(fn() -> u8) -> u8 = kernels::with_sequential;
     let _: fn(
         &[f32],

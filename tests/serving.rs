@@ -174,141 +174,3 @@ fn serving_engine_agrees_with_evaluate() {
     assert_eq!(served, pred_recorded);
     assert_eq!(y.shape(), &[idx.len(), 1]);
 }
-
-/// Every kernel product of one engine forward over `b` windows, as
-/// `(name, multiply-accumulates)`, read off the config: the three
-/// folded zones, per encoder layer Q/K/V/O, attention,
-/// `ff1` and `ff2`, then the delay head's two layers on the last slot.
-fn forward_products(cfg: &NttConfig, b: usize) -> Vec<(String, usize)> {
-    use ntt::core::{OUT_SLOTS, ZONE_SLOTS};
-    let (d, ff) = (cfg.d_model, cfg.d_ff);
-    let Aggregation::MultiScale { block } = cfg.aggregation else {
-        panic!("the default aggregation is multi-scale");
-    };
-    let mut products: Vec<(String, usize)> = [2 * block, block, 1]
-        .iter()
-        .map(|pkts| {
-            (
-                format!("zone({pkts} packets/slot)"),
-                b * ZONE_SLOTS * (pkts * NUM_FEATURES) * d,
-            )
-        })
-        .collect();
-    let rows = b * OUT_SLOTS;
-    for layer in 0..cfg.n_layers {
-        for proj in ["q", "k", "v", "o"] {
-            products.push((format!("layer{layer}.{proj}"), rows * d * d));
-        }
-        // Scores and context, what `attn_fused_fwd` hands `par_rows`.
-        products.push((
-            format!("layer{layer}.attention"),
-            b * 2 * OUT_SLOTS * OUT_SLOTS * d,
-        ));
-        products.push((format!("layer{layer}.ff1"), rows * d * ff));
-        products.push((format!("layer{layer}.ff2"), rows * ff * d));
-    }
-    products.push(("head.0".into(), b * d * d));
-    products.push(("head.1".into(), b * d));
-    products
-}
-
-/// The products that fold the front end, as `(name, multiply-
-/// accumulates)`: per block of the layer folded in, one homogeneous
-/// `[K+1, D] · [D, D]` — `agg1` over the embedding (`K = F`), then
-/// `agg2` over the middle zone's map (`K = block · F`). Every training
-/// step runs them on its tape; an engine runs them once at load.
-fn fold_products(cfg: &NttConfig) -> Vec<(String, usize)> {
-    let d = cfg.d_model;
-    let Aggregation::MultiScale { block } = cfg.aggregation else {
-        panic!("the default aggregation is multi-scale");
-    };
-    let agg1 = (0..block).map(|j| (format!("fold.agg1[{j}]"), (NUM_FEATURES + 1) * d * d));
-    let agg2 = (0..2).map(|j| {
-        (
-            format!("fold.agg2[{j}]"),
-            (block * NUM_FEATURES + 1) * d * d,
-        )
-    });
-    agg1.chain(agg2).collect()
-}
-
-#[test]
-fn served_and_training_products_sit_below_the_thread_threshold() {
-    // Pure arithmetic on the defaults: whoever moves `PAR_THRESHOLD`,
-    // `max_batch`, the microbatch or the model shape is told which side
-    // of the spawn line a served request and a training step landed on.
-    use ntt::serve::BatchConfig;
-    use ntt::tensor::kernels::PAR_THRESHOLD;
-    let cfg = NttConfig::default();
-    for b in [1, BatchConfig::default().max_batch] {
-        let products = forward_products(&cfg, b);
-        assert_eq!(products.len(), 3 + cfg.n_layers * 7 + 2);
-        for (name, macs) in products {
-            assert!(
-                macs < PAR_THRESHOLD,
-                "{name} at batch {b} is {macs} MACs: a served request would spawn kernel \
-                 threads (PAR_THRESHOLD = {PAR_THRESHOLD})"
-            );
-        }
-    }
-    // One training microbatch: the fold products, then the three zones
-    // at `mb · 16` rows and the encoder at `mb · 48`. Backward runs each
-    // product's two transposes (`gemm_nt`, `gemm_tn`) at the same MAC
-    // count, so no product of a paper-shape step threads either: the
-    // parallelism of training is its microbatch shards.
-    let mb = ParStrategy::DEFAULT_MICROBATCH;
-    assert_eq!(mb, 8);
-    let mut products = fold_products(&cfg);
-    products.extend(forward_products(&cfg, mb));
-    // The largest are `ff1`/`ff2`, 384 × 64 × 128.
-    let largest = products.iter().map(|&(_, macs)| macs).max();
-    assert_eq!(
-        largest,
-        Some(mb * ntt::core::OUT_SLOTS * cfg.d_model * cfg.d_ff)
-    );
-    for (name, macs) in products {
-        assert!(
-            macs < PAR_THRESHOLD,
-            "{name} in a microbatch of {mb} is {macs} MACs: a training step would spawn \
-             kernel threads (PAR_THRESHOLD = {PAR_THRESHOLD})"
-        );
-    }
-}
-
-#[test]
-fn paper_shape_predict_spawns_no_kernel_threads() {
-    // The measured half of the test above. Nothing else in this test
-    // binary comes near the threshold (every other model here is
-    // d_model 16), so the process-wide counter is exact.
-    use ntt::data::Normalizer;
-    use ntt::serve::{BatchConfig, InferenceEngine};
-    use ntt::tensor::kernels;
-    let spawns = || ntt::obs::counter("tensor.kernel_spawns").get();
-    let cfg = NttConfig::default();
-    let engine = InferenceEngine::from_parts(
-        Ntt::new(cfg),
-        vec![Box::new(DelayHead::new(cfg.d_model, 1)) as Box<dyn Head>],
-        Normalizer::identity(NUM_FEATURES),
-    );
-    let before = spawns();
-    for b in [1, BatchConfig::default().max_batch] {
-        let x = Tensor::randn(&[b, cfg.seq_len(), NUM_FEATURES], 31);
-        let y = engine.predict("delay", &x, None);
-        assert!(y.data().iter().all(|v| v.is_finite()));
-    }
-    assert_eq!(spawns(), before, "a served forward spawned kernel threads");
-
-    // And the counter is alive: a product past the threshold (the
-    // 22 M-MAC `agg1` shape the unfolded front end used to run; no path
-    // runs it now) threads wherever there is a second core to thread on,
-    // each spawned thread taking at least half a threshold of work.
-    let (m, k, n) = (256, 1344, 64);
-    let a = Tensor::randn(&[m, k], 32);
-    let w = Tensor::randn(&[k, n], 33);
-    let mut c = vec![0.0f32; m * n];
-    kernels::gemm_nn(a.data(), w.data(), &mut c, m, k, n);
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let want = cores.min(m * k * n / (kernels::PAR_THRESHOLD / 2));
-    let want = if want > 1 { want as u64 } else { 0 };
-    assert_eq!(spawns() - before, want, "{cores} cores");
-}
