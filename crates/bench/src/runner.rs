@@ -157,7 +157,6 @@ impl Env {
             n_heads: 4,
             n_layers: 2,
             d_ff,
-            dropout: 0.0,
             features,
             seed: self.seed ^ 0x5eed,
         }

@@ -15,8 +15,8 @@
 //! ```text
 //! magic  b"NTTCKPT2"
 //! config: u8 aggregation tag, u32 block, u32 d_model, u32 n_heads,
-//!         u32 n_layers, u32 d_ff, f32 dropout, u8 feature-mask bits,
-//!         u64 seed
+//!         u32 n_layers, u32 d_ff, f32 dropout (always 0), u8
+//!         feature-mask bits, u64 seed
 //! heads:  u8 count, then per head: (u16 len + kind, u32 d_model)
 //! norm:   u8 present, then u32 channels, f32 means..., f32 stds...
 //! meta:   u16 count, then per entry: (u16 len + key, u16 len + value)
@@ -29,8 +29,8 @@
 //!
 //! The reader parses from memory with bounds checks: truncated files,
 //! wrong magics, corrupted sizes, duplicate names, checksum mismatches,
-//! a config the model cannot be built from (a dropout outside `[0, 1)`,
-//! a head whose width is not the trunk's `d_model`) and a normalizer
+//! a config the model cannot be built from (a nonzero dropout, a head
+//! whose width is not the trunk's `d_model`) and a normalizer
 //! that cannot scale the model's features (a channel count other than
 //! `NUM_FEATURES`, a non-finite mean, a std that is not finite and
 //! positive) return typed [`io::Error`]s — never panic, never
@@ -238,7 +238,8 @@ fn write_config(out: &mut Vec<u8>, cfg: &NttConfig) {
     for v in [cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.d_ff] {
         out.extend_from_slice(&(v as u32).to_le_bytes());
     }
-    out.extend_from_slice(&cfg.dropout.to_le_bytes());
+    // The dropout slot: the model has no dropout, so it is always 0.
+    out.extend_from_slice(&0.0f32.to_le_bytes());
     let m = &cfg.features;
     let bits =
         (m.time as u8) | (m.size as u8) << 1 | (m.receiver as u8) << 2 | (m.delay as u8) << 3;
@@ -281,8 +282,10 @@ fn read_config(r: &mut Reader) -> io::Result<NttConfig> {
             "implausible model dimensions: d_model {d_model}, n_heads {n_heads}, n_layers {n_layers}, d_ff {d_ff}"
         )));
     }
-    if !(0.0..1.0).contains(&dropout) {
-        return Err(bad_data(format!("dropout {dropout} outside [0, 1)")));
+    if dropout != 0.0 {
+        return Err(bad_data(format!(
+            "dropout {dropout}: the model has no dropout, the slot must be 0"
+        )));
     }
     Ok(NttConfig {
         aggregation,
@@ -290,7 +293,6 @@ fn read_config(r: &mut Reader) -> io::Result<NttConfig> {
         n_heads,
         n_layers,
         d_ff,
-        dropout,
         features,
         seed,
     })
@@ -732,36 +734,37 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("d_model"), "{err}");
 
-        type Edit = Box<dyn Fn(&mut Checkpoint)>;
-        let dropout = |p: f32| -> Edit { Box::new(move |c| c.config.dropout = p) };
-        let cases: Vec<(&str, Edit, &str)> = vec![
-            ("dropout 1.5", dropout(1.5), "dropout"),
-            ("dropout 1", dropout(1.0), "dropout"),
-            ("dropout -0.1", dropout(-0.1), "dropout"),
-            ("dropout NaN", dropout(f32::NAN), "dropout"),
-            (
-                "head narrower than the trunk",
-                Box::new(|c| {
-                    c.heads.push(HeadSpec {
-                        kind: "delay".into(),
-                        d_model: 8,
-                    });
-                    let head = DelayHead::new(8, 1);
-                    c.params
-                        .extend(head.params().iter().map(|p| (p.name(), p.value())));
-                }),
-                "d_model",
-            ),
-        ];
+        // A head narrower than the trunk.
         let path = tmp("unbuildable");
-        for (name, edit, needle) in cases {
-            let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
-            edit(&mut ckpt);
-            ckpt.save(&path).unwrap();
-            let err = Checkpoint::load(&path).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
-            assert!(err.to_string().contains(needle), "{name}: {err}");
-        }
+        let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
+        ckpt.heads.push(HeadSpec {
+            kind: "delay".into(),
+            d_model: 8,
+        });
+        ckpt.params
+            .extend(narrow.params().iter().map(|p| (p.name(), p.value())));
+        ckpt.save(&path).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("d_model"), "{err}");
+
+        // A foreign file with a nonzero f32 in the dropout slot (after
+        // magic, aggregation tag, block and four u32 dims), re-checksummed.
+        Checkpoint::capture(&model, &[], None, vec![])
+            .unwrap()
+            .save(&path)
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let slot = 8 + 1 + 4 + 4 * 4;
+        assert_eq!(bytes[slot..slot + 4], 0.0f32.to_le_bytes());
+        bytes[slot..slot + 4].copy_from_slice(&0.1f32.to_le_bytes());
+        let end = bytes.len() - 8;
+        let sum = fnv1a(&bytes[8..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("dropout"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

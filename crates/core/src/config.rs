@@ -75,7 +75,6 @@ pub struct NttConfig {
     pub n_heads: usize,
     pub n_layers: usize,
     pub d_ff: usize,
-    pub dropout: f32,
     /// Feature ablations (Table 1 "without packet size"/"without delay").
     pub features: FeatureMask,
     pub seed: u64,
@@ -89,7 +88,6 @@ impl Default for NttConfig {
             n_heads: 4,
             n_layers: 2,
             d_ff: 128,
-            dropout: 0.0,
             features: FeatureMask::all(),
             seed: 0,
         }
@@ -123,7 +121,6 @@ impl NttConfig {
             n_heads: self.n_heads,
             d_ff: self.d_ff,
             n_layers: self.n_layers,
-            dropout: self.dropout,
         }
     }
 }

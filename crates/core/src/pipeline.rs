@@ -23,8 +23,8 @@
 //!   a pure function of the spec;
 //! * **model** — `NttConfig::seed` initializes the trunk, and the
 //!   pre-training head derives its init from the same value;
-//! * **training** — `TrainConfig::seed` drives batch shuffling and the
-//!   per-(step, shard) dropout streams.
+//! * **training** — `TrainConfig::seed` drives batch shuffling; the
+//!   forward pass itself draws no randomness.
 //!
 //! Every stage is bit-reproducible at any thread count (the fleet's
 //! reorder buffer, the trainer's fixed-order gradient reduction), so a

@@ -29,9 +29,8 @@ use ntt_tensor::{Param, Tape, Var};
 /// that is a *mean with uniform per-sample weighting* — the engine
 /// relies on this to recombine microbatch losses as
 /// `Σ (|shard| / |batch|) · loss_shard`, which reproduces the
-/// whole-batch mean exactly. Any stochasticity (dropout) must be drawn
-/// from the tape's RNG stream so the result is a pure function of
-/// `(parameters, indices, tape seed)` regardless of the calling thread.
+/// whole-batch mean exactly. The loss must be a pure function of
+/// `(parameters, indices)`, whichever thread calls it.
 pub trait Task: Sync {
     /// Short label for logs and reports.
     fn name(&self) -> &'static str;

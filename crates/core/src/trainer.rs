@@ -31,7 +31,7 @@ use crate::model::Ntt;
 use crate::task::Task;
 use ntt_data::BatchIter;
 use ntt_nn::{clip_param_grads, Adam, LrSchedule, Module};
-use ntt_tensor::{splitmix64, Param, ParamGrads, TapePool};
+use ntt_tensor::{Param, ParamGrads, TapePool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -209,13 +209,6 @@ fn optimizer_for(
     (Adam::new(params, schedule), trainable)
 }
 
-/// Seed combiner for the per-step and per-shard streams (one
-/// [`splitmix64`] step over a golden-ratio blend of the inputs).
-fn mix(a: u64, b: u64) -> u64 {
-    let mut state = a.wrapping_add(b.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    splitmix64(&mut state)
-}
-
 /// Run `f(0..n)` across `threads` scoped workers (atomic-cursor work
 /// stealing, as in `ntt-fleet`) and return the results **in index
 /// order**, so any subsequent reduction is deterministic regardless of
@@ -260,7 +253,6 @@ fn fanout_step(
     ntt: &Ntt,
     task: &dyn Task,
     batch: &[usize],
-    step_seed: u64,
     par: &ParStrategy,
     tapes: &TapePool,
 ) -> (f64, ParamGrads) {
@@ -268,7 +260,7 @@ fn fanout_step(
     let n_total = batch.len();
     let run_shard = |si: usize| -> (f64, ParamGrads) {
         let idx = shards[si];
-        tapes.with(mix(step_seed, 1 + si as u64), |tape| {
+        tapes.with(0, |tape| {
             let mse = task.batch_loss(tape, ntt, idx);
             debug_assert_eq!(mse.shape(), vec![1], "batch_loss must be scalar");
             // Weight so that Σ shard losses == the whole-batch mean loss.
@@ -316,7 +308,6 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
         steps_per_epoch * cfg.epochs,
         mode,
     );
-    ntt.set_training(true);
     // Wall clock through the audited obs seam (lint R3): the timing is
     // a write-only report field, it never feeds back into training.
     let start = ntt_obs::Stopwatch::start();
@@ -340,8 +331,7 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
         .take(steps_per_epoch)
         {
             let _step_span = ntt_obs::span!("train.step_ns");
-            let step_seed = mix(cfg.seed, steps as u64);
-            let (loss, mut grads) = fanout_step(ntt, task, &batch, step_seed, &cfg.par, &tapes);
+            let (loss, mut grads) = fanout_step(ntt, task, &batch, &cfg.par, &tapes);
             let pre_norm = clip_param_grads(&mut grads, cfg.clip);
             opt.step_with(&grads);
             sum += loss;
@@ -354,7 +344,6 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
         epoch_losses.push(sum / count.max(1) as f64);
         grad_norms.push(norm_sum / count.max(1) as f64);
     }
-    ntt.set_training(false);
     ntt.set_trainable(true); // leave the model unfrozen for the caller
     TrainReport {
         epoch_losses,
@@ -365,7 +354,7 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
     }
 }
 
-/// Evaluate `task` on `ntt` (grad-free, dropout off). Each batch runs
+/// Evaluate `task` on `ntt` (grad-free). Each batch runs
 /// on a pooled **inference** tape — no backward graph or backward-only
 /// tensors recorded, the attention weights included, so evaluation pays
 /// neither the autodiff overhead nor a `[B, H, T, T]` allocation per
@@ -376,15 +365,11 @@ pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> 
 /// result is thread-count invariant like training.
 pub fn evaluate(ntt: &Ntt, task: &dyn Task, batch_size: usize, par: &ParStrategy) -> EvalReport {
     assert!(!task.is_empty(), "evaluating on an empty dataset");
-    ntt.set_training(false);
     let batches: Vec<Vec<usize>> = BatchIter::new(task.len(), batch_size, 0, false).collect();
     let tapes = TapePool::inference();
     let run_batch = |bi: usize| -> (f64, usize) {
         let idx = &batches[bi];
-        // Dropout is off, so no stochastic layer draws from the stream
-        // and the reset seed is immaterial; the batch index keeps it
-        // deterministic anyway.
-        tapes.with(bi as u64, |tape| {
+        tapes.with(0, |tape| {
             let mse = task.batch_loss(tape, ntt, idx);
             (mse.value().item() as f64 * idx.len() as f64, idx.len())
         })
@@ -564,7 +549,7 @@ mod tests {
         assert!(!head_params.is_empty(), "{}: no head params", task.name());
 
         let idx: Vec<usize> = (0..task.len().min(4)).collect();
-        let tape = Tape::with_seed(5);
+        let tape = Tape::new();
         let loss = task.batch_loss(&tape, ntt, &idx);
         assert_eq!(loss.shape(), vec![1], "{}: loss not scalar", task.name());
         assert!(loss.value().item().is_finite(), "{}: loss", task.name());
@@ -581,13 +566,13 @@ mod tests {
         assert!(trunk_covered, "{}: trunk params missed", task.name());
 
         // The same microbatch must reproduce bit-identically (purity in
-        // indices + tape seed — what the parallel engine relies on).
-        let tape2 = Tape::with_seed(5);
+        // params + indices — what the parallel engine relies on).
+        let tape2 = Tape::new();
         let loss2 = task.batch_loss(&tape2, ntt, &idx);
         assert_eq!(
             loss.value().item(),
             loss2.value().item(),
-            "{}: batch_loss is not a pure function of (params, idx, seed)",
+            "{}: batch_loss is not a pure function of (params, idx)",
             task.name()
         );
     }

@@ -7,8 +7,7 @@ pub use ntt_sim::scenarios::{Scenario, ScenarioConfig};
 /// per-shard seeds. Because it is a bijection, distinct inputs always
 /// produce distinct outputs, which is what makes [`SeedSchedule::Mixed`]
 /// collision-free by construction. By-value convenience over the one
-/// shared mixing routine ([`ntt_tensor::splitmix64`]), so fleet seed
-/// schedules and trainer/dropout streams can never silently diverge.
+/// shared mixing routine ([`ntt_tensor::splitmix64`]).
 pub fn splitmix64(x: u64) -> u64 {
     let mut state = x;
     ntt_tensor::splitmix64(&mut state)

@@ -209,9 +209,9 @@ mod tests {
         let mha = MultiHeadAttention::new("a", 16, 4, 13);
         let x = Tensor::randn(&[3, 7, 16], 14);
         let run = |tape: &Tape| mha.forward(tape, tape.input(x.clone())).value();
-        let recorded = run(&Tape::with_seed(1));
-        let inferred = run(&Tape::inference_with_seed(1));
-        let inferred2 = run(&Tape::inference_with_seed(99));
+        let recorded = run(&Tape::new());
+        let inferred = run(&Tape::inference());
+        let inferred2 = run(&Tape::inference());
         assert_eq!(recorded, inferred, "inference drifted from recording");
         assert_eq!(inferred, inferred2, "inference must be bit-reproducible");
     }
@@ -228,11 +228,11 @@ mod tests {
         let x = Tensor::randn(&[b, t, d], 18);
         let square = [b * h * t * t, b * t * t, h * t * t, t * t];
         for (mut tape, kept) in [
-            (Tape::inference_with_seed(3), vec![]),
-            (Tape::with_seed(3), vec![(b * h * t * t, 1)]),
+            (Tape::inference(), vec![]),
+            (Tape::new(), vec![(b * h * t * t, 1)]),
         ] {
             mha.forward(&tape, tape.input(x.clone())).value();
-            tape.reset(3);
+            tape.reset(0);
             let lens = tape.arena_bucket_lens();
             // Sanity: the run did retire context/projection-sized buffers.
             assert!(!lens.is_empty());

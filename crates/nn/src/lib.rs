@@ -5,10 +5,10 @@
 //! Transformer reproduction (HotNets '22).
 //!
 //! Provides exactly the blocks Fig. 2/3 of the paper require:
-//! linear layers, layer norm, GELU, dropout, sinusoidal
-//! positional encoding, multi-head self-attention, a pre-LN transformer
-//! encoder, MLP task heads, and Adam with a warmup-cosine LR schedule
-//! and gradient clipping.
+//! linear layers, layer norm, GELU, sinusoidal positional encoding,
+//! multi-head self-attention, a pre-LN transformer encoder, MLP task
+//! heads, and Adam with a warmup-cosine LR schedule and gradient
+//! clipping.
 //!
 //! ```
 //! use ntt_nn::{EncoderConfig, Module, TransformerEncoder};
@@ -23,7 +23,6 @@
 //! ```
 
 mod attention;
-mod dropout;
 mod head;
 pub mod init;
 mod linear;
@@ -35,7 +34,6 @@ mod positional;
 mod transformer;
 
 pub use attention::MultiHeadAttention;
-pub use dropout::Dropout;
 pub use head::Head;
 pub use linear::Linear;
 pub use mlp::Mlp;

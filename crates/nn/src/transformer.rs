@@ -6,7 +6,6 @@
 //! this reproduction.
 
 use crate::attention::MultiHeadAttention;
-use crate::dropout::Dropout;
 use crate::linear::Linear;
 use crate::module::Module;
 use crate::norm::LayerNorm;
@@ -20,7 +19,6 @@ pub struct EncoderConfig {
     /// Hidden width of the position-wise feed-forward block.
     pub d_ff: usize,
     pub n_layers: usize,
-    pub dropout: f32,
 }
 
 impl EncoderConfig {
@@ -31,7 +29,6 @@ impl EncoderConfig {
             n_heads,
             d_ff: d_model * 2,
             n_layers,
-            dropout: 0.0,
         }
     }
 }
@@ -44,8 +41,6 @@ pub struct TransformerEncoderLayer {
     ff2: Linear,
     ln1: LayerNorm,
     ln2: LayerNorm,
-    drop_attn: Dropout,
-    drop_ff: Dropout,
 }
 
 impl TransformerEncoderLayer {
@@ -56,29 +51,14 @@ impl TransformerEncoderLayer {
             ff2: Linear::new(&format!("{name}.ff2"), cfg.d_ff, cfg.d_model, seed ^ 0xf2),
             ln1: LayerNorm::new(&format!("{name}.ln1"), cfg.d_model),
             ln2: LayerNorm::new(&format!("{name}.ln2"), cfg.d_model),
-            drop_attn: Dropout::new(cfg.dropout, seed ^ 0xd1),
-            drop_ff: Dropout::new(cfg.dropout, seed ^ 0xd2),
         }
     }
 
     /// `[B, T, D] -> [B, T, D]`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let a = self.ln1.forward(tape, x);
-        let a = self.drop_attn.forward(self.attn.forward(tape, a));
-        let x = x.add(a);
-        let f = self.ln2.forward(tape, x);
-        let f = self.ff_block(tape, f);
-        x.add(f)
-    }
-
-    fn ff_block<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let h = self.ff1.forward(tape, x).gelu();
-        self.drop_ff.forward(self.ff2.forward(tape, h))
-    }
-
-    fn set_training(&self, training: bool) {
-        self.drop_attn.set_training(training);
-        self.drop_ff.set_training(training);
+        let x = x.add(self.attn.forward(tape, self.ln1.forward(tape, x)));
+        let h = self.ff1.forward(tape, self.ln2.forward(tape, x)).gelu();
+        x.add(self.ff2.forward(tape, h))
     }
 }
 
@@ -123,12 +103,9 @@ impl TransformerEncoder {
         self.final_ln.forward(tape, x)
     }
 
-    /// Propagate train/eval mode to dropout layers.
-    pub fn set_training(&self, training: bool) {
-        for layer in &self.layers {
-            layer.set_training(training);
-        }
-    }
+    /// No-op: the encoder has no train/eval mode. Kept only because the
+    /// `e2e` benchmark package calls it.
+    pub fn set_training(&self, _training: bool) {}
 
     /// Number of stacked layers.
     pub fn n_layers(&self) -> usize {
@@ -155,7 +132,6 @@ mod tests {
             n_heads: 4,
             d_ff: 32,
             n_layers: 2,
-            dropout: 0.0,
         }
     }
 
@@ -212,24 +188,6 @@ mod tests {
         let a = enc.forward(&tape, tape.input(x.clone())).value();
         let b = enc.forward(&tape, tape.input(x)).value();
         assert_eq!(a, b, "no hidden state between forwards");
-    }
-
-    #[test]
-    fn dropout_only_acts_in_training_mode() {
-        let mut c = cfg();
-        c.dropout = 0.4;
-        let enc = TransformerEncoder::new("e", &c, 13);
-        let x = Tensor::randn(&[1, 4, 16], 14);
-        enc.set_training(false);
-        let tape = Tape::new();
-        let a = enc.forward(&tape, tape.input(x.clone())).value();
-        let b = enc.forward(&tape, tape.input(x.clone())).value();
-        assert_eq!(a, b, "eval mode must be deterministic");
-        enc.set_training(true);
-        let c1 = enc.forward(&tape, tape.input(x.clone())).value();
-        let c2 = enc.forward(&tape, tape.input(x)).value();
-        assert_ne!(c1, c2, "training mode must sample fresh masks");
-        enc.set_training(false);
     }
 
     #[test]

@@ -627,7 +627,7 @@ mod tests {
     /// Engine whose one head is a [`FlakyHead`] panicking on the `boom`
     /// calls, with its gate `open` or shut, plus the gate's handle.
     fn flaky_engine(boom: &'static [usize], open: bool) -> (Arc<InferenceEngine>, Arc<Gate>) {
-        let cfg = crate::test_util::tiny_cfg(0.0);
+        let cfg = crate::test_util::tiny_cfg();
         let gate = Arc::new(Gate {
             boom,
             state: Mutex::new((0, open)),
@@ -647,7 +647,7 @@ mod tests {
 
     #[test]
     fn responses_match_serial_reference_in_arrival_order() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let ws = windows(&eng, 13, 3);
         // Serial reference: each window alone.
         let expect: Vec<f32> = ws
@@ -683,7 +683,7 @@ mod tests {
 
     #[test]
     fn pending_tickets_resolve_through_shutdown() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let ws = windows(&eng, 6, 4);
         let tickets: Vec<Ticket> = {
             let batcher = Batcher::new(Arc::clone(&eng), BatchConfig::default());
@@ -699,7 +699,7 @@ mod tests {
 
     #[test]
     fn explicit_shutdown_drains_then_rejects() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let ws = windows(&eng, 5, 11);
         let batcher = Batcher::new(Arc::clone(&eng), BatchConfig::default());
         let tickets: Vec<Ticket> = ws
@@ -721,7 +721,7 @@ mod tests {
 
     #[test]
     fn aux_rides_along_for_mct_requests() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let ws = windows(&eng, 5, 5);
         let batcher = Batcher::new(
             Arc::clone(&eng),
@@ -978,7 +978,7 @@ mod tests {
     #[test]
     fn queue_and_service_histograms_track_requests() {
         ntt_obs::set_enabled(true);
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let ws = windows(&eng, 9, 6);
         let batcher = Batcher::new(
             Arc::clone(&eng),
@@ -1089,7 +1089,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_return_typed_errors() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let batcher = Batcher::new(Arc::clone(&eng), BatchConfig::default());
         let row = eng.seq_len() * NUM_FEATURES;
         assert_eq!(

@@ -53,13 +53,11 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Wrap a model for serving. Dropout is forced off: serving is
-    /// deterministic evaluation, never a stochastic training pass. The
-    /// front end is folded here, once (~0.4 ms at paper shape), so the
-    /// engine serves the weights the model has now.
+    /// Wrap a model for serving. The front end is folded here, once
+    /// (~0.4 ms at paper shape), so the engine serves the weights the
+    /// model has now.
     pub fn from_parts(model: Ntt, heads: Vec<Box<dyn Head>>, norm: Normalizer) -> Self {
         assert!(!heads.is_empty(), "an engine needs at least one head");
-        model.set_training(false);
         InferenceEngine {
             front: model.fold_front(),
             model,
@@ -162,10 +160,8 @@ impl InferenceEngine {
         // layers above prove their queue bounds and deadlines hold
         // under slow service. One relaxed load when chaos is off.
         ntt_chaos::maybe_delay("serve.predict.delay");
-        // The reset seed is constant: nothing stochastic runs in eval
-        // mode, and a fixed seed keeps serving a pure function of the
-        // inputs. Inputs are staged as arena-pooled copies, so a warm
-        // engine allocates nothing per request.
+        // Inputs are staged as arena-pooled copies, so a warm engine
+        // allocates nothing per request.
         let _span = ntt_obs::span!("serve.predict_ns");
         let out = self.tapes.with(0, |tape| {
             let slots = self.front.forward(tape, tape.input_copy(windows));
@@ -192,13 +188,13 @@ mod tests {
 
     #[test]
     fn predict_matches_a_hand_wired_inference_tape_bit_for_bit() {
-        let eng = tiny_engine(0.1);
+        let eng = tiny_engine();
         let x = Tensor::randn(&[3, eng.seq_len(), NUM_FEATURES], 5);
         let served = eng.predict("delay", &x, None);
         let head = eng.head("delay").unwrap();
         // Bit-exact reference: the engine's own path — folded front
         // end, `encode`, head — hand-wired on a fresh inference tape.
-        let infer = Tape::inference_with_seed(0);
+        let infer = Tape::inference();
         let slots = eng
             .model
             .fold_front()
@@ -214,7 +210,7 @@ mod tests {
             head.forward_head(tape, eng.model.forward(tape, tape.input(x.clone())), None)
                 .value()
         };
-        assert_eq!(served, through(&Tape::inference_with_seed(0)));
+        assert_eq!(served, through(&Tape::inference()));
         assert_eq!(
             served,
             through(&Tape::new()),
@@ -230,7 +226,7 @@ mod tests {
         // The fold is a pure function of the weights: an engine folded
         // in memory and one folded after NTTCKPT2 save → load agree to
         // the bit, for every head.
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let path = std::env::temp_dir().join(format!("ntt_refold_{}.ckpt", std::process::id()));
         save_engine_checkpoint(&eng, &path);
         let reloaded = InferenceEngine::load(&path).expect("load checkpoint");
@@ -249,7 +245,7 @@ mod tests {
 
     #[test]
     fn per_window_results_are_batch_composition_invariant() {
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let x = Tensor::randn(&[4, eng.seq_len(), NUM_FEATURES], 6);
         let batched = eng.predict("delay", &x, None);
         let row = eng.seq_len() * NUM_FEATURES;
@@ -274,7 +270,7 @@ mod tests {
         // batch 4 (position i), batch 2 pairings, and reversed order
         // all agree. This is what lets the batcher coalesce arbitrary
         // request mixes without changing anyone's answer.
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let x = Tensor::randn(&[4, eng.seq_len(), NUM_FEATURES], 16);
         let row = eng.seq_len() * NUM_FEATURES;
         let window = |i: usize| x.data()[i * row..(i + 1) * row].to_vec();
@@ -304,7 +300,7 @@ mod tests {
 
     #[test]
     fn aux_heads_are_enforced() {
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let x = Tensor::randn(&[2, eng.seq_len(), NUM_FEATURES], 7);
         let aux = Tensor::randn(&[2, 1], 8);
         let out = eng.predict("mct", &x, Some(&aux));
@@ -314,7 +310,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "aux-input mismatch")]
     fn missing_aux_is_rejected() {
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let x = Tensor::randn(&[1, eng.seq_len(), NUM_FEATURES], 9);
         eng.predict("mct", &x, None);
     }
@@ -322,7 +318,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no \"nope\" head")]
     fn unknown_head_is_rejected() {
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let x = Tensor::zeros(&[1, eng.seq_len(), NUM_FEATURES]);
         eng.predict("nope", &x, None);
     }

@@ -87,22 +87,21 @@ pub(crate) mod test_util {
     use ntt_tensor::splitmix64;
     use std::path::Path;
 
-    pub fn tiny_cfg(dropout: f32) -> NttConfig {
+    pub fn tiny_cfg() -> NttConfig {
         NttConfig {
             aggregation: Aggregation::MultiScale { block: 1 }, // seq 64
             d_model: 16,
             n_heads: 2,
             n_layers: 1,
             d_ff: 32,
-            dropout,
             seed: 11,
             ..NttConfig::default()
         }
     }
 
     /// A small engine with all three heads and identity normalization.
-    pub fn tiny_engine(dropout: f32) -> InferenceEngine {
-        let cfg = tiny_cfg(dropout);
+    pub fn tiny_engine() -> InferenceEngine {
+        let cfg = tiny_cfg();
         let heads: Vec<Box<dyn Head>> = vec![
             Box::new(DelayHead::new(cfg.d_model, 1)),
             Box::new(MctHead::new(cfg.d_model, 2)),

@@ -122,8 +122,8 @@ mod tests {
     fn insert_get_remove_roundtrip() {
         let reg = ModelRegistry::new();
         assert!(reg.is_empty());
-        let a = reg.insert("case1", tiny_engine(0.0));
-        reg.insert("case2", tiny_engine(0.0));
+        let a = reg.insert("case1", tiny_engine());
+        reg.insert("case2", tiny_engine());
         assert_eq!(reg.names(), vec!["case1", "case2"]);
         assert!(Arc::ptr_eq(&reg.get("case1").unwrap(), &a));
         assert!(reg.get("missing").is_none());
@@ -136,7 +136,7 @@ mod tests {
     fn loading_a_checkpoint_shares_one_engine() {
         // Save a tiny pretrained model, load it through the registry,
         // and confirm clones of the Arc are the same engine.
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let path = std::env::temp_dir().join(format!("ntt_registry_{}.ckpt", std::process::id()));
         crate::test_util::save_engine_checkpoint(&eng, &path);
         let reg = ModelRegistry::new();
@@ -153,7 +153,7 @@ mod tests {
         // live name: the load must fail with a typed io::Error and the
         // registry must keep serving the previous engine — atomic on
         // failure, no window where `get` comes back empty or broken.
-        let eng = tiny_engine(0.0);
+        let eng = tiny_engine();
         let dir = std::env::temp_dir();
         let good = dir.join(format!("ntt_lastgood_ok_{}.ckpt", std::process::id()));
         let bad = dir.join(format!("ntt_lastgood_bad_{}.ckpt", std::process::id()));

@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn warms_up_then_predicts_every_stride() {
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let seq = eng.seq_len();
         let mut sess = InferenceSession::new(Arc::clone(&eng), SessionConfig { stride: 3 });
         let pkts = synth_packets(seq + 9, 1);
@@ -176,7 +176,7 @@ mod tests {
         // The window the session predicts on must be bit-identical to
         // what a DelayDataset would build for the same packets.
         use ntt_data::{DatasetConfig, DelayDataset, RunData, TraceData};
-        let eng = Arc::new(tiny_engine(0.0));
+        let eng = Arc::new(tiny_engine());
         let seq = eng.seq_len();
         let pkts = synth_packets(seq, 2);
         let mut sess = InferenceSession::new(Arc::clone(&eng), SessionConfig::default());

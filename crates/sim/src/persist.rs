@@ -14,7 +14,9 @@ use crate::trace::{MessageRecord, PacketRecord};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
+use std::num::ParseIntError;
 use std::path::Path;
+use std::str::FromStr;
 
 const PACKET_HEADER: &str = "recv_ns\tsent_ns\tdelay_ns\tsize_bytes\tflow\tsender\treceiver\treceiver_group\tseq\tmsg_id\tmsg_size\tmsg_last\tretransmit";
 const MESSAGE_HEADER: &str = "flow\tmsg_id\tsize_bytes\tsubmitted_ns\tcompleted_ns";
@@ -81,16 +83,16 @@ pub fn load_trace(base: impl AsRef<Path>) -> io::Result<RunTrace> {
             recv_ns: num(f[0], lineno)?,
             sent_ns: num(f[1], lineno)?,
             delay_ns: num(f[2], lineno)?,
-            size_bytes: num(f[3], lineno)? as u32,
-            flow: num(f[4], lineno)? as usize,
-            sender: num(f[5], lineno)? as usize,
-            receiver: num(f[6], lineno)? as usize,
-            receiver_group: num(f[7], lineno)? as u32,
+            size_bytes: num(f[3], lineno)?,
+            flow: num(f[4], lineno)?,
+            sender: num(f[5], lineno)?,
+            receiver: num(f[6], lineno)?,
+            receiver_group: num(f[7], lineno)?,
             seq: num(f[8], lineno)?,
             msg_id: num(f[9], lineno)?,
             msg_size: num(f[10], lineno)?,
-            msg_last: f[11] == "1",
-            retransmit: f[12] == "1",
+            msg_last: flag(f[11], lineno)?,
+            retransmit: flag(f[12], lineno)?,
         });
     }
 
@@ -105,7 +107,7 @@ pub fn load_trace(base: impl AsRef<Path>) -> io::Result<RunTrace> {
             return Err(bad(format!("messages line {lineno}: {} fields", f.len())));
         }
         messages.push(MessageRecord {
-            flow: num(f[0], lineno)? as usize,
+            flow: num(f[0], lineno)?,
             msg_id: num(f[1], lineno)?,
             size_bytes: num(f[2], lineno)?,
             submitted_ns: num(f[3], lineno)?,
@@ -138,9 +140,21 @@ fn check_header(line: &str, expect: &str, which: &str) -> io::Result<()> {
     Ok(())
 }
 
-fn num(s: &str, lineno: usize) -> io::Result<u64> {
+/// Parse a column at its field's own width, so a value that does not
+/// fit (a `u32` column holding 2^32 + 1) is an error, not a truncation.
+fn num<T: FromStr<Err = ParseIntError>>(s: &str, lineno: usize) -> io::Result<T> {
     s.parse()
         .map_err(|e| bad(format!("line {lineno}: bad number {s:?} ({e})")))
+}
+
+fn flag(s: &str, lineno: usize) -> io::Result<bool> {
+    match s {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(bad(format!(
+            "line {lineno}: bad flag {s:?} (expected 0 or 1)"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -178,21 +192,48 @@ mod tests {
         cleanup(&base);
     }
 
+    /// Load packet `rows` under a valid header, with no messages.
+    fn load_packet_rows(base: &Path, rows: &str) -> io::Result<RunTrace> {
+        fs::write(
+            with_suffix(base, ".packets.tsv"),
+            format!("{PACKET_HEADER}\n{rows}"),
+        )?;
+        fs::write(
+            with_suffix(base, ".messages.tsv"),
+            format!("{MESSAGE_HEADER}\n"),
+        )?;
+        load_trace(base)
+    }
+
     #[test]
     fn load_rejects_ragged_rows() {
         let base = tmp_base("ragged");
-        fs::write(
-            with_suffix(&base, ".packets.tsv"),
-            format!("{PACKET_HEADER}\n1\t2\t3\n"),
-        )
-        .unwrap();
-        fs::write(
-            with_suffix(&base, ".messages.tsv"),
-            format!("{MESSAGE_HEADER}\n"),
-        )
-        .unwrap();
-        let err = load_trace(&base).unwrap_err();
+        let err = load_packet_rows(&base, "1\t2\t3\n").unwrap_err();
         assert!(err.to_string().contains("fields"));
+        cleanup(&base);
+    }
+
+    #[test]
+    fn load_rejects_out_of_range_numbers_and_flags() {
+        let base = tmp_base("range");
+        let good = "1 2 1 100 0 0 1 0 0 0 100 1 0";
+        let load_row = |col: usize, value: &str| {
+            let mut row: Vec<&str> = good.split(' ').collect();
+            row[col] = value;
+            load_packet_rows(&base, &format!("{}\n", row.join("\t")))
+        };
+        assert_eq!(load_row(0, "1").unwrap().packets.len(), 1);
+        for (col, value, needle) in [
+            (3, "4294967297", "bad number"), // size_bytes is u32
+            (7, "4294967297", "bad number"), // receiver_group is u32
+            (11, "2", "bad flag"),           // msg_last
+            (12, "yes", "bad flag"),         // retransmit
+        ] {
+            let err = load_row(col, value).unwrap_err();
+            let msg = err.to_string();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{msg}");
+            assert!(msg.contains("line 1") && msg.contains(needle), "{msg}");
+        }
         cleanup(&base);
     }
 

@@ -44,15 +44,9 @@ pub fn check_param_grad(
     eps: f32,
     f: impl Fn(&Tape) -> crate::Var<'_>,
 ) -> GradCheckReport {
-    // Every pass (analytic, finite differences) runs on a tape with the
-    // same fixed seed: a stochastic graph (one drawing from the tape RNG)
-    // then sees identical masks throughout, so the checks compare
-    // gradients of the *same* function.
-    const SEED: u64 = 0x67ad_c43c;
-
     // Analytic gradient, from the one backward path.
     let analytic = {
-        let tape = Tape::with_seed(SEED);
+        let tape = Tape::new();
         let loss = f(&tape);
         assert_eq!(loss.shape(), vec![1], "grad check requires scalar loss");
         tape.backward_params(loss)
@@ -71,14 +65,14 @@ pub fn check_param_grad(
         plus.data_mut()[i] += eps;
         param.set_value(plus);
         let lp = {
-            let tape = Tape::with_seed(SEED);
+            let tape = Tape::new();
             f(&tape).value().item()
         };
         let mut minus = base.clone();
         minus.data_mut()[i] -= eps;
         param.set_value(minus);
         let lm = {
-            let tape = Tape::with_seed(SEED);
+            let tape = Tape::new();
             f(&tape).value().item()
         };
         let numeric = (lp - lm) / (2.0 * eps);

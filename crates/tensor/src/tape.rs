@@ -15,35 +15,33 @@
 //! Every tensor the tape allocates — forward intermediates, backward
 //! gradient buffers — is drawn from a tape-owned scratch arena (a pool
 //! of retired `Vec<f32>` buffers bucketed by length). [`Tape::reset`]
-//! clears the recorded graph, returns every node's buffer to the arena,
-//! and reseeds the RNG stream: a training loop that resets one tape per
-//! optimizer step (instead of dropping and reallocating it) reuses the
-//! same memory step after step, eliminating allocator churn on the hot
-//! path. `backward_params` additionally retires each intermediate
-//! gradient the moment its node has been processed, so a step's backward
-//! pass mostly recycles its own buffers. The arena only changes *where
+//! clears the recorded graph and returns every node's buffer to the
+//! arena: a training loop that resets one tape per optimizer step
+//! (instead of dropping and reallocating it) reuses the same memory step
+//! after step, eliminating allocator churn on the hot path.
+//! `backward_params` additionally retires each intermediate gradient the
+//! moment its node has been processed, so a step's backward pass mostly
+//! recycles its own buffers. The arena only changes *where
 //! buffers come from*, never their contents — results are bit-identical
 //! with or without reuse.
 //!
 //! One tape lives for one microbatch (and is reset, not rebuilt, for the
 //! next) — there is no graph reuse, no aliasing, and therefore no
-//! cache-invalidation subtlety. Each tape also carries a deterministic
-//! RNG stream ([`Tape::with_seed`], [`Tape::rng_next`]) that stochastic
-//! layers (dropout) draw from, so a microbatch's forward pass is a pure
-//! function of its inputs and seed regardless of which thread runs it.
+//! cache-invalidation subtlety. A tape holds no randomness and no mode
+//! beyond its kind, so a forward pass is a pure function of the weights
+//! and the inputs, whichever thread runs it.
 //!
 //! # Inference mode
 //!
 //! A tape built with [`Tape::inference`] records no backward metadata:
 //! every node degrades to a leaf, backward-only tensors (layer-norm
-//! `xhat`, dropout masks, MSE targets, attention softmax weights) are
-//! never materialized. [`Tape::backward_params`] panics on such a tape.
-//! This is the execution mode the evaluation loops and the `ntt-serve`
-//! engine run on: training is one mode of the engine, not the engine
-//! itself. Values still live on the tape (later ops read them) and are
-//! retired into the scratch arena on [`Tape::reset`], so a serving loop
-//! that resets one inference tape per request reuses the same memory
-//! request after request.
+//! `xhat`, MSE targets, attention softmax weights) are never
+//! materialized. [`Tape::backward_params`] panics on such a tape.
+//! This is the tape kind the evaluation loops and the `ntt-serve`
+//! engine run on. Values still live on the tape (later ops read them)
+//! and are retired into the scratch arena on [`Tape::reset`], so a
+//! serving loop that resets one inference tape per request reuses the
+//! same memory request after request.
 //!
 //! Every op runs the identical kernel sequence on both tape kinds, so
 //! an inference forward is bit-for-bit the recording forward of the
@@ -63,13 +61,10 @@ use crate::shape::{self, Broadcast};
 use crate::{kernels, Param, Tensor};
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One SplitMix64 step: advances `state` and returns the next output.
-/// The single mixing routine shared by the tape stream, dropout masks,
-/// and the trainer's per-(step, shard) seed derivation — the
-/// determinism contract depends on these never diverging.
+/// Tests and benchmarks draw their reproducible streams from it.
 pub fn splitmix64(state: &mut u64) -> u64 {
     let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     *state = z;
@@ -77,13 +72,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
-
-/// Seed sequence for tapes created without an explicit seed: a fresh
-/// value per tape, so ad-hoc training loops (`Tape::new()` per step)
-/// draw fresh dropout masks each step — matching the old
-/// per-layer-RNG behavior — while staying deterministic for
-/// single-threaded callers (creation order is the only input).
-static NEXT_TAPE_SEED: AtomicU64 = AtomicU64::new(0x7a9e_5eed);
 
 /// Retired buffers kept per length class; bounds arena growth when one
 /// tape sees many distinct shapes.
@@ -215,9 +203,6 @@ enum Op {
     /// bundle (when trainable).
     ParamLeaf(Param),
     Add(usize, usize, Broadcast),
-    /// Elementwise product with a constant tensor (dropout masks):
-    /// gradient flows to the variable only.
-    MulConst(usize, Tensor),
     Scale(usize, f32),
     MatMul(usize, usize),
     Gelu(usize),
@@ -272,8 +257,6 @@ struct Node {
 /// Arena of recorded operations for one forward pass.
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
-    /// SplitMix64 state for the tape-local RNG stream (dropout masks).
-    rng: Cell<u64>,
     /// Retired-buffer pool backing every tape allocation.
     scratch: Scratch,
     /// Whether ops record backward metadata. `false` = inference mode:
@@ -376,14 +359,13 @@ impl ParamGrads {
     }
 }
 
-/// Free list of reusable [`Tape`]s, all of one mode: a caller pops one,
-/// resets it to its seed (which retires the previous run's buffers into
-/// the tape's scratch arena), runs, and returns it. Across iterations
-/// the same arenas are recycled, so steady-state loops — optimizer
-/// steps in the trainer, requests in the serving engine — stop paying
-/// allocator churn. Purely a memory optimization: the reset seed fully
-/// determines the RNG stream, so results are bit-identical to fresh
-/// tapes.
+/// Free list of reusable [`Tape`]s, all of one kind: a caller pops one,
+/// resets it (which retires the previous run's buffers into the tape's
+/// scratch arena), runs, and returns it. Across iterations the same
+/// arenas are recycled, so steady-state loops — optimizer steps in the
+/// trainer, requests in the serving engine — stop paying allocator
+/// churn. Purely a memory optimization: a reset tape keeps nothing of
+/// its previous run, so results are bit-identical to fresh tapes.
 pub struct TapePool {
     tapes: Mutex<Vec<Tape>>,
     /// Whether pooled tapes record a backward graph.
@@ -409,8 +391,9 @@ impl TapePool {
         }
     }
 
-    /// Run `f` on a pooled tape reset to `seed`.
-    pub fn with<R>(&self, seed: u64, f: impl FnOnce(&Tape) -> R) -> R {
+    /// Run `f` on a pooled, freshly reset tape. `_seed` is ignored; it
+    /// stays only because the `e2e` benchmark package passes one.
+    pub fn with<R>(&self, _seed: u64, f: impl FnOnce(&Tape) -> R) -> R {
         ntt_obs::counter!("tensor.tape_pool.acquires").inc();
         let mut tape = self.tapes.lock().unwrap().pop().unwrap_or_else(|| {
             // A miss means a fresh tape (and fresh arenas): the ratio of
@@ -423,7 +406,7 @@ impl TapePool {
                 Tape::inference()
             }
         });
-        tape.reset(seed);
+        tape.reset(0);
         let r = f(&tape);
         self.tapes.lock().unwrap().push(tape);
         r
@@ -431,20 +414,10 @@ impl TapePool {
 }
 
 impl Tape {
-    /// Fresh, empty tape with a process-unique RNG seed (drawn from a
-    /// process-wide counter). Use [`Tape::with_seed`] when the stream
-    /// must be reproducible across runs and threads.
+    /// Fresh, empty recording tape.
     pub fn new() -> Self {
-        Self::with_seed(NEXT_TAPE_SEED.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Fresh tape whose RNG stream starts at `seed`. The data-parallel
-    /// trainer derives one seed per `(step, microbatch)` so stochastic
-    /// layers are reproducible independent of thread scheduling.
-    pub fn with_seed(seed: u64) -> Self {
         Tape {
             nodes: RefCell::new(Vec::new()),
-            rng: Cell::new(seed),
             scratch: Scratch::default(),
             grad: true,
         }
@@ -456,39 +429,31 @@ impl Tape {
     /// the tape, not of a call — `reset` keeps it, so pooled inference
     /// tapes stay inference tapes.
     pub fn inference() -> Self {
-        Self::inference_with_seed(NEXT_TAPE_SEED.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Inference tape with a reproducible RNG stream (only relevant if a
-    /// stochastic layer is deliberately left in training mode, e.g.
-    /// MC-dropout style uncertainty probes).
-    pub fn inference_with_seed(seed: u64) -> Self {
         Tape {
             grad: false,
-            ..Self::with_seed(seed)
+            ..Self::new()
         }
     }
 
-    /// Clear the recorded graph, retire every node's buffer into the
-    /// scratch arena, and restart the RNG stream at `seed`. A reset tape
-    /// is indistinguishable from `Tape::with_seed(seed)` except that its
-    /// subsequent allocations reuse the retired memory — the trainer
-    /// resets one tape per optimizer step instead of rebuilding it.
-    /// Takes `&mut self` so any `Var` from before the reset (which would
-    /// silently alias a new node id) is rejected at compile time.
-    pub fn reset(&mut self, seed: u64) {
+    /// Clear the recorded graph and retire every node's buffer into the
+    /// scratch arena. A reset tape is indistinguishable from a fresh one
+    /// of its kind except that its subsequent allocations reuse the
+    /// retired memory — the trainer resets one tape per optimizer step
+    /// instead of rebuilding it. Takes `&mut self` so any `Var` from
+    /// before the reset (which would silently alias a new node id) is
+    /// rejected at compile time. `_seed` is ignored; it stays only
+    /// because the `e2e` benchmark package passes one.
+    pub fn reset(&mut self, _seed: u64) {
         let mut nodes = self.nodes.borrow_mut();
         for node in nodes.drain(..) {
             self.scratch.put(node.value.into_data());
             match node.op {
-                Op::MulConst(_, mask) => self.scratch.put(mask.into_data()),
                 Op::LayerNorm { xhat, .. } => self.scratch.put(xhat.into_data()),
                 Op::MseLoss { target, .. } => self.scratch.put(target.into_data()),
                 Op::AttnFused { weights, .. } => self.scratch.put(weights),
                 _ => {}
             }
         }
-        self.rng.set(seed);
     }
 
     /// Number of retired buffers currently pooled in the scratch arena
@@ -516,15 +481,6 @@ impl Tape {
     /// attention on an inference tape retired no `[B, H, T, T]` buffer).
     pub fn arena_bucket_lens(&self) -> Vec<(usize, usize)> {
         self.scratch.bucket_lens()
-    }
-
-    /// Next value of the tape-local SplitMix64 stream. Deterministic in
-    /// the seed and the sequence of calls (tapes are single-threaded).
-    pub fn rng_next(&self) -> u64 {
-        let mut state = self.rng.get();
-        let z = splitmix64(&mut state);
-        self.rng.set(state);
-        z
     }
 
     /// Number of recorded nodes (diagnostic).
@@ -595,11 +551,10 @@ impl Tape {
     /// Inference-mode degradation: the node keeps its value (later ops
     /// read it by id) but every op becomes a `Leaf`, and any tensor that
     /// existed only for backward is retired straight into the arena.
-    /// The hot paths (`layer_norm`, `mul_const`, `mse_loss`) skip
+    /// The hot paths (`layer_norm`, `mse_loss`) skip
     /// building those tensors in the first place; this is the catch-all.
     fn strip(&self, op: Op) -> Op {
         match op {
-            Op::MulConst(_, saved) => self.recycle(saved),
             Op::LayerNorm { xhat, .. } => self.recycle(xhat),
             Op::MseLoss { target, .. } => self.recycle(target),
             Op::AttnFused { weights, .. } => self.scratch.put(weights),
@@ -654,7 +609,7 @@ impl Tape {
         assert!(
             self.grad,
             "backward on an inference tape: it recorded no graph \
-             (build the tape with Tape::new()/with_seed() to train)"
+             (build the tape with Tape::new() to train)"
         );
         let nodes = self.nodes.borrow();
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
@@ -715,7 +670,6 @@ impl Tape {
                 };
                 add_grad(grads, *b, gb);
             }
-            Op::MulConst(a, c) => add_grad(grads, *a, self.t_zip(g, c, |g, c| g * c)),
             Op::Scale(a, c) => {
                 let c = *c;
                 add_grad(grads, *a, self.t_map(g, |x| x * c));
@@ -902,12 +856,6 @@ impl Tape {
 
 #[allow(clippy::should_implement_trait)] // `add` mirrors the op name on a by-value Var, deliberately
 impl<'t> Var<'t> {
-    /// The tape this variable lives on (e.g. for drawing from the
-    /// tape-local RNG stream in stochastic layers).
-    pub fn tape(&self) -> &'t Tape {
-        self.tape
-    }
-
     /// Clone of this node's value.
     pub fn value(&self) -> Tensor {
         self.tape.val(self.id).clone()
@@ -945,19 +893,6 @@ impl<'t> Var<'t> {
             (out, bc)
         };
         self.tape.push(Op::Add(self.id, rhs.id, bc), out)
-    }
-
-    /// Elementwise product with a constant tensor (no gradient to it).
-    pub fn mul_const(self, mask: &Tensor) -> Var<'t> {
-        let out = {
-            let va = self.tape.val(self.id);
-            self.tape.t_zip(&va, mask, |a, b| a * b)
-        };
-        if !self.tape.grad {
-            return self.tape.push(Op::Leaf, out);
-        }
-        let saved = self.tape.t_copy(mask, mask.shape());
-        self.tape.push(Op::MulConst(self.id, saved), out)
     }
 
     /// Multiply by a scalar constant.
@@ -1449,11 +1384,11 @@ mod tests {
             let bundle = tape.backward_params(loss);
             (loss.value().item(), bundle.get(&p).unwrap().clone())
         };
-        let mut tape = Tape::with_seed(5);
+        let mut tape = Tape::new();
         let first = run(&tape);
         let nodes = tape.len();
         let retired_by_backward = tape.scratch_buffers();
-        tape.reset(5);
+        tape.reset(0);
         assert!(tape.is_empty());
         assert!(
             tape.scratch_buffers() > retired_by_backward,
@@ -1463,12 +1398,17 @@ mod tests {
         assert_eq!(tape.len(), nodes, "graph must rebuild identically");
         assert_eq!(first.0, second.0, "loss must be bit-identical after reset");
         assert_eq!(first.1, second.1, "grads must be bit-identical after reset");
+        // The seed argument is inert: any value reproduces the first run.
+        tape.reset(0x5eed_5eed);
+        let third = run(&tape);
+        assert_eq!(first.0.to_bits(), third.0.to_bits(), "seed moved the loss");
+        assert_eq!(first.1, third.1, "seed moved the grads");
     }
 
     #[test]
     fn backward_params_recycles_intermediates() {
         let p = Param::new("w", Tensor::randn(&[8, 8], 11));
-        let tape = Tape::with_seed(7);
+        let tape = Tape::new();
         let y = tape.param(&p).gelu().matmul(tape.param(&p));
         let loss = y.mse_loss(&Tensor::zeros(&[8, 8]));
         tape.backward_params(loss);
@@ -1530,20 +1470,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_const_blocks_gradient_to_mask() {
-        let t = Tape::new();
-        let p = Param::new("x", Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]));
-        let mask = Tensor::from_vec(vec![1.0, 0.0, 2.0], &[3]);
-        let y = t.param(&p).mul_const(&mask);
-        assert_eq!(y.value().data(), &[1.0, 0.0, 6.0]);
-        let loss = y.mse_loss(&Tensor::zeros(&[3]));
-        let grads = t.backward_params(loss);
-        // dL/dx = 2/3 * y * mask
-        let expect = Tensor::from_vec(vec![2.0 / 3.0, 0.0, 8.0], &[3]);
-        assert!(grads.get(&p).unwrap().allclose(&expect, 1e-5));
-    }
-
-    #[test]
     fn diamond_graph_sums_gradients() {
         // y = a + a = 6, L = y^2 -> dL/da = 2 · dL/dy = 2 · 2y = 24
         let t = Tape::new();
@@ -1587,29 +1513,15 @@ mod tests {
         assert!((r.global_norm() - 1.0).abs() < 1e-5);
     }
 
-    #[test]
-    fn tape_rng_stream_is_seed_deterministic() {
-        let a = Tape::with_seed(42);
-        let b = Tape::with_seed(42);
-        let xs: Vec<u64> = (0..4).map(|_| a.rng_next()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.rng_next()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs[0], xs[1], "stream must advance");
-        let c = Tape::with_seed(43);
-        assert_ne!(xs[0], c.rng_next(), "seeds must decorrelate");
-    }
-
     /// A forward pass touching every op with a no-grad specialization
-    /// (matmul, layer_norm, mul_const, attention, mse_loss).
+    /// (matmul, layer_norm, attention, mse_loss).
     fn mixed_forward(tape: &Tape, p: &Param, x: &Tensor) -> (Tensor, f32) {
         let gamma = tape.input(Tensor::ones(&[6]));
         let beta = tape.input(Tensor::zeros(&[6]));
-        let mask = Tensor::uniform(&[4, 6], 0.5, 1.5, 21);
         let h = tape
             .input(x.clone())
             .matmul(tape.param(p))
             .layer_norm(gamma, beta, 1e-5)
-            .mul_const(&mask)
             .reshape(&[1, 4, 2, 3]);
         let h = h.attn_fused(h, h, 0.7).reshape(&[4, 6]).gelu();
         let loss = h.mse_loss(&Tensor::zeros(&[4, 6]));
@@ -1620,8 +1532,8 @@ mod tests {
     fn inference_forward_is_bit_identical_to_recording_forward() {
         let p = Param::new("w", Tensor::randn(&[6, 6], 19));
         let x = Tensor::randn(&[4, 6], 20);
-        let train = Tape::with_seed(3);
-        let infer = Tape::inference_with_seed(3);
+        let train = Tape::new();
+        let infer = Tape::inference();
         assert!(train.grad);
         assert!(!infer.grad);
         let (yt, lt) = mixed_forward(&train, &p, &x);
@@ -1645,7 +1557,7 @@ mod tests {
     fn inference_reset_keeps_mode_and_reuses_arena() {
         let p = Param::new("w", Tensor::randn(&[8, 8], 23));
         let x = Tensor::randn(&[4, 8], 24);
-        let mut tape = Tape::inference_with_seed(0);
+        let mut tape = Tape::inference();
         let run = |tape: &Tape| tape.input(x.clone()).matmul(tape.param(&p)).value();
         let first = run(&tape);
         tape.reset(0);
@@ -1659,11 +1571,10 @@ mod tests {
 
     #[test]
     fn inference_mode_skips_backward_only_allocations() {
-        // The backward-only saved tensors (mask copy, xhat, attention
-        // weights, target) must
-        // not survive on an inference tape: after reset, the recording
-        // tape has strictly more retired buffers than the inference tape
-        // for the same program.
+        // The backward-only saved tensors (xhat, attention weights,
+        // target) must not survive on an inference tape: after reset,
+        // the recording tape has strictly more retired buffers than the
+        // inference tape for the same program.
         let p = Param::new("w", Tensor::randn(&[6, 6], 29));
         let x = Tensor::randn(&[4, 6], 30);
         let count = |mut tape: Tape| {
@@ -1671,8 +1582,8 @@ mod tests {
             tape.reset(0);
             tape.scratch_buffers()
         };
-        let recorded = count(Tape::with_seed(1));
-        let inferred = count(Tape::inference_with_seed(1));
+        let recorded = count(Tape::new());
+        let inferred = count(Tape::inference());
         assert!(
             inferred < recorded,
             "inference should retire fewer buffers ({inferred} vs {recorded})"
@@ -1771,8 +1682,8 @@ mod tests {
                 .collect();
             (val, kept)
         };
-        let (iv, infer_kept) = run(Tape::inference_with_seed(7));
-        let (rv, record_kept) = run(Tape::with_seed(7));
+        let (iv, infer_kept) = run(Tape::inference());
+        let (rv, record_kept) = run(Tape::new());
         assert_eq!(iv, rv, "attention must not depend on the tape mode");
         assert!(
             infer_kept.is_empty(),
@@ -1791,14 +1702,14 @@ mod tests {
         let q = Tensor::randn(&[b, t, h, dh], 61);
         let k = Tensor::randn(&[b, t, h, dh], 62);
         let v = Tensor::randn(&[b, t, h, dh], 63);
-        let mut tape = Tape::inference_with_seed(1);
+        let mut tape = Tape::inference();
         let run = |tape: &Tape| {
             tape.input(q.clone())
                 .attn_fused(tape.input(k.clone()), tape.input(v.clone()), 0.25)
                 .value()
         };
         let first = run(&tape);
-        tape.reset(1);
+        tape.reset(0);
         assert_eq!(first, run(&tape), "reset tape must reproduce bits");
     }
 

@@ -27,7 +27,6 @@ fn experiment_pipeline_reproduces_manual_workflow_bit_exactly() {
         n_heads: 2,
         n_layers: 1,
         d_ff: 32,
-        dropout: 0.1, // exercise the stochastic path too
         seed: 41,
         ..NttConfig::default()
     };
@@ -297,8 +296,7 @@ fn training_is_thread_count_invariant() {
     // The data-parallel trainer's contract, mirroring
     // `fleet_determinism`: 1 worker vs 4 workers must produce
     // bit-identical epoch losses, grad-norm traces, and final
-    // parameter bytes. Dropout is on, so the per-(step, shard) tape
-    // seeding is exercised too.
+    // parameter bytes.
     use ntt::nn::Module;
     let run_with = |threads: usize| {
         let traces = vec![run(Scenario::Pretrain, &ScenarioConfig::tiny(5))];
@@ -317,7 +315,6 @@ fn training_is_thread_count_invariant() {
             n_heads: 2,
             n_layers: 1,
             d_ff: 32,
-            dropout: 0.1,
             seed: 13,
             ..NttConfig::default()
         };

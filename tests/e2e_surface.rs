@@ -109,11 +109,14 @@ fn tensor_and_nn_methods_keep_their_signatures() {
     let _: for<'t> fn(&'t Tape, Tensor) -> Var<'t> = Tape::input;
     let _: for<'t> fn(&'t Tape, &Tensor) -> Var<'t> = Tape::input_copy;
     let _: for<'t> fn(&'t Tape, &Param) -> Var<'t> = Tape::param;
+    // The seed is ignored (tapes hold no RNG), kept only because
+    // e2e/src/probes.rs still passes one.
     let _: fn(&mut Tape, u64) = Tape::reset;
     let _: fn(&Tape, Var<'_>) -> ParamGrads = Tape::backward_params;
     let _: fn(&Tape) -> usize = Tape::arena_high_water_bytes;
     let _: fn() -> TapePool = TapePool::inference;
     let _: fn() -> TapePool = TapePool::training;
+    // Its seed is ignored too, for the same reason.
     let _: fn(&TapePool, u64, fn(&Tape) -> u8) -> u8 = TapePool::with;
 
     let _: fn(&[usize], u64) -> Tensor = Tensor::randn;
@@ -140,6 +143,8 @@ fn tensor_and_nn_methods_keep_their_signatures() {
         MultiHeadAttention::forward;
     let _: for<'t> fn(&TransformerEncoder, &'t Tape, Var<'t>) -> Var<'t> =
         TransformerEncoder::forward;
+    // A no-op (no train/eval mode), kept only because
+    // e2e/src/probes.rs still calls it.
     let _: fn(&TransformerEncoder, bool) = TransformerEncoder::set_training;
     let _: fn(Vec<Param>, LrSchedule) -> Adam = Adam::new;
     let _: fn(&mut Adam, &ParamGrads) = Adam::step_with;
@@ -152,6 +157,8 @@ fn tensor_and_nn_methods_keep_their_signatures() {
 fn model_and_serving_constructors_keep_their_signatures() {
     let _: fn(NttConfig) -> Ntt = Ntt::new;
     let _: for<'t> fn(&Ntt, &'t Tape, Var<'t>) -> Var<'t> = Ntt::forward;
+    // A no-op (no train/eval mode), kept only because
+    // e2e/src/serving.rs still calls it.
     let _: fn(&Ntt, bool) = Ntt::set_training;
     let _: fn(&NttConfig) -> usize = NttConfig::seq_len;
     let _: fn(usize, u64) -> DelayHead = DelayHead::new;

@@ -51,7 +51,6 @@ fn train_once(threads: usize) -> (Vec<f64>, TrainDeltas) {
         n_heads: 2,
         n_layers: 1,
         d_ff: 32,
-        dropout: 0.1,
         seed: 13,
         ..NttConfig::default()
     };

@@ -2,7 +2,7 @@
 //! *mode* of the same engine, not a second implementation. Every op,
 //! attention included, runs the same kernels on both tape kinds, so
 //! inference forwards equal recording-tape forwards bit for bit, and
-//! stay bit-identical across runs, seeds, worker counts, and batch
+//! stay bit-identical across runs, worker counts, and batch
 //! compositions. The evaluation loops must reproduce a hand-wired
 //! inference tape and a recording-tape replay to the bit; the serving
 //! engine, which folds the affine front end once at load with the same
@@ -18,14 +18,13 @@ use ntt::nn::Head;
 use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
 use ntt::tensor::{Tape, Tensor};
 
-fn tiny_model(dropout: f32) -> Ntt {
+fn tiny_model() -> Ntt {
     Ntt::new(NttConfig {
         aggregation: Aggregation::MultiScale { block: 1 }, // seq 64
         d_model: 16,
         n_heads: 2,
         n_layers: 1,
         d_ff: 32,
-        dropout,
         seed: 23,
         ..NttConfig::default()
     })
@@ -33,12 +32,10 @@ fn tiny_model(dropout: f32) -> Ntt {
 
 #[test]
 fn inference_forward_is_deterministic_and_close_to_recording() {
-    // Dropout present in the config but disabled (eval mode). The
-    // inference tape must reproduce the recording tape, and itself,
-    // bit for bit regardless of tape seed, since nothing stochastic
-    // runs in eval mode.
-    let ntt = tiny_model(0.2);
-    ntt.set_training(false);
+    // The inference tape must reproduce the recording tape, and
+    // itself, bit for bit: a forward pass is a pure function of the
+    // weights and the input.
+    let ntt = tiny_model();
     let heads: Vec<Box<dyn Head>> = vec![
         Box::new(DelayHead::new(16, 1)),
         Box::new(MctHead::new(16, 2)),
@@ -52,8 +49,8 @@ fn inference_forward_is_deterministic_and_close_to_recording() {
             let aux = head.needs_aux().then(|| tape.input(aux.clone()));
             head.forward_head(tape, enc, aux).value()
         };
-        let recorded = run_on(&Tape::with_seed(4));
-        let inferred = run_on(&Tape::inference_with_seed(4));
+        let recorded = run_on(&Tape::new());
+        let inferred = run_on(&Tape::inference());
         assert_eq!(
             recorded.shape(),
             inferred.shape(),
@@ -66,7 +63,7 @@ fn inference_forward_is_deterministic_and_close_to_recording() {
             "{}: inference forward drifted from recording forward",
             head.kind()
         );
-        let replay = run_on(&Tape::inference_with_seed(77));
+        let replay = run_on(&Tape::inference());
         for (a, b) in inferred.data().iter().zip(replay.data()) {
             assert_eq!(
                 a.to_bits(),
@@ -96,14 +93,13 @@ fn grad_free_evaluate_is_reproducible_and_close_to_recording() {
     // the grad-free evaluate to match to the bit, sequentially and
     // fanned out over 4 workers. A recording-tape replay of the same
     // loop must match to the bit too.
-    let ntt = tiny_model(0.1);
+    let ntt = tiny_model();
     let head = DelayHead::new(16, 5);
     let (train, test) = tiny_dataset(ntt.cfg.seq_len());
     let ds = if test.is_empty() { train } else { test };
     let task = HeadTask::new(&head, &ds);
     let batch_size = 16;
 
-    ntt.set_training(false);
     let loop_mse = |mk_tape: fn() -> Tape| {
         let (mut se, mut n) = (0.0f64, 0usize);
         for batch in BatchIter::new(task.len(), batch_size, 0, false) {
@@ -139,7 +135,7 @@ fn serving_engine_agrees_with_evaluate() {
     // path: `ntt-serve` batched prediction and the trainer's evaluate
     // must see the same model outputs for the same windows.
     use ntt::serve::InferenceEngine;
-    let ntt = tiny_model(0.0);
+    let ntt = tiny_model();
     let head = DelayHead::new(16, 7);
     let (train, _) = tiny_dataset(ntt.cfg.seq_len());
     let idx: Vec<usize> = (0..train.len().min(8)).collect();
