@@ -2,23 +2,27 @@
 //! naive reference, and the paper-scale training step rate against the
 //! pre-overhaul baseline.
 //!
-//! Custom harness. Three measurements land in
-//! `results/BENCH_kernels.json`:
+//! Custom harness. Four measurements land in
+//! `results/BENCH_kernels.json`, with the microkernel arm that ran
+//! (`kernels::microkernel_arm`):
 //!
-//! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on the largest
-//!    products a paper-shape training microbatch runs (`ff1` over
-//!    8 · 48 slot rows — the front end folds on the tape, so nothing
-//!    in it is larger — forward and both backward products) and a
-//!    square reference. The run *asserts* that the tiled `nn` kernel
-//!    beats [`NAIVE_FLOOR_GFLOPS`], a committed floor above anything
-//!    the naive kernel reaches on supported hardware — CI fails if the
-//!    kernel layer regresses to naive-level throughput.
-//! 2. **Paper-scale `train_steps_per_sec`** (single-threaded),
+//! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on a square
+//!    reference point and the products a paper-shape training
+//!    microbatch runs most: the encoder linears over 8 · 48 slot rows
+//!    (Q/K/V/O 64 → 64, `ff1` 64 → 128, `ff2` 128 → 64) and one
+//!    attention block's scores (`nt`, 48 × 16 × 48) and context (`nn`,
+//!    48 × 48 × 16). The run *asserts* that the tiled `nn` kernel beats
+//!    [`NAIVE_FLOOR_GFLOPS`] on the square shape, a committed floor
+//!    above anything the naive kernel reaches on supported hardware —
+//!    CI fails if the kernel layer regresses to naive-level throughput.
+//! 2. **Softmax**, one 48 × 48 attention block: the row-grouped
+//!    `scaled_softmax_fwd` against the row-serial reference.
+//! 3. **Paper-scale `train_steps_per_sec`** (single-threaded),
 //!    compared against [`BASELINE_STEPS_PER_SEC`] — the number the
 //!    since-retired `train_scaling` bench measured on this container
 //!    *before* the tensor-engine overhaul (i-k-j loop kernels,
 //!    transpose-heavy attention, fresh allocations per step).
-//! 3. **Thread-count invariance**: a short 1-vs-3-worker training run
+//! 4. **Thread-count invariance**: a short 1-vs-3-worker training run
 //!    whose losses must be bit-identical — the determinism contract the
 //!    kernel rewrite must preserve, re-checked in the same process that
 //!    produced the perf numbers.
@@ -53,69 +57,52 @@ struct GemmRow {
     naive_gflops: f64,
 }
 
-fn time_gflops(mut f: impl FnMut(), flops: f64, min_reps: usize) -> f64 {
+/// Seconds per call of `f`: calls repeat until [`MIN_TIMED_SECS`] have
+/// passed, and the best of five such runs counts (a shared host's
+/// speed drifts over seconds).
+fn time_call(mut f: impl FnMut()) -> f64 {
     f(); // warm-up
-    let reps = min_reps.max(1);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    flops * reps as f64 / t0.elapsed().as_secs_f64() / 1e9
+    (0..5)
+        .map(|_| {
+            let (t0, mut calls) = (Instant::now(), 0u32);
+            while calls == 0 || t0.elapsed().as_secs_f64() < MIN_TIMED_SECS {
+                f();
+                calls += 1;
+            }
+            t0.elapsed().as_secs_f64() / f64::from(calls)
+        })
+        .fold(f64::INFINITY, f64::min)
 }
+
+/// Time one timed run must at least take.
+const MIN_TIMED_SECS: f64 = 0.02;
 
 fn bench_gemms() -> Vec<GemmRow> {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-    // (label, layout pair, m, k, n): a square 256³ reference point,
-    // then `ff1`'s forward (`nn`), input-gradient (`nt`) and
-    // weight-gradient (`tn`) shapes for a microbatch of eight
-    // paper-shape windows (8 · 48 = 384 rows, 64 → 128).
-    let cases: [(&'static str, Kernel, Kernel, usize, usize, usize); 4] = [
-        (
-            "nn_256x256x256",
-            kernels::gemm_nn,
-            reference::gemm_nn,
-            256,
-            256,
-            256,
-        ),
-        (
-            "nn_ff1_fwd",
-            kernels::gemm_nn,
-            reference::gemm_nn,
-            384,
-            64,
-            128,
-        ),
-        (
-            "nt_ff1_dx",
-            kernels::gemm_nt,
-            reference::gemm_nt,
-            384,
-            128,
-            64,
-        ),
-        (
-            "tn_ff1_dw",
-            kernels::gemm_tn,
-            reference::gemm_tn,
-            64,
-            384,
-            128,
-        ),
+    type Pair = (Kernel, Kernel);
+    // (label, tiled, naive, m, k, n): the square 256³ floor case first,
+    // then the encoder linears of a microbatch of eight paper-shape
+    // windows (8 · 48 = 384 rows) and one attention block's products
+    // (48 slots, 16 per head).
+    let nn: Pair = (kernels::gemm_nn, reference::gemm_nn);
+    let nt: Pair = (kernels::gemm_nt, reference::gemm_nt);
+    let cases: [(&'static str, Pair, usize, usize, usize); 6] = [
+        ("nn_256x256x256", nn, 256, 256, 256),
+        ("nn_qkvo", nn, 384, 64, 64),
+        ("nn_ff1", nn, 384, 64, 128),
+        ("nn_ff2", nn, 384, 128, 64),
+        ("nt_attn_scores", nt, 48, 16, 48),
+        ("nn_attn_context", nn, 48, 48, 16),
     ];
     cases
         .iter()
-        .map(|&(label, tiled, naive, m, k, n)| {
-            // Operand lengths cover every layout (nn/nt/tn read at most
-            // max(m,k)*max(k,n) elements in these orientations).
+        .map(|&(label, (tiled, naive), m, k, n)| {
             let a = Tensor::randn(&[m * k], 1).into_data();
-            let b = Tensor::randn(&[k.max(n) * n.max(k)], 2).into_data();
+            let b = Tensor::randn(&[k * n], 2).into_data();
             let mut c = vec![0.0f32; m * n];
             let flops = 2.0 * (m * k * n) as f64;
-            let tiled_gflops =
-                time_gflops(|| tiled(&a, &b[..k * n], &mut c, m, k, n), flops, 10);
-            let naive_gflops =
-                time_gflops(|| naive(&a, &b[..k * n], &mut c, m, k, n), flops, 2);
+            let tiled_gflops = flops / time_call(|| tiled(&a, &b, &mut c, m, k, n)) / 1e9;
+            let naive_gflops = flops / time_call(|| naive(&a, &b, &mut c, m, k, n)) / 1e9;
             eprintln!(
                 "  gemm {label:<16} {m:>4}x{k:>4}x{n:>4}: tiled {tiled_gflops:7.2} GFLOP/s, naive {naive_gflops:6.2} GFLOP/s ({:.1}x)",
                 tiled_gflops / naive_gflops
@@ -130,6 +117,20 @@ fn bench_gemms() -> Vec<GemmRow> {
             }
         })
         .collect()
+}
+
+/// Microseconds per 48 × 48 softmax block: (row-grouped kernel,
+/// row-serial reference).
+fn bench_softmax() -> (f64, f64) {
+    let x = Tensor::randn(&[48 * 48], 3).into_data();
+    let mut y = vec![0.0f32; x.len()];
+    let grouped = time_call(|| kernels::scaled_softmax_fwd(&x, 0.25, 48, &mut y)) * 1e6;
+    let serial = time_call(|| reference::scaled_softmax_fwd(&x, 0.25, 48, &mut y)) * 1e6;
+    eprintln!(
+        "  softmax 48x48: row-grouped {grouped:.2} us, row-serial {serial:.2} us ({:.1}x)",
+        serial / grouped
+    );
+    (grouped, serial)
 }
 
 fn paper_model() -> NttConfig {
@@ -171,8 +172,10 @@ fn train_run(threads: usize, steps: usize) -> (f64, Vec<f64>) {
 }
 
 fn main() {
-    eprintln!("kernels: tiled GEMM vs naive reference, then paper-scale train steps/s");
+    let arm = kernels::microkernel_arm();
+    eprintln!("kernels: tiled GEMM ({arm} microkernel) vs naive reference, softmax, then paper-scale train steps/s");
     let gemms = bench_gemms();
+    let (softmax_us, softmax_serial_us) = bench_softmax();
 
     let floor_case = &gemms[0];
     assert!(
@@ -207,6 +210,7 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n");
     let _ = writeln!(json, "  \"host\": {},", host_context_json());
+    let _ = writeln!(json, "  \"microkernel\": \"{arm}\",");
     let _ = writeln!(json, "  \"gemm\": [");
     for (i, r) in gemms.iter().enumerate() {
         let _ = writeln!(
@@ -224,6 +228,11 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"naive_floor_gflops\": {NAIVE_FLOOR_GFLOPS},");
+    let _ = writeln!(
+        json,
+        "  \"softmax_48x48\": {{\"row_grouped_us\": {softmax_us:.3}, \"row_serial_us\": {softmax_serial_us:.3}, \"speedup\": {:.3}}},",
+        softmax_serial_us / softmax_us
+    );
     let _ = writeln!(json, "  \"train\": {{");
     let _ = writeln!(json, "    \"model\": \"paper\",");
     let _ = writeln!(json, "    \"threads\": 1,");

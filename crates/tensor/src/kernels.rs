@@ -31,9 +31,23 @@
 //!
 //! Packing converts `nt`'s dot-product inner loop (a reduction rustc
 //! cannot vectorize under strict f32 semantics) into the same
-//! independent-lane FMA form as `nn`, and there is deliberately no
-//! zero-skip branch anywhere: dense activations autovectorize, and a
+//! independent-lane multiply-add form as `nn`, and there is deliberately
+//! no zero-skip branch anywhere: dense activations autovectorize, and a
 //! data-dependent branch in the inner loop would defeat that.
+//!
+//! The microkernel has three arms, picked once per process by CPU
+//! feature (`micro_fn`): AVX-512F, written with `core::arch` intrinsics
+//! so each accumulator row is one 512-bit register; AVX2, the portable
+//! loop recompiled so LLVM vectorizes it 256 bits wide; and that loop
+//! at the build's baseline. The element-wise maps ([`gelu_fwd`],
+//! [`gelu_bwd`]) and the row-wise reductions ([`scaled_softmax_fwd`],
+//! [`softmax_bwd`], and `layer_norm_stats` and `layer_norm_bwd` behind
+//! `Var::layer_norm`) are plain loops compiled twice, baseline and AVX2.
+//!
+//! A row-wise reduction run a row at a time is one serial chain of
+//! dependent adds (or maxes) per row, which leaves the vector units
+//! idle. These kernels take rows eight at a time and advance them side
+//! by side, one lane per row: 8 independent chains instead of one.
 //!
 //! # Threading
 //!
@@ -52,14 +66,24 @@
 //! not depend on partial-tile boundaries or on which thread calls, so
 //! results are bit-identical at any thread count.
 //!
+//! No kernel fuses a multiply into an add. Rust never contracts
+//! `a * b + c` into an FMA, and the AVX-512 arm calls `_mm512_mul_ps`
+//! and then `_mm512_add_ps`, never `fmadd`. An FMA rounds once where a
+//! multiply and an add round twice, so one arm using it would make the
+//! bits depend on the host. Without it, and with each element's order
+//! of operations fixed, every arm executes the same IEEE operation
+//! sequence per element: a host with AVX-512, AVX2 or neither gets the
+//! same bits, and the dispatch changes throughput, never a bit.
+//!
+//! The row groups keep that order too: lanes run across rows, never
+//! within a row. Each row still folds its own columns left to right
+//! from the same starting value, so its result does not depend on the
+//! group size, the vector width, or which rows share its group.
+//!
 //! `exp` is the crate's own branch-free polynomial (`exp`, behind
 //! [`gelu_fwd`], [`gelu_bwd`] and [`scaled_softmax_fwd`]), not the
 //! platform libm: the same weights and inputs give the same bits on
-//! every host and libc. The element-wise kernels built on it are
-//! compiled twice — baseline and AVX2, picked by `has_avx2` like the
-//! microkernel — and because Rust never contracts `a * b + c` into an
-//! FMA, both compilations execute the same IEEE operation sequence per
-//! element: the dispatch changes throughput, never a bit.
+//! every host and libc.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -68,9 +92,10 @@ use std::sync::OnceLock;
 /// broadcasts per depth step).
 pub const MR: usize = 4;
 /// Microkernel columns: accumulator tile width. `MR × NR = 64` f32
-/// accumulators are 8 × 256-bit registers on AVX2 (the dispatched fast
-/// path — see `micro_fn`), leaving room for the A broadcast and B
-/// loads; the baseline-SSE2 fallback spills some but stays correct.
+/// accumulators are 4 × 512-bit registers on AVX-512F and 8 × 256-bit
+/// on AVX2 (the dispatched arms — see `micro_fn`), leaving room for the
+/// A broadcast and B loads; the baseline-SSE2 fallback spills some but
+/// stays correct.
 pub const NR: usize = 16;
 /// Depth blocking: packed panels cover at most `KC` of `k` per pass, so
 /// a B column panel (`KC × NR` = 8 KiB) stays L1-resident.
@@ -152,27 +177,91 @@ unsafe fn micro_avx2(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32;
     micro_impl(kc, apanel, bpanel, acc);
 }
 
+/// The microkernel at full AVX-512 width, by hand: each of the [`MR`]
+/// accumulator rows is one 512-bit register of [`NR`] lanes, and every
+/// depth step is a broadcast of the A value, `_mm512_mul_ps` by the B
+/// row, then `_mm512_add_ps` into the row — two roundings, never a
+/// fused `fmadd`, so each lane is exactly [`micro_impl`]'s
+/// `local[r][j] += ar * bv[j]` in the same ascending-`p` order.
+///
+/// # Safety
+/// Caller must have verified AVX-512F support (see [`micro_fn`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_avx512(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    use std::arch::x86_64::{_mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps};
+    use std::arch::x86_64::{_mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps};
+    debug_assert!(
+        apanel.len() >= kc * MR,
+        "A panel shorter than kc depth steps"
+    );
+    debug_assert!(
+        bpanel.len() >= kc * NR,
+        "B panel shorter than kc depth steps"
+    );
+    let mut rows = [_mm512_setzero_ps(); MR];
+    for (av, bv) in apanel
+        .chunks_exact(MR)
+        .zip(bpanel.chunks_exact(NR))
+        .take(kc)
+    {
+        // SAFETY: `bv` is a chunk of exactly NR = 16 f32, one unaligned
+        // 512-bit load.
+        let b = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
+        for (row, &a) in rows.iter_mut().zip(av) {
+            *row = _mm512_add_ps(*row, _mm512_mul_ps(_mm512_set1_ps(a), b));
+        }
+    }
+    for (out, row) in acc.iter_mut().zip(rows) {
+        // SAFETY: `out` is an [f32; NR] = 16 f32, one unaligned 512-bit
+        // store.
+        unsafe { _mm512_storeu_ps(out.as_mut_ptr(), row) };
+    }
+}
+
 type MicroFn = unsafe fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]);
 
-/// The one place CPU features are detected: every twice-compiled kernel
-/// in this file (the microkernel, [`gelu_fwd`], [`gelu_bwd`],
-/// [`exp_shifted`]) asks here. std caches the `cpuid` result, so this
-/// is a relaxed load after the first call.
+/// The one place CPU features are detected: every multi-compiled kernel
+/// in this file (the microkernel, [`gelu_fwd`], [`gelu_bwd`] and the
+/// row-grouped reductions) asks here. std caches the `cpuid` result, so
+/// this is a relaxed load after the first call.
 #[cfg(target_arch = "x86_64")]
 fn has_avx2() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
-/// Pick the widest microkernel this CPU supports, once per process.
-fn micro_fn() -> MicroFn {
-    static MICRO: OnceLock<MicroFn> = OnceLock::new();
-    *MICRO.get_or_init(|| {
+/// AVX-512F, for [`micro_avx512`]; detected beside [`has_avx2`].
+#[cfg(target_arch = "x86_64")]
+fn has_avx512f() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
+/// Pick the widest microkernel this CPU supports, once per process:
+/// AVX-512F, then AVX2, then the baseline. All three return the same
+/// bits.
+fn micro_arm() -> &'static (&'static str, MicroFn) {
+    static MICRO: OnceLock<(&'static str, MicroFn)> = OnceLock::new();
+    MICRO.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512f() {
+            return ("avx512f", micro_avx512 as MicroFn);
+        }
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
-            return micro_avx2 as MicroFn;
+            return ("avx2", micro_avx2 as MicroFn);
         }
-        micro_baseline as MicroFn
+        ("baseline", micro_baseline as MicroFn)
     })
+}
+
+fn micro_fn() -> MicroFn {
+    micro_arm().1
+}
+
+/// The microkernel arm this process runs — `"avx512f"`, `"avx2"` or
+/// `"baseline"` — for benchmark records. Every arm gives the same bits.
+pub fn microkernel_arm() -> &'static str {
+    micro_arm().0
 }
 
 /// Pack B depth-rows `pc..pc+kc` into `[kc × NR]` column panels
@@ -433,12 +522,12 @@ pub fn gemm_tn_strided(
 // exp, and the element-wise kernels built on it.
 //
 // One branch-free polynomial replaces every libm `expf`/`tanhf` of the
-// forward and backward passes. The slice kernels are plain loops over
-// `exp`, written once (`*_impl`, `#[inline(always)]`) and compiled
-// twice: at the build's baseline, and again inside a
-// `#[target_feature(enable = "avx2")]` wrapper where LLVM vectorizes
-// the same loop eight lanes wide. No intrinsics, no `mul_add`: both
-// compilations are the same IEEE sequence per element.
+// forward and backward passes. The slice kernels here and the row-wise
+// reductions below are plain loops, written once (`*_impl`,
+// `#[inline(always)]`) and compiled twice: at the build's baseline, and
+// again inside a `#[target_feature(enable = "avx2")]` wrapper where
+// LLVM vectorizes the same loop eight lanes wide. No intrinsics, no
+// `mul_add`: both compilations are the same IEEE sequence per element.
 // ---------------------------------------------------------------------------
 
 /// `eˣ` in f32, branch-free: clamp, `n = round(x·log₂e)` by the
@@ -513,13 +602,6 @@ fn gelu_bwd_impl(x: &[f32], g: &[f32], out: &mut [f32]) {
     }
 }
 
-#[inline(always)]
-fn exp_shifted_impl(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
-    for (o, &x) in out.iter_mut().zip(x) {
-        *o = exp(scale * x - shift);
-    }
-}
-
 /// [`gelu_fwd_impl`] recompiled with AVX2 enabled.
 ///
 /// # Safety
@@ -538,16 +620,6 @@ unsafe fn gelu_fwd_avx2(x: &[f32], out: &mut [f32]) {
 #[target_feature(enable = "avx2")]
 unsafe fn gelu_bwd_avx2(x: &[f32], g: &[f32], out: &mut [f32]) {
     gelu_bwd_impl(x, g, out);
-}
-
-/// [`exp_shifted_impl`] recompiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_shifted_avx2(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
-    exp_shifted_impl(x, scale, shift, out);
 }
 
 /// GELU (tanh approximation, as in BERT/ViT) over a slice:
@@ -578,62 +650,377 @@ pub fn gelu_bwd(x: &[f32], g: &[f32], out: &mut [f32]) {
     gelu_bwd_impl(x, g, out);
 }
 
-/// `out[i] = exp(scale · x[i] − shift)`: the exponent pass of a
-/// [`scaled_softmax_fwd`] row.
-fn exp_shifted(x: &[f32], scale: f32, shift: f32, out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: has_avx2 verified the CPU feature the callee needs.
-        return unsafe { exp_shifted_avx2(x, scale, shift, out) };
+// ---------------------------------------------------------------------------
+// Row-wise reductions: softmax forward and backward, LayerNorm statistics
+// and backward.
+//
+// Each output row needs one or two sums (or a max) over its own `d`
+// columns, folded left to right. Run a row at a time, that fold is one
+// serial chain of `d` dependent adds, so the kernel waits on add latency
+// with the vector units idle. Instead rows are taken `ROW_GROUP` at a
+// time and advance side by side, one lane per row: column `j` of every
+// row of the group is folded in before column `j + 1` of any. Each lane
+// is still its own row's fold, in ascending column order from the same
+// starting value, so every row keeps its bits — the lanes run across
+// rows, never within a row. The last `rows % ROW_GROUP` rows run as
+// groups of one. Like GELU, each kernel is written once (`*_impl`) and
+// compiled at the baseline and again with AVX2.
+// ---------------------------------------------------------------------------
+
+/// Rows folded side by side by the row-wise reductions: one 256-bit
+/// lane per row on the AVX2 path.
+const ROW_GROUP: usize = 8;
+
+/// The `G` rows of width `d` at the front of `x`, one slice each.
+#[inline(always)]
+fn group_rows<const G: usize>(x: &[f32], d: usize) -> [&[f32]; G] {
+    // A plain loop, not `array::from_fn`, which does not inline into
+    // the AVX2 compilation: there the rows would be reloaded from the
+    // stack, with a bounds check, at every `row[j]`.
+    let mut rows = [&x[..0]; G];
+    for (r, row) in rows.iter_mut().enumerate() {
+        *row = &x[r * d..][..d];
     }
-    exp_shifted_impl(x, scale, shift, out);
+    rows
 }
 
-/// `out = softmax(scale * x)` over rows of width `d`, numerically
-/// stabilized: the weights of one attention block, in one pass per row
-/// with no scaled-score copy.
-pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
-    assert!(d > 0, "softmax over empty axis");
-    debug_assert_eq!(x.len(), out.len());
-    debug_assert_eq!(x.len() % d, 0);
-    for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
-        let mut mx = f32::NEG_INFINITY;
-        for &v in row {
-            mx = mx.max(scale * v);
+/// Softmax forward of the `G` rows starting at row `r0`: the max and the
+/// sum row-grouped, the exponent and the scaling passes row by row.
+#[inline(always)]
+fn softmax_fwd_rows<const G: usize>(r0: usize, x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
+    let xs: [&[f32]; G] = group_rows(&x[r0 * d..], d);
+    let out = &mut out[r0 * d..][..G * d];
+    let mut mx = [f32::NEG_INFINITY; G];
+    for j in 0..d {
+        for (m, row) in mx.iter_mut().zip(&xs) {
+            *m = m.max(scale * row[j]);
         }
-        exp_shifted(row, scale, mx, orow);
-        let mut sum = 0.0f32;
-        for &e in orow.iter() {
-            sum += e;
+    }
+    for ((orow, row), &m) in out.chunks_exact_mut(d).zip(&xs).zip(&mx) {
+        for (o, &v) in orow.iter_mut().zip(*row) {
+            *o = exp(scale * v - m);
         }
-        let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
+    }
+    let mut sum = [0.0f32; G];
+    let os: [&[f32]; G] = group_rows(out, d);
+    for j in 0..d {
+        for (s, row) in sum.iter_mut().zip(&os) {
+            *s += row[j];
+        }
+    }
+    for (orow, &s) in out.chunks_exact_mut(d).zip(&sum) {
+        let inv = 1.0 / s;
+        for o in orow {
             *o *= inv;
         }
     }
 }
 
-/// Softmax backward in one pass over the rows: given `y = softmax(scale·x)`
-/// and upstream `g`, writes `gx = scale · y ⊙ (g − ⟨y, g⟩)` without any
-/// intermediate tensor: the softmax step of [`attn_fused_bwd`].
-pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
-    debug_assert_eq!(y.len(), g.len());
-    debug_assert_eq!(y.len(), gx.len());
-    debug_assert_eq!(y.len() % d.max(1), 0);
-    for ((ys, gs), gxs) in y
-        .chunks_exact(d)
-        .zip(g.chunks_exact(d))
-        .zip(gx.chunks_exact_mut(d))
-    {
-        let mut dot = 0.0f32;
-        for (&yv, &gv) in ys.iter().zip(gs.iter()) {
-            dot += yv * gv;
-        }
-        for ((o, &yv), &gv) in gxs.iter_mut().zip(ys.iter()).zip(gs.iter()) {
-            *o = scale * (yv * (gv - dot));
+#[inline(always)]
+fn scaled_softmax_fwd_impl(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
+    let rows = x.len() / d;
+    let split = rows - rows % ROW_GROUP;
+    for r0 in (0..split).step_by(ROW_GROUP) {
+        softmax_fwd_rows::<ROW_GROUP>(r0, x, scale, d, out);
+    }
+    for r0 in split..rows {
+        softmax_fwd_rows::<1>(r0, x, scale, d, out);
+    }
+}
+
+/// Softmax backward of the `G` rows starting at row `r0`: the products
+/// `y ⊙ g` row by row into `gx`, their sums (the dot products)
+/// row-grouped, then the output pass row by row over them.
+#[inline(always)]
+fn softmax_bwd_rows<const G: usize>(
+    r0: usize,
+    y: &[f32],
+    g: &[f32],
+    scale: f32,
+    d: usize,
+    gx: &mut [f32],
+) {
+    let span = r0 * d..(r0 + G) * d;
+    let (y, g, gx) = (&y[span.clone()], &g[span.clone()], &mut gx[span]);
+    for ((o, &yv), &gv) in gx.iter_mut().zip(y).zip(g) {
+        *o = yv * gv;
+    }
+    let mut dot = [0.0f32; G];
+    let products: [&[f32]; G] = group_rows(gx, d);
+    for j in 0..d {
+        for (acc, row) in dot.iter_mut().zip(&products) {
+            *acc += row[j];
         }
     }
+    let rows = gx
+        .chunks_exact_mut(d)
+        .zip(y.chunks_exact(d))
+        .zip(g.chunks_exact(d));
+    for (((o, yr), gr), &dt) in rows.zip(&dot) {
+        for ((o, &yv), &gv) in o.iter_mut().zip(yr).zip(gr) {
+            *o = scale * (yv * (gv - dt));
+        }
+    }
+}
+
+#[inline(always)]
+fn softmax_bwd_impl(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
+    let rows = y.len() / d;
+    let split = rows - rows % ROW_GROUP;
+    for r0 in (0..split).step_by(ROW_GROUP) {
+        softmax_bwd_rows::<ROW_GROUP>(r0, y, g, scale, d, gx);
+    }
+    for r0 in split..rows {
+        softmax_bwd_rows::<1>(r0, y, g, scale, d, gx);
+    }
+}
+
+/// LayerNorm statistics of the `G` rows starting at row `r0`: both sums
+/// row-grouped, each from `Iterator::sum`'s `-0.0`, so a row's mean and
+/// variance are exactly `row.iter().sum::<f32>() / d` and the same of
+/// the squared deviations.
+#[inline(always)]
+fn layer_norm_stats_rows<const G: usize>(
+    r0: usize,
+    x: &[f32],
+    d: usize,
+    eps: f32,
+    mean: &mut [f32],
+    rstd: &mut [f32],
+) {
+    let xs: [&[f32]; G] = group_rows(&x[r0 * d..], d);
+    let mut mu = [-0.0f32; G];
+    for j in 0..d {
+        for (s, row) in mu.iter_mut().zip(&xs) {
+            *s += row[j];
+        }
+    }
+    for s in &mut mu {
+        *s /= d as f32;
+    }
+    let mut var = [-0.0f32; G];
+    for j in 0..d {
+        for ((s, row), &m) in var.iter_mut().zip(&xs).zip(&mu) {
+            *s += (row[j] - m) * (row[j] - m);
+        }
+    }
+    mean[r0..r0 + G].copy_from_slice(&mu);
+    for (rs, &v) in rstd[r0..r0 + G].iter_mut().zip(&var) {
+        *rs = 1.0 / (v / d as f32 + eps).sqrt();
+    }
+}
+
+#[inline(always)]
+fn layer_norm_stats_impl(x: &[f32], d: usize, eps: f32, mean: &mut [f32], rstd: &mut [f32]) {
+    let rows = x.len() / d;
+    let split = rows - rows % ROW_GROUP;
+    for r0 in (0..split).step_by(ROW_GROUP) {
+        layer_norm_stats_rows::<ROW_GROUP>(r0, x, d, eps, mean, rstd);
+    }
+    for r0 in split..rows {
+        layer_norm_stats_rows::<1>(r0, x, d, eps, mean, rstd);
+    }
+}
+
+/// LayerNorm input gradient of the `G` rows starting at row `r0`: the
+/// two row means of `gx̂ = g ⊙ γ` and `gx̂ ⊙ x̂` row-grouped, the output
+/// pass row by row.
+#[inline(always)]
+fn layer_norm_bwd_rows<const G: usize>(
+    r0: usize,
+    xhat: &[f32],
+    g: &[f32],
+    gamma: &[f32],
+    rstd: &[f32],
+    d: usize,
+    gx: &mut [f32],
+) {
+    let xs: [&[f32]; G] = group_rows(&xhat[r0 * d..], d);
+    let gs: [&[f32]; G] = group_rows(&g[r0 * d..], d);
+    let mut m1 = [0.0f32; G];
+    let mut m2 = [0.0f32; G];
+    for (j, &gm) in gamma.iter().enumerate() {
+        for (((a, b), xr), gr) in m1.iter_mut().zip(&mut m2).zip(&xs).zip(&gs) {
+            let gxh = gr[j] * gm;
+            *a += gxh;
+            *b += gxh * xr[j];
+        }
+    }
+    let gx = &mut gx[r0 * d..][..G * d];
+    for r in 0..G {
+        let (m1, m2, rs) = (m1[r] / d as f32, m2[r] / d as f32, rstd[r0 + r]);
+        let row = gx[r * d..][..d].iter_mut().zip(xs[r]).zip(gs[r]).zip(gamma);
+        for (((o, &xh), &gv), &gm) in row {
+            *o = rs * (gv * gm - m1 - xh * m2);
+        }
+    }
+}
+
+#[inline(always)]
+fn layer_norm_bwd_impl(
+    xhat: &[f32],
+    g: &[f32],
+    gamma: &[f32],
+    rstd: &[f32],
+    gx: &mut [f32],
+    ggamma: &mut [f32],
+    gbeta: &mut [f32],
+) {
+    let d = gamma.len();
+    // γ and β gradients sum over rows, each column in ascending row
+    // order: a row at a time, lanes across columns.
+    for (xr, gr) in xhat.chunks_exact(d).zip(g.chunks_exact(d)) {
+        for (((gg, gb), &xh), &gv) in ggamma.iter_mut().zip(gbeta.iter_mut()).zip(xr).zip(gr) {
+            *gg += gv * xh;
+            *gb += gv;
+        }
+    }
+    let rows = xhat.len() / d;
+    let split = rows - rows % ROW_GROUP;
+    for r0 in (0..split).step_by(ROW_GROUP) {
+        layer_norm_bwd_rows::<ROW_GROUP>(r0, xhat, g, gamma, rstd, d, gx);
+    }
+    for r0 in split..rows {
+        layer_norm_bwd_rows::<1>(r0, xhat, g, gamma, rstd, d, gx);
+    }
+}
+
+/// [`scaled_softmax_fwd_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scaled_softmax_fwd_avx2(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
+    scaled_softmax_fwd_impl(x, scale, d, out);
+}
+
+/// [`softmax_bwd_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn softmax_bwd_avx2(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
+    softmax_bwd_impl(y, g, scale, d, gx);
+}
+
+/// [`layer_norm_stats_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_stats_avx2(x: &[f32], d: usize, eps: f32, mean: &mut [f32], rstd: &mut [f32]) {
+    layer_norm_stats_impl(x, d, eps, mean, rstd);
+}
+
+/// [`layer_norm_bwd_impl`] recompiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified AVX2 support (see [`has_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_bwd_avx2(
+    xhat: &[f32],
+    g: &[f32],
+    gamma: &[f32],
+    rstd: &[f32],
+    gx: &mut [f32],
+    ggamma: &mut [f32],
+    gbeta: &mut [f32],
+) {
+    layer_norm_bwd_impl(xhat, g, gamma, rstd, gx, ggamma, gbeta);
+}
+
+/// `out = softmax(scale * x)` over rows of width `d`, numerically
+/// stabilized: the weights of one attention block, in one pass per row
+/// with no scaled-score copy. Panics if `d == 0`.
+pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
+    assert!(d > 0, "softmax over empty axis");
+    assert_eq!(
+        x.len(),
+        out.len(),
+        "softmax input and output lengths differ"
+    );
+    debug_assert_eq!(x.len() % d, 0);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { scaled_softmax_fwd_avx2(x, scale, d, out) };
+    }
+    scaled_softmax_fwd_impl(x, scale, d, out);
+}
+
+/// Softmax backward in one pass over the rows: given `y = softmax(scale·x)`
+/// and upstream `g`, writes `gx = scale · y ⊙ (g − ⟨y, g⟩)` without any
+/// intermediate tensor: the softmax step of [`attn_fused_bwd`]. Panics
+/// if `d == 0`.
+pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
+    assert!(d > 0, "softmax over empty axis");
+    assert_eq!(
+        y.len(),
+        g.len(),
+        "softmax weights and gradient lengths differ"
+    );
+    assert_eq!(
+        y.len(),
+        gx.len(),
+        "softmax weights and output lengths differ"
+    );
+    debug_assert_eq!(y.len() % d, 0);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { softmax_bwd_avx2(y, g, scale, d, gx) };
+    }
+    softmax_bwd_impl(y, g, scale, d, gx);
+}
+
+/// LayerNorm statistics over rows of width `d`: `mean[r]` is the row's
+/// mean and `rstd[r] = 1 / √(var + eps)` its reciprocal standard
+/// deviation, each sum taken as `row.iter().sum::<f32>()` would. Panics
+/// if `d == 0`.
+pub(crate) fn layer_norm_stats(x: &[f32], d: usize, eps: f32, mean: &mut [f32], rstd: &mut [f32]) {
+    assert!(d > 0, "layer norm over empty axis");
+    assert_eq!(x.len(), mean.len() * d, "one mean per row");
+    assert_eq!(x.len(), rstd.len() * d, "one rstd per row");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { layer_norm_stats_avx2(x, d, eps, mean, rstd) };
+    }
+    layer_norm_stats_impl(x, d, eps, mean, rstd);
+}
+
+/// LayerNorm backward over rows of width `d = gamma.len()`, from the
+/// normalized input `xhat`, the reciprocal standard deviations `rstd`
+/// (one per row) and the upstream gradient `g`: overwrites `gx` with
+/// `rstd · (gx̂ − mean(gx̂) − x̂ · mean(gx̂ ⊙ x̂))` for `gx̂ = g ⊙ γ`, and
+/// adds the γ and β gradients into `ggamma` and `gbeta`. Panics if
+/// `gamma` is empty.
+pub(crate) fn layer_norm_bwd(
+    xhat: &[f32],
+    g: &[f32],
+    gamma: &[f32],
+    rstd: &[f32],
+    gx: &mut [f32],
+    ggamma: &mut [f32],
+    gbeta: &mut [f32],
+) {
+    let d = gamma.len();
+    assert!(d > 0, "layer norm over empty axis");
+    assert_eq!(xhat.len(), rstd.len() * d, "one rstd per row");
+    assert_eq!(g.len(), xhat.len(), "gradient and input lengths differ");
+    assert_eq!(gx.len(), xhat.len(), "output and input lengths differ");
+    assert_eq!(ggamma.len(), d, "gamma gradient must be [D]");
+    assert_eq!(gbeta.len(), d, "beta gradient must be [D]");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: has_avx2 verified the CPU feature the callee needs.
+        return unsafe { layer_norm_bwd_avx2(xhat, g, gamma, rstd, gx, ggamma, gbeta) };
+    }
+    layer_norm_bwd_impl(xhat, g, gamma, rstd, gx, ggamma, gbeta);
 }
 
 // ---------------------------------------------------------------------------
@@ -763,10 +1150,12 @@ pub fn attn_fused_bwd(
     })
 }
 
-/// Naive triple-loop reference kernels, and attention composed from
-/// them: the ground truth the tiled engine is proptested against, and
-/// the baseline the `kernels` bench measures its GFLOP/s floor from.
-/// Deliberately unblocked and unpacked — do not "optimize" these.
+/// Naive triple-loop reference GEMMs, row-serial copies of the
+/// row-grouped reductions, and attention composed from them: the
+/// ground truth the tiled engine and the row groups are tested against
+/// (the reductions bit for bit), and the baseline the `kernels` bench
+/// measures its GFLOP/s floor from. Deliberately unblocked, unpacked
+/// and a row at a time — do not "optimize" these.
 pub mod reference {
     /// `C[m,n] += A[m,k] · B[k,n]`, i-j-k order.
     pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -807,10 +1196,100 @@ pub mod reference {
         }
     }
 
+    /// Softmax forward a row at a time, each row's max and sum one
+    /// serial fold: the per-row order the row-grouped
+    /// [`super::scaled_softmax_fwd`] keeps.
+    pub fn scaled_softmax_fwd(x: &[f32], scale: f32, d: usize, out: &mut [f32]) {
+        for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            let mut mx = f32::NEG_INFINITY;
+            for &v in row {
+                mx = mx.max(scale * v);
+            }
+            for (o, &v) in orow.iter_mut().zip(row) {
+                *o = super::exp(scale * v - mx);
+            }
+            let mut sum = 0.0f32;
+            for &e in orow.iter() {
+                sum += e;
+            }
+            let inv = 1.0 / sum;
+            for o in orow.iter_mut() {
+                *o *= inv;
+            }
+        }
+    }
+
+    /// Softmax backward a row at a time (see [`super::softmax_bwd`]).
+    pub fn softmax_bwd(y: &[f32], g: &[f32], scale: f32, d: usize, gx: &mut [f32]) {
+        for ((ys, gs), gxs) in y
+            .chunks_exact(d)
+            .zip(g.chunks_exact(d))
+            .zip(gx.chunks_exact_mut(d))
+        {
+            let mut dot = 0.0f32;
+            for (&yv, &gv) in ys.iter().zip(gs.iter()) {
+                dot += yv * gv;
+            }
+            for ((o, &yv), &gv) in gxs.iter_mut().zip(ys.iter()).zip(gs.iter()) {
+                *o = scale * (yv * (gv - dot));
+            }
+        }
+    }
+
+    /// LayerNorm statistics a row at a time, by `Iterator::sum` (see
+    /// `super::layer_norm_stats`).
+    #[cfg(test)]
+    pub(crate) fn layer_norm_stats(
+        x: &[f32],
+        d: usize,
+        eps: f32,
+        mean: &mut [f32],
+        rstd: &mut [f32],
+    ) {
+        for (r, row) in x.chunks_exact(d).enumerate() {
+            let mu = row.iter().sum::<f32>() / d as f32;
+            let var = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+            mean[r] = mu;
+            rstd[r] = 1.0 / (var + eps).sqrt();
+        }
+    }
+
+    /// LayerNorm backward a row at a time, every column's four
+    /// accumulations in one loop (see `super::layer_norm_bwd`).
+    #[cfg(test)]
+    pub(crate) fn layer_norm_bwd(
+        xhat: &[f32],
+        g: &[f32],
+        gamma: &[f32],
+        rstd: &[f32],
+        gx: &mut [f32],
+        ggamma: &mut [f32],
+        gbeta: &mut [f32],
+    ) {
+        let d = gamma.len();
+        for (row, (xh, gs)) in xhat.chunks(d).zip(g.chunks(d)).enumerate() {
+            let mut mean_gxh = 0.0f32;
+            let mut mean_gxh_xh = 0.0f32;
+            for j in 0..d {
+                let gxh = gs[j] * gamma[j];
+                mean_gxh += gxh;
+                mean_gxh_xh += gxh * xh[j];
+                ggamma[j] += gs[j] * xh[j];
+                gbeta[j] += gs[j];
+            }
+            mean_gxh /= d as f32;
+            mean_gxh_xh /= d as f32;
+            for j in 0..d {
+                let gxh = gs[j] * gamma[j];
+                gx[row * d + j] = rstd[row] * (gxh - mean_gxh - xh[j] * mean_gxh_xh);
+            }
+        }
+    }
+
     /// Attention by definition: each `(b, h)` head of the interleaved
     /// `[B, T, H, dh]` layout transposed out into dense `[T, dh]`
     /// matrices, the classic chain and its backward run on them with the
-    /// GEMMs above and the row-wise softmax kernels, and the results
+    /// GEMMs and the row-serial softmax above, and the results
     /// scattered back. Returns `[ctx, weights, dQ, dK, dV]` for the
     /// upstream gradient `g`.
     pub fn attention(
@@ -829,9 +1308,9 @@ pub mod reference {
                 let [mut s, mut gw, mut gs] = [(); 3].map(|_| vec![0.0; t * t]);
                 gemm_nt(&qh, &kh, &mut s, t, dh, t);
                 let w = &mut weights[(bi * h + hi) * t * t..][..t * t];
-                super::scaled_softmax_fwd(&s, scale, t, w);
+                scaled_softmax_fwd(&s, scale, t, w);
                 gemm_nt(&gh, &vh, &mut gw, t, dh, t);
-                super::softmax_bwd(w, &gw, scale, t, &mut gs);
+                softmax_bwd(w, &gw, scale, t, &mut gs);
                 let mut outs = [(); 4].map(|_| vec![0.0; t * dh]);
                 gemm_nn(w, &vh, &mut outs[0], t, t, dh);
                 gemm_nn(&gs, &kh, &mut outs[1], t, t, dh);
@@ -1046,6 +1525,7 @@ mod tests {
         gemm_nn(&a, &b, &mut c, 1, 1, 1);
         assert_eq!(c, vec![6.0]);
         scaled_softmax_fwd(&[], 1.0, 3, &mut []);
+        softmax_bwd(&[], &[], 1.0, 3, &mut []);
         attn_fused_fwd(&[], &[], &[], 1.0, &mut [], None, 0, 3, 2, 4);
         attn_fused_bwd(
             &[],
@@ -1062,6 +1542,18 @@ mod tests {
             2,
             4,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax over empty axis")]
+    fn softmax_fwd_rejects_an_empty_axis() {
+        scaled_softmax_fwd(&[], 1.0, 0, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax over empty axis")]
+    fn softmax_bwd_rejects_an_empty_axis() {
+        softmax_bwd(&[], &[], 1.0, 0, &mut []);
     }
 
     #[test]
@@ -1240,6 +1732,10 @@ mod tests {
         assert!(out.iter().all(|p| p.is_finite()));
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     #[test]
     fn baseline_and_avx2_compilations_agree_bit_for_bit() {
         // Lengths around the 4- and 8-lane vector widths exercise the
@@ -1251,38 +1747,169 @@ mod tests {
                 .map(|v| v * 6.0)
                 .collect();
             let g = rand_vec(len, 70 + len as u64);
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
 
-            let (mut f0, mut b0, mut e0) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            let (mut f0, mut b0) = (vec![0.0; len], vec![0.0; len]);
             gelu_fwd_impl(&x, &mut f0);
             gelu_bwd_impl(&x, &g, &mut b0);
-            exp_shifted_impl(&x, 0.25, 1.5, &mut e0);
             // Whatever the dispatcher picked on this host agrees too.
-            let (mut f1, mut b1, mut e1) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            let (mut f1, mut b1) = (vec![0.0; len], vec![0.0; len]);
             gelu_fwd(&x, &mut f1);
             gelu_bwd(&x, &g, &mut b1);
-            exp_shifted(&x, 0.25, 1.5, &mut e1);
             assert_eq!(bits(&f0), bits(&f1), "gelu_fwd, len {len}");
             assert_eq!(bits(&b0), bits(&b1), "gelu_bwd, len {len}");
-            assert_eq!(bits(&e0), bits(&e1), "exp_shifted, len {len}");
             // And element i does not depend on which lane it rode in.
             for i in 0..len {
                 assert_eq!(f0[i].to_bits(), gelu1(x[i]).to_bits());
-                assert_eq!(e0[i].to_bits(), exp(0.25 * x[i] - 1.5).to_bits());
             }
 
             #[cfg(target_arch = "x86_64")]
             if has_avx2() {
-                let (mut f2, mut b2, mut e2) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+                let (mut f2, mut b2) = (vec![0.0; len], vec![0.0; len]);
                 // SAFETY: has_avx2 verified the CPU feature the callees need.
                 unsafe {
                     gelu_fwd_avx2(&x, &mut f2);
                     gelu_bwd_avx2(&x, &g, &mut b2);
-                    exp_shifted_avx2(&x, 0.25, 1.5, &mut e2);
                 }
                 assert_eq!(bits(&f0), bits(&f2), "gelu_fwd avx2, len {len}");
                 assert_eq!(bits(&b0), bits(&b2), "gelu_bwd avx2, len {len}");
-                assert_eq!(bits(&e0), bits(&e2), "exp_shifted avx2, len {len}");
+            }
+        }
+        microkernel_arms_agree_bit_for_bit();
+        row_groups_match_row_serial_reference_bit_for_bit();
+    }
+
+    /// Every microkernel arm this CPU has, and the one `micro_fn` picked,
+    /// against the baseline compilation and a scalar ascending-`p` fold
+    /// on random packed panels.
+    fn microkernel_arms_agree_bit_for_bit() {
+        type Tile = [[f32; NR]; MR];
+        for kc in [1usize, 3, 16, 64, 256] {
+            let a = rand_vec(kc * MR, 300 + kc as u64);
+            let b = rand_vec(kc * NR, 400 + kc as u64);
+            let run = |f: MicroFn| -> Vec<u32> {
+                let mut acc: Tile = [[f32::NAN; NR]; MR];
+                // SAFETY: every caller below checked the CPU features `f` needs.
+                unsafe { f(kc, &a, &b, &mut acc) };
+                bits(acc.as_flattened())
+            };
+            let want = run(micro_baseline);
+            let mut fold: Tile = [[0.0; NR]; MR];
+            for p in 0..kc {
+                for r in 0..MR {
+                    for j in 0..NR {
+                        fold[r][j] += a[p * MR + r] * b[p * NR + j];
+                    }
+                }
+            }
+            assert_eq!(want, bits(fold.as_flattened()), "baseline vs fold, kc {kc}");
+            assert_eq!(want, run(micro_fn()), "dispatched arm, kc {kc}");
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                assert_eq!(want, run(micro_avx2), "avx2 arm, kc {kc}");
+            }
+            #[cfg(target_arch = "x86_64")]
+            if has_avx512f() {
+                assert_eq!(want, run(micro_avx512), "avx512 arm, kc {kc}");
+            }
+        }
+    }
+
+    /// The `mean` and `rstd` bits a LayerNorm-statistics kernel `f`
+    /// writes for `rows` rows.
+    fn ln_stats<F: FnOnce(&mut [f32], &mut [f32])>(rows: usize, f: F) -> [Vec<u32>; 2] {
+        let (mut mean, mut rstd) = (vec![f32::NAN; rows], vec![f32::NAN; rows]);
+        f(&mut mean, &mut rstd);
+        [bits(&mean), bits(&rstd)]
+    }
+
+    /// The `gx`, `ggamma` and `gbeta` bits a LayerNorm backward `f`
+    /// leaves for `n` elements in rows of width `d`; the last two start non-zero, since
+    /// the kernel accumulates into them.
+    fn ln_bwd<F>(n: usize, d: usize, f: F) -> [Vec<u32>; 3]
+    where
+        F: FnOnce(&mut [f32], &mut [f32], &mut [f32]),
+    {
+        let mut gx = vec![f32::NAN; n];
+        let (mut gg, mut gb) = (vec![0.5; d], vec![-0.5; d]);
+        f(&mut gx, &mut gg, &mut gb);
+        [bits(&gx), bits(&gg), bits(&gb)]
+    }
+
+    /// Rows 1..=17 cross the row group; `d` 1, 7 and 48 cover a single
+    /// column, a width no vector divides, and the served block.
+    fn row_groups_match_row_serial_reference_bit_for_bit() {
+        for rows in 1usize..=17 {
+            for d in [1usize, 7, 48] {
+                let n = rows * d;
+                let seed = (rows * 100 + d) as u64;
+                let mut x: Vec<f32> = rand_vec(n, seed).into_iter().map(|v| v * 4.0).collect();
+                let g = rand_vec(n, seed + 1);
+                let gamma = rand_vec(d, seed + 2);
+                // Row 0 all negative zeros: its sums are `-0.0` only if
+                // they start from `Iterator::sum`'s `-0.0`, as LayerNorm's
+                // do. Row 1 carries a `-inf` score when it has a second
+                // column.
+                x[..d].fill(-0.0);
+                if rows > 1 && d > 1 {
+                    x[d + 1] = f32::NEG_INFINITY;
+                }
+                let ln_x: Vec<f32> = x.iter().map(|v| v.max(-1e3)).collect();
+                let ctx = format!("rows {rows}, d {d}");
+
+                let mut want = vec![0.0; n];
+                reference::scaled_softmax_fwd(&x, 0.3, d, &mut want);
+                let y = want.clone();
+                let mut got = vec![0.0; n];
+                scaled_softmax_fwd_impl(&x, 0.3, d, &mut got);
+                assert_eq!(bits(&want), bits(&got), "softmax fwd, {ctx}");
+                scaled_softmax_fwd(&x, 0.3, d, &mut got);
+                assert_eq!(bits(&want), bits(&got), "softmax fwd dispatched, {ctx}");
+
+                reference::softmax_bwd(&y, &g, 0.3, d, &mut want);
+                softmax_bwd_impl(&y, &g, 0.3, d, &mut got);
+                assert_eq!(bits(&want), bits(&got), "softmax bwd, {ctx}");
+                softmax_bwd(&y, &g, 0.3, d, &mut got);
+                assert_eq!(bits(&want), bits(&got), "softmax bwd dispatched, {ctx}");
+
+                let want_stats = ln_stats(rows, |m, r| {
+                    reference::layer_norm_stats(&ln_x, d, 1e-5, m, r)
+                });
+                assert_eq!(want_stats[0][0], (-0.0f32).to_bits(), "mean of -0s, {ctx}");
+                let base = ln_stats(rows, |m, r| layer_norm_stats_impl(&ln_x, d, 1e-5, m, r));
+                assert_eq!(want_stats, base, "layer norm stats, {ctx}");
+                let picked = ln_stats(rows, |m, r| layer_norm_stats(&ln_x, d, 1e-5, m, r));
+                assert_eq!(want_stats, picked, "layer norm stats dispatched, {ctx}");
+
+                let rstd: Vec<f32> = (0..rows).map(|r| 0.5 + r as f32).collect();
+                let want_bwd = ln_bwd(n, d, |gx, gg, gb| {
+                    reference::layer_norm_bwd(&y, &g, &gamma, &rstd, gx, gg, gb)
+                });
+                let base = ln_bwd(n, d, |gx, gg, gb| {
+                    layer_norm_bwd_impl(&y, &g, &gamma, &rstd, gx, gg, gb)
+                });
+                assert_eq!(want_bwd, base, "layer norm bwd, {ctx}");
+                let picked = ln_bwd(n, d, |gx, gg, gb| {
+                    layer_norm_bwd(&y, &g, &gamma, &rstd, gx, gg, gb)
+                });
+                assert_eq!(want_bwd, picked, "layer norm bwd dispatched, {ctx}");
+
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2() {
+                    // SAFETY: has_avx2 verified the CPU feature the callees need.
+                    unsafe {
+                        scaled_softmax_fwd_avx2(&x, 0.3, d, &mut got);
+                        assert_eq!(bits(&y), bits(&got), "softmax fwd avx2, {ctx}");
+                        softmax_bwd_avx2(&y, &g, 0.3, d, &mut got);
+                        assert_eq!(bits(&want), bits(&got), "softmax bwd avx2, {ctx}");
+                        let avx2 =
+                            ln_stats(rows, |m, r| layer_norm_stats_avx2(&ln_x, d, 1e-5, m, r));
+                        assert_eq!(want_stats, avx2, "layer norm stats avx2, {ctx}");
+                        let avx2 = ln_bwd(n, d, |gx, gg, gb| {
+                            layer_norm_bwd_avx2(&y, &g, &gamma, &rstd, gx, gg, gb)
+                        });
+                        assert_eq!(want_bwd, avx2, "layer norm bwd avx2, {ctx}");
+                    }
+                }
             }
         }
     }

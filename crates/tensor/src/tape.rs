@@ -754,23 +754,15 @@ impl Tape {
                 let mut gx = self.alloc_overwrite(xhat.numel());
                 let mut ggamma = self.alloc_zeroed(d);
                 let mut gbeta = self.alloc_zeroed(d);
-                for (row, (xh, gs)) in xhat.data().chunks(d).zip(g.data().chunks(d)).enumerate() {
-                    let mut mean_gxh = 0.0f32;
-                    let mut mean_gxh_xh = 0.0f32;
-                    for j in 0..d {
-                        let gxh = gs[j] * vgamma.data()[j];
-                        mean_gxh += gxh;
-                        mean_gxh_xh += gxh * xh[j];
-                        ggamma[j] += gs[j] * xh[j];
-                        gbeta[j] += gs[j];
-                    }
-                    mean_gxh /= d as f32;
-                    mean_gxh_xh /= d as f32;
-                    for j in 0..d {
-                        let gxh = gs[j] * vgamma.data()[j];
-                        gx[row * d + j] = rstd[row] * (gxh - mean_gxh - xh[j] * mean_gxh_xh);
-                    }
-                }
+                kernels::layer_norm_bwd(
+                    xhat.data(),
+                    g.data(),
+                    vgamma.data(),
+                    rstd,
+                    &mut gx,
+                    &mut ggamma,
+                    &mut gbeta,
+                );
                 add_grad(grads, *x, Tensor::from_vec(gx, xhat.shape()));
                 add_grad(grads, *gamma, Tensor::from_vec(ggamma, &[d]));
                 add_grad(grads, *beta, Tensor::from_vec(gbeta, &[d]));
@@ -1040,32 +1032,12 @@ impl<'t> Var<'t> {
     /// Fused layer normalization over the last axis with affine
     /// parameters `gamma`, `beta` (both shape `[D]`).
     pub fn layer_norm(self, gamma: Var<'t>, beta: Var<'t>, eps: f32) -> Var<'t> {
-        if !self.tape.grad {
-            // Same arithmetic per element (`xh * gamma + beta` with the
-            // identical `xh` expression), but `xhat`/`rstd` — which exist
-            // only for backward — are never materialized.
-            let out = {
-                let x = self.tape.val(self.id);
-                let d = *x.shape().last().expect("layer_norm requires rank >= 1");
-                let vg = self.tape.val(gamma.id);
-                let vb = self.tape.val(beta.id);
-                assert_eq!(vg.shape(), &[d], "gamma must be [D]");
-                assert_eq!(vb.shape(), &[d], "beta must be [D]");
-                let mut out = self.tape.alloc_overwrite(x.numel());
-                for (r, row) in x.data().chunks(d).enumerate() {
-                    let mean = row.iter().sum::<f32>() / d as f32;
-                    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                    let rs = 1.0 / (var + eps).sqrt();
-                    for j in 0..d {
-                        let xh = (row[j] - mean) * rs;
-                        out[r * d + j] = xh * vg.data()[j] + vb.data()[j];
-                    }
-                }
-                Tensor::from_vec(out, x.shape())
-            };
-            return self.tape.push(Op::Leaf, out);
-        }
-        let (xhat, rstd, out, xshape) = {
+        // Both tape kinds run the same arithmetic per element (`xh *
+        // gamma + beta` with the identical `xh` expression); `xhat` and
+        // `rstd`, which exist only for backward, are kept only by a
+        // recording tape.
+        let keep = self.tape.grad;
+        let (out, saved, xshape) = {
             let x = self.tape.val(self.id);
             let d = *x.shape().last().expect("layer_norm requires rank >= 1");
             let vg = self.tape.val(gamma.id);
@@ -1073,21 +1045,32 @@ impl<'t> Var<'t> {
             assert_eq!(vg.shape(), &[d], "gamma must be [D]");
             assert_eq!(vb.shape(), &[d], "beta must be [D]");
             let rows = x.numel() / d;
-            let mut xhat = self.tape.alloc_overwrite(x.numel());
+            let mut mean = vec![0.0f32; rows];
             let mut rstd = vec![0.0f32; rows];
+            kernels::layer_norm_stats(x.data(), d, eps, &mut mean, &mut rstd);
             let mut out = self.tape.alloc_overwrite(x.numel());
-            for (r, row) in x.data().chunks(d).enumerate() {
-                let mean = row.iter().sum::<f32>() / d as f32;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                let rs = 1.0 / (var + eps).sqrt();
-                rstd[r] = rs;
-                for j in 0..d {
-                    let xh = (row[j] - mean) * rs;
-                    xhat[r * d + j] = xh;
-                    out[r * d + j] = xh * vg.data()[j] + vb.data()[j];
+            let mut xhat = if keep {
+                self.tape.alloc_overwrite(x.numel())
+            } else {
+                Vec::new()
+            };
+            for (r, (row, orow)) in x.data().chunks(d).zip(out.chunks_mut(d)).enumerate() {
+                let (m, rs) = (mean[r], rstd[r]);
+                let affine = orow.iter_mut().zip(row).zip(vg.data()).zip(vb.data());
+                for (((o, &v), &g), &b) in affine {
+                    *o = (v - m) * rs * g + b;
+                }
+                if keep {
+                    for (xh, &v) in xhat[r * d..][..d].iter_mut().zip(row) {
+                        *xh = (v - m) * rs;
+                    }
                 }
             }
-            (xhat, rstd, out, x.shape().to_vec())
+            (out, keep.then_some((xhat, rstd)), x.shape().to_vec())
+        };
+        let out = Tensor::from_vec(out, &xshape);
+        let Some((xhat, rstd)) = saved else {
+            return self.tape.push(Op::Leaf, out);
         };
         self.tape.push(
             Op::LayerNorm {
@@ -1097,7 +1080,7 @@ impl<'t> Var<'t> {
                 xhat: Tensor::from_vec(xhat, &xshape),
                 rstd,
             },
-            Tensor::from_vec(out, &xshape),
+            out,
         )
     }
 
