@@ -3,11 +3,12 @@
 //! Experiment harness regenerating every table and figure of
 //! "A New Hope for Network Model Generalization" (HotNets '22).
 //!
-//! Binaries (all accept `--scale quick|paper` and `--seed N`):
-//! * `datasets` — Fig. 4 dataset generation + statistics
-//! * `table1` — MSE for all models, tasks, baselines, and ablations
-//! * `table2` — fine-tuning cost (data and time) on the same topology
-//! * `table3` — generalization on the larger topology
+//! One binary, `paper` (`--scale quick|paper`, `--seed N`,
+//! `--threads N`, then any of `datasets`, `table1`, `table2`, `table3`;
+//! default all): Fig. 4's dataset statistics, MSE for all models,
+//! tasks, baselines and ablations (Table 1), fine-tuning cost on the
+//! same topology (Table 2), and generalization to the larger topology
+//! (Table 3). [`runner`] holds the table specs and wires each arm once.
 //!
 //! Four benches remain under `benches/`, each for an assertion with no
 //! other home (`kernels`, `serve_throughput`, `obs_overhead`,

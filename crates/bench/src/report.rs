@@ -1,4 +1,4 @@
-//! Table formatting and TSV output for the experiment binaries.
+//! Table formatting and TSV output for the `paper` binary.
 //!
 //! Every experiment prints a fixed-width table mirroring the paper's
 //! layout (with the paper's reference value next to ours) and writes a
@@ -29,6 +29,11 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "ragged table row");
         self.rows.push(cells.to_vec());
+    }
+
+    /// The rows appended so far.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Render with aligned columns.

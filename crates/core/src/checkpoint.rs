@@ -623,7 +623,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::config::{Aggregation, NttConfig};
-    use crate::model::{DelayHead, DropHead, MctHead, Ntt};
+    use crate::model::{DelayHead, MctHead, Ntt};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ntt_ckpt_test_{name}_{}", std::process::id()))
@@ -647,10 +647,9 @@ mod tests {
         let model = Ntt::new(cfg);
         let delay = DelayHead::new(16, 3);
         let mct = MctHead::new(16, 3);
-        let drop = DropHead::new(16, 3);
         let ckpt = Checkpoint::capture(
             &model,
-            &[&delay, &mct, &drop],
+            &[&delay, &mct],
             None,
             vec![("scenario_grid".into(), "pretrain x1".into())],
         )
@@ -661,16 +660,13 @@ mod tests {
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded.model.cfg.d_model, 16);
         assert_eq!(loaded.model.cfg.aggregation, cfg.aggregation);
-        assert_eq!(loaded.heads.len(), 3);
+        assert_eq!(loaded.heads.len(), 2);
         let kinds: Vec<&str> = loaded.heads.iter().map(|h| h.kind()).collect();
-        assert_eq!(kinds, vec!["delay", "mct", "drop"]);
+        assert_eq!(kinds, vec!["delay", "mct"]);
         for (a, b) in model.params().iter().zip(loaded.model.params().iter()) {
             assert_eq!(a.value(), b.value(), "trunk param {}", a.name());
         }
-        for (orig, rebuilt) in [&delay as &dyn Head, &mct, &drop]
-            .iter()
-            .zip(loaded.heads.iter())
-        {
+        for (orig, rebuilt) in [&delay as &dyn Head, &mct].iter().zip(loaded.heads.iter()) {
             for (a, b) in orig.params().iter().zip(rebuilt.params().iter()) {
                 assert_eq!(a.value(), b.value(), "head param {}", a.name());
             }
@@ -911,17 +907,25 @@ mod tests {
 
     #[test]
     fn unknown_head_kind_is_a_typed_error() {
-        let model = Ntt::new(tiny_cfg(9));
-        let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
-        ckpt.heads.push(HeadSpec {
-            kind: "quantile".into(),
-            d_model: 16,
-        });
-        let path = tmp("unknown_head");
-        ckpt.save(&path).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("unknown head kind"), "{err}");
-        std::fs::remove_file(path).ok();
+        // "drop" was a built-in head once; a file that still stores one
+        // is refused like any other unregistered kind.
+        for kind in ["quantile", "drop"] {
+            let model = Ntt::new(tiny_cfg(9));
+            let mut ckpt = Checkpoint::capture(&model, &[], None, vec![]).unwrap();
+            ckpt.heads.push(HeadSpec {
+                kind: kind.into(),
+                d_model: 16,
+            });
+            let path = tmp(&format!("unknown_head_{kind}"));
+            ckpt.save(&path).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            std::fs::remove_file(path).ok();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind}: {err}");
+            assert!(
+                err.to_string().contains("unknown head kind"),
+                "{kind}: {err}"
+            );
+        }
     }
 
     #[test]

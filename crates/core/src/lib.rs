@@ -7,7 +7,7 @@
 //! The model (Fig. 3) embeds raw per-packet features, compresses 1024
 //! packets into 48 sequence elements with learned multi-timescale
 //! aggregation, runs a transformer encoder, and attaches replaceable
-//! task heads ([`ntt_nn::Head`] impls — delay, MCT, drop-count, or your
+//! task heads ([`ntt_nn::Head`] impls — delay, MCT, or your
 //! own). Pre-training masks the most recent packet's delay; fine-tuning
 //! adapts the head (and optionally the trunk) to new environments and
 //! tasks. The [`pipeline::Experiment`] builder chains the whole
@@ -45,7 +45,7 @@ mod trainer;
 
 pub use checkpoint::{Checkpoint, HeadSpec, LoadedModel};
 pub use config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
-pub use model::{build_head, DelayHead, DropHead, FoldedFront, MctHead, Ntt};
+pub use model::{build_head, DelayHead, FoldedFront, MctHead, Ntt};
 pub use ntt_nn::Head;
 pub use pipeline::{Experiment, FinetuneOpts, Finetuned, Pretrained};
 pub use task::{HeadTask, Task};

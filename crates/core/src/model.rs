@@ -351,48 +351,6 @@ impl Head for MctHead {
     }
 }
 
-/// Drop-count head: MLP on the mean-pooled sequence predicting the
-/// number of retransmitted (≈ dropped upstream) packets in the window —
-/// the §5 telemetry task, and the proof that a new head is a few dozen
-/// lines against the [`Head`]/[`ntt_data::TaskDataset`] traits with no
-/// engine changes.
-pub struct DropHead {
-    mlp: Mlp,
-}
-
-impl DropHead {
-    pub fn new(d_model: usize, seed: u64) -> Self {
-        DropHead {
-            mlp: Mlp::new("drop_head", &[d_model, d_model, 1], seed ^ 0xd5),
-        }
-    }
-
-    /// `[B, 48, D] -> [B, 1]` (normalized drop count).
-    pub fn forward<'t>(&self, tape: &'t Tape, encoded: Var<'t>) -> Var<'t> {
-        self.mlp.forward(tape, encoded.mean_axis1())
-    }
-}
-
-impl Module for DropHead {
-    fn params(&self) -> Vec<Param> {
-        self.mlp.params()
-    }
-}
-
-impl Head for DropHead {
-    fn kind(&self) -> &'static str {
-        "drop"
-    }
-
-    fn d_model(&self) -> usize {
-        self.mlp.in_features()
-    }
-
-    fn forward_head<'t>(&self, tape: &'t Tape, encoded: Var<'t>, _aux: Option<Var<'t>>) -> Var<'t> {
-        self.forward(tape, encoded)
-    }
-}
-
 /// Build a fresh head of the given `kind` — the registry the
 /// self-describing checkpoint loader uses to reconstruct heads from
 /// their descriptors. Weights are overwritten right after construction,
@@ -401,7 +359,6 @@ pub fn build_head(kind: &str, d_model: usize) -> Option<Box<dyn Head>> {
     match kind {
         "delay" => Some(Box::new(DelayHead::new(d_model, 0))),
         "mct" => Some(Box::new(MctHead::new(d_model, 0))),
-        "drop" => Some(Box::new(DropHead::new(d_model, 0))),
         _ => None,
     }
 }
@@ -456,12 +413,7 @@ mod tests {
     fn head_trait_descriptors_and_registry_agree() {
         let delay = DelayHead::new(16, 0);
         let mct = MctHead::new(16, 0);
-        let drop = DropHead::new(16, 0);
-        for (h, kind, needs_aux) in [
-            (&delay as &dyn Head, "delay", false),
-            (&mct, "mct", true),
-            (&drop, "drop", false),
-        ] {
+        for (h, kind, needs_aux) in [(&delay as &dyn Head, "delay", false), (&mct, "mct", true)] {
             assert_eq!(h.kind(), kind);
             assert_eq!(h.d_model(), 16, "{kind}: d_model");
             assert_eq!(h.needs_aux(), needs_aux, "{kind}: needs_aux");
@@ -487,11 +439,6 @@ mod tests {
         assert_eq!(
             delay.forward(&tape, enc).value(),
             delay.forward_head(&tape, enc, None).value()
-        );
-        let drop = DropHead::new(16, 1);
-        assert_eq!(
-            drop.forward(&tape, enc).value(),
-            drop.forward_head(&tape, enc, None).value()
         );
         let mct = MctHead::new(16, 1);
         let sizes = tape.input(Tensor::randn(&[2, 1], 6));

@@ -37,9 +37,9 @@
 //! pre-training evaluation, into the checkpoint (`NTTCKPT2` embeds it),
 //! and into every fine-tuning dataset built through [`Pretrained`] —
 //! the model's learned representations assume that scaling, so a
-//! fine-tuning site must never re-fit it. Target normalizers (MCT,
-//! drop counts) are task-local and fitted on the fine-tuning training
-//! split, which is statistics the fine-tuning site legitimately owns.
+//! fine-tuning site must never re-fit it. Target normalizers (MCT) are
+//! task-local and fitted on the fine-tuning training split, which is
+//! statistics the fine-tuning site legitimately owns.
 //!
 //! # The 10-line workflow
 //!
@@ -65,14 +65,12 @@ use crate::baselines::{
 };
 use crate::checkpoint::Checkpoint;
 use crate::config::NttConfig;
-use crate::model::{build_head, copy_params, DelayHead, DropHead, MctHead, Ntt};
+use crate::model::{build_head, copy_params, DelayHead, MctHead, Ntt};
 use crate::task::HeadTask;
 use crate::trainer::{
     evaluate, train, EvalReport, ParStrategy, TrainConfig, TrainMode, TrainReport,
 };
-use ntt_data::{
-    DatasetConfig, DelayDataset, DropDataset, MctDataset, Normalizer, TaskDataset, TraceData,
-};
+use ntt_data::{DatasetConfig, DelayDataset, MctDataset, Normalizer, TaskDataset, TraceData};
 use ntt_fleet::{run_fleet_dataset, FleetConfig, FleetReport, SweepSpec};
 use ntt_nn::{Head, Module};
 use std::io;
@@ -421,7 +419,7 @@ impl FinetuneOpts {
 /// works on a weight-cloned copy), reports, and the comparisons the
 /// paper makes (zero-shot, naive baselines).
 pub struct Finetuned {
-    /// Task label (`"delay"`, `"mct"`, `"drop"`, ...).
+    /// Task label (`"delay"` or `"mct"`).
     pub task: &'static str,
     pub model: Ntt,
     pub head: Box<dyn Head>,
@@ -578,46 +576,6 @@ impl Pretrained {
             opts.mode,
             baselines,
             test_ds.target_log_variance(),
-        )
-    }
-
-    /// Fine-tune the **drop-count task** (§5 telemetry): a fresh drop
-    /// head over the pre-training-style windows.
-    pub fn finetune_drop(&self, spec: &SweepSpec, opts: &FinetuneOpts) -> Finetuned {
-        let (data, _) = self.exp.sweep(spec);
-        let (train_delay, test_delay) = self.exp.delay_split(data, Some(self.norm.clone()), opts);
-        let (train_ds, test_ds) = DropDataset::build(&train_delay, &test_delay);
-        let n = test_ds.len().max(1) as f64;
-        // The naive baseline: predict the *training-set* mean count
-        // (that is all a no-model predictor legitimately knows).
-        let train_mean = train_ds.target_mean() as f64;
-        let mean_mse = (0..test_ds.len())
-            .map(|i| {
-                let d = test_ds.count_raw(i) as f64 - train_mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        // Variance of the test targets around their own mean (the
-        // variance-relative-MSE denominator, distinct from the baseline).
-        let test_mean = (0..test_ds.len())
-            .map(|i| test_ds.count_raw(i) as f64)
-            .sum::<f64>()
-            / n;
-        let test_variance = (0..test_ds.len())
-            .map(|i| {
-                let d = test_ds.count_raw(i) as f64 - test_mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        self.adapt(
-            "drop",
-            |d_model, seed| Box::new(DropHead::new(d_model, seed)),
-            (&train_ds, &test_ds),
-            opts.mode,
-            vec![("train-mean", mean_mse)],
-            test_variance,
         )
     }
 
@@ -778,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn mct_and_drop_tasks_run_through_the_same_pipeline() {
+    fn mct_task_runs_through_the_same_pipeline() {
         let exp = tiny_exp();
         let pre = exp.pretrain(&SweepSpec::single(Scenario::Pretrain, fast_scenario(7), 1));
         let spec = SweepSpec::single(Scenario::Case1, fast_scenario(8), 1);
@@ -787,10 +745,7 @@ mod tests {
         assert_eq!(mct.head.kind(), "mct");
         assert!(mct.eval.mse_norm.is_finite());
         assert!(mct.zero_shot.is_none(), "no pre-trained MCT head existed");
-        let drop = pre.finetune_drop(&spec, &FinetuneOpts::decoder_only());
-        assert_eq!(drop.task, "drop");
-        assert!(drop.eval.mse_norm.is_finite());
-        assert_eq!(drop.baselines.len(), 1);
+        assert_eq!(mct.baselines.len(), 2);
     }
 
     #[test]

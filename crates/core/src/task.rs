@@ -2,15 +2,15 @@
 //! about a prediction task — and [`HeadTask`], the one impl that covers
 //! every (head, dataset) pair.
 //!
-//! The paper's tasks — masked-delay prediction (pre-training),
-//! message-completion-time regression, drop-count regression — differ
-//! only in their dataset and head. Everything else (batching,
-//! shuffling, the optimizer loop, microbatch fan-out, deterministic
-//! gradient reduction, evaluation accounting) is task-independent and
-//! lives once in [`crate::trainer`]. Since PR 3, the dataset side is
-//! abstracted too ([`ntt_data::TaskDataset`]), so a new task is a
-//! [`Head`] impl plus a `TaskDataset` impl — `HeadTask` wires any such
-//! pair into the engine with zero new trainer code.
+//! The paper's tasks — masked-delay prediction (pre-training) and
+//! message-completion-time regression — differ only in their dataset
+//! and head. Everything else (batching, shuffling, the optimizer loop,
+//! microbatch fan-out, deterministic gradient reduction, evaluation
+//! accounting) is task-independent and lives once in
+//! [`crate::trainer`]. The dataset side is abstracted too
+//! ([`ntt_data::TaskDataset`]), so a new task is a [`Head`] impl plus a
+//! `TaskDataset` impl — `HeadTask` wires any such pair into the engine
+//! with zero new trainer code.
 
 use crate::model::Ntt;
 use ntt_data::TaskDataset;

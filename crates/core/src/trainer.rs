@@ -578,14 +578,11 @@ mod tests {
     }
 
     #[test]
-    fn delay_mct_and_drop_tasks_conform() {
+    fn delay_and_mct_tasks_conform() {
         let (ntt, head, mct_head) = tiny_model();
-        let (train_ds, test, mct) = tiny_datasets();
+        let (train_ds, _, mct) = tiny_datasets();
         assert_task_conforms(&HeadTask::new(&head, &train_ds), &ntt);
         assert_task_conforms(&HeadTask::new(&mct_head, &mct), &ntt);
-        let (drop_train, _) = ntt_data::DropDataset::build(&train_ds, &test);
-        let drop_head = crate::model::DropHead::new(16, 9);
-        assert_task_conforms(&HeadTask::new(&drop_head, &drop_train), &ntt);
     }
 
     #[test]

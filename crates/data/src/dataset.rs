@@ -36,8 +36,7 @@ pub struct PacketView {
     pub delay: f32,
     /// Whether the delivered copy was a retransmission — i.e. an
     /// earlier copy was dropped. Not a model input feature (the paper's
-    /// four channels stay as they are); it is the target of the
-    /// drop-count task (§5 "telemetry data like packet drops").
+    /// four channels stay as they are).
     pub retransmit: bool,
 }
 

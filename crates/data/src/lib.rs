@@ -34,4 +34,4 @@ pub use dataset::{
 };
 pub use features::{FeatureMask, CH_DELAY, CH_RECEIVER, CH_SIZE, CH_TIME, NUM_FEATURES};
 pub use normalize::Normalizer;
-pub use task::{DropDataset, TaskDataset};
+pub use task::TaskDataset;

@@ -5,12 +5,11 @@
 //! features in, one scalar target out, with at most one auxiliary
 //! per-sample input" (the MCT task's message size). This trait captures
 //! exactly that shape so `ntt-core`'s generic `HeadTask` can drive any
-//! dataset — the two paper tasks, the drop-count task below, or a
-//! downstream crate's own — through one training loop.
+//! dataset — the two paper tasks or a downstream crate's own — through
+//! one training loop.
 
-use crate::dataset::{DatasetConfig, DelayDataset, MctDataset, TraceData};
+use crate::dataset::{DelayDataset, MctDataset};
 use ntt_tensor::Tensor;
-use std::sync::Arc;
 
 /// A supervised task's data: indexable samples that materialize into
 /// `(windows, optional aux input, targets)` batches.
@@ -76,98 +75,10 @@ impl TaskDataset for MctDataset {
     }
 }
 
-/// Per-window drop-count regression — the third task, built on data the
-/// simulator already traces (§5: "telemetry data like packet drops").
-///
-/// A delivered retransmission implies an earlier copy of that packet
-/// was dropped, so the number of retransmitted packets in a window is a
-/// receiver-side observable proxy for upstream loss. Windows are the
-/// *pre-training* windows (same features, same masking), so a
-/// delay-pre-trained trunk transfers to this task decoder-only — that
-/// is the point of shipping it.
-#[derive(Clone)]
-pub struct DropDataset {
-    base: DelayDataset,
-    /// Raw retransmit count per window.
-    counts: Vec<f32>,
-    /// Target statistics frozen on the training split.
-    target_mean: f32,
-    target_std: f32,
-}
-
-impl DropDataset {
-    /// Build train/test drop-count datasets over already-built delay
-    /// windows (target statistics fitted on the training windows only).
-    pub fn build(train: &DelayDataset, test: &DelayDataset) -> (DropDataset, DropDataset) {
-        let counts = |ds: &DelayDataset| -> Vec<f32> {
-            (0..DelayDataset::len(ds))
-                .map(|i| ds.window_packets(i).iter().filter(|p| p.retransmit).count() as f32)
-                .collect()
-        };
-        let train_counts = counts(train);
-        let n = train_counts.len().max(1) as f32;
-        let mean = train_counts.iter().sum::<f32>() / n;
-        let var = train_counts
-            .iter()
-            .map(|c| (c - mean) * (c - mean))
-            .sum::<f32>()
-            / n;
-        let std = if var.sqrt() < 1e-6 { 1.0 } else { var.sqrt() };
-        let mk = |base: &DelayDataset, counts: Vec<f32>| DropDataset {
-            base: base.clone(),
-            counts,
-            target_mean: mean,
-            target_std: std,
-        };
-        let test_counts = counts(test);
-        (mk(train, train_counts), mk(test, test_counts))
-    }
-
-    /// Convenience: build straight from preprocessed traces.
-    pub fn from_traces(data: Arc<TraceData>, cfg: DatasetConfig) -> (DropDataset, DropDataset) {
-        let (train, test) = DelayDataset::build(data, cfg, None);
-        Self::build(&train, &test)
-    }
-
-    /// Raw (unnormalized) retransmit count of window `i`.
-    pub fn count_raw(&self, i: usize) -> f32 {
-        self.counts[i]
-    }
-
-    /// Mean raw count of the *training* split (frozen at build time) —
-    /// what the naive predict-the-mean baseline legitimately knows.
-    pub fn target_mean(&self) -> f32 {
-        self.target_mean
-    }
-}
-
-impl TaskDataset for DropDataset {
-    fn label(&self) -> &'static str {
-        "drop"
-    }
-
-    fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    fn target_std(&self) -> f32 {
-        self.target_std
-    }
-
-    fn batch_xy(&self, idx: &[usize]) -> (Tensor, Option<Tensor>, Tensor) {
-        let (x, _) = self.base.batch(idx);
-        let y: Vec<f32> = idx
-            .iter()
-            .map(|&i| (self.counts[i] - self.target_mean) / self.target_std)
-            .collect();
-        let b = idx.len();
-        (x, None, Tensor::from_vec(y, &[b, 1]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::{DatasetConfig, TraceData};
     use ntt_sim::scenarios::{run, Scenario, ScenarioConfig};
 
     fn windows() -> (DelayDataset, DelayDataset) {
@@ -192,38 +103,5 @@ mod tests {
         assert_eq!(TaskDataset::label(&train), "delay");
         assert_eq!(TaskDataset::len(&train), train.len());
         assert_eq!(TaskDataset::target_std(&train), train.delay_std());
-    }
-
-    #[test]
-    fn drop_dataset_targets_are_standardized_window_counts() {
-        let (train, test) = windows();
-        let (dtrain, dtest) = DropDataset::build(&train, &test);
-        assert_eq!(TaskDataset::len(&dtrain), train.len());
-        assert_eq!(TaskDataset::len(&dtest), test.len());
-        // Targets invert back to the raw counts.
-        let (x, aux, y) = dtrain.batch_xy(&[0, 1, 2]);
-        assert_eq!(x.shape()[0], 3);
-        assert!(aux.is_none());
-        for (b, &i) in [0usize, 1, 2].iter().enumerate() {
-            let raw = y.at(&[b, 0]) * dtrain.target_std() + dtrain.target_mean;
-            assert!((raw - dtrain.count_raw(i)).abs() < 1e-4);
-        }
-        // Test split reuses training statistics (no leakage).
-        assert_eq!(dtrain.target_mean, dtest.target_mean);
-        assert_eq!(dtrain.target_std(), dtest.target_std());
-    }
-
-    #[test]
-    fn drop_counts_match_window_packets() {
-        let (train, test) = windows();
-        let (dtrain, _) = DropDataset::build(&train, &test);
-        for i in (0..train.len()).step_by(17) {
-            let manual = train
-                .window_packets(i)
-                .iter()
-                .filter(|p| p.retransmit)
-                .count() as f32;
-            assert_eq!(dtrain.count_raw(i), manual);
-        }
     }
 }

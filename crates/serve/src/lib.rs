@@ -81,7 +81,7 @@ pub use session::{DelayPrediction, InferenceSession, SessionConfig};
 #[cfg(test)]
 pub(crate) mod test_util {
     use crate::engine::InferenceEngine;
-    use ntt_core::{Aggregation, Checkpoint, DelayHead, DropHead, MctHead, Ntt, NttConfig};
+    use ntt_core::{Aggregation, Checkpoint, DelayHead, MctHead, Ntt, NttConfig};
     use ntt_data::{Normalizer, PacketView, NUM_FEATURES};
     use ntt_nn::Head;
     use ntt_tensor::splitmix64;
@@ -99,13 +99,12 @@ pub(crate) mod test_util {
         }
     }
 
-    /// A small engine with all three heads and identity normalization.
+    /// A small engine with both heads and identity normalization.
     pub fn tiny_engine() -> InferenceEngine {
         let cfg = tiny_cfg();
         let heads: Vec<Box<dyn Head>> = vec![
             Box::new(DelayHead::new(cfg.d_model, 1)),
             Box::new(MctHead::new(cfg.d_model, 2)),
-            Box::new(DropHead::new(cfg.d_model, 3)),
         ];
         InferenceEngine::from_parts(Ntt::new(cfg), heads, Normalizer::identity(NUM_FEATURES))
     }

@@ -5,12 +5,13 @@
 //! pipeline trains and evaluates the pair — zero changes to any core
 //! crate, ~40 lines of task-specific code.
 //!
-//! (The built-in drop-count task, `finetune_drop`, was added the same
-//! way; this example proves the extension point works from outside.)
+//! The built-in delay and MCT tasks are the same two impls inside
+//! `ntt-core`; this example proves the extension point works from
+//! outside.
 //!
 //! Run: `cargo run --release --example custom_task`
 
-use ntt::core::{Aggregation, Experiment, FinetuneOpts, NttConfig, TrainConfig, TrainMode};
+use ntt::core::{Aggregation, Experiment, NttConfig, TrainConfig, TrainMode};
 use ntt::data::{DelayDataset, TaskDataset};
 use ntt::fleet::SweepSpec;
 use ntt::nn::{Head, Mlp, Module};
@@ -131,15 +132,6 @@ fn main() {
         report.steps, report.wall, eval.mse_norm, eval.mse_raw
     );
 
-    // The built-in third task rides the same machinery.
-    let drop = pre.finetune_drop(
-        &SweepSpec::single(Scenario::Case1, ScenarioConfig::tiny(63), 1),
-        &FinetuneOpts::decoder_only(),
-    );
-    println!(
-        "built-in drop-count task: test MSE {:.4} vs predict-the-mean {:.4} (raw counts^2)",
-        drop.eval.mse_raw, drop.baselines[0].1
-    );
     println!(
         "\na new task = one Head impl + one TaskDataset impl; the trainer, checkpoints, \
          and pipeline never changed"

@@ -121,6 +121,6 @@ fn main() {
     println!(
         "\nthe 2% lossy hop caused {rtx} retransmissions — delays and losses like these are exactly \
          the dynamics the NTT learns from traces (each delivered retransmission is flagged in the \
-         trace, which is what the drop-count task — `finetune_drop` — regresses per window)"
+         trace)"
     );
 }

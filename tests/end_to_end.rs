@@ -162,10 +162,10 @@ fn all_three_aggregation_variants_train() {
 }
 
 #[test]
-fn experiment_covers_all_three_tasks_end_to_end() {
-    // One pipeline object, three task heads: delay (pre-training),
-    // MCT (new task), drop-count (telemetry) — all through the same
-    // generic engine, sharing one normalizer.
+fn experiment_covers_both_tasks_end_to_end() {
+    // One pipeline object, both task heads: delay (pre-training) and
+    // MCT (new task) — through the same generic engine, sharing one
+    // normalizer.
     use ntt::core::{Experiment, FinetuneOpts};
 
     let traces = run_many_parallel(Scenario::Case1, &ScenarioConfig::tiny(105), 2, 0);
@@ -176,23 +176,18 @@ fn experiment_covers_all_three_tasks_end_to_end() {
     let pre = exp.pretrain_on(Arc::clone(&data), "e2e case1 x2".into(), None);
     assert!(pre.eval.unwrap().mse_norm.is_finite());
 
+    // Decoder-only MCT fine-tuning must leave the shared trunk
+    // untouched (it trains a weight clone).
+    let trunk_before: Vec<_> = pre.model.params().iter().map(|p| p.value()).collect();
     let mct = pre.finetune_mct_on(Arc::clone(&data), &FinetuneOpts::decoder_only());
     assert_eq!(mct.task, "mct");
+    assert_eq!(mct.head.kind(), "mct");
     assert!(mct.eval.mse_norm.is_finite());
     assert_eq!(
         mct.baselines.len(),
         2,
         "MCT ships with both naive baselines"
     );
-
-    // Drop-count fine-tuning must leave the shared trunk untouched
-    // (decoder-only on a weight clone).
-    let trunk_before: Vec<_> = pre.model.params().iter().map(|p| p.value()).collect();
-    let spec = ntt::fleet::SweepSpec::single(Scenario::Case1, ScenarioConfig::tiny(106), 1);
-    let drop = pre.finetune_drop(&spec, &FinetuneOpts::decoder_only());
-    assert_eq!(drop.task, "drop");
-    assert_eq!(drop.head.kind(), "drop");
-    assert!(drop.eval.mse_norm.is_finite());
     for (p, b) in pre.model.params().iter().zip(trunk_before) {
         assert_eq!(p.value(), b, "shared trunk moved: {}", p.name());
     }

@@ -10,8 +10,7 @@
 //! `Ntt::forward` on either tape kind to the bit.
 
 use ntt::core::{
-    evaluate, Aggregation, DelayHead, DropHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy,
-    Task,
+    evaluate, Aggregation, DelayHead, HeadTask, MctHead, Ntt, NttConfig, ParStrategy, Task,
 };
 use ntt::data::{BatchIter, DatasetConfig, DelayDataset, TraceData, NUM_FEATURES};
 use ntt::nn::Head;
@@ -39,7 +38,6 @@ fn inference_forward_is_deterministic_and_close_to_recording() {
     let heads: Vec<Box<dyn Head>> = vec![
         Box::new(DelayHead::new(16, 1)),
         Box::new(MctHead::new(16, 2)),
-        Box::new(DropHead::new(16, 3)),
     ];
     let x = Tensor::randn(&[3, ntt.cfg.seq_len(), NUM_FEATURES], 9);
     let aux = Tensor::randn(&[3, 1], 10);
