@@ -9,14 +9,16 @@
 //! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on a square
 //!    reference point and the products a paper-shape training
 //!    microbatch runs most: the encoder linears over 8 · 48 slot rows
-//!    (Q/K/V/O 64 → 64, `ff1` 64 → 128, `ff2` 128 → 64) and one
-//!    attention block's scores (`nt`, 48 × 16 × 48) and context (`nn`,
-//!    48 × 48 × 16). The run *asserts* that the tiled `nn` kernel beats
+//!    (Q/K/V/O 64 → 64, `ff1` 64 → 128, `ff2` 128 → 64). Attention
+//!    no longer runs through the GEMM engine (item 2). The run
+//!    *asserts* that the tiled `nn` kernel beats
 //!    [`NAIVE_FLOOR_GFLOPS`] on the square shape, a committed floor
 //!    above anything the naive kernel reaches on supported hardware —
 //!    CI fails if the kernel layer regresses to naive-level throughput.
-//! 2. **Softmax**, one 48 × 48 attention block: the row-grouped
-//!    `scaled_softmax_fwd` against the row-serial reference.
+//! 2. **Attention block**, one 48-slot head (`dh` 16): the block kernel
+//!    (`attn_fused_fwd` keeping its weights, then `attn_fused_bwd`)
+//!    against `reference::attention`, which computes the same five
+//!    outputs to the same bits; the forward alone is recorded too.
 //! 3. **Paper-scale `train_steps_per_sec`** (single-threaded),
 //!    compared against [`BASELINE_STEPS_PER_SEC`] — the number the
 //!    since-retired `train_scaling` bench measured on this container
@@ -82,17 +84,13 @@ fn bench_gemms() -> Vec<GemmRow> {
     type Pair = (Kernel, Kernel);
     // (label, tiled, naive, m, k, n): the square 256³ floor case first,
     // then the encoder linears of a microbatch of eight paper-shape
-    // windows (8 · 48 = 384 rows) and one attention block's products
-    // (48 slots, 16 per head).
+    // windows (8 · 48 = 384 rows).
     let nn: Pair = (kernels::gemm_nn, reference::gemm_nn);
-    let nt: Pair = (kernels::gemm_nt, reference::gemm_nt);
-    let cases: [(&'static str, Pair, usize, usize, usize); 6] = [
+    let cases: [(&'static str, Pair, usize, usize, usize); 4] = [
         ("nn_256x256x256", nn, 256, 256, 256),
         ("nn_qkvo", nn, 384, 64, 64),
         ("nn_ff1", nn, 384, 64, 128),
         ("nn_ff2", nn, 384, 128, 64),
-        ("nt_attn_scores", nt, 48, 16, 48),
-        ("nn_attn_context", nn, 48, 48, 16),
     ];
     cases
         .iter()
@@ -119,18 +117,29 @@ fn bench_gemms() -> Vec<GemmRow> {
         .collect()
 }
 
-/// Microseconds per 48 × 48 softmax block: (row-grouped kernel,
-/// row-serial reference).
-fn bench_softmax() -> (f64, f64) {
-    let x = Tensor::randn(&[48 * 48], 3).into_data();
-    let mut y = vec![0.0f32; x.len()];
-    let grouped = time_call(|| kernels::scaled_softmax_fwd(&x, 0.25, 48, &mut y)) * 1e6;
-    let serial = time_call(|| reference::scaled_softmax_fwd(&x, 0.25, 48, &mut y)) * 1e6;
+/// Microseconds per 48-slot attention head (`dh` 16): (kernel forward,
+/// kernel forward + backward, reference forward + backward).
+fn bench_attention() -> (f64, f64, f64) {
+    let (t, dh) = (48, 16);
+    let [q, k, v, g] = [3, 4, 5, 6].map(|seed| Tensor::randn(&[t * dh], seed).into_data());
+    let (mut ctx, mut w) = (vec![0.0f32; t * dh], vec![0.0f32; t * t]);
+    let mut grads = [(); 3].map(|_| vec![0.0f32; t * dh]);
+    let scale = 0.25;
+    let fwd = time_call(|| kernels::attn_fused_fwd(&q, &k, &v, scale, &mut ctx, None, 1, t, 1, dh));
+    let both = time_call(|| {
+        kernels::attn_fused_fwd(&q, &k, &v, scale, &mut ctx, Some(&mut w), 1, t, 1, dh);
+        let [gq, gk, gv] = &mut grads;
+        kernels::attn_fused_bwd(&q, &k, &v, &g, &w, scale, gq, gk, gv, 1, t, 1, dh);
+    });
+    let reference = time_call(|| {
+        std::hint::black_box(reference::attention([&q, &k, &v, &g], scale, [1, t, 1, dh]));
+    });
+    let [fwd, both, reference] = [fwd, both, reference].map(|s| s * 1e6);
     eprintln!(
-        "  softmax 48x48: row-grouped {grouped:.2} us, row-serial {serial:.2} us ({:.1}x)",
-        serial / grouped
+        "  attention 48x16 block: forward {fwd:.2} us, forward+backward {both:.2} us, reference {reference:.2} us ({:.1}x)",
+        reference / both
     );
-    (grouped, serial)
+    (fwd, both, reference)
 }
 
 fn paper_model() -> NttConfig {
@@ -173,9 +182,9 @@ fn train_run(threads: usize, steps: usize) -> (f64, Vec<f64>) {
 
 fn main() {
     let arm = kernels::microkernel_arm();
-    eprintln!("kernels: tiled GEMM ({arm} microkernel) vs naive reference, softmax, then paper-scale train steps/s");
+    eprintln!("kernels: tiled GEMM ({arm} microkernel) vs naive reference, attention block, then paper-scale train steps/s");
     let gemms = bench_gemms();
-    let (softmax_us, softmax_serial_us) = bench_softmax();
+    let (attn_fwd_us, attn_us, attn_reference_us) = bench_attention();
 
     let floor_case = &gemms[0];
     assert!(
@@ -230,8 +239,8 @@ fn main() {
     let _ = writeln!(json, "  \"naive_floor_gflops\": {NAIVE_FLOOR_GFLOPS},");
     let _ = writeln!(
         json,
-        "  \"softmax_48x48\": {{\"row_grouped_us\": {softmax_us:.3}, \"row_serial_us\": {softmax_serial_us:.3}, \"speedup\": {:.3}}},",
-        softmax_serial_us / softmax_us
+        "  \"attention_block_48x16\": {{\"kernel_fwd_us\": {attn_fwd_us:.3}, \"kernel_fwd_bwd_us\": {attn_us:.3}, \"reference_fwd_bwd_us\": {attn_reference_us:.3}, \"speedup\": {:.3}}},",
+        attn_reference_us / attn_us
     );
     let _ = writeln!(json, "  \"train\": {{");
     let _ = writeln!(json, "    \"model\": \"paper\",");

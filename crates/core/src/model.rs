@@ -195,8 +195,8 @@ fn fold<'t>(tape: &'t Tape, inner: (Var<'t>, Var<'t>), outer: &Linear) -> (Var<'
 
 /// The front end's one zone loop, `[B, seq_len, NUM_FEATURES] ->
 /// [B, 48, d_model]`, over `maps` (`(weight, bias)` per zone, oldest
-/// first): per zone, slice → reshape to one row per slot → one product
-/// plus bias; then concat. A zone that is the whole window is not
+/// first): per zone, slice → reshape to one row per slot → one affine
+/// map ([`Var::linear`]); then concat. A zone that is the whole window is not
 /// sliced, one packet per slot is not reshaped.
 fn zone_slots<'t>(aggregation: Aggregation, x: Var<'t>, maps: &[(Var<'t>, Var<'t>)]) -> Var<'t> {
     let b = check_windows(x, aggregation);
@@ -213,7 +213,7 @@ fn zone_slots<'t>(aggregation: Aggregation, x: Var<'t>, maps: &[(Var<'t>, Var<'t
             if pkts > 1 {
                 rows = rows.reshape(&[b, slots, pkts * NUM_FEATURES]);
             }
-            rows.matmul(weight).add(bias)
+            rows.linear(weight, bias)
         })
         .collect();
     let slots = match slots[..] {
@@ -622,6 +622,61 @@ mod tests {
         );
         // Sanity: the run did retire slot-sized buffers.
         assert!(lens.contains(&(b * OUT_SLOTS * d)), "{lens:?}");
+    }
+
+    /// Arena buffers of length `len` that a recording step of `ntt` +
+    /// `head` on `x` leaves after a reset: `[forward only, forward and
+    /// backward]`. The difference is what the backward drew.
+    fn retired_of_len(ntt: &Ntt, head: &DelayHead, x: &Tensor, len: usize) -> [usize; 2] {
+        let run = |backward: bool| {
+            let mut tape = Tape::new();
+            let pred = head.forward(&tape, ntt.forward(&tape, tape.input(x.clone())));
+            if backward {
+                tape.backward_params(pred.mse_loss(&Tensor::zeros(&[x.shape()[0], 1])));
+            }
+            tape.reset(0);
+            let buckets = tape.arena_bucket_lens();
+            buckets
+                .iter()
+                .find(|&&(l, _)| l == len)
+                .map_or(0, |&(_, n)| n)
+        };
+        [run(false), run(true)]
+    }
+
+    #[test]
+    fn backward_draws_one_agg1_gradient_and_none_for_a_frozen_trunk() {
+        // Block 5 at d_model 16 makes agg1's weight (80 × 16) and the
+        // [3, 48, 16] activations lengths no other buffer has.
+        let agg = Aggregation::MultiScale { block: 5 };
+        let (b, d) = (3, 16);
+        let ntt = biased(agg);
+        let head = DelayHead::new(d, 1);
+        let x = Tensor::randn(&[b, agg.seq_len(), NUM_FEATURES], 17);
+        // The fold slices agg1's weight once per block: the first slice
+        // draws its gradient, the rest add into it, and the reshape back
+        // to the parameter hands the same buffer on.
+        let agg1 = ntt.agg1.as_ref().unwrap().weight.numel();
+        let [fwd, step] = retired_of_len(&ntt, &head, &x, agg1);
+        assert!(
+            step <= fwd + 1,
+            "backward drew {} agg1-sized buffers",
+            step - fwd
+        );
+        // Decoder-only: nothing behind the frozen trunk needs a gradient,
+        // so the backward draws no activation-sized buffer at all.
+        for p in ntt.params() {
+            p.set_trainable(false);
+        }
+        let [fwd, step] = retired_of_len(&ntt, &head, &x, b * OUT_SLOTS * d);
+        assert!(fwd > 0, "the forward retires slot-sized buffers");
+        assert_eq!(
+            step, fwd,
+            "a frozen trunk's backward drew activation-sized buffers"
+        );
+        // Nor does its forward keep attention weights for a backward.
+        let weights = b * ntt.cfg.n_heads * OUT_SLOTS * OUT_SLOTS;
+        assert_eq!(retired_of_len(&ntt, &head, &x, weights), [0, 0]);
     }
 
     #[test]

@@ -41,9 +41,9 @@ impl Linear {
         self.out_features
     }
 
-    /// Apply the layer on the tape. The weight broadcasts over every
-    /// leading axis of `x` directly (one fused flat GEMM inside
-    /// `matmul`), so no reshape copies are materialized on either side.
+    /// Apply the layer on the tape: one [`Var::linear`], a flat GEMM
+    /// over every leading axis of `x` that adds the bias in its last
+    /// store, so no reshape copy and no separate bias pass exist.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
         let shape = x.shape();
         let d = *shape.last().expect("linear input must have rank >= 1");
@@ -54,7 +54,7 @@ impl Linear {
         );
         let w = tape.param(&self.weight);
         let b = tape.param(&self.bias);
-        x.matmul(w).add(b)
+        x.linear(w, b)
     }
 }
 

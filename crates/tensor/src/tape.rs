@@ -43,6 +43,17 @@
 //! serving loop that resets one inference tape per request reuses the
 //! same memory request after request.
 //!
+//! # Gradients only where they can reach a parameter
+//!
+//! Each node records, when it is pushed, whether it needs a gradient: a
+//! trainable parameter does, a constant or frozen parameter does not,
+//! and an op does iff one of its inputs does. On a recording tape an op
+//! none of whose inputs needs a gradient keeps no backward-only tensors
+//! and records a leaf, and [`Tape::backward_params`] computes nothing
+//! for nodes that need no gradient. A frozen trunk under a trained head
+//! is therefore run like an inference forward, and only the head is
+//! differentiated. Trainable gradients keep their bits.
+//!
 //! Every op runs the identical kernel sequence on both tape kinds, so
 //! an inference forward is bit-for-bit the recording forward of the
 //! same graph, and bit-identical across thread counts, batch
@@ -205,10 +216,16 @@ enum Op {
     Add(usize, usize, Broadcast),
     Scale(usize, f32),
     MatMul(usize, usize),
+    /// `x · W + b` over the last axis of `x` (`W` `[K, N]`, `b` `[N]`).
+    Linear {
+        x: usize,
+        w: usize,
+        b: usize,
+    },
     Gelu(usize),
     /// Attention `softmax(scale·Q·Kᵀ)·V` per head, `[B, T, H, dh]` in
-    /// and out. `weights` saves the `[B, H, T, T]` softmax weights for
-    /// the backward.
+    /// and out. `weights` saves the key-major `[B, H, T, T]` softmax
+    /// weights for the backward.
     AttnFused {
         q: usize,
         k: usize,
@@ -249,9 +266,31 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Whether any node this op reads satisfies `f`.
+    fn reads_any(&self, f: impl Fn(usize) -> bool) -> bool {
+        match *self {
+            Op::Leaf | Op::ParamLeaf(_) => false,
+            Op::Add(a, b, _) | Op::MatMul(a, b) | Op::ConcatLast(a, b) => f(a) || f(b),
+            Op::Linear { x, w, b } => f(x) || f(w) || f(b),
+            Op::AttnFused { q, k, v, .. } => f(q) || f(k) || f(v),
+            Op::LayerNorm { x, gamma, beta, .. } => f(x) || f(gamma) || f(beta),
+            Op::Scale(a, _) | Op::Gelu(a) | Op::Reshape(a) | Op::MeanAxis1(a) => f(a),
+            Op::SliceAxis1 { x, .. } | Op::SelectAxis1 { x, .. } => f(x),
+            Op::MseLoss { pred, .. } => f(pred),
+            Op::ConcatAxis1(ref parts) => parts.iter().any(|&p| f(p)),
+        }
+    }
+}
+
 struct Node {
     op: Op,
     value: Tensor,
+    /// Whether a gradient can reach a trainable parameter through this
+    /// node, decided at record time: a trainable `ParamLeaf`, or any op
+    /// with such an input. The backward walk computes and propagates
+    /// gradients only into nodes that need one.
+    needs_grad: bool,
 }
 
 /// Arena of recorded operations for one forward pass.
@@ -508,6 +547,18 @@ impl Tape {
         self.scratch.put(t.into_data());
     }
 
+    /// Pooled column sums of `g` as rows of width `n`, each column
+    /// folded from `0.0` in ascending row order (a bias gradient).
+    fn column_sums(&self, g: &Tensor, n: usize) -> Vec<f32> {
+        let mut acc = self.alloc_zeroed(n);
+        for chunk in g.data().chunks(n.max(1)) {
+            for (a, &x) in acc.iter_mut().zip(chunk) {
+                *a += x;
+            }
+        }
+        acc
+    }
+
     /// Pooled copy of a tensor (optionally under a new shape).
     fn t_copy(&self, src: &Tensor, shape: &[usize]) -> Tensor {
         Tensor::from_vec(self.scratch.take_copy(src.data()), shape)
@@ -541,11 +592,27 @@ impl Tape {
     fn push(&self, op: Op, value: Tensor) -> Var<'_> {
         let op = if self.grad { op } else { self.strip(op) };
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node { op, value });
+        let needs_grad = match &op {
+            Op::ParamLeaf(p) => p.is_trainable(),
+            op => op.reads_any(|i| nodes[i].needs_grad),
+        };
+        nodes.push(Node {
+            op,
+            value,
+            needs_grad,
+        });
         Var {
             tape: self,
             id: nodes.len() - 1,
         }
+    }
+
+    /// Whether an op reading `inputs` keeps its backward-only tensors: on
+    /// a recording tape, when some input needs a gradient. Otherwise the
+    /// op records a leaf, as on an inference tape.
+    fn keeps_for(&self, inputs: &[usize]) -> bool {
+        let nodes = self.nodes.borrow();
+        self.grad && inputs.iter().any(|&i| nodes[i].needs_grad)
     }
 
     /// Inference-mode degradation: the node keeps its value (later ops
@@ -588,10 +655,11 @@ impl Tape {
         self.push(Op::Leaf, staged)
     }
 
-    /// Record a trainable parameter. The tape's node holds a pooled
-    /// *copy* of the value (one memcpy; the buffer comes back from the
-    /// arena after a reset), so concurrent forward passes never contend
-    /// on the parameter lock beyond this read.
+    /// Record a parameter; it needs a gradient iff it is trainable now.
+    /// The tape's node holds a pooled *copy* of the value (one memcpy;
+    /// the buffer comes back from the arena after a reset), so
+    /// concurrent forward passes never contend on the parameter lock
+    /// beyond this read.
     pub fn param(&self, p: &Param) -> Var<'_> {
         let value = p.with_value(|t| self.t_copy(t, t.shape()));
         self.push(Op::ParamLeaf(p.clone()), value)
@@ -604,7 +672,10 @@ impl Tape {
     /// microbatch produces one bundle, and the coordinator reduces them
     /// in shard-index order. Each node's gradient is retired into the
     /// scratch arena as soon as the node is processed, so the walk mostly
-    /// reuses its own memory.
+    /// reuses its own memory. Only nodes that need a gradient get one
+    /// (see `Node::needs_grad`): a parameter's trainability is read when
+    /// [`Tape::param`] records it, and nothing upstream of frozen
+    /// parameters and constants alone is differentiated.
     pub fn backward_params(&self, loss: Var<'_>) -> ParamGrads {
         assert!(
             self.grad,
@@ -613,7 +684,9 @@ impl Tape {
         );
         let nodes = self.nodes.borrow();
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
+        if nodes[loss.id].needs_grad {
+            grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
+        }
         let mut collected = ParamGrads {
             entries: Vec::new(),
         };
@@ -622,53 +695,77 @@ impl Tape {
         let mut slot_of: BTreeMap<usize, usize> = BTreeMap::new();
 
         for id in (0..=loss.id).rev() {
+            // Only nodes that need a gradient ever receive one.
             let Some(g) = grads[id].take() else { continue };
             match &nodes[id].op {
-                Op::ParamLeaf(p) if p.is_trainable() => match slot_of.get(&p.key()) {
-                    Some(&i) => collected.entries[i].1.add_assign(&g),
-                    None => {
-                        slot_of.insert(p.key(), collected.entries.len());
-                        collected.entries.push((p.clone(), g.clone()));
+                Op::ParamLeaf(p) => {
+                    match slot_of.get(&p.key()) {
+                        Some(&i) => collected.entries[i].1.add_assign(&g),
+                        None => {
+                            slot_of.insert(p.key(), collected.entries.len());
+                            collected.entries.push((p.clone(), g.clone()));
+                        }
                     }
-                },
-                _ => self.step_backward(&nodes, &mut grads, id, &g),
+                    self.recycle(g);
+                }
+                _ => self.step_backward(&nodes, &mut grads, id, g),
             }
-            self.recycle(g);
         }
         collected
     }
 
-    /// Propagate node `id`'s gradient `g` to its inputs' slots in
-    /// `grads`. Parameter leaves are collected by the caller.
-    fn step_backward(&self, nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tensor) {
-        // Accumulate `inc` into a node's gradient slot; when the slot is
-        // already live the increment's buffer is retired to the arena.
-        let add_grad = |grads: &mut [Option<Tensor>], to: usize, inc: Tensor| match &mut grads[to] {
+    /// Propagate node `id`'s gradient `g` to the slots in `grads` of
+    /// those inputs that need one, and retire `g`. Parameter leaves are
+    /// collected by the caller.
+    fn step_backward(&self, nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: Tensor) {
+        if let Op::Reshape(a) = nodes[id].op {
+            // A reshape hands its buffer on under the input's shape.
+            let ashape = nodes[a].value.shape().to_vec();
+            return self.add_grad(nodes, grads, a, Tensor::from_vec(g.into_data(), &ashape));
+        }
+        self.propagate(nodes, grads, id, &g);
+        self.recycle(g);
+    }
+
+    /// Accumulate `inc` into node `to`'s gradient slot. The increment's
+    /// buffer is retired to the arena when the slot is already live, or
+    /// when `to` needs no gradient.
+    fn add_grad(&self, nodes: &[Node], grads: &mut [Option<Tensor>], to: usize, inc: Tensor) {
+        match &mut grads[to] {
+            _ if !nodes[to].needs_grad => self.recycle(inc),
             Some(acc) => {
                 acc.add_assign(&inc);
                 self.recycle(inc);
             }
             slot @ None => *slot = Some(inc),
+        }
+    }
+
+    /// The backward rule of every op but `Reshape`: each input
+    /// gradient that some input needs is computed and accumulated, and
+    /// nothing is computed for an input that needs none. A single-input
+    /// op needs a gradient exactly when its input does.
+    fn propagate(&self, nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tensor) {
+        let needs = |i: usize| nodes[i].needs_grad;
+        let add_grad = |grads: &mut [Option<Tensor>], to: usize, inc: Tensor| {
+            self.add_grad(nodes, grads, to, inc)
         };
         match &nodes[id].op {
-            Op::Leaf | Op::ParamLeaf(_) => {}
+            Op::Leaf | Op::ParamLeaf(_) | Op::Reshape(_) => {}
             Op::Add(a, b, bc) => {
-                add_grad(grads, *a, self.t_copy(g, g.shape()));
-                let gb = match bc {
-                    Broadcast::Same => self.t_copy(g, g.shape()),
-                    Broadcast::Leading | Broadcast::Inner => {
-                        let bshape = nodes[*b].value.shape().to_vec();
-                        let bn = shape::numel(&bshape);
-                        let mut acc = self.alloc_zeroed(bn);
-                        for chunk in g.data().chunks(bn) {
-                            for (a, &x) in acc.iter_mut().zip(chunk.iter()) {
-                                *a += x;
-                            }
+                if needs(*a) {
+                    add_grad(grads, *a, self.t_copy(g, g.shape()));
+                }
+                if needs(*b) {
+                    let gb = match bc {
+                        Broadcast::Same => self.t_copy(g, g.shape()),
+                        Broadcast::Leading | Broadcast::Inner => {
+                            let bshape = nodes[*b].value.shape();
+                            Tensor::from_vec(self.column_sums(g, shape::numel(bshape)), bshape)
                         }
-                        Tensor::from_vec(acc, &bshape)
-                    }
-                };
-                add_grad(grads, *b, gb);
+                    };
+                    add_grad(grads, *b, gb);
+                }
             }
             Op::Scale(a, c) => {
                 let c = *c;
@@ -679,26 +776,72 @@ impl Tape {
                 let vb = &nodes[*b].value;
                 let (batch, m, k) = shape::as_batched_matrix(va.shape());
                 let n = *vb.shape().last().unwrap();
-                // dA = G · Bᵀ ; dB = Aᵀ · G.
-                let mut ga = self.alloc_zeroed(va.numel());
-                let mut gb = self.alloc_zeroed(vb.numel());
-                if vb.rank() == 2 {
-                    // Broadcast right operand: both gradients are single
-                    // flat GEMMs over the merged leading axes (dB sums
-                    // the batch contributions in ascending row order).
-                    kernels::gemm_nt(g.data(), vb.data(), &mut ga, batch * m, n, k);
-                    kernels::gemm_tn(va.data(), g.data(), &mut gb, k, batch * m, n);
-                } else {
-                    for bi in 0..batch {
-                        let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
-                        let asl = &va.data()[bi * m * k..(bi + 1) * m * k];
-                        let bsl = &vb.data()[bi * k * n..(bi + 1) * k * n];
-                        kernels::gemm_nt(gs, bsl, &mut ga[bi * m * k..(bi + 1) * m * k], m, n, k);
-                        kernels::gemm_tn(asl, gs, &mut gb[bi * k * n..(bi + 1) * k * n], k, m, n);
+                // dA = G · Bᵀ ; dB = Aᵀ · G, each only if needed.
+                if needs(*a) {
+                    let mut ga = self.alloc_zeroed(va.numel());
+                    if vb.rank() == 2 {
+                        // Broadcast right operand: one flat GEMM over the
+                        // merged leading axes.
+                        kernels::gemm_nt(g.data(), vb.data(), &mut ga, batch * m, n, k);
+                    } else {
+                        for bi in 0..batch {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let bsl = &vb.data()[bi * k * n..(bi + 1) * k * n];
+                            kernels::gemm_nt(
+                                gs,
+                                bsl,
+                                &mut ga[bi * m * k..(bi + 1) * m * k],
+                                m,
+                                n,
+                                k,
+                            );
+                        }
                     }
+                    add_grad(grads, *a, Tensor::from_vec(ga, va.shape()));
                 }
-                add_grad(grads, *a, Tensor::from_vec(ga, va.shape()));
-                add_grad(grads, *b, Tensor::from_vec(gb, vb.shape()));
+                if needs(*b) {
+                    let mut gb = self.alloc_zeroed(vb.numel());
+                    if vb.rank() == 2 {
+                        // dB sums the batch contributions in ascending
+                        // row order, in one flat GEMM.
+                        kernels::gemm_tn(va.data(), g.data(), &mut gb, k, batch * m, n);
+                    } else {
+                        for bi in 0..batch {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let asl = &va.data()[bi * m * k..(bi + 1) * m * k];
+                            kernels::gemm_tn(
+                                asl,
+                                gs,
+                                &mut gb[bi * k * n..(bi + 1) * k * n],
+                                k,
+                                m,
+                                n,
+                            );
+                        }
+                    }
+                    add_grad(grads, *b, Tensor::from_vec(gb, vb.shape()));
+                }
+            }
+            Op::Linear { x, w, b } => {
+                let (vx, vw) = (&nodes[*x].value, &nodes[*w].value);
+                let (k, n) = (vw.shape()[0], vw.shape()[1]);
+                let rows = shape::numel(&vx.shape()[..vx.rank() - 1]);
+                // `matmul` then `add`'s backward, in its order: the bias
+                // first, as the column sums of G; then dX = G · Wᵀ and
+                // dW = Xᵀ · G, dW summing rows in ascending order.
+                if needs(*b) {
+                    add_grad(grads, *b, Tensor::from_vec(self.column_sums(g, n), &[n]));
+                }
+                if needs(*x) {
+                    let mut gx = self.alloc_zeroed(vx.numel());
+                    kernels::gemm_nt(g.data(), vw.data(), &mut gx, rows, n, k);
+                    add_grad(grads, *x, Tensor::from_vec(gx, vx.shape()));
+                }
+                if needs(*w) {
+                    let mut gw = self.alloc_zeroed(k * n);
+                    kernels::gemm_tn(vx.data(), g.data(), &mut gw, k, rows, n);
+                    add_grad(grads, *w, Tensor::from_vec(gw, vw.shape()));
+                }
             }
             Op::Gelu(a) => {
                 let va = &nodes[*a].value;
@@ -767,21 +910,30 @@ impl Tape {
                 add_grad(grads, *gamma, Tensor::from_vec(ggamma, &[d]));
                 add_grad(grads, *beta, Tensor::from_vec(gbeta, &[d]));
             }
-            Op::Reshape(a) => {
-                let ashape = nodes[*a].value.shape().to_vec();
-                add_grad(grads, *a, self.t_copy(g, &ashape));
-            }
             Op::SliceAxis1 { x, start } => {
-                let xs = nodes[*x].value.shape().to_vec();
+                let xs = nodes[*x].value.shape();
                 let (b, t, d) = (xs[0], xs[1], xs[2]);
                 let len = g.shape()[1];
-                let mut gx = self.alloc_zeroed(b * t * d);
-                for bi in 0..b {
-                    let dst = bi * t * d + start * d;
-                    let src = bi * len * d;
-                    gx[dst..dst + len * d].copy_from_slice(&g.data()[src..src + len * d]);
+                let rows = |bi: usize| (bi * t + start) * d..(bi * t + start + len) * d;
+                let src = |bi: usize| &g.data()[bi * len * d..(bi + 1) * len * d];
+                match &mut grads[*x] {
+                    // A live slot takes the rows into its sub-range: no
+                    // source-sized buffer per slice.
+                    Some(acc) => {
+                        for bi in 0..b {
+                            for (a, &v) in acc.data_mut()[rows(bi)].iter_mut().zip(src(bi)) {
+                                *a += v;
+                            }
+                        }
+                    }
+                    slot @ None => {
+                        let mut gx = self.alloc_zeroed(b * t * d);
+                        for bi in 0..b {
+                            gx[rows(bi)].copy_from_slice(src(bi));
+                        }
+                        *slot = Some(Tensor::from_vec(gx, xs));
+                    }
                 }
-                add_grad(grads, *x, Tensor::from_vec(gx, &xs));
             }
             Op::ConcatAxis1(parts) => {
                 let mut start = 0usize;
@@ -789,6 +941,10 @@ impl Tape {
                 let (b, d) = (nodes[id].value.shape()[0], nodes[id].value.shape()[2]);
                 for &p in parts {
                     let len = nodes[p].value.shape()[1];
+                    if !needs(p) {
+                        start += len;
+                        continue;
+                    }
                     let mut gp = self.alloc_overwrite(b * len * d);
                     for bi in 0..b {
                         let base = bi * out_t * d + start * d;
@@ -952,6 +1108,48 @@ impl<'t> Var<'t> {
             .push(Op::MatMul(self.id, rhs.id), Tensor::from_vec(out, &oshape))
     }
 
+    /// Affine map over the last axis: `self · w + b` for `w` `[K, N]`
+    /// and `b` `[N]`, `self` `[..., K]` of any rank ≥ 2 (leading axes
+    /// merge into one flat GEMM, as in [`Var::matmul`]'s broadcast case).
+    /// One GEMM pass adds the bias in its last depth block's store
+    /// ([`kernels::gemm_nn_bias`]), so value and gradients are bit-equal
+    /// to `self.matmul(w).add(b)` with one trip through the output.
+    pub fn linear(self, w: Var<'t>, b: Var<'t>) -> Var<'t> {
+        let (out, oshape) = {
+            let vx = self.tape.val(self.id);
+            let vw = self.tape.val(w.id);
+            let vb = self.tape.val(b.id);
+            let (_, _, k) = shape::as_batched_matrix(vx.shape());
+            assert_eq!(
+                vw.rank(),
+                2,
+                "linear weight must be [K, N], got {:?}",
+                vw.shape()
+            );
+            let (k2, n) = (vw.shape()[0], vw.shape()[1]);
+            assert_eq!(
+                k,
+                k2,
+                "linear inner dims: {:?} x {:?}",
+                vx.shape(),
+                vw.shape()
+            );
+            assert_eq!(vb.shape(), [n], "linear bias must be [N] = [{n}]");
+            let mut oshape = vx.shape().to_vec();
+            *oshape.last_mut().unwrap() = n;
+            let rows = shape::numel(&oshape[..oshape.len() - 1]);
+            let mut out = self.tape.alloc_zeroed(rows * n);
+            kernels::gemm_nn_bias(vx.data(), vw.data(), vb.data(), &mut out, rows, k, n);
+            (out, oshape)
+        };
+        let op = Op::Linear {
+            x: self.id,
+            w: w.id,
+            b: b.id,
+        };
+        self.tape.push(op, Tensor::from_vec(out, &oshape))
+    }
+
     /// GELU activation (tanh approximation, as in BERT/ViT).
     pub fn gelu(self) -> Var<'t> {
         let out = {
@@ -968,11 +1166,21 @@ impl<'t> Var<'t> {
     /// projection output — no transpose) and the result comes back in
     /// the same layout, so merging heads is a plain reshape.
     ///
-    /// One op on both tape kinds, computed block by block
-    /// ([`kernels::attn_fused_fwd`]): a recording tape keeps the
-    /// `[B, H, T, T]` softmax weights for the backward, an inference tape
-    /// keeps nothing `T²`-sized. The values are the same bits either way,
-    /// and across thread counts, batch compositions, and runs.
+    /// One op on both tape kinds, computed by one register kernel per
+    /// `(b, h)` block ([`kernels::attn_fused_fwd`]). The block's scores
+    /// are held transposed, one query per 16-wide lane, so the softmax
+    /// over keys folds down contiguous rows; the products are register
+    /// tiles that read K and V in place. Every element keeps the
+    /// operation order of the classic chain — products summed in
+    /// ascending depth from `0.0` (in `KC` blocks) and added to a zeroed
+    /// output, a multiply then an add, the softmax's max and sum folded
+    /// over keys in ascending order — so every CPU arm gives the bits of
+    /// `kernels::reference::attention`. A recording tape keeps the
+    /// softmax weights for the backward, key-major (`[B, H, T, T]`,
+    /// `[b, h, j, i]` = query `i`'s weight on key `j`); an inference
+    /// tape keeps nothing `T²`-sized. The values are the same bits
+    /// either way, and across thread counts, batch compositions, and
+    /// runs.
     pub fn attn_fused(self, k: Var<'t>, v: Var<'t>, scale: f32) -> Var<'t> {
         let (out, weights) = {
             let vq = self.tape.val(self.id);
@@ -998,7 +1206,7 @@ impl<'t> Var<'t> {
             let mut out = self.tape.alloc_overwrite(b * t * h * dh);
             let mut weights = self
                 .tape
-                .grad
+                .keeps_for(&[self.id, k.id, v.id])
                 .then(|| self.tape.alloc_overwrite(b * h * t * t));
             kernels::attn_fused_fwd(
                 vq.data(),
@@ -1034,9 +1242,9 @@ impl<'t> Var<'t> {
     pub fn layer_norm(self, gamma: Var<'t>, beta: Var<'t>, eps: f32) -> Var<'t> {
         // Both tape kinds run the same arithmetic per element (`xh *
         // gamma + beta` with the identical `xh` expression); `xhat` and
-        // `rstd`, which exist only for backward, are kept only by a
-        // recording tape.
-        let keep = self.tape.grad;
+        // `rstd`, which exist only for backward, are kept only when a
+        // backward can use them.
+        let keep = self.tape.keeps_for(&[self.id, gamma.id, beta.id]);
         let (out, saved, xshape) = {
             let x = self.tape.val(self.id);
             let d = *x.shape().last().expect("layer_norm requires rank >= 1");
@@ -1214,7 +1422,7 @@ impl<'t> Var<'t> {
                 .sum::<f64>()
                 / p.numel() as f64
         };
-        if !self.tape.grad {
+        if !self.tape.keeps_for(&[self.id]) {
             return self.tape.push(Op::Leaf, Tensor::scalar(loss as f32));
         }
         let saved = self.tape.t_copy(target, target.shape());
@@ -1309,6 +1517,80 @@ mod tests {
         let a = t.input(Tensor::ones(&[2, 3]));
         let b = t.input(Tensor::ones(&[4, 5]));
         a.matmul(b);
+    }
+
+    /// Value and `[dX, dW, db]` of `x·W + b` on a recording tape, by
+    /// [`Var::linear`] or by `matmul` then `add`, under an MSE loss.
+    fn affine_run(x: &Tensor, w: &Param, b: &Param, fused: bool) -> [Tensor; 4] {
+        let tape = Tape::new();
+        let px = Param::new("x", x.clone());
+        let (vx, vw, vb) = (tape.param(&px), tape.param(w), tape.param(b));
+        let y = if fused {
+            vx.linear(vw, vb)
+        } else {
+            vx.matmul(vw).add(vb)
+        };
+        let target = Tensor::randn(&y.shape(), 7);
+        let grads = tape.backward_params(y.mse_loss(&target));
+        let grad = |p: &Param| grads.get(p).unwrap().clone();
+        [y.value(), grad(&px), grad(w), grad(b)]
+    }
+
+    #[test]
+    fn linear_is_matmul_then_add_bit_for_bit() {
+        // Rank 2 and rank 3, and a depth past KC = 256, where the bias
+        // must land after the last depth block.
+        for (xshape, k, n) in [
+            (vec![5, 7], 7, 9),
+            (vec![2, 3, 4], 4, 6),
+            (vec![3, 300], 300, 17),
+        ] {
+            let x = Tensor::randn(&xshape, 1);
+            let w = Param::new("w", Tensor::randn(&[k, n], 2));
+            let b = Param::new("b", Tensor::randn(&[n], 3));
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let fused = affine_run(&x, &w, &b, true);
+            let composed = affine_run(&x, &w, &b, false);
+            for (part, (f, c)) in ["y", "dX", "dW", "db"]
+                .iter()
+                .zip(fused.iter().zip(&composed))
+            {
+                assert_eq!(f.shape(), c.shape(), "{part} shape, x {xshape:?}");
+                assert_eq!(bits(f), bits(c), "{part} bits, x {xshape:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_inputs_get_no_gradient_and_change_none() {
+        // A frozen weight is recorded as needing no gradient: its
+        // input-gradient chain is never computed, and every trainable
+        // gradient keeps its bits.
+        let x = Tensor::randn(&[4, 6], 31);
+        let w1 = Param::new("w1", Tensor::randn(&[6, 6], 32));
+        let w2 = Param::new("w2", Tensor::randn(&[6, 3], 33));
+        let b2 = Param::new("b2", Tensor::randn(&[3], 34));
+        let run = || {
+            let tape = Tape::new();
+            let h = tape.input(x.clone()).matmul(tape.param(&w1)).gelu();
+            let y = h.linear(tape.param(&w2), tape.param(&b2));
+            let needs: Vec<bool> = tape.nodes.borrow().iter().map(|n| n.needs_grad).collect();
+            (
+                tape.backward_params(y.mse_loss(&Tensor::zeros(&[4, 3]))),
+                needs,
+            )
+        };
+        let (all, all_needs) = run();
+        w1.set_trainable(false);
+        let (head, head_needs) = run();
+        assert_eq!(all.len(), 3);
+        assert_eq!(head.len(), 2);
+        for p in [&w2, &b2] {
+            assert_eq!(all.get(p).unwrap(), head.get(p).unwrap(), "{}", p.name());
+        }
+        // input, w1, matmul, gelu: needed only while w1 trains.
+        assert_eq!(all_needs[..4], [false, true, true, true]);
+        assert_eq!(head_needs[..4], [false, false, false, false]);
     }
 
     /// `[1, t, 1, t]` identity: as attention's K and V it makes the

@@ -77,26 +77,6 @@ proptest! {
     }
 
     #[test]
-    fn strided_gemms_match_dense_submatrix(m in 1usize..9, k in 1usize..9, n in 1usize..9, pad in 1usize..5, seed in 0u64..500) {
-        // Embed operands in wider buffers; strided entry points must see
-        // exactly the submatrix the dense ones see.
-        let (lda, ldb, ldc) = (k + pad, n + pad, n + pad + 1);
-        let a = rand_vec(m * lda, seed);
-        let b = rand_vec(k * ldb, seed ^ 5);
-        let dense_a: Vec<f32> = (0..m * k).map(|i| a[(i / k) * lda + i % k]).collect();
-        let dense_b: Vec<f32> = (0..k * n).map(|i| b[(i / n) * ldb + i % n]).collect();
-        let mut want = vec![0.0; m * n];
-        reference::gemm_nn(&dense_a, &dense_b, &mut want, m, k, n);
-        let mut c = vec![0.0; (m - 1) * ldc + n];
-        kernels::gemm_nn_strided(&a, lda, &b, ldb, &mut c, ldc, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                prop_assert!((c[i * ldc + j] - want[i * n + j]).abs() < 1e-3);
-            }
-        }
-    }
-
-    #[test]
     fn attn_kernels_match_transpose_composition(b in 1usize..3, t in 1usize..8, h in 1usize..4, dhi in 0usize..4, seed in 0u64..500) {
         // Forward, context and kept weights. Every depth here fits one KC
         // block, where the engine sums each product in the reference's
@@ -133,25 +113,31 @@ proptest! {
     }
 
     #[test]
-    fn scaled_softmax_fwd_bwd_are_consistent(rows in 1usize..5, d in 1usize..17, scale in 0.1f32..2.0, seed in 0u64..500) {
-        let x = rand_vec(rows * d, seed);
-        let mut y = vec![0.0; rows * d];
-        kernels::scaled_softmax_fwd(&x, scale, d, &mut y);
-        for row in y.chunks(d) {
+    fn scaled_softmax_fwd_bwd_are_consistent(t in 1usize..17, scale in 0.1f32..2.0, seed in 0u64..500) {
+        // With K = V = I (`[1, t, 1, t]`), attention's context is
+        // softmax(scale · Q) row by row, and its dQ from the kept
+        // weights is softmax's backward of the upstream gradient.
+        let id: Vec<f32> = (0..t * t).map(|e| if e % (t + 1) == 0 { 1.0 } else { 0.0 }).collect();
+        let x = rand_vec(t * t, seed);
+        let mut y = vec![0.0; t * t];
+        let mut w = vec![0.0; t * t];
+        kernels::attn_fused_fwd(&x, &id, &id, scale, &mut y, Some(&mut w), 1, t, 1, t);
+        for row in y.chunks(t) {
             let s: f32 = row.iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-4);
         }
         // Backward against the analytic Jacobian-vector product.
-        let g = rand_vec(rows * d, seed ^ 11);
-        let mut gx = vec![0.0; rows * d];
-        kernels::softmax_bwd(&y, &g, scale, d, &mut gx);
-        for r in 0..rows {
-            let ys = &y[r * d..(r + 1) * d];
-            let gs = &g[r * d..(r + 1) * d];
+        let g = rand_vec(t * t, seed ^ 11);
+        let mut grads = [(); 3].map(|_| vec![0.0; t * t]);
+        let [gx, gk, gv] = &mut grads;
+        kernels::attn_fused_bwd(&x, &id, &id, &g, &w, scale, gx, gk, gv, 1, t, 1, t);
+        for r in 0..t {
+            let ys = &y[r * t..(r + 1) * t];
+            let gs = &g[r * t..(r + 1) * t];
             let dot: f32 = ys.iter().zip(gs).map(|(a, b)| a * b).sum();
-            for j in 0..d {
+            for j in 0..t {
                 let want = scale * ys[j] * (gs[j] - dot);
-                prop_assert!((gx[r * d + j] - want).abs() < 1e-4);
+                prop_assert!((gx[r * t + j] - want).abs() < 1e-4);
             }
         }
     }
