@@ -3,14 +3,16 @@
 //! pre-overhaul baseline.
 //!
 //! Custom harness. Four measurements land in
-//! `results/BENCH_kernels.json`, with the microkernel arm that ran
-//! (`kernels::microkernel_arm`):
+//! `results/BENCH_kernels.json`, with the kernel arm that ran
+//! (`kernels::microkernel_arm`: `avx512f`, `avx2` or `baseline`, the
+//! one arm every kernel runs on, recorded as `"microkernel"`):
 //!
 //! 1. **GEMM GFLOP/s**, tiled vs `kernels::reference`, on a square
 //!    reference point and the products a paper-shape training
 //!    microbatch runs most: the encoder linears over 8 · 48 slot rows
-//!    (Q/K/V/O 64 → 64, `ff1` 64 → 128, `ff2` 128 → 64). Attention
-//!    no longer runs through the GEMM engine (item 2). The run
+//!    (Q/K/V/O 64 → 64, `ff1` 64 → 128, `ff2` 128 → 64). GEMM packs its
+//!    operands and runs attention's register tile on them; attention
+//!    itself does not go through the packing engine. The run
 //!    *asserts* that the tiled `nn` kernel beats
 //!    [`NAIVE_FLOOR_GFLOPS`] on the square shape, a committed floor
 //!    above anything the naive kernel reaches on supported hardware —
@@ -182,7 +184,7 @@ fn train_run(threads: usize, steps: usize) -> (f64, Vec<f64>) {
 
 fn main() {
     let arm = kernels::microkernel_arm();
-    eprintln!("kernels: tiled GEMM ({arm} microkernel) vs naive reference, attention block, then paper-scale train steps/s");
+    eprintln!("kernels: tiled GEMM ({arm} arm) vs naive reference, attention block, then paper-scale train steps/s");
     let gemms = bench_gemms();
     let (attn_fwd_us, attn_us, attn_reference_us) = bench_attention();
 

@@ -57,11 +57,23 @@ pub struct Comment {
     pub doc: bool,
 }
 
-/// Lexed file: tokens plus the comments the tokenizer skipped.
+/// One plain `"..."` string literal: its text between the quotes,
+/// escapes left as written, and where it sits among the tokens.
+#[derive(Debug, Clone)]
+pub struct StrLit {
+    pub line: u32,
+    pub text: String,
+    /// Index in [`Lexed::toks`] of the first token after the literal.
+    pub next_tok: usize,
+}
+
+/// Lexed file: tokens plus the comments and plain string literals the
+/// tokenizer skipped.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub toks: Vec<Tok>,
     pub comments: Vec<Comment>,
+    pub strings: Vec<StrLit>,
 }
 
 pub fn lex(src: &str) -> Lexed {
@@ -135,7 +147,13 @@ pub fn lex(src: &str) -> Lexed {
         // covers "", b"", c"", r"", br"", cr"", and r#"..."# at any
         // hash depth — while leaving raw identifiers (r#type) alone.
         if c == '"' {
+            let (start, start_line) = (i, line);
             i = skip_string(&b, i, &mut line);
+            out.strings.push(StrLit {
+                line: start_line,
+                text: b[start + 1..(i - 1).max(start + 1)].iter().collect(),
+                next_tok: out.toks.len(),
+            });
             continue;
         }
         if (c == 'r' || c == 'b' || c == 'c') && i + 1 < n {

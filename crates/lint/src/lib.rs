@@ -6,8 +6,9 @@
 //! compile-time-style complement: a source scanner that rejects the
 //! constructs which *silently* break that contract before any test can
 //! notice — unordered map iteration, wall-clock reads in compute
-//! crates, unseeded entropy — plus hygiene rules for `unsafe`,
-//! `#[allow]`, atomic orderings, and panics on serving paths.
+//! crates, unseeded entropy, fused multiply-adds in the kernels — plus
+//! hygiene rules for `unsafe`, `#[allow]`, atomic orderings, and panics
+//! on serving paths.
 //!
 //! Rules (see README "Static analysis" for rationale):
 //!
@@ -25,6 +26,9 @@
 //! - **R6** `.unwrap()` / `.expect()` in `crates/serve` and
 //!   `crates/net` needs a
 //!   `// PANIC-OK:` style justification.
+//! - **R7** no fused multiply-add in `crates/tensor`: no identifier
+//!   containing `fmadd`/`fmsub`/`fnmadd`/`fnmsub`, no `mul_add`, no
+//!   `#[target_feature(enable = "fma")]`.
 //!
 //! Everything is built on a hand-rolled lexer ([`lexer`]) so matches
 //! inside strings, comments, and `#[cfg(test)]` / `mod tests` regions

@@ -1,4 +1,4 @@
-//! Rules R1–R6: the determinism & unsafe-discipline contract.
+//! Rules R1–R7: the determinism & unsafe-discipline contract.
 //!
 //! Each rule works on the token stream from [`crate::lexer`], never on
 //! raw text, so occurrences inside strings, comments, and test modules
@@ -16,7 +16,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id: "R1".."R6".
+    /// Rule id: "R1".."R7".
     pub rule: &'static str,
     pub message: String,
 }
@@ -30,6 +30,12 @@ const WALLCLOCK_ALLOWED: &[&str] = &["obs", "serve", "bench"];
 /// Crates whose request paths carry the R6 unwrap/expect budget: code a
 /// remote client can reach must answer with typed errors, not panics.
 const PANIC_BUDGETED_CRATES: &[&str] = &["serve", "net"];
+
+/// Crates whose kernels must never fuse a multiply into an add (R7).
+const NEVER_FUSED_CRATES: &[&str] = &["tensor"];
+
+/// Fragments of the fused multiply-add intrinsics' names (R7).
+const FUSED_INTRINSICS: &[&str] = &["fmadd", "fmsub", "fnmadd", "fnmsub"];
 
 /// Atomic orderings stronger than `Relaxed` (R5b).
 const STRONG_ORDERINGS: &[&str] = &["SeqCst", "Acquire", "Release", "AcqRel"];
@@ -202,6 +208,7 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     let deterministic = DETERMINISTIC_CRATES.contains(&krate);
     let clock_ok = WALLCLOCK_ALLOWED.contains(&krate);
     let panic_budgeted = PANIC_BUDGETED_CRATES.contains(&krate);
+    let never_fused = NEVER_FUSED_CRATES.contains(&krate);
     let mut out = Vec::new();
     let mut push = |line: u32, rule: &'static str, message: String| {
         out.push(Finding {
@@ -353,6 +360,44 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                 );
             }
         }
+
+        // R7: no fused multiply-add in the tensor kernels.
+        if let Some(w) = t.word().filter(|_| never_fused) {
+            if w == "mul_add" || FUSED_INTRINSICS.iter().any(|f| w.contains(f)) {
+                push(
+                    t.line,
+                    "R7",
+                    format!(
+                        "`{w}` fuses a multiply into an add — one rounding \
+                         where the other arms round twice ties the bits to \
+                         the host; multiply, then add"
+                    ),
+                );
+            }
+        }
+    }
+
+    // R7 (cont.): no `#[target_feature(enable = "..fma..")]`, under
+    // which LLVM may contract the kernels' multiplies and adds.
+    for lit in lexed.strings.iter().filter(|_| never_fused) {
+        let at = lit.next_tok;
+        let in_enable = at >= 4
+            && !mask[at - 1]
+            && toks[at - 1].is_sym('=')
+            && toks[at - 2].is_word("enable")
+            && toks[at - 3].is_sym('(')
+            && toks[at - 4].is_word("target_feature");
+        if in_enable && lit.text.split(',').any(|f| f.trim() == "fma") {
+            push(
+                lit.line,
+                "R7",
+                format!(
+                    "`target_feature(enable = \"{}\")` enables FMA — the \
+                     kernels must multiply, then add, on every arm",
+                    lit.text
+                ),
+            );
+        }
     }
     out
 }
@@ -395,7 +440,7 @@ mod tests {
 
     #[test]
     fn r1_exempts_fn_pointer_types() {
-        let src = "type MicroFn = unsafe fn(*const f32, *mut f32);\n\
+        let src = "type KernelFn = unsafe fn(*const f32, *mut f32);\n\
                    type ExternFn = unsafe extern \"C\" fn() -> i32;";
         assert!(rules_hit("crates/tensor/src/x.rs", src).is_empty());
     }
@@ -549,6 +594,47 @@ mod tests {
     fn r6_does_not_flag_unwrap_or_else() {
         let src = "fn f(x: Result<u8, u8>) { x.unwrap_or_else(|e| e); }";
         assert!(rules_hit("crates/serve/src/x.rs", src).is_empty());
+    }
+
+    // ---- R7 ----
+
+    #[test]
+    fn r7_flags_every_fused_form_in_tensor() {
+        let path = "crates/tensor/src/kernels.rs";
+        for name in [
+            "_mm512_fmadd_ps",
+            "_mm256_fmsub_ps",
+            "_mm_fnmadd_ss",
+            "_mm512_fnmsub_pd",
+        ] {
+            let src = format!("fn f(a: V, b: V, c: V) -> V {{ {name}(a, b, c) }}");
+            assert_eq!(rules_hit(path, &src), vec!["R7"], "{name}");
+        }
+        let src = "fn f(a: f32, b: f32, c: f32) -> f32 { a.mul_add(b, c) }";
+        assert_eq!(rules_hit(path, src), vec!["R7"]);
+        for feats in ["fma", "avx2,fma", "fma, avx2"] {
+            let src = format!("#[target_feature(enable = \"{feats}\")]\nfn f() {{}}");
+            assert_eq!(rules_hit(path, &src), vec!["R7"], "{feats}");
+        }
+    }
+
+    #[test]
+    fn r7_ignores_comments_strings_tests_and_other_crates() {
+        let path = "crates/tensor/src/kernels.rs";
+        let src = "// never `_mm512_fmadd_ps`, never `mul_add`\n\
+                   /// nor `enable = \"fma\"`\n\
+                   fn f() -> &'static str { \"_mm512_fmadd_ps mul_add\" }\n\
+                   #[cfg(target_feature = \"fma\")]\nfn g() {}\n\
+                   #[target_feature(enable = \"avx512f\")]\n/// # Safety\n/// AVX-512F.\n\
+                   unsafe fn h() {}";
+        assert!(rules_hit(path, src).is_empty());
+        let tests = "#[cfg(test)]\nmod tests {\n    fn f(a: f32) -> f32 { a.mul_add(a, a) }\n\
+                     #[target_feature(enable = \"fma\")]\n    fn g() { _mm512_fmadd_ps() }\n}";
+        assert!(rules_hit(path, tests).is_empty());
+        let fused = "fn f(a: f32) -> f32 { a.mul_add(a, _mm256_fmadd_ps()) }\n\
+                     #[target_feature(enable = \"fma\")]\nfn g() {}";
+        assert!(rules_hit("crates/nn/src/x.rs", fused).is_empty());
+        assert!(rules_hit("src/lib.rs", fused).is_empty());
     }
 
     // ---- crate_of ----

@@ -17,13 +17,16 @@
 //! # Kernel design
 //!
 //! The engine is a scaled-down BLIS: the innermost unit is an
-//! [`MR`]`×`[`NR`] *microkernel* whose accumulator tile lives in
-//! registers across the whole depth loop, fed by *packed* operand
-//! panels:
+//! [`MR`]`×`[`NR`] tile whose accumulators live in registers across the
+//! whole depth loop. It is the one product tile of this file (`tile`),
+//! the same one attention's products run, fed here by *packed* operand
+//! panels: the A micro-panel is its left operand with `MR` rows side by
+//! side per depth step, the B panel its right operand with rows
+//! [`NR`] apart.
 //!
 //! * B is packed once per `k`-block into `[KC × NR]` column panels, so
-//!   the microkernel streams it contiguously regardless of the source
-//!   layout or stride;
+//!   the tile streams it contiguously regardless of the source layout
+//!   or stride;
 //! * A is packed per `[MC]`-row block into `[KC × MR]` micro-panels,
 //!   turning both `nn` (rows) and `tn` (columns) sources into the same
 //!   contiguous broadcast-friendly layout;
@@ -39,15 +42,19 @@
 //! rides the store of the last depth block, `c = (c + acc) + bias[j]`,
 //! so an affine layer makes one trip through its output instead of two.
 //!
-//! The microkernel has three arms, picked once per process by CPU
-//! feature (`micro_fn`): AVX-512F, written with `core::arch` intrinsics
-//! so each accumulator row is one 512-bit register; AVX2, the portable
-//! loop recompiled so LLVM vectorizes it 256 bits wide; and that loop
-//! at the build's baseline. The attention kernels have the same three
-//! arms. The element-wise maps ([`gelu_fwd`], [`gelu_bwd`]) and the
-//! row-wise LayerNorm reductions (`layer_norm_stats` and
-//! `layer_norm_bwd` behind `Var::layer_norm`) are plain loops compiled
-//! twice, baseline and AVX2.
+//! Every kernel has three arms (`Arm`), and one switch picks among them:
+//! the widest the CPU supports, detected once per process (`Arm::host`,
+//! the only place CPU features are read). A kernel's whole loop nest is
+//! one `#[inline(always)]` closure that `Arm::run` compiles into one of
+//! two `target_feature` trampolines (`on_avx2`, `on_avx512f`) or runs at
+//! the build's baseline, so there is one call per kernel and no
+//! per-kernel wrapper. On AVX-512F the tile is written with `core::arch`
+//! intrinsics, each accumulator row one 512-bit register; on AVX2 the
+//! portable tile is recompiled so LLVM vectorizes it 256 bits wide; the
+//! baseline runs that loop as it is. The element-wise maps
+//! ([`gelu_fwd`], [`gelu_bwd`]) and the row-wise LayerNorm reductions
+//! (`layer_norm_stats` and `layer_norm_bwd` behind `Var::layer_norm`)
+//! are plain loops that keep their AVX2 compilation on AVX-512F hosts.
 //!
 //! A row-wise reduction run a row at a time is one serial chain of
 //! dependent adds per row, which leaves the vector units idle. The
@@ -81,22 +88,25 @@
 //! # Determinism
 //!
 //! Every output element accumulates its `k` products in ascending `p`
-//! order, grouped only by the fixed [`KC`] blocking — an order that does
-//! not depend on partial-tile boundaries or on which thread calls, so
-//! results are bit-identical at any thread count. The attention
-//! products keep exactly that order: per [`KC`] block of depth a sum
-//! from `0.0`, added into an output that starts at zero. So attention
-//! gives the bits of the same math composed from the GEMMs and a
-//! row-by-row softmax (`reference::attention`), whatever `T` and `dh`.
+//! order, grouped only by the fixed [`KC`] blocking: per block a sum
+//! from `0.0` in the tile, then added into the output. That order does
+//! not depend on partial-tile boundaries, on the tile's height or on
+//! which thread calls, so results are bit-identical at any thread
+//! count. GEMM and attention run the same tile in the same order, so
+//! attention gives the bits of the same math composed from the GEMMs
+//! and a row-by-row softmax (`reference::attention`), whatever `T` and
+//! `dh`.
 //!
 //! No kernel fuses a multiply into an add. Rust never contracts
-//! `a * b + c` into an FMA, and the AVX-512 arms call `_mm512_mul_ps`
+//! `a * b + c` into an FMA, and the AVX-512 tile calls `_mm512_mul_ps`
 //! and then `_mm512_add_ps`, never `fmadd`. An FMA rounds once where a
 //! multiply and an add round twice, so one arm using it would make the
 //! bits depend on the host. Without it, and with each element's order
 //! of operations fixed, every arm executes the same IEEE operation
 //! sequence per element: a host with AVX-512, AVX2 or neither gets the
-//! same bits, and the dispatch changes throughput, never a bit.
+//! same bits, and the dispatch changes throughput, never a bit. The arm
+//! tests hold each arm the host has to those bits, and `ntt-lint` rule
+//! R7 rejects every fused form in this crate on any host.
 //!
 //! Lanes never run within one output's fold: the LayerNorm row groups
 //! put one row per lane, and attention puts one query (or one output
@@ -112,21 +122,25 @@
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Microkernel rows: accumulator tile height (distinct A values held as
-/// broadcasts per depth step).
+/// GEMM tile rows: the accumulator tile's height (distinct A values
+/// held as broadcasts per depth step).
 pub const MR: usize = 4;
-/// Microkernel columns: accumulator tile width. `MR × NR = 64` f32
+/// GEMM tile columns: one vector of the product tile, `LANES` = 16 wide,
+/// the same constant, so the two cannot drift apart. `MR × NR = 64` f32
 /// accumulators are 4 × 512-bit registers on AVX-512F and 8 × 256-bit
-/// on AVX2 (the dispatched arms — see `micro_fn`), leaving room for the
-/// A broadcast and B loads; the baseline-SSE2 fallback spills some but
-/// stays correct.
-pub const NR: usize = 16;
+/// on AVX2, leaving room for the A broadcast and B loads; the
+/// baseline-SSE2 arm spills some but stays correct.
+pub const NR: usize = LANES;
 /// Depth blocking: packed panels cover at most `KC` of `k` per pass, so
 /// a B column panel (`KC × NR` = 8 KiB) stays L1-resident.
 pub const KC: usize = 256;
 /// Row blocking: A is packed `MC` rows at a time (`MC × KC` = 64 KiB,
 /// L2-resident and streamed once per column panel).
 pub const MC: usize = 64;
+/// Lanes of one product-tile vector: a row of packed B, a transposed
+/// attention score row (one query per lane), or `p` columns of an
+/// output row.
+const LANES: usize = 16;
 
 std::thread_local! {
     /// Reusable packing buffers (per thread, so trainer shards and
@@ -144,148 +158,93 @@ pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The register-resident core: `acc[r][j] += apanel[p][r] * bpanel[p][j]`
-/// over `kc` depth steps. Panels are contiguous (packed), so every load
-/// is sequential and the accumulator tile never leaves registers.
-#[inline(always)]
-fn micro_impl(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    // Dynamic complement to the SAFETY comments (lint R1): the packed
-    // panels must cover all kc depth steps, or chunks_exact would
-    // silently truncate the accumulation. Free in release builds.
-    debug_assert!(
-        apanel.len() >= kc * MR,
-        "A panel shorter than kc depth steps"
-    );
-    debug_assert!(
-        bpanel.len() >= kc * NR,
-        "B panel shorter than kc depth steps"
-    );
-    // Accumulate into a by-value local: with no live pointer to it, the
-    // tile provably stays in registers and is stored exactly once.
-    let mut local = [[0.0f32; NR]; MR];
-    for (av, bv) in apanel
-        .chunks_exact(MR)
-        .zip(bpanel.chunks_exact(NR))
-        .take(kc)
-    {
-        for r in 0..MR {
-            let ar = av[r];
-            for j in 0..NR {
-                local[r][j] += ar * bv[j];
+/// An instruction-set arm of the kernels, narrowest first. Every arm
+/// runs the same IEEE operation sequence per element, so a wider arm
+/// changes throughput, never a bit. No `Arm` wider than the host's is
+/// ever made: [`Arm::host`] detects it, and the tests run only the arms
+/// up to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Arm {
+    /// The build's baseline target features (SSE2 on x86_64).
+    Baseline,
+    /// The portable loops recompiled with AVX2, 256 bits wide.
+    Avx2,
+    /// AVX-512F (which implies AVX2): the product tiles by hand in
+    /// 512-bit registers ([`tile_avx512`]).
+    Avx512f,
+}
+
+impl Arm {
+    /// The widest arm this CPU supports: the one place CPU features are
+    /// detected, once per process.
+    fn host() -> Arm {
+        static HOST: OnceLock<Arm> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx512f") {
+                return Arm::Avx512f;
             }
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                return Arm::Avx2;
+            }
+            Arm::Baseline
+        })
+    }
+
+    /// The arm of the plain element-wise and row-wise loops (GELU,
+    /// LayerNorm): AVX-512F hosts keep their AVX2 compilation.
+    fn loops(self) -> Arm {
+        self.min(Arm::Avx2)
+    }
+
+    /// `f(self)` compiled for this arm: `f`, an `#[inline(always)]`
+    /// closure, is inlined into [`on_avx2`] or [`on_avx512f`], so LLVM
+    /// vectorizes its loops at the arm's width. One call per kernel.
+    #[inline(always)]
+    fn run<T>(self, f: impl FnOnce(Arm) -> T) -> T {
+        match self {
+            // SAFETY: no arm is wider than the host's (see `Arm`).
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512f => unsafe { on_avx512f(f) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => unsafe { on_avx2(f) },
+            _ => f(Arm::Baseline),
         }
     }
-    *acc = local;
 }
 
-/// Microkernel compiled for the build's baseline target features.
+/// `f(Arm::Avx2)` with AVX2 enabled: an `#[inline(always)]` closure is
+/// compiled into this frame, where LLVM vectorizes its loops 256 bits
+/// wide.
 ///
 /// # Safety
-/// Always safe to call; `unsafe fn` only to share a signature with the
-/// feature-gated variants behind one dispatched pointer.
-unsafe fn micro_baseline(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_impl(kc, apanel, bpanel, acc);
-}
-
-/// The same microkernel recompiled with AVX2 enabled, so LLVM
-/// autovectorizes the [`NR`]-wide lanes as 256-bit `vmulps`/`vaddps`.
-/// Rust never contracts `a * b + c` into an FMA, so this executes the
-/// exact same IEEE operation sequence as [`micro_baseline`] — the
-/// dispatch can change throughput, never a bit of output.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`micro_fn`]).
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn micro_avx2(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_impl(kc, apanel, bpanel, acc);
+unsafe fn on_avx2<T>(f: impl FnOnce(Arm) -> T) -> T {
+    f(Arm::Avx2)
 }
 
-/// The microkernel at full AVX-512 width, by hand: each of the [`MR`]
-/// accumulator rows is one 512-bit register of [`NR`] lanes, and every
-/// depth step is a broadcast of the A value, `_mm512_mul_ps` by the B
-/// row, then `_mm512_add_ps` into the row — two roundings, never a
-/// fused `fmadd`, so each lane is exactly [`micro_impl`]'s
-/// `local[r][j] += ar * bv[j]` in the same ascending-`p` order.
+/// [`on_avx2`] for `f(Arm::Avx512f)`, with AVX-512F enabled.
 ///
 /// # Safety
-/// Caller must have verified AVX-512F support (see [`micro_fn`]).
+/// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn micro_avx512(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::{_mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps};
-    use std::arch::x86_64::{_mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps};
-    debug_assert!(
-        apanel.len() >= kc * MR,
-        "A panel shorter than kc depth steps"
-    );
-    debug_assert!(
-        bpanel.len() >= kc * NR,
-        "B panel shorter than kc depth steps"
-    );
-    let mut rows = [_mm512_setzero_ps(); MR];
-    for (av, bv) in apanel
-        .chunks_exact(MR)
-        .zip(bpanel.chunks_exact(NR))
-        .take(kc)
-    {
-        // SAFETY: `bv` is a chunk of exactly NR = 16 f32, one unaligned
-        // 512-bit load.
-        let b = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
-        for (row, &a) in rows.iter_mut().zip(av) {
-            *row = _mm512_add_ps(*row, _mm512_mul_ps(_mm512_set1_ps(a), b));
-        }
-    }
-    for (out, row) in acc.iter_mut().zip(rows) {
-        // SAFETY: `out` is an [f32; NR] = 16 f32, one unaligned 512-bit
-        // store.
-        unsafe { _mm512_storeu_ps(out.as_mut_ptr(), row) };
-    }
+unsafe fn on_avx512f<T>(f: impl FnOnce(Arm) -> T) -> T {
+    f(Arm::Avx512f)
 }
 
-type MicroFn = unsafe fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]);
-
-/// The one place CPU features are detected: every multi-compiled kernel
-/// in this file (the microkernel, [`gelu_fwd`], [`gelu_bwd`], the
-/// row-grouped reductions and the attention arms) asks here. std caches the `cpuid` result, so
-/// this is a relaxed load after the first call.
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    is_x86_feature_detected!("avx2")
-}
-
-/// AVX-512F, for [`micro_avx512`]; detected beside [`has_avx2`].
-#[cfg(target_arch = "x86_64")]
-fn has_avx512f() -> bool {
-    is_x86_feature_detected!("avx512f")
-}
-
-/// Pick the widest microkernel this CPU supports, once per process:
-/// AVX-512F, then AVX2, then the baseline. All three return the same
-/// bits.
-fn micro_arm() -> &'static (&'static str, MicroFn) {
-    static MICRO: OnceLock<(&'static str, MicroFn)> = OnceLock::new();
-    MICRO.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        if has_avx512f() {
-            return ("avx512f", micro_avx512 as MicroFn);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            return ("avx2", micro_avx2 as MicroFn);
-        }
-        ("baseline", micro_baseline as MicroFn)
-    })
-}
-
-fn micro_fn() -> MicroFn {
-    micro_arm().1
-}
-
-/// The microkernel arm this process runs — `"avx512f"`, `"avx2"` or
-/// `"baseline"` — for benchmark records. Every arm gives the same bits.
+/// The arm this process runs — `"avx512f"`, `"avx2"` or `"baseline"` —
+/// for benchmark records. Every arm gives the same bits.
 pub fn microkernel_arm() -> &'static str {
-    micro_arm().0
+    match Arm::host() {
+        Arm::Baseline => "baseline",
+        Arm::Avx2 => "avx2",
+        Arm::Avx512f => "avx512f",
+    }
 }
 
 /// Pack B depth-rows `pc..pc+kc` into `[kc × NR]` column panels
@@ -403,6 +362,7 @@ fn pack_a_block(
 /// block's store adds the bias: `c = (c + acc) + bias[j]`.
 #[allow(clippy::too_many_arguments)] // GEMM kernels take the full (dims, strides, panels) contract flat
 fn gemm_core(
+    arm: Arm,
     a: &[f32],
     ars: usize,
     acs: usize,
@@ -434,52 +394,55 @@ fn gemm_core(
     debug_assert!(b.len() > (k - 1) * brs + (n - 1) * bcs, "B too short");
     debug_assert!(c.len() >= (m - 1) * ldc + n, "C too short");
     let n_panels = n.div_ceil(NR);
-    let micro = micro_fn();
-    BPACK.with(|bp| {
-        APACK.with(|ap| {
-            let (mut bp, mut ap) = (bp.borrow_mut(), ap.borrow_mut());
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                // The bias rides the last depth block's store.
-                let last_bias = bias.filter(|_| pc + kc == k);
-                bp.clear();
-                bp.resize(n_panels * kc * NR, 0.0);
-                pack_b(b, brs, bcs, pc, kc, n, &mut bp);
-                for ic in (0..m).step_by(MC) {
-                    let mc = MC.min(m - ic);
-                    let mp = mc.div_ceil(MR);
-                    ap.clear();
-                    ap.resize(mp * kc * MR, 0.0);
-                    pack_a_block(a, ars, acs, ic, mc, pc, kc, &mut ap);
-                    // Column panels outermost: each B panel stays L1-hot
-                    // across every micro-row of this MC block.
-                    for jp in 0..n_panels {
-                        let j0 = jp * NR;
-                        let jw = NR.min(n - j0);
-                        let bpanel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
-                        for ip in 0..mp {
-                            let i0 = ic + ip * MR;
-                            let iw = MR.min(m - i0);
-                            let apanel = &ap[ip * kc * MR..(ip + 1) * kc * MR];
-                            let mut acc = [[0.0f32; NR]; MR];
-                            // SAFETY: micro_fn verified the required CPU features.
-                            unsafe { micro(kc, apanel, bpanel, &mut acc) };
-                            for r in 0..iw {
-                                let crow = &mut c[(i0 + r) * ldc + j0..][..jw];
-                                let crow = crow.iter_mut().zip(acc[r].iter());
-                                match last_bias {
-                                    Some(bias) => {
-                                        for ((cv, av), bv) in crow.zip(&bias[j0..j0 + jw]) {
-                                            *cv = (*cv + av) + bv;
+    BPACK.with_borrow_mut(|bp| {
+        APACK.with_borrow_mut(|ap| {
+            arm.run(
+                #[inline(always)]
+                |arm| {
+                    for pc in (0..k).step_by(KC) {
+                        let kc = KC.min(k - pc);
+                        // The bias rides the last depth block's store.
+                        let last_bias = bias.filter(|_| pc + kc == k);
+                        bp.clear();
+                        bp.resize(n_panels * kc * NR, 0.0);
+                        pack_b(b, brs, bcs, pc, kc, n, bp);
+                        for ic in (0..m).step_by(MC) {
+                            let mc = MC.min(m - ic);
+                            let mp = mc.div_ceil(MR);
+                            ap.clear();
+                            ap.resize(mp * kc * MR, 0.0);
+                            pack_a_block(a, ars, acs, ic, mc, pc, kc, ap);
+                            // Column panels outermost: each B panel stays
+                            // L1-hot across every micro-row of this MC block.
+                            for jp in 0..n_panels {
+                                let j0 = jp * NR;
+                                let jw = NR.min(n - j0);
+                                let bpanel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
+                                for ip in 0..mp {
+                                    let i0 = ic + ip * MR;
+                                    let iw = MR.min(m - i0);
+                                    let apanel = &ap[ip * kc * MR..(ip + 1) * kc * MR];
+                                    let left = Left::Cols(apanel, MR);
+                                    let acc = tile::<MR>(arm, kc, left, &[&[]; MR], bpanel, NR);
+                                    for r in 0..iw {
+                                        let crow = &mut c[(i0 + r) * ldc + j0..][..jw];
+                                        let crow = crow.iter_mut().zip(acc[r].iter());
+                                        match last_bias {
+                                            Some(bias) => {
+                                                let bias = &bias[j0..j0 + jw];
+                                                for ((cv, av), bv) in crow.zip(bias) {
+                                                    *cv = (*cv + av) + bv;
+                                                }
+                                            }
+                                            None => crow.for_each(|(cv, av)| *cv += av),
                                         }
                                     }
-                                    None => crow.for_each(|(cv, av)| *cv += av),
                                 }
                             }
                         }
                     }
-                }
-            }
+                },
+            )
         })
     });
 }
@@ -489,7 +452,7 @@ pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    gemm_core(a, k, 1, b, n, 1, c, n, None, [m, k, n]);
+    gemm_core(Arm::host(), a, k, 1, b, n, 1, c, n, None, [m, k, n]);
 }
 
 /// `C[m,n] += A[m,k] · B[k,n]`, then `+ bias[j]` on every row: the
@@ -509,7 +472,7 @@ pub fn gemm_nn_bias(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     assert_eq!(bias.len(), n, "bias must be [n]");
-    gemm_core(a, k, 1, b, n, 1, c, n, Some(bias), [m, k, n]);
+    gemm_core(Arm::host(), a, k, 1, b, n, 1, c, n, Some(bias), [m, k, n]);
 }
 
 /// `C[m,n] += A[m,k] · B[n,k]ᵀ` — rows of `B` are dotted against rows
@@ -520,7 +483,7 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    gemm_core(a, k, 1, b, 1, k, c, n, None, [m, k, n]);
+    gemm_core(Arm::host(), a, k, 1, b, 1, k, c, n, None, [m, k, n]);
 }
 
 /// `C[m,n] += A[k,m]ᵀ · B[k,n]`.
@@ -528,7 +491,7 @@ pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    gemm_core(a, 1, m, b, n, 1, c, n, None, [m, k, n]);
+    gemm_core(Arm::host(), a, 1, m, b, n, 1, c, n, None, [m, k, n]);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,10 +500,10 @@ pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 // One branch-free polynomial replaces every libm `expf`/`tanhf` of the
 // forward and backward passes. The slice kernels here and the row-wise
 // reductions below are plain loops, written once (`*_impl`,
-// `#[inline(always)]`) and compiled twice: at the build's baseline, and
-// again inside a `#[target_feature(enable = "avx2")]` wrapper where
-// LLVM vectorizes the same loop eight lanes wide. No intrinsics, no
-// `mul_add`: both compilations are the same IEEE sequence per element.
+// `#[inline(always)]`) and run through `Arm::run` at most at AVX2:
+// at the build's baseline, or inside `on_avx2`, where LLVM vectorizes
+// the same loop eight lanes wide. No intrinsics, no `mul_add`: both
+// compilations are the same IEEE sequence per element.
 // ---------------------------------------------------------------------------
 
 /// `eˣ` in f32, branch-free: clamp, `n = round(x·log₂e)` by the
@@ -615,26 +578,6 @@ fn gelu_bwd_impl(x: &[f32], g: &[f32], out: &mut [f32]) {
     }
 }
 
-/// [`gelu_fwd_impl`] recompiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_fwd_avx2(x: &[f32], out: &mut [f32]) {
-    gelu_fwd_impl(x, out);
-}
-
-/// [`gelu_bwd_impl`] recompiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_bwd_avx2(x: &[f32], g: &[f32], out: &mut [f32]) {
-    gelu_bwd_impl(x, g, out);
-}
-
 /// GELU (tanh approximation, as in BERT/ViT) over a slice:
 /// `out[i] = x[i] / (1 + exp(-2u))`, which *is* `0.5·x·(1 + tanh u)`.
 /// Within 2e-7·(1 + |y|) of the f64 tanh form on `[-12, 12]` (measured
@@ -642,12 +585,10 @@ unsafe fn gelu_bwd_avx2(x: &[f32], g: &[f32], out: &mut [f32]) {
 /// element with AVX2 and ~2.4 at the SSE2 baseline instead of 18–24.
 pub fn gelu_fwd(x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: has_avx2 verified the CPU feature the callee needs.
-        return unsafe { gelu_fwd_avx2(x, out) };
-    }
-    gelu_fwd_impl(x, out);
+    Arm::host().loops().run(
+        #[inline(always)]
+        |_| gelu_fwd_impl(x, out),
+    );
 }
 
 /// GELU backward over a slice: `out[i] = g[i] · d/dx gelu(x[i])`, from
@@ -655,12 +596,10 @@ pub fn gelu_fwd(x: &[f32], out: &mut [f32]) {
 pub fn gelu_bwd(x: &[f32], g: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     debug_assert_eq!(g.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: has_avx2 verified the CPU feature the callee needs.
-        return unsafe { gelu_bwd_avx2(x, g, out) };
-    }
-    gelu_bwd_impl(x, g, out);
+    Arm::host().loops().run(
+        #[inline(always)]
+        |_| gelu_bwd_impl(x, g, out),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -675,7 +614,7 @@ pub fn gelu_bwd(x: &[f32], g: &[f32], out: &mut [f32]) {
 // starting value, so every row keeps its bits — the lanes run across
 // rows, never within a row. The last `rows % ROW_GROUP` rows run as
 // groups of one. Like GELU, each kernel is written once (`*_impl`) and
-// compiled at the baseline and again with AVX2.
+// runs at the baseline or with AVX2.
 // ---------------------------------------------------------------------------
 
 /// Rows folded side by side by the row-wise reductions: one 256-bit
@@ -805,34 +744,6 @@ fn layer_norm_bwd_impl(
     }
 }
 
-/// [`layer_norm_stats_impl`] recompiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn layer_norm_stats_avx2(x: &[f32], d: usize, eps: f32, mean: &mut [f32], rstd: &mut [f32]) {
-    layer_norm_stats_impl(x, d, eps, mean, rstd);
-}
-
-/// [`layer_norm_bwd_impl`] recompiled with AVX2 enabled.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn layer_norm_bwd_avx2(
-    xhat: &[f32],
-    g: &[f32],
-    gamma: &[f32],
-    rstd: &[f32],
-    gx: &mut [f32],
-    ggamma: &mut [f32],
-    gbeta: &mut [f32],
-) {
-    layer_norm_bwd_impl(xhat, g, gamma, rstd, gx, ggamma, gbeta);
-}
-
 /// LayerNorm statistics over rows of width `d`: `mean[r]` is the row's
 /// mean and `rstd[r] = 1 / √(var + eps)` its reciprocal standard
 /// deviation, each sum taken as `row.iter().sum::<f32>()` would. Panics
@@ -841,12 +752,10 @@ pub(crate) fn layer_norm_stats(x: &[f32], d: usize, eps: f32, mean: &mut [f32], 
     assert!(d > 0, "layer norm over empty axis");
     assert_eq!(x.len(), mean.len() * d, "one mean per row");
     assert_eq!(x.len(), rstd.len() * d, "one rstd per row");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: has_avx2 verified the CPU feature the callee needs.
-        return unsafe { layer_norm_stats_avx2(x, d, eps, mean, rstd) };
-    }
-    layer_norm_stats_impl(x, d, eps, mean, rstd);
+    Arm::host().loops().run(
+        #[inline(always)]
+        |_| layer_norm_stats_impl(x, d, eps, mean, rstd),
+    );
 }
 
 /// LayerNorm backward over rows of width `d = gamma.len()`, from the
@@ -871,12 +780,10 @@ pub(crate) fn layer_norm_bwd(
     assert_eq!(gx.len(), xhat.len(), "output and input lengths differ");
     assert_eq!(ggamma.len(), d, "gamma gradient must be [D]");
     assert_eq!(gbeta.len(), d, "beta gradient must be [D]");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: has_avx2 verified the CPU feature the callee needs.
-        return unsafe { layer_norm_bwd_avx2(xhat, g, gamma, rstd, gx, ggamma, gbeta) };
-    }
-    layer_norm_bwd_impl(xhat, g, gamma, rstd, gx, ggamma, gbeta);
+    Arm::host().loops().run(
+        #[inline(always)]
+        |_| layer_norm_bwd_impl(xhat, g, gamma, rstd, gx, ggamma, gbeta),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -889,7 +796,7 @@ pub(crate) fn layer_norm_bwd(
 // against every query, one query per lane, `tp = ⌈T/16⌉·16` lanes wide.
 // Softmax over keys is then a vertical fold down the rows of a 16-lane
 // column, the same serial ascending-`j` chain per query that a row-wise
-// softmax runs, with no strided loads. Every product is an outer-product
+// softmax runs, with no strided loads. Every product runs the GEMM's
 // tile: `R` rows by 16 lanes of accumulators that stay in registers
 // across the depth loop, one broadcast left value times one 16-lane
 // right row per row and depth step (`R` = 8 on AVX-512F, else 4).
@@ -915,15 +822,10 @@ pub(crate) fn layer_norm_bwd(
 // `exp` are the row-serial ones of `reference::scaled_softmax_fwd` and
 // `softmax_bwd`, and its max takes the same value. Lanes run across
 // queries or across `p`, never within one output's sum, so the tile
-// shape, the vector width and the arm (baseline, AVX2, AVX-512F) change
-// throughput, never a bit. Each `b` is an independent, contiguous slice
-// of every operand and output, so results are bit-identical across
-// batch compositions.
+// shape, the vector width and the `Arm` change throughput, never a
+// bit. Each `b` is an independent, contiguous slice of every operand
+// and output, so results are bit-identical across batch compositions.
 // ---------------------------------------------------------------------------
-
-/// Lanes of one attention vector: the queries of a transposed score
-/// row, or the `p` columns of an output row.
-const LANES: usize = 16;
 
 std::thread_local! {
     /// Per-thread panels of the attention kernels. Capacity is retained
@@ -989,40 +891,108 @@ fn lane_rows<'a>(
 #[derive(Clone, Copy)]
 enum Left<'a> {
     /// `a[p·ld + r]`: each depth step holds the rows side by side (a
-    /// `Wᵀ` or `∂Sᵀ` row, one query per lane), with a whole tile's rows
-    /// from every tile's first row.
+    /// `Wᵀ` or `∂Sᵀ` row, one query per lane, or a packed GEMM A
+    /// micro-panel), with a whole tile's rows from every tile's first row.
     Cols(&'a [f32], usize),
     /// `a[r·ld + p]`: each row holds its depth side by side (a K or V
     /// row, or a `Wᵀ`/`∂Sᵀ` row read along its queries).
     Rows(&'a [f32], usize),
 }
 
+/// The `kc` depth steps of an `R`-row tile, in ascending `p`: each hands
+/// `step` the right row `b[p·ldb..][..LANES]` and the tile's left values
+/// `A(r, p)`. `left` is [`Left::Cols`] already offset to the tile's
+/// first row and depth, or [`Left::Rows`], whose rows are then `rows`
+/// (each sliced to the depth block). The bounds are checked once, before
+/// the loop, so a step is its loads and the loop branch.
+#[inline(always)]
+fn depth_steps<const R: usize>(
+    kc: usize,
+    left: Left,
+    rows: &[&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    mut step: impl FnMut(&[f32; LANES], [f32; R]),
+) {
+    if kc == 0 {
+        return;
+    }
+    // One past the last element a run of `kc` steps `ld` apart reads.
+    let end = |ld: usize, w: usize| (kc - 1).checked_mul(ld).and_then(|e| e.checked_add(w));
+    assert!(
+        end(ldb, LANES).is_some_and(|e| e <= b.len()),
+        "right operand short of the depth block"
+    );
+    let b = b.as_ptr();
+    match left {
+        Left::Cols(a, lda) => {
+            assert!(
+                end(lda, R).is_some_and(|e| e <= a.len()),
+                "left operand short of the depth block"
+            );
+            for p in 0..kc {
+                // SAFETY: p < kc, so the R values at p·lda and the LANES
+                // at p·ldb lie inside `a` and `b`, as asserted above.
+                let (bv, x) = unsafe {
+                    let bv = &*b.add(p * ldb).cast::<[f32; LANES]>();
+                    (bv, a.as_ptr().add(p * lda).cast::<[f32; R]>().read())
+                };
+                step(bv, x);
+            }
+        }
+        Left::Rows(..) => {
+            assert!(
+                rows.iter().all(|row| row.len() >= kc),
+                "left row short of the depth block"
+            );
+            for p in 0..kc {
+                let mut x = [0.0; R];
+                for (x, row) in x.iter_mut().zip(rows) {
+                    // SAFETY: p < kc ≤ row.len(), as asserted above.
+                    *x = unsafe { *row.get_unchecked(p) };
+                }
+                // SAFETY: p < kc, so the LANES at p·ldb lie inside `b`, as
+                // asserted above.
+                step(unsafe { &*b.add(p * ldb).cast() }, x);
+            }
+        }
+    }
+}
+
 /// One `R × LANES` tile over `kc` depth steps, from `0.0`:
 /// `acc[r][l] = Σ_p A(r, p)·b[p·ldb + l]` in ascending `p`, a multiply
-/// then an add per step. `left` is [`Left::Cols`] already offset to the
-/// tile's first row and depth, or [`Left::Rows`], whose rows are then
-/// `rows` (each sliced to the depth block).
+/// then an add per step ([`depth_steps`] reads `left`, `rows` and `b`).
+/// On the AVX-512F arm [`tile_avx512`] computes it.
 #[inline(always)]
 fn tile<const R: usize>(
+    arm: Arm,
     kc: usize,
     left: Left,
     rows: &[&[f32]; R],
     b: &[f32],
     ldb: usize,
 ) -> [[f32; LANES]; R] {
-    let mut acc = [[0.0f32; LANES]; R];
-    for p in 0..kc {
-        let bv: &[f32; LANES] = b[p * ldb..][..LANES].try_into().unwrap();
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let x = match left {
-                Left::Cols(a, lda) => a[p * lda + r],
-                Left::Rows(..) => rows[r][p],
-            };
-            for (o, &y) in acc_row.iter_mut().zip(bv) {
-                *o += x * y;
-            }
-        }
+    #[cfg(target_arch = "x86_64")]
+    if arm == Arm::Avx512f {
+        // SAFETY: no arm is wider than the host's (see `Arm`).
+        return unsafe { tile_avx512(kc, left, rows, b, ldb) };
     }
+    let mut acc = [[0.0f32; LANES]; R];
+    depth_steps(
+        kc,
+        left,
+        rows,
+        b,
+        ldb,
+        #[inline(always)]
+        |bv, x| {
+            for (acc_row, x) in acc.iter_mut().zip(x) {
+                for (o, &y) in acc_row.iter_mut().zip(bv) {
+                    *o += x * y;
+                }
+            }
+        },
+    );
     acc
 }
 
@@ -1030,16 +1000,17 @@ fn tile<const R: usize>(
 /// register across the depth loop, and a step is `_mm512_mul_ps` of
 /// the broadcast left value and the right row, then `_mm512_add_ps` —
 /// never a fused `fmadd`, so each lane is [`tile`]'s sum exactly.
-/// Written by hand because, given [`tile`] at eight rows, LLVM
+/// Written by hand because, given the portable loop at eight rows, LLVM
 /// vectorizes across the rows through memory instead of keeping the
 /// tile in registers; at four rows it keeps them, but then four
 /// accumulators cannot hide the add latency of two vector pipes.
+/// Inlined always, and not a `target_feature` function, so that it
+/// compiles into its kernel's [`on_avx512f`] frame at every call site.
 ///
 /// # Safety
-/// Caller must have verified AVX-512F support (see [`has_avx512f`]).
+/// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
+#[inline(always)]
 unsafe fn tile_avx512<const R: usize>(
     kc: usize,
     left: Left,
@@ -1049,43 +1020,45 @@ unsafe fn tile_avx512<const R: usize>(
 ) -> [[f32; LANES]; R] {
     use std::arch::x86_64::{_mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps};
     use std::arch::x86_64::{_mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps};
-    let mut regs = [_mm512_setzero_ps(); R];
-    for p in 0..kc {
-        let bv: &[f32; LANES] = b[p * ldb..][..LANES].try_into().unwrap();
-        // SAFETY: `bv` is exactly LANES = 16 f32, one unaligned 512-bit
-        // load.
-        let bv = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
-        for (r, reg) in regs.iter_mut().enumerate() {
-            let x = match left {
-                Left::Cols(a, lda) => a[p * lda + r],
-                Left::Rows(..) => rows[r][p],
-            };
-            *reg = _mm512_add_ps(*reg, _mm512_mul_ps(_mm512_set1_ps(x), bv));
-        }
-    }
     let mut acc = [[0.0f32; LANES]; R];
-    for (out, reg) in acc.iter_mut().zip(regs) {
-        // SAFETY: `out` is an [f32; LANES] = 16 f32, one unaligned
-        // 512-bit store.
-        unsafe { _mm512_storeu_ps(out.as_mut_ptr(), reg) };
+    // SAFETY: the caller guarantees AVX-512F; each load is a `bv` of
+    // exactly LANES = 16 f32 and each store an `[f32; LANES]` row.
+    unsafe {
+        let mut regs = [_mm512_setzero_ps(); R];
+        depth_steps(
+            kc,
+            left,
+            rows,
+            b,
+            ldb,
+            #[inline(always)]
+            |bv, x| {
+                let bv = _mm512_loadu_ps(bv.as_ptr());
+                for (reg, x) in regs.iter_mut().zip(x) {
+                    *reg = _mm512_add_ps(*reg, _mm512_mul_ps(_mm512_set1_ps(x), bv));
+                }
+            },
+        );
+        for (out, reg) in acc.iter_mut().zip(regs) {
+            _mm512_storeu_ps(out.as_mut_ptr(), reg);
+        }
     }
     acc
 }
-
-/// A tile kernel: [`tile`] or [`tile_avx512`].
-type TileFn<const R: usize> = fn(usize, Left, &[&[f32]; R], &[f32], usize) -> [[f32; LANES]; R];
 
 /// `dst[r·ldd + c] += Σ_p A(r, p)·B(p, c)` for `r < m`, `c < n`, depth
 /// `k`, with `B(p, c) = b[p·ldb + c]`: `gemm_core`'s order — per [`KC`]
 /// block of depth, a sum from `0.0` in ascending `p`, added into `dst`.
 /// With `zeroed`, `dst` is taken to hold zeros: the first block stores
 /// `0.0 + sum` without reading it, the same bits. Tiles are `R` rows by
-/// [`LANES`] lanes, by [`tile_avx512`] when `AVX512` (set only where
-/// AVX-512F is verified) and [`tile`] otherwise. `b` must hold 16 lanes
-/// from every tile's first column at every depth step; a [`Left::Rows`]
-/// tile past row `m` repeats row `m − 1` and is not stored.
+/// [`LANES`] lanes, eight rows on AVX-512F (whose 32 registers hold
+/// them) and four otherwise. `b` must hold 16 lanes from every tile's
+/// first column at every depth step; a [`Left::Rows`] tile past row `m`
+/// repeats row `m − 1` and is not stored.
+#[allow(clippy::too_many_arguments)] // the product contract plus its arm
 #[inline(always)]
-fn product<const R: usize, const AVX512: bool>(
+fn product(
+    arm: Arm,
     left: Left,
     b: &[f32],
     ldb: usize,
@@ -1094,43 +1067,18 @@ fn product<const R: usize, const AVX512: bool>(
     dims: [usize; 3],
     zeroed: bool,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if AVX512 {
-        // SAFETY: only the AVX-512F arm sets AVX512, and its dispatcher
-        // verified the feature.
-        return unsafe { product_avx512::<R>(left, b, ldb, dst, ldd, dims, zeroed) };
+    if arm == Arm::Avx512f {
+        tiled::<8>(arm, left, b, ldb, dst, ldd, dims, zeroed);
+    } else {
+        tiled::<4>(arm, left, b, ldb, dst, ldd, dims, zeroed);
     }
-    tiled::<R>(tile::<R>, left, b, ldb, dst, ldd, dims, zeroed);
 }
 
-/// [`tiled`] over [`tile_avx512`]: one call per product, so the tile
-/// inlines into a small loop nest compiled with AVX-512F.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support (see [`has_avx512f`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn product_avx512<const R: usize>(
-    left: Left,
-    b: &[f32],
-    ldb: usize,
-    dst: &mut [f32],
-    ldd: usize,
-    dims: [usize; 3],
-    zeroed: bool,
-) {
-    let tile: TileFn<R> = |kc, left, rows, b, ldb| {
-        // SAFETY: product_avx512 runs only where AVX-512F is verified.
-        unsafe { tile_avx512(kc, left, rows, b, ldb) }
-    };
-    tiled::<R>(tile, left, b, ldb, dst, ldd, dims, zeroed);
-}
-
-/// The loop nest of [`product`] around the tile kernel `tile`.
-#[allow(clippy::too_many_arguments)] // product's contract plus its tile kernel
+/// The loop nest of [`product`] around `R`-row tiles.
+#[allow(clippy::too_many_arguments)] // the product contract plus its arm
 #[inline(always)]
 fn tiled<const R: usize>(
-    tile: TileFn<R>,
+    arm: Arm,
     left: Left,
     b: &[f32],
     ldb: usize,
@@ -1160,7 +1108,7 @@ fn tiled<const R: usize>(
                 }
             };
             for c0 in (0..n).step_by(LANES) {
-                let acc = tile(kc, left, &rows, &b[pc * ldb + c0..], ldb);
+                let acc = tile::<R>(arm, kc, left, &rows, &b[pc * ldb + c0..], ldb);
                 let cw = LANES.min(n - c0);
                 for (r, acc_row) in acc.iter().enumerate().take(R.min(m - r0)) {
                     let out = &mut dst[(r0 + r) * ldd + c0..][..cw];
@@ -1243,7 +1191,8 @@ fn softmax_bwd_lanes(w: &[f32], ds: &mut [f32], t: usize, tp: usize, scale: f32)
 /// The attention forward of every `(b, h)` block (see
 /// [`attn_fused_fwd`]); `weights` empty keeps none.
 #[inline(always)]
-fn attn_fwd_impl<const R: usize, const AVX512: bool>(
+fn attn_fwd_impl(
+    arm: Arm,
     [q, k, v]: [&[f32]; 3],
     scale: f32,
     ctx: &mut [f32],
@@ -1265,10 +1214,20 @@ fn attn_fwd_impl<const R: usize, const AVX512: bool>(
                 &mut own[..]
             };
             transpose_block(&q[base..], hd, t, dh, tp, qt);
-            product::<R, AVX512>(Left::Rows(&k[base..], hd), qt, tp, s, tp, [t, dh, tp], true);
+            product(
+                arm,
+                Left::Rows(&k[base..], hd),
+                qt,
+                tp,
+                s,
+                tp,
+                [t, dh, tp],
+                true,
+            );
             softmax_lanes(s, t, tp, scale);
             let (vb, ldv) = lane_rows(&v[base..], hd, t, dh, pad);
-            product::<R, AVX512>(
+            product(
+                arm,
                 Left::Cols(s, tp),
                 vb,
                 ldv,
@@ -1290,7 +1249,8 @@ fn attn_fwd_impl<const R: usize, const AVX512: bool>(
 /// The attention backward of every `(b, h)` block (see
 /// [`attn_fused_bwd`]).
 #[inline(always)]
-fn attn_bwd_impl<const R: usize, const AVX512: bool>(
+fn attn_bwd_impl(
+    arm: Arm,
     [q, k, v, g]: [&[f32]; 4],
     weights: &[f32],
     scale: f32,
@@ -1317,7 +1277,8 @@ fn attn_bwd_impl<const R: usize, const AVX512: bool>(
                 own
             };
             transpose_block(&g[base..], hd, t, dh, tp, gt);
-            product::<R, AVX512>(
+            product(
+                arm,
                 Left::Rows(&v[base..], hd),
                 gt,
                 tp,
@@ -1328,7 +1289,8 @@ fn attn_bwd_impl<const R: usize, const AVX512: bool>(
             );
             softmax_bwd_lanes(w, ds, t, tp, scale);
             let (kb, ldk) = lane_rows(&k[base..], hd, t, dh, kpad);
-            product::<R, AVX512>(
+            product(
+                arm,
                 Left::Cols(ds, tp),
                 kb,
                 ldk,
@@ -1338,7 +1300,8 @@ fn attn_bwd_impl<const R: usize, const AVX512: bool>(
                 false,
             );
             let (qb, ldq) = lane_rows(&q[base..], hd, t, dh, qpad);
-            product::<R, AVX512>(
+            product(
+                arm,
                 Left::Rows(ds, tp),
                 qb,
                 ldq,
@@ -1348,7 +1311,8 @@ fn attn_bwd_impl<const R: usize, const AVX512: bool>(
                 false,
             );
             let (gb, ldg) = lane_rows(&g[base..], hd, t, dh, gpad);
-            product::<R, AVX512>(
+            product(
+                arm,
                 Left::Rows(w, tp),
                 gb,
                 ldg,
@@ -1359,127 +1323,6 @@ fn attn_bwd_impl<const R: usize, const AVX512: bool>(
             );
         }
     }
-}
-
-type AttnFwdFn = unsafe fn([&[f32]; 3], f32, &mut [f32], &mut [f32], [usize; 4], &mut Vec<f32>);
-type AttnBwdFn = unsafe fn([&[f32]; 4], &[f32], f32, [&mut [f32]; 3], [usize; 4], &mut Vec<f32>);
-
-/// [`attn_fwd_impl`] at the build's baseline.
-///
-/// # Safety
-/// Always safe to call; `unsafe fn` only to share a signature with the
-/// feature-gated arms.
-unsafe fn attn_fwd_baseline(
-    qkv: [&[f32]; 3],
-    scale: f32,
-    ctx: &mut [f32],
-    w: &mut [f32],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_fwd_impl::<4, false>(qkv, scale, ctx, w, dims, scratch);
-}
-
-/// [`attn_bwd_impl`] at the build's baseline.
-///
-/// # Safety
-/// Always safe to call; `unsafe fn` only to share a signature with the
-/// feature-gated arms.
-unsafe fn attn_bwd_baseline(
-    ins: [&[f32]; 4],
-    w: &[f32],
-    scale: f32,
-    grads: [&mut [f32]; 3],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_bwd_impl::<4, false>(ins, w, scale, grads, dims, scratch);
-}
-
-/// [`attn_fwd_impl`] with AVX2: each tile row is two 256-bit
-/// registers.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attn_fwd_avx2(
-    qkv: [&[f32]; 3],
-    scale: f32,
-    ctx: &mut [f32],
-    w: &mut [f32],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_fwd_impl::<4, false>(qkv, scale, ctx, w, dims, scratch);
-}
-
-/// [`attn_bwd_impl`] with AVX2.
-///
-/// # Safety
-/// Caller must have verified AVX2 support (see [`has_avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attn_bwd_avx2(
-    ins: [&[f32]; 4],
-    w: &[f32],
-    scale: f32,
-    grads: [&mut [f32]; 3],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_bwd_impl::<4, false>(ins, w, scale, grads, dims, scratch);
-}
-
-/// [`attn_fwd_impl`] with AVX-512F: each tile row is one 512-bit
-/// register, and a depth step is one load of the right row and, per
-/// tile row, a broadcast multiply then an add. LLVM vectorizes the
-/// portable loops; Rust never contracts them into an FMA.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support (see [`has_avx512f`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn attn_fwd_avx512(
-    qkv: [&[f32]; 3],
-    scale: f32,
-    ctx: &mut [f32],
-    w: &mut [f32],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_fwd_impl::<8, true>(qkv, scale, ctx, w, dims, scratch);
-}
-
-/// [`attn_bwd_impl`] with AVX-512F.
-///
-/// # Safety
-/// Caller must have verified AVX-512F support (see [`has_avx512f`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn attn_bwd_avx512(
-    ins: [&[f32]; 4],
-    w: &[f32],
-    scale: f32,
-    grads: [&mut [f32]; 3],
-    dims: [usize; 4],
-    scratch: &mut Vec<f32>,
-) {
-    attn_bwd_impl::<8, true>(ins, w, scale, grads, dims, scratch);
-}
-
-/// The widest attention arm this CPU supports: AVX-512F, then AVX2,
-/// then the baseline. All three return the same bits.
-fn attn_arms() -> (AttnFwdFn, AttnBwdFn) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx512f() {
-        return (attn_fwd_avx512, attn_bwd_avx512);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        return (attn_fwd_avx2, attn_bwd_avx2);
-    }
-    (attn_fwd_baseline, attn_bwd_baseline)
 }
 
 /// Attention forward: `ctx[b,i,h,:] = Σ_j softmax_j(scale · q_i·k_j) · v_j`
@@ -1516,11 +1359,11 @@ pub fn attn_fused_fwd(
         weights.is_empty() || weights.len() == b * h * t * t,
         "attention weights must be [B, H, T, T]"
     );
-    let fwd = attn_arms().0;
-    ATTN_SCRATCH.with(|scratch| {
-        let scratch = &mut scratch.borrow_mut();
-        // SAFETY: attn_arms verified the CPU features the arm needs.
-        unsafe { fwd([q, k, v], scale, ctx, weights, [b, t, h, dh], scratch) }
+    ATTN_SCRATCH.with_borrow_mut(|scratch| {
+        Arm::host().run(
+            #[inline(always)]
+            |arm| attn_fwd_impl(arm, [q, k, v], scale, ctx, weights, [b, t, h, dh], scratch),
+        )
     })
 }
 
@@ -1561,20 +1404,14 @@ pub fn attn_fused_bwd(
     if b == 0 || t == 0 || h == 0 {
         return;
     }
-    let bwd = attn_arms().1;
-    ATTN_SCRATCH.with(|scratch| {
-        let scratch = &mut scratch.borrow_mut();
-        // SAFETY: attn_arms verified the CPU features the arm needs.
-        unsafe {
-            bwd(
-                [q, k, v, g],
-                weights,
-                scale,
-                [gq, gk, gv],
-                [b, t, h, dh],
-                scratch,
-            )
-        }
+    ATTN_SCRATCH.with_borrow_mut(|scratch| {
+        Arm::host().run(
+            #[inline(always)]
+            |arm| {
+                let (ins, grads) = ([q, k, v, g], [gq, gk, gv]);
+                attn_bwd_impl(arm, ins, weights, scale, grads, [b, t, h, dh], scratch)
+            },
+        )
     })
 }
 
@@ -2067,27 +1904,20 @@ mod tests {
         }
     }
 
-    type AttnArm = (&'static str, AttnFwdFn, AttnBwdFn);
-
-    /// Every attention arm this host can run, called directly so each
-    /// compiled arm is checked wherever the tests run.
-    fn attn_arm_list() -> Vec<AttnArm> {
-        let mut arms: Vec<AttnArm> = vec![("baseline", attn_fwd_baseline, attn_bwd_baseline)];
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            arms.push(("avx2", attn_fwd_avx2, attn_bwd_avx2));
-        }
-        #[cfg(target_arch = "x86_64")]
-        if has_avx512f() {
-            arms.push(("avx512f", attn_fwd_avx512, attn_bwd_avx512));
-        }
-        arms
+    /// Every arm this host can run, narrowest first: the attention
+    /// arms, and the list every other arm test runs too. Each arm is
+    /// called through `Arm::run`, as the kernels call it.
+    fn attn_arm_list() -> Vec<Arm> {
+        [Arm::Baseline, Arm::Avx2, Arm::Avx512f]
+            .into_iter()
+            .filter(|&arm| arm <= Arm::host())
+            .collect()
     }
 
     /// `[ctx, kept weights, dQ, dK, dV]` bits of one arm, the backward
     /// from the weights its own forward kept.
     fn run_attn_arm(
-        arm: &AttnArm,
+        arm: Arm,
         [q, k, v, g]: [&[f32]; 4],
         scale: f32,
         dims: [usize; 4],
@@ -2098,12 +1928,17 @@ mod tests {
         let mut grads = [(); 3].map(|_| vec![0.0; n]);
         let [gq, gk, gv] = &mut grads;
         let mut scratch = Vec::new();
-        // SAFETY: attn_arm_list lists only arms whose CPU features this
-        // host has.
-        unsafe {
-            (arm.1)([q, k, v], scale, &mut ctx, &mut w, dims, &mut scratch);
-            (arm.2)([q, k, v, g], &w, scale, [gq, gk, gv], dims, &mut scratch);
-        }
+        arm.run(
+            #[inline(always)]
+            |arm| attn_fwd_impl(arm, [q, k, v], scale, &mut ctx, &mut w, dims, &mut scratch),
+        );
+        arm.run(
+            #[inline(always)]
+            |arm| {
+                let grads = [&mut gq[..], gk, gv];
+                attn_bwd_impl(arm, [q, k, v, g], &w, scale, grads, dims, &mut scratch)
+            },
+        );
         [bits(&ctx), bits(&w), bits(gq), bits(gk), bits(gv)]
     }
 
@@ -2118,11 +1953,60 @@ mod tests {
                     let inputs = attn_inputs(b * t * h * dh, seed);
                     let want = reference::attention(attn_refs(&inputs), scale, [b, t, h, dh]).map(|x| bits(&x));
                     for arm in attn_arm_list() {
-                        let got = run_attn_arm(&arm, attn_refs(&inputs), scale, [b, t, h, dh]);
+                        let got = run_attn_arm(arm, attn_refs(&inputs), scale, [b, t, h, dh]);
                         for (part, (got, want)) in ["ctx", "weights", "dQ", "dK", "dV"].iter().zip(got.iter().zip(&want)) {
-                            proptest::prop_assert!(got == want, "{} {part} at (b={b},t={t},h={h},dh={dh})", arm.0);
+                            proptest::prop_assert!(got == want, "{arm:?} {part} at (b={b},t={t},h={h},dh={dh})");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The bits `layout`'s public entry point leaves in a `c` that
+    /// starts non-zero, run through `gemm_core` on `arm` with that entry
+    /// point's strides; `public` runs the entry point itself instead.
+    fn run_gemm(
+        arm: Arm,
+        layout: &str,
+        public: bool,
+        [a, b, bias]: [&[f32]; 3],
+        dims: [usize; 3],
+    ) -> Vec<u32> {
+        let [m, k, n] = dims;
+        let mut c = rand_vec(m * n, 7);
+        match (layout, public) {
+            ("nn", false) => gemm_core(arm, a, k, 1, b, n, 1, &mut c, n, None, dims),
+            ("nn", true) => gemm_nn(a, b, &mut c, m, k, n),
+            ("nn_bias", false) => gemm_core(arm, a, k, 1, b, n, 1, &mut c, n, Some(bias), dims),
+            ("nn_bias", true) => gemm_nn_bias(a, b, bias, &mut c, m, k, n),
+            ("nt", false) => gemm_core(arm, a, k, 1, b, 1, k, &mut c, n, None, dims),
+            ("nt", true) => gemm_nt(a, b, &mut c, m, k, n),
+            ("tn", false) => gemm_core(arm, a, 1, m, b, n, 1, &mut c, n, None, dims),
+            ("tn", true) => gemm_tn(a, b, &mut c, m, k, n),
+            _ => unreachable!("no layout {layout}"),
+        }
+        bits(&c)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+        #[test]
+        fn gemm_arms_agree_through_packing_and_bias_store(m0 in 1usize..=70, n0 in 1usize..=40, k0 in 1usize..=300, seed in 0u64..1000) {
+            // m across MR (4) and MC (64), n across NR (16), k across KC
+            // (256), and one drawn shape.
+            let grid = [1usize, 4, 5, 64, 67].into_iter().flat_map(|m| {
+                [1usize, 16, 17, 40].into_iter().flat_map(move |n| [1usize, 256, 300].map(|k| [m, k, n]))
+            });
+            for dims @ [m, k, n] in grid.chain([[m0, k0, n0]]) {
+                let (a, b, bias) = (rand_vec(m * k, seed), rand_vec(k * n, seed + 1), rand_vec(n, seed + 2));
+                for layout in ["nn", "nn_bias", "nt", "tn"] {
+                    let run = |arm, public| run_gemm(arm, layout, public, [&a, &b, &bias], dims);
+                    let want = run(Arm::Baseline, false);
+                    for arm in attn_arm_list() {
+                        proptest::prop_assert!(run(arm, false) == want, "{layout} {arm:?} at {dims:?}");
+                    }
+                    proptest::prop_assert!(run(Arm::host(), true) == want, "{layout} public at {dims:?}");
                 }
             }
         }
@@ -2138,9 +2022,8 @@ mod tests {
         let want = reference::composed(tiled, attn_refs(&inputs), 0.6, dims).map(|x| bits(&x));
         for arm in attn_arm_list() {
             assert!(
-                run_attn_arm(&arm, attn_refs(&inputs), 0.6, dims) == want,
-                "{}",
-                arm.0
+                run_attn_arm(arm, attn_refs(&inputs), 0.6, dims) == want,
+                "{arm:?}"
             );
         }
     }
@@ -2284,37 +2167,33 @@ mod tests {
                 assert_eq!(f0[i].to_bits(), gelu1(x[i]).to_bits());
             }
 
-            #[cfg(target_arch = "x86_64")]
-            if has_avx2() {
+            // And so does every arm's compilation.
+            for arm in attn_arm_list() {
                 let (mut f2, mut b2) = (vec![0.0; len], vec![0.0; len]);
-                // SAFETY: has_avx2 verified the CPU feature the callees need.
-                unsafe {
-                    gelu_fwd_avx2(&x, &mut f2);
-                    gelu_bwd_avx2(&x, &g, &mut b2);
-                }
-                assert_eq!(bits(&f0), bits(&f2), "gelu_fwd avx2, len {len}");
-                assert_eq!(bits(&b0), bits(&b2), "gelu_bwd avx2, len {len}");
+                arm.run(
+                    #[inline(always)]
+                    |_| gelu_fwd_impl(&x, &mut f2),
+                );
+                arm.run(
+                    #[inline(always)]
+                    |_| gelu_bwd_impl(&x, &g, &mut b2),
+                );
+                assert_eq!(bits(&f0), bits(&f2), "gelu_fwd {arm:?}, len {len}");
+                assert_eq!(bits(&b0), bits(&b2), "gelu_bwd {arm:?}, len {len}");
             }
         }
         microkernel_arms_agree_bit_for_bit();
         row_groups_match_row_serial_reference_bit_for_bit();
     }
 
-    /// Every microkernel arm this CPU has, and the one `micro_fn` picked,
-    /// against the baseline compilation and a scalar ascending-`p` fold
-    /// on random packed panels.
+    /// The GEMM tile on every arm this CPU has, over random packed
+    /// panels (`Left::Cols` with `lda = MR`, `ldb = NR`, as `gemm_core`
+    /// reads them), against a scalar ascending-`p` fold.
     fn microkernel_arms_agree_bit_for_bit() {
         type Tile = [[f32; NR]; MR];
         for kc in [1usize, 3, 16, 64, 256] {
             let a = rand_vec(kc * MR, 300 + kc as u64);
             let b = rand_vec(kc * NR, 400 + kc as u64);
-            let run = |f: MicroFn| -> Vec<u32> {
-                let mut acc: Tile = [[f32::NAN; NR]; MR];
-                // SAFETY: every caller below checked the CPU features `f` needs.
-                unsafe { f(kc, &a, &b, &mut acc) };
-                bits(acc.as_flattened())
-            };
-            let want = run(micro_baseline);
             let mut fold: Tile = [[0.0; NR]; MR];
             for p in 0..kc {
                 for r in 0..MR {
@@ -2323,15 +2202,13 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(want, bits(fold.as_flattened()), "baseline vs fold, kc {kc}");
-            assert_eq!(want, run(micro_fn()), "dispatched arm, kc {kc}");
-            #[cfg(target_arch = "x86_64")]
-            if has_avx2() {
-                assert_eq!(want, run(micro_avx2), "avx2 arm, kc {kc}");
-            }
-            #[cfg(target_arch = "x86_64")]
-            if has_avx512f() {
-                assert_eq!(want, run(micro_avx512), "avx512 arm, kc {kc}");
+            for arm in attn_arm_list() {
+                let acc = arm.run(
+                    #[inline(always)]
+                    |arm| tile::<MR>(arm, kc, Left::Cols(&a, MR), &[&[]; MR], &b, NR),
+                );
+                let want = bits(fold.as_flattened());
+                assert_eq!(want, bits(acc.as_flattened()), "{arm:?} vs fold, kc {kc}");
             }
         }
     }
@@ -2404,18 +2281,21 @@ mod tests {
                 });
                 assert_eq!(want_bwd, picked, "layer norm bwd dispatched, {ctx}");
 
-                #[cfg(target_arch = "x86_64")]
-                if has_avx2() {
-                    // SAFETY: has_avx2 verified the CPU feature the callees need.
-                    unsafe {
-                        let avx2 =
-                            ln_stats(rows, |m, r| layer_norm_stats_avx2(&ln_x, d, 1e-5, m, r));
-                        assert_eq!(want_stats, avx2, "layer norm stats avx2, {ctx}");
-                        let avx2 = ln_bwd(n, d, |gx, gg, gb| {
-                            layer_norm_bwd_avx2(&y, &g, &gamma, &rstd, gx, gg, gb)
-                        });
-                        assert_eq!(want_bwd, avx2, "layer norm bwd avx2, {ctx}");
-                    }
+                for arm in attn_arm_list() {
+                    let on_arm = ln_stats(rows, |m, r| {
+                        arm.run(
+                            #[inline(always)]
+                            |_| layer_norm_stats_impl(&ln_x, d, 1e-5, m, r),
+                        )
+                    });
+                    assert_eq!(want_stats, on_arm, "layer norm stats {arm:?}, {ctx}");
+                    let on_arm = ln_bwd(n, d, |gx, gg, gb| {
+                        arm.run(
+                            #[inline(always)]
+                            |_| layer_norm_bwd_impl(&y, &g, &gamma, &rstd, gx, gg, gb),
+                        )
+                    });
+                    assert_eq!(want_bwd, on_arm, "layer norm bwd {arm:?}, {ctx}");
                 }
             }
         }
