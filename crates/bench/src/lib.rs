@@ -10,10 +10,8 @@
 //! same topology (Table 2), and generalization to the larger topology
 //! (Table 3). [`runner`] holds the table specs and wires each arm once.
 //!
-//! Four benches remain under `benches/`, each for an assertion with no
-//! other home (`kernels`, `serve_throughput`, `obs_overhead`,
-//! `chaos_soak`); timing lives in the `e2e` benchmark.
+//! Timing lives in the `e2e` benchmark, which reads
+//! [`report::host_context_json`] from here.
 
 pub mod report;
 pub mod runner;
-pub mod synth;

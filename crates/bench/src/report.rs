@@ -164,8 +164,8 @@ pub fn git_commit_sha() -> String {
 
 /// Host context as a JSON object string: core count, `NTT_THREADS`, the
 /// CPU model when readable, the git commit the tree is at, and whether
-/// the `NTT_OBS` kill switch left observability on. Embedded in every
-/// `BENCH_*.json` so a number in the perf trajectory is interpretable —
+/// the `NTT_OBS` kill switch left observability on. The `e2e` benchmark
+/// prints it at start-up so a number in the perf trajectory is interpretable —
 /// a ≤1× thread-scaling "speedup" measured on a 1-core container reads
 /// very differently from the same number on a 16-core box, and a
 /// latency histogram gathered with metrics off would be empty.

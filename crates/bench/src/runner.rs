@@ -24,7 +24,8 @@
 
 use crate::report::{fmt_duration, fmt_e3, Table};
 use ntt_core::baselines::{
-    delay_ewma_mse, delay_last_observed_mse, mct_ewma_mse, mct_last_observed_mse, EWMA_ALPHA,
+    delay_ewma_mse, delay_last_observed_mse, delay_last_same_receiver_mse, mct_ewma_mse,
+    mct_last_observed_mse, EWMA_ALPHA,
 };
 use ntt_core::{
     Aggregation, Experiment, FinetuneOpts, Finetuned, NttConfig, Pretrained, TrainConfig,
@@ -203,6 +204,9 @@ enum Arm {
     /// own normalizer on the fine-tuning data (it never saw any other).
     Scratch,
     LastObserved,
+    /// Delay only: the latest earlier packet to the same receiver (not
+    /// in the paper; it separates path depth from queue dynamics).
+    LastSameReceiver,
     /// EWMA with the paper's α = 0.01.
     Ewma,
 }
@@ -290,7 +294,8 @@ fn timed(env: &Env, data: Scenario, rows: Vec<TimedRow>) -> Vec<Row> {
 /// Table 1: delay MSE on the pre-training data, then delay and MCT
 /// after decoder-only fine-tuning on 10 % of case 1 (unseen
 /// cross-traffic), for the pre-trained NTT, the four ablations of §3,
-/// from scratch, and the two naive baselines.
+/// from scratch, and the two naive baselines (plus a delay-only
+/// same-receiver one).
 fn table1(env: &Env) -> TableSpec {
     use Arm::*;
     use Scenario::{Case1, Pretrain};
@@ -329,11 +334,12 @@ fn table1(env: &Env) -> TableSpec {
     for (label, arm, paper) in [
         ("Last observed", LastObserved, ["0.142", "0.121", "2189"]),
         ("EWMA (a=0.01)", Ewma, ["0.259", "0.211", "1147"]),
+        ("Last, same receiver", LastSameReceiver, ["-", "-", "-"]),
     ] {
         let cells = [
             cell(arm, Delay, Pretrain, None, ms, all),
             cell(arm, Delay, Case1, None, ms, all),
-            cell(arm, Mct, Case1, None, ms, all),
+            cell(arm, Mct, Case1, None, ms, all).filter(|_| arm != LastSameReceiver),
         ];
         rows.push(row(label, cells, paper));
     }
@@ -374,7 +380,8 @@ fn table2(env: &Env) -> TableSpec {
 
 /// Table 3: the larger topology (case 2), where receivers sit at
 /// different path depths. The paper fine-tunes the full model here;
-/// in-text it adds the naive baselines and the no-addressing ablation.
+/// in-text it adds the naive baselines and the no-addressing ablation;
+/// the same-receiver baseline is not in the paper.
 fn table3(env: &Env) -> TableSpec {
     use Arm::*;
     let (all, no_addr) = (FeatureMask::all(), FeatureMask::without_receiver());
@@ -385,6 +392,7 @@ fn table3(env: &Env) -> TableSpec {
         (vec!["From scratch + full data"], Scratch, None, all, "5.2", "20h"),
         (vec!["From scratch + 10% data"], Scratch, TEN_PCT, all, "8.2", "11h"),
         (vec!["Last observed (baseline)"], LastObserved, None, all, "11.2", "-"),
+        (vec!["Last observed, same receiver (baseline)"], LastSameReceiver, None, all, "-", "-"),
         (vec!["EWMA (baseline)"], Ewma, None, all, "4.0", "-"),
         (vec!["Pre-trained, no addressing + 10%"], Full, TEN_PCT, no_addr, "2.8", "-"),
     ];
@@ -590,7 +598,9 @@ impl Paper {
                     wall: pre.report.as_ref().map(|r| r.wall.as_secs_f64()),
                 }
             }
-            (Arm::PretrainEval, Task::Mct) => panic!("pre-training trains the delay task only"),
+            (Arm::PretrainEval | Arm::LastSameReceiver, Task::Mct) => {
+                panic!("{:?} is a delay-only arm", c.arm)
+            }
             (Arm::DecoderOnly | Arm::Full, task) => {
                 let o = opts(match c.arm {
                     Arm::Full => FinetuneOpts::full(),
@@ -615,10 +625,11 @@ impl Paper {
                     }
                 })
             }
-            (Arm::LastObserved | Arm::Ewma, Task::Delay) => {
+            (Arm::LastObserved | Arm::LastSameReceiver | Arm::Ewma, Task::Delay) => {
                 let (_, test) = exp.delay_datasets(data, None);
                 let mse = match c.arm {
                     Arm::Ewma => delay_ewma_mse(&test, EWMA_ALPHA),
+                    Arm::LastSameReceiver => delay_last_same_receiver_mse(&test),
                     _ => delay_last_observed_mse(&test),
                 };
                 baseline(mse, test.target_variance())
@@ -743,7 +754,7 @@ mod tests {
             ..quick
         };
         let mut paper = Paper::new(env);
-        for (name, rows) in TABLES.into_iter().zip([3, 8, 4, 7]) {
+        for (name, rows) in TABLES.into_iter().zip([3, 9, 4, 8]) {
             let table = paper.table(name);
             assert_eq!(table.rows().len(), rows, "{name}");
             // `inf` and `NaN` parse too, so every MSE cell is checked.
@@ -754,9 +765,9 @@ mod tests {
             }
         }
         // Shared work ran once: three scenarios, six distinct
-        // pre-trainings, and two of the 34 printed cells are repeats.
+        // pre-trainings, and two of the 37 printed cells are repeats.
         assert_eq!(paper.sims.len(), 3);
         assert_eq!(paper.pretrained.len(), 6);
-        assert_eq!(paper.cells.len(), 32);
+        assert_eq!(paper.cells.len(), 35);
     }
 }

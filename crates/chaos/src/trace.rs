@@ -9,7 +9,6 @@
 
 use crate::plan::FaultKind;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 /// One injected fault.
@@ -50,7 +49,7 @@ pub(crate) fn clear() {
 }
 
 /// Injection accounting for one plan run: per-(site, kind) hit and
-/// injection counts, exportable as JSON for the `CHAOS.json` artifact.
+/// injection counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     pub seed: u64,
@@ -62,25 +61,6 @@ impl ChaosReport {
     pub fn injected_total(&self) -> u64 {
         self.rules.values().map(|&(_, inj)| inj).sum()
     }
-
-    /// Render as a JSON object (same hand-rolled style as the bench
-    /// artifacts — no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"injected_total\": {},", self.injected_total());
-        let _ = writeln!(s, "  \"rules\": [");
-        for (i, ((site, kind), (hits, injected))) in self.rules.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"site\": {site:?}, \"kind\": {kind:?}, \"hits\": {hits}, \
-                 \"injected\": {injected}}}{}",
-                if i + 1 == self.rules.len() { "" } else { "," }
-            );
-        }
-        s.push_str("  ]\n}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +68,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_json_is_well_formed() {
+    fn report_totals_injections_over_rules() {
         let mut r = ChaosReport {
             seed: 9,
             ..Default::default()
@@ -96,10 +76,5 @@ mod tests {
         r.rules.insert(("a.b".into(), "panic"), (10, 2));
         r.rules.insert(("c.d".into(), "fail"), (4, 4));
         assert_eq!(r.injected_total(), 6);
-        let json = r.to_json();
-        assert!(json.contains("\"seed\": 9"));
-        assert!(json.contains("\"injected_total\": 6"));
-        assert!(json.contains("\"site\": \"a.b\""));
-        assert!(json.ends_with('}'));
     }
 }

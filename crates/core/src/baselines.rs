@@ -1,11 +1,12 @@
-//! The paper's naive baselines (Table 1): last-observed and EWMA.
+//! The paper's naive baselines (Table 1): last-observed and EWMA, plus
+//! a delay-only "last observed at the same receiver".
 //!
 //! * Delay task: predict the masked last-packet delay from the delays of
 //!   the preceding packets in the window.
 //! * MCT task: predict a message's log completion time from the log
 //!   completion times of previously completed messages on the same run.
 
-use ntt_data::{DelayDataset, MctDataset};
+use ntt_data::{DelayDataset, MctDataset, PacketView};
 
 /// EWMA smoothing factor — the paper uses α = 0.01.
 pub const EWMA_ALPHA: f32 = 0.01;
@@ -30,6 +31,28 @@ pub fn delay_last_observed_mse(ds: &DelayDataset) -> f64 {
     for i in 0..ds.len() {
         let w = ds.window_packets(i);
         pred.push(w[w.len() - 2].delay);
+        truth.push(ds.target_raw(i));
+    }
+    mse(&pred, &truth)
+}
+
+/// The delay of the window's most recent earlier packet to the last
+/// packet's receiver, or of packet t−1 if no earlier packet went there.
+fn last_same_receiver(window: &[PacketView]) -> f32 {
+    let (last, earlier) = window.split_last().expect("empty window");
+    let same = earlier.iter().rev().find(|p| p.receiver == last.receiver);
+    same.unwrap_or(&earlier[earlier.len() - 1]).delay
+}
+
+/// "Last observed at the same receiver": where receivers sit at
+/// different path depths (Table 3's larger topology) the previous
+/// packet may have crossed a different path, so this predicts from the
+/// most recent packet that went where the masked one goes. With one
+/// receiver group it equals [`delay_last_observed_mse`]. Raw seconds².
+pub fn delay_last_same_receiver_mse(ds: &DelayDataset) -> f64 {
+    let (mut pred, mut truth) = (Vec::new(), Vec::new());
+    for i in 0..ds.len() {
+        pred.push(last_same_receiver(ds.window_packets(i)));
         truth.push(ds.target_raw(i));
     }
     mse(&pred, &truth)
@@ -119,6 +142,7 @@ mod tests {
         let (d, m) = datasets();
         for v in [
             delay_last_observed_mse(&d),
+            delay_last_same_receiver_mse(&d),
             delay_ewma_mse(&d, EWMA_ALPHA),
             mct_last_observed_mse(&m),
             mct_ewma_mse(&m, EWMA_ALPHA),
@@ -137,6 +161,37 @@ mod tests {
         let mean_mse = mse(&vec![mean; truths.len()], &truths);
         let lo = delay_last_observed_mse(&d);
         assert!(lo < mean_mse, "last-observed {lo} vs mean {mean_mse}");
+    }
+
+    #[test]
+    fn same_receiver_takes_the_latest_earlier_packet_to_that_receiver() {
+        let window: Vec<PacketView> = [(0.0, 1.0), (1.0, 2.0), (0.0, 3.0), (1.0, 4.0), (1.0, 5.0)]
+            .into_iter()
+            .map(|(receiver, delay)| PacketView {
+                t: 0.0,
+                size: 1000.0,
+                receiver,
+                delay,
+                retransmit: false,
+            })
+            .collect();
+        let with_last = |receiver: f32| {
+            let mut w = window.clone();
+            w.push(PacketView { receiver, ..w[0] });
+            last_same_receiver(&w)
+        };
+        assert_eq!(with_last(0.0), 3.0, "packet 2 is the latest to receiver 0");
+        assert_eq!(with_last(1.0), 5.0, "packet t-1 went to receiver 1 too");
+        assert_eq!(with_last(2.0), 5.0, "no packet to receiver 2: packet t-1");
+    }
+
+    #[test]
+    fn same_receiver_equals_last_observed_with_one_receiver_group() {
+        let (d, _) = datasets();
+        assert_eq!(
+            delay_last_same_receiver_mse(&d),
+            delay_last_observed_mse(&d)
+        );
     }
 
     #[test]

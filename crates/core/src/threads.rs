@@ -1,12 +1,12 @@
 //! The one parser for the `NTT_THREADS` environment knob.
 //!
 //! Every layer that fans work out — the fleet, the trainer, the serving
-//! batcher, and each bench binary — honors the same environment
+//! batcher, and the `paper` binary — honors the same environment
 //! variable. Before this module each site re-implemented the parse (and
 //! its warning) by hand; they drifted in defaults and wording. Callers
 //! now state only their default, which is the one thing that
 //! legitimately differs: the trainer treats *unset* as sequential
-//! (`1`), the bench/serve binaries treat it as auto (`0` = one worker
+//! (`1`), the `paper` and serving binaries treat it as auto (`0` = one worker
 //! per core).
 
 /// `NTT_THREADS`, or `default` when unset or unparsable. An unparsable

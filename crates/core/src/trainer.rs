@@ -13,16 +13,16 @@
 //!
 //! # Data parallelism and determinism
 //!
-//! Each optimizer step's batch is split into fixed-size microbatches
-//! ([`ParStrategy::microbatch`]); workers on a scoped thread pool claim
-//! shards from an atomic cursor, run forward/backward on their own
+//! Each optimizer step's batch is split into microbatches of eight
+//! samples; workers on `ntt-fleet`'s [`ordered_fanout`] claim shards
+//! from an atomic cursor, run forward/backward on their own
 //! [`ntt_tensor::Tape`], and return a detached
 //! [`ParamGrads`](ntt_tensor::ParamGrads) bundle. The coordinator
-//! reduces bundles **in shard-index order** and applies one
-//! [`Adam::step_with`] update — the same reorder-buffer discipline as
-//! `ntt-fleet`, so losses and parameters are **bit-identical for any
-//! thread count**. The microbatch decomposition (and therefore the
-//! numerics) depends only on `microbatch`, never on `threads`.
+//! reduces bundles **in shard-index order** as the fan-out's reorder
+//! buffer hands them over, and applies one [`Adam::step_with`] update,
+//! so losses and parameters are **bit-identical for any thread
+//! count**. The microbatch decomposition (and therefore the numerics)
+//! never depends on `threads`.
 //!
 //! Wall-clock time is captured in every report because training *time*
 //! is itself a result in Tables 2 and 3.
@@ -30,11 +30,16 @@
 use crate::model::Ntt;
 use crate::task::Task;
 use ntt_data::BatchIter;
+use ntt_fleet::{ordered_fanout, worker_count};
 use ntt_nn::{clip_param_grads, Adam, LrSchedule, Module};
 use ntt_tensor::{Param, ParamGrads, TapePool};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
+
+/// Samples per microbatch shard. This defines the numerics (it fixes
+/// how the batch loss and gradients are associated in f32), so no
+/// thread count changes it: small enough that a batch of 32 fans out
+/// over 4 workers, large enough to amortize per-tape overhead.
+const MICROBATCH: usize = 8;
 
 /// Which parameters fine-tuning updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,33 +58,18 @@ pub struct ParStrategy {
     /// bit-identical for every setting — this is purely a throughput
     /// knob.
     pub threads: usize,
-    /// Samples per microbatch shard. This *does* define the numerics
-    /// (it fixes how the batch loss and gradients are associated in
-    /// f32), so it is independent of `threads` and defaults to
-    /// [`ParStrategy::DEFAULT_MICROBATCH`] everywhere.
-    pub microbatch: usize,
 }
 
 impl ParStrategy {
-    /// Default shard size: small enough that a batch of 32 fans out
-    /// over 4 workers, large enough to amortize per-tape overhead.
-    pub const DEFAULT_MICROBATCH: usize = 8;
-
     /// Sequential execution (still microbatched, so numerics match the
     /// parallel strategies exactly).
     pub fn single() -> Self {
-        ParStrategy {
-            threads: 1,
-            microbatch: Self::DEFAULT_MICROBATCH,
-        }
+        Self::with_threads(1)
     }
 
     /// Run on `threads` workers (`0` = one per core).
     pub fn with_threads(threads: usize) -> Self {
-        ParStrategy {
-            threads,
-            microbatch: Self::DEFAULT_MICROBATCH,
-        }
+        ParStrategy { threads }
     }
 
     /// Honor `NTT_THREADS` (`0` = auto, unset = sequential; one parser
@@ -87,19 +77,6 @@ impl ParStrategy {
     /// results do not depend on the value — only wall-clock does.
     pub fn from_env() -> Self {
         Self::with_threads(crate::env_threads(1))
-    }
-
-    /// Worker count for `n_shards` work items.
-    fn resolve(&self, n_shards: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let requested = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        requested.min(n_shards).max(1)
     }
 }
 
@@ -209,41 +186,20 @@ fn optimizer_for(
     (Adam::new(params, schedule), trainable)
 }
 
-/// Run `f(0..n)` across `threads` scoped workers (atomic-cursor work
-/// stealing, as in `ntt-fleet`) and return the results **in index
-/// order**, so any subsequent reduction is deterministic regardless of
-/// completion order. `threads <= 1` degenerates to a plain loop.
-fn fanout<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+/// [`ordered_fanout`] of `work` over `0..n`, each result to `emit` in
+/// index order, unbounded; when one worker would run every job, the
+/// calling thread runs them instead, with no spawn per step.
+fn fan_out<R: Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize) -> R + Sync,
+    mut emit: impl FnMut(R),
+) {
     if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        (0..n).for_each(|i| emit(work(i)));
+    } else {
+        ordered_fanout(n, threads, usize::MAX, work, |_| {}, |_, r| emit(r));
     }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send((i, f(i))).is_err() {
-                    break; // collector gone
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("trainer worker panicked"))
-        .collect()
 }
 
 /// One optimizer step: fan the batch out as microbatches, reduce the
@@ -256,7 +212,7 @@ fn fanout_step(
     par: &ParStrategy,
     tapes: &TapePool,
 ) -> (f64, ParamGrads) {
-    let shards: Vec<&[usize]> = batch.chunks(par.microbatch).collect();
+    let shards: Vec<&[usize]> = batch.chunks(MICROBATCH).collect();
     let n_total = batch.len();
     let run_shard = |si: usize| -> (f64, ParamGrads) {
         let idx = shards[si];
@@ -271,30 +227,34 @@ fn fanout_step(
     };
     // Microbatch fan-out occupancy: how many shards this step produced
     // and how many workers actually ran them.
-    let workers = par.resolve(shards.len());
+    let workers = worker_count(par.threads, shards.len());
     ntt_obs::histogram!("train.fanout_shards").record(shards.len() as u64);
     ntt_obs::gauge!("train.fanout_workers").set(workers as f64);
-    let results = fanout(shards.len(), workers, run_shard);
-
-    // Fixed-order reduction: shard 0 + shard 1 + ... — the gradient
-    // analogue of the fleet's reorder buffer.
-    let mut it = results.into_iter();
-    let (mut loss, mut acc) = it.next().expect("batch produced no shards");
-    for (lv, pg) in it {
-        loss += lv;
-        acc.add_assign(&pg);
-    }
-    (loss, acc)
+    // Fixed-order reduction: shard 0 + shard 1 + ..., as the reorder
+    // buffer hands them over.
+    let mut total: Option<(f64, ParamGrads)> = None;
+    fan_out(
+        shards.len(),
+        workers,
+        run_shard,
+        |(lv, pg)| match &mut total {
+            Some((loss, acc)) => {
+                *loss += lv;
+                acc.add_assign(&pg);
+            }
+            None => total = Some((lv, pg)),
+        },
+    );
+    total.expect("batch produced no shards")
 }
 
 /// Train `task` on `ntt` with the given mode and fan-out strategy.
 ///
-/// Bit-reproducibility: for a fixed `(cfg, mode)` — including
-/// `cfg.par.microbatch` — the returned losses and the final parameters
-/// are identical for every `cfg.par.threads` setting.
+/// Bit-reproducibility: for a fixed `(cfg, mode)` the returned losses
+/// and the final parameters are identical for every `cfg.par.threads`
+/// setting.
 pub fn train(ntt: &Ntt, task: &dyn Task, cfg: &TrainConfig, mode: TrainMode) -> TrainReport {
     assert!(!task.is_empty(), "training on an empty dataset");
-    assert!(cfg.par.microbatch > 0, "microbatch must be positive");
     assert!(
         cfg.clip > 0.0,
         "gradient clip must be positive, got {}",
@@ -376,12 +336,12 @@ pub fn evaluate(ntt: &Ntt, task: &dyn Task, batch_size: usize, par: &ParStrategy
     };
     let _eval_span = ntt_obs::span!("train.eval_ns");
     ntt_obs::counter!("train.eval_batches").add(batches.len() as u64);
-    let results = fanout(batches.len(), par.resolve(batches.len()), run_batch);
     let (mut se, mut n) = (0.0f64, 0usize);
-    for (s, c) in results {
+    let workers = worker_count(par.threads, batches.len());
+    fan_out(batches.len(), workers, run_batch, |(s, c)| {
         se += s;
         n += c;
-    }
+    });
     let mse_norm = se / n as f64;
     let std = task.target_std() as f64;
     EvalReport {

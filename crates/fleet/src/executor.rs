@@ -1,19 +1,16 @@
 //! The work-stealing executor and streaming ingestion sinks.
 //!
-//! Workers claim shards from a shared atomic cursor (the degenerate but
-//! contention-free form of work stealing: one global deque, steals from
-//! the front) and push finished traces over a channel. The collector
-//! holds a reorder buffer and folds results into the [`ShardSink`] in
-//! shard order, so ingestion is deterministic regardless of thread
-//! count or completion order — a shard's trace is a pure function of
-//! its config, and the sink always observes the same sequence.
+//! Shards run on [`ordered_fanout`]: workers claim them from a shared
+//! atomic cursor and a reorder buffer folds finished traces into the
+//! [`ShardSink`] in shard order, so ingestion is deterministic
+//! regardless of thread count or completion order — a shard's trace is
+//! a pure function of its config, and the sink always observes the
+//! same sequence.
 
+use crate::fanout::{ordered_fanout, worker_count};
 use crate::grid::{Shard, SweepSpec};
 use ntt_data::{RunData, TraceData};
 use ntt_sim::scenarios::{run, RunTrace, Scenario};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,18 +44,6 @@ impl FleetConfig {
             threads,
             ..Self::default()
         }
-    }
-
-    fn resolve(&self, n_shards: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let requested = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        requested.min(n_shards).max(1)
     }
 }
 
@@ -242,107 +227,50 @@ fn run_shard_with_retries(shard: &Shard, index: usize, max_retries: usize) -> Ru
 /// so the sink observes byte-identical input for any `threads` setting.
 pub fn run_fleet(spec: &SweepSpec, cfg: &FleetConfig, sink: &mut dyn ShardSink) -> FleetReport {
     let shards = spec.expand();
-    let n = shards.len();
-    let threads = cfg.resolve(n);
+    let threads = worker_count(cfg.threads, shards.len());
     // Wall clock through the audited obs seam (lint R3): sweep timings
     // are report output only, never an input to the sweep itself.
     let started = ntt_obs::Stopwatch::start();
-    let mut stats: Vec<Option<ShardStat>> = (0..n).map(|_| None).collect();
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, RunTrace, Duration)>();
-    // Ingestion-progress throttle: workers may run at most `window`
-    // shards ahead of the sink, which bounds the reorder buffer (and
-    // thus peak raw-trace memory) at O(threads) even when one early
-    // shard is much slower than everything behind it.
-    let window = threads * 2;
-    let emitted = std::sync::Mutex::new(0usize);
-    let emitted_cv = std::sync::Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let shards = &shards;
-            let next = &next;
-            let emitted = &emitted;
-            let emitted_cv = &emitted_cv;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards.len() {
-                    break;
-                }
-                // Each cursor claim is a "steal" off the shared deque.
-                ntt_obs::counter!("fleet.steals").inc();
-                // Claims are strictly increasing, so the worker holding
-                // the lowest unfinished shard always satisfies
-                // `i < emitted + window` and progress is guaranteed.
-                {
-                    let mut e = emitted.lock().expect("fleet collector panicked");
-                    while i >= e.saturating_add(window) {
-                        e = emitted_cv.wait(e).expect("fleet collector panicked");
-                    }
-                }
-                let shard = shards[i];
-                let t0 = ntt_obs::Stopwatch::start();
-                let trace = run_shard_with_retries(&shard, i, cfg.max_retries);
-                if tx.send((i, trace, t0.elapsed())).is_err() {
-                    break; // collector gone; nothing left to do
-                }
+    let mut stats = Vec::with_capacity(shards.len());
+    ordered_fanout(
+        shards.len(),
+        threads,
+        // Ingestion-progress throttle: workers may run at most this many
+        // shards ahead of the sink, which bounds the reorder buffer (and
+        // thus peak raw-trace memory) at O(threads) even when one early
+        // shard is much slower than everything behind it.
+        threads * 2,
+        |i| {
+            // Each cursor claim is a "steal" off the shared deque.
+            ntt_obs::counter!("fleet.steals").inc();
+            let t0 = ntt_obs::Stopwatch::start();
+            let trace = run_shard_with_retries(&shards[i], i, cfg.max_retries);
+            (trace, t0.elapsed())
+        },
+        // Depth observed on every arrival: how far completion order ran
+        // ahead of shard order (1 = perfectly in order).
+        |depth| ntt_obs::histogram!("fleet.reorder_depth").record(depth as u64),
+        |i, (trace, wall): (RunTrace, Duration)| {
+            let shard = &shards[i];
+            stats.push(ShardStat {
+                index: shard.index,
+                scenario: shard.scenario,
+                load_factor: shard.load_factor,
+                seed: shard.cfg.seed,
+                packets: trace.packets.len(),
+                messages: trace.messages.len(),
+                events: trace.events,
+                drops: trace.drops,
+                wall,
             });
-        }
-        drop(tx);
-
-        // If the sink panics below, throttled workers must still wake
-        // or the scope's implicit join would deadlock; this guard lifts
-        // the window on any exit from the collector.
-        struct UnblockOnExit<'a>(&'a std::sync::Mutex<usize>, &'a std::sync::Condvar);
-        impl Drop for UnblockOnExit<'_> {
-            fn drop(&mut self) {
-                *self.0.lock().unwrap_or_else(|e| e.into_inner()) = usize::MAX;
-                self.1.notify_all();
-            }
-        }
-        let _unblock = UnblockOnExit(&emitted, &emitted_cv);
-
-        // Reorder buffer: hold out-of-order completions until all
-        // predecessors arrived, then fold into the sink in shard order.
-        let mut pending: BTreeMap<usize, (RunTrace, Duration)> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        for _ in 0..n {
-            let (i, trace, wall) = rx.recv().expect("fleet worker panicked");
-            pending.insert(i, (trace, wall));
-            // Depth observed on every arrival: how far completion order
-            // ran ahead of shard order (1 = perfectly in order).
-            ntt_obs::histogram!("fleet.reorder_depth").record(pending.len() as u64);
-            while let Some((trace, wall)) = pending.remove(&next_emit) {
-                let shard = &shards[next_emit];
-                stats[next_emit] = Some(ShardStat {
-                    index: shard.index,
-                    scenario: shard.scenario,
-                    load_factor: shard.load_factor,
-                    seed: shard.cfg.seed,
-                    packets: trace.packets.len(),
-                    messages: trace.messages.len(),
-                    events: trace.events,
-                    drops: trace.drops,
-                    wall,
-                });
-                ntt_obs::counter!("fleet.shards_run").inc();
-                ntt_obs::histogram!("fleet.shard_ns")
-                    .record(wall.as_nanos().min(u64::MAX as u128) as u64);
-                sink.on_shard(shard, trace);
-                next_emit += 1;
-            }
-            *emitted.lock().expect("fleet worker panicked") = next_emit;
-            emitted_cv.notify_all();
-        }
-    });
-
+            ntt_obs::counter!("fleet.shards_run").inc();
+            ntt_obs::histogram!("fleet.shard_ns")
+                .record(wall.as_nanos().min(u64::MAX as u128) as u64);
+            sink.on_shard(shard, trace);
+        },
+    );
     FleetReport {
-        shards: stats
-            .into_iter()
-            .map(|s| s.expect("shard not run"))
-            .collect(),
+        shards: stats,
         threads,
         wall: started.elapsed(),
     }

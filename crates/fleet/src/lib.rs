@@ -22,7 +22,9 @@
 //!   so peak memory stays bounded by shards-in-flight instead of all raw
 //!   traces;
 //! * [`FleetReport`] — fleet-level aggregates (simulated packets/sec,
-//!   drops, per-shard timing).
+//!   drops, per-shard timing);
+//! * [`ordered_fanout`] — the executor's worker pool and reorder buffer
+//!   on their own, which the trainer's microbatch fan-out runs on too.
 //!
 //! ```
 //! use ntt_fleet::{FleetConfig, SweepSpec, run_fleet_dataset};
@@ -43,10 +45,12 @@
 //! ```
 
 mod executor;
+mod fanout;
 mod grid;
 
 pub use executor::{
     run_fleet, run_fleet_dataset, run_fleet_traces, run_many_parallel, CollectTraces, FleetConfig,
     FleetReport, ShardSink, ShardStat, StreamToData,
 };
+pub use fanout::{ordered_fanout, worker_count};
 pub use grid::{splitmix64, Scenario, ScenarioConfig, SeedSchedule, Shard, SweepSpec};

@@ -14,7 +14,7 @@
 //! While the kill switch is off ([`crate::enabled`] is `false`) a span
 //! is one relaxed atomic load and a `None`: the clock is never read and
 //! the histogram is never touched, so instrumented-but-disabled code
-//! runs at uninstrumented speed (gated by the `obs_overhead` bench).
+//! runs at uninstrumented speed.
 
 use crate::histogram::Histogram;
 use std::time::Instant;

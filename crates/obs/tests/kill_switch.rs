@@ -2,7 +2,9 @@
 //! tests flip the process-global switch, which would race with the
 //! in-crate unit tests if they shared a binary.
 
+use std::hint::black_box;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Tests here toggle global state; serialize them.
 fn lock() -> MutexGuard<'static, ()> {
@@ -44,6 +46,47 @@ fn disabled_metrics_record_nothing() {
     let snap = ntt_obs::snapshot();
     assert_eq!(snap.histogram("kill.hist").unwrap().count, 1);
     assert_eq!(snap.histogram("kill.span_ns").unwrap().count, 1);
+}
+
+/// Best of five mean ns per call of `f`, each over 2,000,000 calls.
+fn best_ns_per_op(mut f: impl FnMut()) -> f64 {
+    const ITERS: u32 = 2_000_000;
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..ITERS {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(ITERS)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// "Disappears when off": a disabled counter or span is a relaxed load
+/// and a branch. 10 ns is an order of magnitude above that cost, so the
+/// bound survives a busy host and still catches a lock, a clock read or
+/// a registry lookup on the disabled path.
+#[test]
+fn disabled_counter_and_span_cost_under_10ns() {
+    let _g = lock();
+    // Register both call sites while enabled, so the loops below time
+    // the steady state, not the first lookup.
+    ntt_obs::set_enabled(true);
+    ntt_obs::counter!("kill.cost.counter").inc();
+    drop(ntt_obs::span!("kill.cost.span_ns"));
+    ntt_obs::set_enabled(false);
+    let counter = best_ns_per_op(|| black_box(ntt_obs::counter!("kill.cost.counter")).inc());
+    // Immediate drop is the point: start and record are the full cost.
+    let span = best_ns_per_op(|| drop(black_box(ntt_obs::span!("kill.cost.span_ns"))));
+    ntt_obs::set_enabled(true);
+    assert!(
+        counter < 10.0,
+        "disabled counter costs {counter:.2} ns/op: the kill switch is no longer cheap"
+    );
+    assert!(
+        span < 10.0,
+        "disabled span costs {span:.2} ns/op: it must not read the clock"
+    );
 }
 
 #[test]

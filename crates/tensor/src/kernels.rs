@@ -237,16 +237,6 @@ unsafe fn on_avx512f<T>(f: impl FnOnce(Arm) -> T) -> T {
     f(Arm::Avx512f)
 }
 
-/// The arm this process runs — `"avx512f"`, `"avx2"` or `"baseline"` —
-/// for benchmark records. Every arm gives the same bits.
-pub fn microkernel_arm() -> &'static str {
-    match Arm::host() {
-        Arm::Baseline => "baseline",
-        Arm::Avx2 => "avx2",
-        Arm::Avx512f => "avx512f",
-    }
-}
-
 /// Pack B depth-rows `pc..pc+kc` into `[kc × NR]` column panels
 /// (tail panel zero-padded; `out` must be pre-zeroed and hold at least
 /// `n.div_ceil(NR) * kc * NR`). `(p, j)` of the logical `B[k, n]` lives
@@ -1418,9 +1408,8 @@ pub fn attn_fused_bwd(
 /// Naive triple-loop reference GEMMs, a row-serial softmax and
 /// LayerNorm, and attention composed from them: the ground truth the
 /// tiled engine, the row groups and the attention block kernel are
-/// tested against (the reductions and attention bit for bit), and the
-/// baselines the `kernels` bench measures against. Deliberately
-/// unblocked, unpacked and a row at a time — do not "optimize" these.
+/// tested against (the reductions and attention bit for bit).
+/// Deliberately unblocked, unpacked and a row at a time — do not "optimize" these.
 pub mod reference {
     /// `C[m,n] += A[m,k] · B[k,n]`, i-j-k order.
     pub fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -1649,6 +1638,36 @@ mod tests {
         let mut c = vec![0.0; m * n];
         gemm_nn(&a, &b, &mut c, m, k, n);
         assert_close(&c, &naive_nn(&a, &b, m, k, n));
+    }
+
+    /// A regression to unblocked code fails here: the tiled `gemm_nn`
+    /// must beat 4.0 GFLOP/s on 256³, best of five runs of at least
+    /// 20 ms each. The naive kernel reaches 1-3 GFLOP/s on supported
+    /// hardware; the tiled one runs an order of magnitude above the
+    /// floor, which leaves headroom for a slow or busy machine.
+    #[test]
+    fn tiled_nn_beats_the_naive_floor() {
+        const FLOOR_GFLOPS: f64 = 4.0;
+        let n = 256;
+        let (a, b) = (rand_vec(n * n, 1), rand_vec(n * n, 2));
+        let mut c = vec![0.0f32; n * n];
+        gemm_nn(&a, &b, &mut c, n, n, n); // warm-up
+        let secs = (0..5)
+            .map(|_| {
+                let (t0, mut calls) = (std::time::Instant::now(), 0u32);
+                while calls == 0 || t0.elapsed().as_secs_f64() < 0.02 {
+                    gemm_nn(&a, &b, &mut c, n, n, n);
+                    calls += 1;
+                }
+                t0.elapsed().as_secs_f64() / f64::from(calls)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let gflops = 2.0 * (n * n * n) as f64 / secs / 1e9;
+        assert!(
+            gflops > FLOOR_GFLOPS,
+            "tiled gemm_nn at {n}³ reached only {gflops:.2} GFLOP/s, below the \
+             naive-level floor of {FLOOR_GFLOPS} GFLOP/s"
+        );
     }
 
     #[test]

@@ -95,6 +95,32 @@ fn fleet_shard_retries_replay_and_produce_byte_identical_traces() {
 }
 
 #[test]
+fn a_shard_out_of_retries_fails_the_sweep_instead_of_hanging_it() {
+    // One shard attempt fails and has no retry left. The workers behind
+    // it are throttled on a shard that will never reach the sink, so
+    // unless the panic lifts the throttle the sweep waits forever.
+    let mut base = ScenarioConfig::tiny(17);
+    base.duration = SimTime::from_millis(200);
+    base.drain = SimTime::from_millis(100);
+    let spec = SweepSpec::new(base)
+        .scenarios(vec![Scenario::Pretrain])
+        .runs_per_cell(12);
+    let _guard = chaos::scoped(
+        ChaosPlan::new(1).rule(
+            Rule::new("fleet.shard.attempt", FaultKind::Fail)
+                .rate(1, 1)
+                .limit(1),
+        ),
+    );
+    let cfg = FleetConfig {
+        threads: 2,
+        max_retries: 0,
+    };
+    let sweep = std::panic::catch_unwind(|| run_fleet_traces(&spec, &cfg));
+    assert!(sweep.is_err(), "a shard out of retries must fail the sweep");
+}
+
+#[test]
 fn checkpoint_read_chaos_is_caught_and_the_registry_keeps_last_good() {
     // Corruption and truncation injected at the `core.checkpoint.read`
     // site must be caught by the checkpoint's own validation (checksum,

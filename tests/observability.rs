@@ -14,7 +14,7 @@ use ntt::sim::scenarios::{run, Scenario, ScenarioConfig};
 struct TrainDeltas {
     steps: u64,
     /// (count, sum) of the microbatch fan-out histogram — shard counts
-    /// are a pure function of batch size and `microbatch`.
+    /// are a pure function of batch size (microbatches are fixed at 8).
     fanout: (u64, u64),
     /// Last pre-clip gradient norm, bit-exact.
     grad_norm_bits: u64,
