@@ -46,8 +46,11 @@ mod trainer;
 pub use checkpoint::{Checkpoint, HeadSpec, LoadedModel};
 pub use config::{Aggregation, NttConfig, OUT_SLOTS, ZONE_SLOTS};
 pub use model::{build_head, DelayHead, FoldedFront, MctHead, Ntt};
+pub use ntt_fleet::worker_count;
 pub use ntt_nn::Head;
 pub use pipeline::{Experiment, FinetuneOpts, Finetuned, Pretrained};
 pub use task::{HeadTask, Task};
 pub use threads::env_threads;
-pub use trainer::{evaluate, train, EvalReport, ParStrategy, TrainConfig, TrainMode, TrainReport};
+pub use trainer::{
+    evaluate, fan_out, train, EvalReport, ParStrategy, TrainConfig, TrainMode, TrainReport,
+};

@@ -1,13 +1,14 @@
 //! The one parser for the `NTT_THREADS` environment knob.
 //!
-//! Every layer that fans work out — the fleet, the trainer, the serving
-//! batcher, and the `paper` binary — honors the same environment
-//! variable. Before this module each site re-implemented the parse (and
-//! its warning) by hand; they drifted in defaults and wording. Callers
-//! now state only their default, which is the one thing that
-//! legitimately differs: the trainer treats *unset* as sequential
-//! (`1`), the `paper` and serving binaries treat it as auto (`0` = one worker
-//! per core).
+//! The fleet, the trainer and the `paper` binary honor the same
+//! environment variable. Before this module each site re-implemented
+//! the parse (and its warning) by hand; they drifted in defaults and
+//! wording. Callers now state only their default, which is the one
+//! thing that legitimately differs: the trainer treats *unset* as
+//! sequential (`1`), the `paper` binary treats it as auto (`0` = one
+//! worker per core). Serving does not read it: an `ntt-serve` engine
+//! spreads a batch's shards over the allowed CPUs, and a `Batcher` runs
+//! the workers its `BatchConfig` names.
 
 /// `NTT_THREADS`, or `default` when unset or unparsable. An unparsable
 /// value warns instead of failing silently: thread counts never change

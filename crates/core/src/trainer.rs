@@ -186,10 +186,14 @@ fn optimizer_for(
     (Adam::new(params, schedule), trainable)
 }
 
-/// [`ordered_fanout`] of `work` over `0..n`, each result to `emit` in
-/// index order, unbounded; when one worker would run every job, the
-/// calling thread runs them instead, with no spawn per step.
-fn fan_out<R: Send>(
+/// [`ordered_fanout`] of `work` over `0..n` on `threads` workers, each
+/// result to `emit` in index order, unbounded; when one worker would run
+/// every job, the calling thread runs them instead, with no spawn. The
+/// trainer's microbatch steps, [`evaluate`]'s batches and the serving
+/// engine's batch shards run on it, so each reduces or concatenates in
+/// the same order at any thread count. A panic in `work` or `emit`
+/// propagates to the caller.
+pub fn fan_out<R: Send>(
     n: usize,
     threads: usize,
     work: impl Fn(usize) -> R + Sync,

@@ -4,9 +4,11 @@
 //! What a coalesced forward amortises is per-request fixed cost (tape
 //! setup, weight staging, the queue hand-off, a thread wake-up), and
 //! the `e2e` ledger says what that is worth: most of a request at the
-//! tiny shape, nothing at paper shape, where `Ntt::encode` costs
-//! 774–792 µs a window at batch 1 and 779–780 at batch 16 (ROADMAP's
-//! first open item is where that changes). The [`Batcher`] owns a FIFO
+//! tiny shape. At paper shape a coalesced batch is what lets one
+//! worker use every allowed CPU, because [`InferenceEngine::predict`]
+//! runs it as shards (see the engine's "Batch shards"): on a 2-vCPU
+//! host a traced `batch_paper` reads 162–198 µs a window at batch 16
+//! against 300–333 µs for one window alone. The [`Batcher`] owns a FIFO
 //! queue and a small worker pool; each worker wakes on a non-empty
 //! queue, drains `min(pending, max_batch)` requests **from the queue
 //! front in arrival order**, stacks them into one `[B, T, F]` forward
@@ -546,7 +548,7 @@ fn serve(shared: &Shared, batch: &[Request]) {
 mod tests {
     use super::*;
     use crate::test_util::tiny_engine;
-    use ntt_core::DelayHead;
+    use ntt_core::{DelayHead, MctHead};
     use ntt_nn::{Head, Module};
     use ntt_tensor::{Param, Var};
 
@@ -585,9 +587,14 @@ mod tests {
         }
     }
 
-    /// A real delay head behind a [`Gate`].
+    /// Aux value that makes a [`FlakyHead`] panic on the shard that
+    /// carries it.
+    const MARK: f32 = -1e9;
+
+    /// A real head behind a [`Gate`]; it also panics on any shard whose
+    /// aux input holds [`MARK`].
     struct FlakyHead {
-        inner: DelayHead,
+        inner: Box<dyn Head>,
         gate: Arc<Gate>,
     }
     impl Module for FlakyHead {
@@ -601,6 +608,9 @@ mod tests {
         }
         fn d_model(&self) -> usize {
             self.inner.d_model()
+        }
+        fn needs_aux(&self) -> bool {
+            self.inner.needs_aux()
         }
         fn forward_head<'t>(
             &self,
@@ -620,29 +630,43 @@ mod tests {
             if self.gate.boom.contains(&call) {
                 panic!("injected head failure");
             }
+            if aux.is_some_and(|a| a.value().data().contains(&MARK)) {
+                panic!("injected failure on a marked window");
+            }
             self.inner.forward_head(tape, encoded, aux)
         }
     }
 
-    /// Engine whose one head is a [`FlakyHead`] panicking on the `boom`
-    /// calls, with its gate `open` or shut, plus the gate's handle.
-    fn flaky_engine(boom: &'static [usize], open: bool) -> (Arc<InferenceEngine>, Arc<Gate>) {
-        let cfg = crate::test_util::tiny_cfg();
+    /// Engine whose one head is a [`FlakyHead`] around `inner`,
+    /// panicking on the `boom` calls, with its gate `open` or shut, plus
+    /// the gate's handle.
+    fn gated_engine(
+        inner: Box<dyn Head>,
+        boom: &'static [usize],
+        open: bool,
+    ) -> (InferenceEngine, Arc<Gate>) {
         let gate = Arc::new(Gate {
             boom,
             state: Mutex::new((0, open)),
             changed: Condvar::new(),
         });
         let head = FlakyHead {
-            inner: DelayHead::new(cfg.d_model, 1),
+            inner,
             gate: Arc::clone(&gate),
         };
-        let eng = Arc::new(InferenceEngine::from_parts(
-            ntt_core::Ntt::new(cfg),
+        let eng = InferenceEngine::from_parts(
+            ntt_core::Ntt::new(crate::test_util::tiny_cfg()),
             vec![Box::new(head)],
             ntt_data::Normalizer::identity(NUM_FEATURES),
-        ));
+        );
         (eng, gate)
+    }
+
+    /// [`gated_engine`] around a delay head.
+    fn flaky_engine(boom: &'static [usize], open: bool) -> (Arc<InferenceEngine>, Arc<Gate>) {
+        let d_model = crate::test_util::tiny_cfg().d_model;
+        let (eng, gate) = gated_engine(Box::new(DelayHead::new(d_model, 1)), boom, open);
+        (Arc::new(eng), gate)
     }
 
     #[test]
@@ -840,6 +864,52 @@ mod tests {
         let stats = batcher.stats();
         assert_eq!(stats.restarts, 1);
         assert_eq!(stats.windows, 2);
+    }
+
+    #[test]
+    fn a_panic_in_one_shard_fails_its_batch_and_the_next_is_served() {
+        // Two workers split a batch of 8 into four shards of 2; the shard
+        // holding the marked window panics on its scoped worker.
+        let d_model = crate::test_util::tiny_cfg().d_model;
+        let (mut eng, gate) = gated_engine(Box::new(MctHead::new(d_model, 2)), &[], false);
+        eng.cpus = 2;
+        let eng = Arc::new(eng);
+        let batcher = Batcher::new(
+            Arc::clone(&eng),
+            BatchConfig {
+                max_batch: 8,
+                workers: 1,
+                head: "flaky",
+                ..BatchConfig::default()
+            },
+        );
+        let ws = windows(&eng, 17, 31);
+        let aux = |i: usize| if i == 6 { MARK } else { i as f32 * 0.1 };
+        // Window 0 is claimed alone and held at the gate, so windows
+        // 1..9 (marked: 6) and 9..17 queue as two full batches.
+        let mut tickets = vec![batcher.submit(ws[0].clone(), Some(aux(0))).unwrap()];
+        gate.wait_until_entered();
+        tickets.extend((1..17).map(|i| batcher.submit(ws[i].clone(), Some(aux(i))).unwrap()));
+        gate.open();
+        let results: Vec<Result<f32, ServeError>> = tickets.into_iter().map(Ticket::wait).collect();
+        for (i, r) in results.iter().enumerate() {
+            if (1..9).contains(&i) {
+                assert_eq!(*r, Err(ServeError::WorkerDied), "window {i}");
+                continue;
+            }
+            let x = Tensor::from_vec(ws[i].clone(), &[1, eng.seq_len(), NUM_FEATURES]);
+            let a = Tensor::from_vec(vec![aux(i)], &[1, 1]);
+            let want = eng.predict_on("flaky", &x, Some(&a), 1).item();
+            assert_eq!(r.clone().unwrap().to_bits(), want.to_bits(), "window {i}");
+        }
+        assert!(batcher.is_healthy());
+        let stats = batcher.stats();
+        assert_eq!(stats.restarts, 1, "one panicked batch, one restart");
+        assert_eq!((stats.batches, stats.largest_batch), (2, 8));
+        let served = results.iter().filter(|r| r.is_ok()).count() as u64;
+        let died = results.iter().filter(|r| r.is_err()).count() as u64;
+        assert_eq!(stats.windows, served);
+        assert_eq!(served + died + stats.shed + stats.deadline_exceeded, 17);
     }
 
     #[test]

@@ -26,14 +26,30 @@
 //! counts, and batch compositions — and equal to the training path's
 //! recording-tape forward bit for bit: both tape kinds run the same
 //! ops. The tape's scratch arena recycles the same buffers request
-//! after request, so a steady-state serving loop stops allocating.
+//! after request, so a steady-state serving loop that runs one shard
+//! per request stops allocating.
+//!
+//! # Batch shards
+//!
+//! A batch of `B ≥ 2` windows is split into contiguous shards of
+//! `ceil(B / 2w)` windows, `w = min(allowed CPUs, B)`, each run on its
+//! own pooled tape by `ntt_core::fan_out`, and the shard outputs are
+//! concatenated in shard order. Two shards per worker, not one, so a
+//! worker on a slower core does not hold the whole batch back.
+//! Per-window results are batch-composition invariant (see
+//! [`InferenceEngine::predict`]), so the split moves no bit. One
+//! window, or a one-CPU host, is one shard run inline on the caller's
+//! thread; a sharded batch spawns its scoped workers per batch, and
+//! each allocates fresh thread-local kernel panels. The CPU count is
+//! read once per process (`ntt_core::worker_count`).
 
-use ntt_core::{FoldedFront, Ntt, NttConfig, Pretrained};
+use ntt_core::{fan_out, worker_count, FoldedFront, Ntt, NttConfig, Pretrained};
 use ntt_data::{Normalizer, CH_DELAY, NUM_FEATURES};
 use ntt_nn::Head;
 use ntt_obs::Counter;
 use ntt_tensor::{TapePool, Tensor};
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 /// A loaded model ready to serve: trunk + heads + normalizer, executing
@@ -50,6 +66,43 @@ pub struct InferenceEngine {
     /// Windows predicted since construction (all entry points). An
     /// `ntt_obs` counter: it holds its last value while `NTT_OBS=off`.
     served: Counter,
+    /// Most workers one batch's shards run on: the allowed CPUs. Tests
+    /// in this crate lower or raise it to run any shard plan on any
+    /// runner.
+    pub(crate) cpus: usize,
+}
+
+/// How a batch of `b` windows splits over `workers`: contiguous shards
+/// of `len` windows (the last one shorter), in window order.
+struct ShardPlan {
+    b: usize,
+    len: usize,
+    workers: usize,
+}
+
+impl ShardPlan {
+    /// The plan for `b` windows with at most `cpus` workers: one shard
+    /// when only one worker would run, else `ceil(b / 2w)` windows per
+    /// shard, `w = min(cpus, b)`, so each worker takes about two.
+    fn new(b: usize, cpus: usize) -> Self {
+        let workers = cpus.min(b).max(1);
+        let len = if workers == 1 {
+            b.max(1)
+        } else {
+            b.div_ceil(2 * workers)
+        };
+        ShardPlan { b, len, workers }
+    }
+
+    /// Number of shards (an empty batch is one empty shard).
+    fn count(&self) -> usize {
+        self.b.div_ceil(self.len).max(1)
+    }
+
+    /// The windows of shard `i`.
+    fn range(&self, i: usize) -> Range<usize> {
+        i * self.len..((i + 1) * self.len).min(self.b)
+    }
 }
 
 impl InferenceEngine {
@@ -65,6 +118,7 @@ impl InferenceEngine {
             norm,
             tapes: TapePool::inference(),
             served: Counter::new(),
+            cpus: worker_count(0, usize::MAX),
         }
     }
 
@@ -139,7 +193,26 @@ impl InferenceEngine {
     /// batch gets bit-for-bit the prediction it would get alone — the
     /// property that lets the [`crate::Batcher`] coalesce arbitrary
     /// requests without changing anyone's answer.
+    ///
+    /// A batch of two or more windows runs as contiguous shards across
+    /// the allowed CPUs (see the module docs' "Batch shards"), which the
+    /// same invariance makes bit-identical to one pass. A one-shard call
+    /// (one window, or a one-CPU host) runs on the caller's thread and,
+    /// once warm, allocates nothing but its output; a sharded call
+    /// spawns scoped workers for the batch.
     pub fn predict(&self, kind: &str, windows: &Tensor, aux: Option<&Tensor>) -> Tensor {
+        self.predict_on(kind, windows, aux, self.cpus)
+    }
+
+    /// [`Self::predict`] with the batch's shards spread over at most
+    /// `cpus` workers.
+    pub(crate) fn predict_on(
+        &self,
+        kind: &str,
+        windows: &Tensor,
+        aux: Option<&Tensor>,
+        cpus: usize,
+    ) -> Tensor {
         let head = self.head(kind).unwrap_or_else(|| {
             panic!(
                 "engine has no {kind:?} head (loaded: {:?})",
@@ -155,23 +228,58 @@ impl InferenceEngine {
             aux.is_some(),
             "{kind:?} head aux-input mismatch"
         );
+        let b = shape[0];
+        if let Some(a) = aux {
+            assert!(
+                a.shape().len() == 2 && a.shape()[0] == b,
+                "predict expects [B, k] aux, got {:?} for {b} windows",
+                a.shape()
+            );
+        }
         // Chaos site: a seeded plan can stretch this forward pass
         // (simulating a slow model or contended accelerator) so the
         // layers above prove their queue bounds and deadlines hold
         // under slow service. One relaxed load when chaos is off.
         ntt_chaos::maybe_delay("serve.predict.delay");
-        // Inputs are staged as arena-pooled copies, so a warm engine
-        // allocates nothing per request.
         let _span = ntt_obs::span!("serve.predict_ns");
-        let out = self.tapes.with(0, |tape| {
-            let slots = self.front.forward(tape, tape.input_copy(windows));
-            let encoded = self.model.encode(tape, slots);
-            head.forward_head(tape, encoded, aux.map(|a| tape.input_copy(a)))
-                .value()
+        let plan = ShardPlan::new(b, cpus);
+        let row = shape[1] * shape[2];
+        // Each shard stages its rows as arena-pooled copies on its own
+        // pooled tape, so a warm one-shard engine allocates nothing
+        // per request but the output.
+        let run_shard = |i: usize| {
+            let r = plan.range(i);
+            self.tapes.with(0, |tape| {
+                let x = &windows.data()[r.start * row..r.end * row];
+                let x = tape.input_slice(x, &[r.len(), shape[1], shape[2]]);
+                let encoded = self.model.encode(tape, self.front.forward(tape, x));
+                let aux = aux.map(|a| {
+                    let k = a.shape()[1];
+                    tape.input_slice(&a.data()[r.start * k..r.end * k], &[r.len(), k])
+                });
+                head.forward_head(tape, encoded, aux).value()
+            })
+        };
+        // Shard outputs joined in shard order; one shard is returned as
+        // it came.
+        let mut out: Option<Tensor> = None;
+        fan_out(plan.count(), plan.workers, run_shard, |part: Tensor| {
+            out = Some(match out.take() {
+                None => part,
+                Some(done) => {
+                    let mut shape = done.shape().to_vec();
+                    shape[0] += part.shape()[0];
+                    let mut data = done.into_data();
+                    data.extend_from_slice(part.data());
+                    Tensor::from_vec(data, &shape)
+                }
+            })
         });
-        self.served.add(shape[0] as u64);
-        ntt_obs::counter!("serve.windows_served").add(shape[0] as u64);
-        out
+        self.served.add(b as u64);
+        ntt_obs::counter!("serve.windows_served").add(b as u64);
+        // PANIC-OK: a plan has at least one shard, and `fan_out` emits
+        // every shard's output or propagates its panic.
+        out.expect("a batch is at least one shard")
     }
 
     /// Convert a normalized delay prediction back to seconds.
@@ -294,6 +402,55 @@ mod tests {
                     out.data()[pos].to_bits(),
                     "window {win} changed riding at position {pos} of {ids:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn shard_plans_cover_the_batch_in_order() {
+        for b in 0..=17 {
+            for cpus in 1..=4 {
+                let plan = ShardPlan::new(b, cpus);
+                assert_eq!(plan.workers, cpus.min(b).max(1));
+                let shards: Vec<Range<usize>> = (0..plan.count()).map(|i| plan.range(i)).collect();
+                let covered: Vec<usize> = shards.iter().cloned().flatten().collect();
+                assert_eq!(covered, (0..b).collect::<Vec<_>>(), "b {b}, cpus {cpus}");
+                assert!(
+                    b == 0 || shards.iter().all(|r| !r.is_empty()),
+                    "b {b}, cpus {cpus}: {shards:?}"
+                );
+                if plan.workers == 1 {
+                    assert_eq!(
+                        (shards.len(), plan.range(0)),
+                        (1, 0..b),
+                        "one worker, one shard"
+                    );
+                } else {
+                    assert_eq!(shards[0].len(), b.div_ceil(2 * plan.workers));
+                    assert!(shards.len() >= plan.workers, "b {b}, cpus {cpus}");
+                }
+            }
+        }
+        // The benchmark's shape: 16 windows on 2 CPUs are 4 shards of 4.
+        let plan = ShardPlan::new(16, 2);
+        assert_eq!((plan.count(), plan.range(3)), (4, 12..16));
+    }
+
+    #[test]
+    fn sharded_predictions_match_one_shard_bit_for_bit() {
+        let eng = tiny_engine();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for b in 1..=17 {
+            let x = Tensor::randn(&[b, eng.seq_len(), NUM_FEATURES], 40 + b as u64);
+            let aux = Tensor::randn(&[b, 1], 60 + b as u64);
+            for (kind, aux) in [("delay", None), ("mct", Some(&aux))] {
+                let one = eng.predict_on(kind, &x, aux, 1);
+                assert_eq!(one.shape(), &[b, 1]);
+                for cpus in [2, 3] {
+                    let sharded = eng.predict_on(kind, &x, aux, cpus);
+                    assert_eq!(sharded.shape(), one.shape(), "{kind}, b {b}, cpus {cpus}");
+                    assert_eq!(bits(&sharded), bits(&one), "{kind}, b {b}, cpus {cpus}");
+                }
             }
         }
     }

@@ -105,6 +105,13 @@ const F32_BYTES: usize = std::mem::size_of::<f32>();
 /// always; buffers for shapes that stop occurring age out when the tape
 /// is dropped. Pooled bytes are tracked, with the lifetime high-water
 /// exported through the process-wide `tensor.tape_arena_bytes` gauge.
+///
+/// Pooling per exact length means a tape that sees many batch sizes
+/// keeps a set of buffers for each: one paper-shape inference tape fed
+/// every batch size from 1 to 16 pools 65 MiB at its high water, against
+/// 9 MiB for batch 16 alone. A serving engine bounds this by running a
+/// large batch as shards of a few windows each (on two CPUs, batches of
+/// 1 to 16 become shards of 1 to 4 windows: 5 MiB per tape).
 #[derive(Default)]
 struct Scratch {
     pool: RefCell<BTreeMap<usize, Vec<Vec<f32>>>>,
