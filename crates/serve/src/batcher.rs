@@ -78,7 +78,9 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// Largest batch one forward pass coalesces.
     pub max_batch: usize,
-    /// Worker threads draining the queue.
+    /// Worker threads draining the queue. Each runs its batches' engine
+    /// shards on at most `allowed CPUs / workers` threads (at least
+    /// one), so a busy pool does not oversubscribe the cores.
     pub workers: usize,
     /// Head kind every request runs through (one batcher serves one
     /// task; run several batchers over one engine for several tasks).
@@ -133,6 +135,10 @@ struct Queue {
 struct Shared {
     engine: Arc<InferenceEngine>,
     cfg: BatchConfig,
+    /// Most workers one batch's engine shards run on: this pool's share
+    /// of the engine's CPUs, so `workers` busy pool threads and their
+    /// shards do not oversubscribe the cores.
+    shard_cpus: usize,
     queue: Mutex<Queue>,
     ready: Condvar,
     batches_run: AtomicU64,
@@ -221,6 +227,7 @@ impl Batcher {
         );
         let workers = cfg.workers;
         let shared = Arc::new(Shared {
+            shard_cpus: (engine.cpus / workers).max(1),
             engine,
             cfg,
             queue: Mutex::new(Queue {
@@ -523,7 +530,9 @@ fn serve(shared: &Shared, batch: &[Request]) {
             &[b, 1],
         )
     });
-    let out = shared.engine.predict(shared.cfg.head, &x, aux.as_ref());
+    let out = shared
+        .engine
+        .predict_on(shared.cfg.head, &x, aux.as_ref(), shared.shard_cpus);
 
     shared.batches_run.fetch_add(1, Ordering::Relaxed);
     shared.windows_run.fetch_add(b as u64, Ordering::Relaxed);
@@ -868,11 +877,11 @@ mod tests {
 
     #[test]
     fn a_panic_in_one_shard_fails_its_batch_and_the_next_is_served() {
-        // Two workers split a batch of 8 into four shards of 2; the shard
+        // Two CPUs split a batch of 8 into four shards of 2; the shard
         // holding the marked window panics on its scoped worker.
         let d_model = crate::test_util::tiny_cfg().d_model;
         let (mut eng, gate) = gated_engine(Box::new(MctHead::new(d_model, 2)), &[], false);
-        eng.cpus = 2;
+        (eng.cpus, eng.min_shard) = (2, 1);
         let eng = Arc::new(eng);
         let batcher = Batcher::new(
             Arc::clone(&eng),
@@ -899,7 +908,7 @@ mod tests {
             }
             let x = Tensor::from_vec(ws[i].clone(), &[1, eng.seq_len(), NUM_FEATURES]);
             let a = Tensor::from_vec(vec![aux(i)], &[1, 1]);
-            let want = eng.predict_on("flaky", &x, Some(&a), 1).item();
+            let want = eng.predict("flaky", &x, Some(&a)).item();
             assert_eq!(r.clone().unwrap().to_bits(), want.to_bits(), "window {i}");
         }
         assert!(batcher.is_healthy());
@@ -910,6 +919,21 @@ mod tests {
         let died = results.iter().filter(|r| r.is_err()).count() as u64;
         assert_eq!(stats.windows, served);
         assert_eq!(served + died + stats.shed + stats.deadline_exceeded, 17);
+    }
+
+    #[test]
+    fn pool_workers_share_the_engine_cpus() {
+        let mut eng = tiny_engine();
+        eng.cpus = 4;
+        let eng = Arc::new(eng);
+        let shard_cpus = |workers| {
+            let cfg = BatchConfig {
+                workers,
+                ..BatchConfig::default()
+            };
+            Batcher::new(Arc::clone(&eng), cfg).shared.shard_cpus
+        };
+        assert_eq!([1, 2, 3, 4, 8].map(shard_cpus), [4, 2, 1, 1, 1]);
     }
 
     #[test]

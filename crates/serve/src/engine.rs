@@ -34,22 +34,27 @@
 //! A batch of `B ≥ 2` windows is split into contiguous shards of
 //! `ceil(B / 2w)` windows, `w = min(allowed CPUs, B)`, each run on its
 //! own pooled tape by `ntt_core::fan_out`, and the shard outputs are
-//! concatenated in shard order. Two shards per worker, not one, so a
-//! worker on a slower core does not hold the whole batch back.
-//! Per-window results are batch-composition invariant (see
+//! concatenated in shard order. Two shards per worker, not one: at
+//! paper shape, 16 windows on two CPUs as four shards of 4 beat two
+//! shards of 8 in `batch_paper` throughput (8 of 10 pairs), and the
+//! smaller shards pool less scratch (21 MiB against 46 MiB peak RSS).
+//! No shard is lighter than [`MIN_SHARD_MACS`] of encoder work, so a
+//! batch of narrow windows that would finish before a worker starts
+//! stays one shard. Per-window
+//! results are batch-composition invariant (see
 //! [`InferenceEngine::predict`]), so the split moves no bit. One
-//! window, or a one-CPU host, is one shard run inline on the caller's
-//! thread; a sharded batch spawns its scoped workers per batch, and
-//! each allocates fresh thread-local kernel panels. The CPU count is
-//! read once per process (`ntt_core::worker_count`).
+//! window, a light batch or a one-CPU host is one shard run inline on
+//! the caller's thread; a sharded batch spawns its scoped workers per
+//! batch, and each allocates fresh thread-local kernel panels. The CPU
+//! count is read once per process (`ntt_core::worker_count`); a
+//! [`crate::Batcher`] pool of several workers gives each its share.
 
-use ntt_core::{fan_out, worker_count, FoldedFront, Ntt, NttConfig, Pretrained};
+use ntt_core::{fan_out, worker_count, FoldedFront, Ntt, NttConfig, Pretrained, OUT_SLOTS};
 use ntt_data::{Normalizer, CH_DELAY, NUM_FEATURES};
 use ntt_nn::Head;
 use ntt_obs::Counter;
 use ntt_tensor::{TapePool, Tensor};
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 
 /// A loaded model ready to serve: trunk + heads + normalizer, executing
@@ -66,43 +71,27 @@ pub struct InferenceEngine {
     /// Windows predicted since construction (all entry points). An
     /// `ntt_obs` counter: it holds its last value while `NTT_OBS=off`.
     served: Counter,
-    /// Most workers one batch's shards run on: the allowed CPUs. Tests
-    /// in this crate lower or raise it to run any shard plan on any
-    /// runner.
+    /// Most workers one batch's shards run on: the allowed CPUs, read
+    /// once per process. Tests in this crate set it, and
+    /// [`Self::min_shard`], to run any shard split on any runner.
     pub(crate) cpus: usize,
+    /// Fewest windows a shard holds: enough encoder work to pay for the
+    /// worker it starts ([`MIN_SHARD_MACS`]).
+    pub(crate) min_shard: usize,
 }
 
-/// How a batch of `b` windows splits over `workers`: contiguous shards
-/// of `len` windows (the last one shorter), in window order.
-struct ShardPlan {
-    b: usize,
-    len: usize,
-    workers: usize,
-}
+/// Least work a shard must carry to be given a scoped worker, in the
+/// encoder's dense multiply-adds ([`encoder_macs`]). One paper-shape
+/// window (3.1 M) clears it, so paper-shape batches shard; a batch of
+/// narrow windows (82 at d_model 8, one layer) stays one shard on the
+/// caller's thread, where sharding it measured no faster.
+const MIN_SHARD_MACS: usize = 2_000_000;
 
-impl ShardPlan {
-    /// The plan for `b` windows with at most `cpus` workers: one shard
-    /// when only one worker would run, else `ceil(b / 2w)` windows per
-    /// shard, `w = min(cpus, b)`, so each worker takes about two.
-    fn new(b: usize, cpus: usize) -> Self {
-        let workers = cpus.min(b).max(1);
-        let len = if workers == 1 {
-            b.max(1)
-        } else {
-            b.div_ceil(2 * workers)
-        };
-        ShardPlan { b, len, workers }
-    }
-
-    /// Number of shards (an empty batch is one empty shard).
-    fn count(&self) -> usize {
-        self.b.div_ceil(self.len).max(1)
-    }
-
-    /// The windows of shard `i`.
-    fn range(&self, i: usize) -> Range<usize> {
-        i * self.len..((i + 1) * self.len).min(self.b)
-    }
+/// Dense multiply-adds of one window through the encoder: per layer and
+/// slot, the four attention projections and the two feed-forward layers.
+fn encoder_macs(cfg: &NttConfig) -> usize {
+    let d = cfg.d_model;
+    OUT_SLOTS * cfg.n_layers * d * (4 * d + 2 * cfg.d_ff)
 }
 
 impl InferenceEngine {
@@ -112,6 +101,7 @@ impl InferenceEngine {
     pub fn from_parts(model: Ntt, heads: Vec<Box<dyn Head>>, norm: Normalizer) -> Self {
         assert!(!heads.is_empty(), "an engine needs at least one head");
         InferenceEngine {
+            min_shard: MIN_SHARD_MACS.div_ceil(encoder_macs(&model.cfg).max(1)),
             front: model.fold_front(),
             model,
             heads,
@@ -194,18 +184,19 @@ impl InferenceEngine {
     /// property that lets the [`crate::Batcher`] coalesce arbitrary
     /// requests without changing anyone's answer.
     ///
-    /// A batch of two or more windows runs as contiguous shards across
-    /// the allowed CPUs (see the module docs' "Batch shards"), which the
+    /// A batch with enough work runs as contiguous shards across the
+    /// allowed CPUs (see the module docs' "Batch shards"), which the
     /// same invariance makes bit-identical to one pass. A one-shard call
-    /// (one window, or a one-CPU host) runs on the caller's thread and,
-    /// once warm, allocates nothing but its output; a sharded call
-    /// spawns scoped workers for the batch.
+    /// (one window, a light batch, or a one-CPU host) runs on the
+    /// caller's thread and, once warm, allocates nothing but its output;
+    /// a sharded call spawns scoped workers for the batch.
     pub fn predict(&self, kind: &str, windows: &Tensor, aux: Option<&Tensor>) -> Tensor {
         self.predict_on(kind, windows, aux, self.cpus)
     }
 
-    /// [`Self::predict`] with the batch's shards spread over at most
-    /// `cpus` workers.
+    /// [`Self::predict`] with the batch's shards on at most `cpus`
+    /// workers: a pool of several threads calling one engine passes
+    /// each thread's share.
     pub(crate) fn predict_on(
         &self,
         kind: &str,
@@ -242,13 +233,17 @@ impl InferenceEngine {
         // under slow service. One relaxed load when chaos is off.
         ntt_chaos::maybe_delay("serve.predict.delay");
         let _span = ntt_obs::span!("serve.predict_ns");
-        let plan = ShardPlan::new(b, cpus);
+        // About two shards of `len` windows per worker, but none lighter
+        // than `min_shard`: one worker, or a batch with too little work
+        // to pay for a second, is one shard on this thread.
+        let w = cpus.min(b).max(1);
+        let len = if w == 1 { b } else { b.div_ceil(2 * w) }.max(self.min_shard);
         let row = shape[1] * shape[2];
         // Each shard stages its rows as arena-pooled copies on its own
         // pooled tape, so a warm one-shard engine allocates nothing
         // per request but the output.
         let run_shard = |i: usize| {
-            let r = plan.range(i);
+            let r = i * len..((i + 1) * len).min(b);
             self.tapes.with(0, |tape| {
                 let x = &windows.data()[r.start * row..r.end * row];
                 let x = tape.input_slice(x, &[r.len(), shape[1], shape[2]]);
@@ -263,7 +258,8 @@ impl InferenceEngine {
         // Shard outputs joined in shard order; one shard is returned as
         // it came.
         let mut out: Option<Tensor> = None;
-        fan_out(plan.count(), plan.workers, run_shard, |part: Tensor| {
+        let shards = b.div_ceil(len).max(1);
+        fan_out(shards, w.min(shards), run_shard, |part: Tensor| {
             out = Some(match out.take() {
                 None => part,
                 Some(done) => {
@@ -407,52 +403,39 @@ mod tests {
     }
 
     #[test]
-    fn shard_plans_cover_the_batch_in_order() {
-        for b in 0..=17 {
-            for cpus in 1..=4 {
-                let plan = ShardPlan::new(b, cpus);
-                assert_eq!(plan.workers, cpus.min(b).max(1));
-                let shards: Vec<Range<usize>> = (0..plan.count()).map(|i| plan.range(i)).collect();
-                let covered: Vec<usize> = shards.iter().cloned().flatten().collect();
-                assert_eq!(covered, (0..b).collect::<Vec<_>>(), "b {b}, cpus {cpus}");
-                assert!(
-                    b == 0 || shards.iter().all(|r| !r.is_empty()),
-                    "b {b}, cpus {cpus}: {shards:?}"
-                );
-                if plan.workers == 1 {
-                    assert_eq!(
-                        (shards.len(), plan.range(0)),
-                        (1, 0..b),
-                        "one worker, one shard"
-                    );
-                } else {
-                    assert_eq!(shards[0].len(), b.div_ceil(2 * plan.workers));
-                    assert!(shards.len() >= plan.workers, "b {b}, cpus {cpus}");
-                }
-            }
-        }
-        // The benchmark's shape: 16 windows on 2 CPUs are 4 shards of 4.
-        let plan = ShardPlan::new(16, 2);
-        assert_eq!((plan.count(), plan.range(3)), (4, 12..16));
-    }
-
-    #[test]
     fn sharded_predictions_match_one_shard_bit_for_bit() {
-        let eng = tiny_engine();
+        let mut eng = tiny_engine();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for b in 1..=17 {
             let x = Tensor::randn(&[b, eng.seq_len(), NUM_FEATURES], 40 + b as u64);
             let aux = Tensor::randn(&[b, 1], 60 + b as u64);
             for (kind, aux) in [("delay", None), ("mct", Some(&aux))] {
-                let one = eng.predict_on(kind, &x, aux, 1);
+                eng.cpus = 1;
+                let one = eng.predict(kind, &x, aux);
                 assert_eq!(one.shape(), &[b, 1]);
-                for cpus in [2, 3] {
-                    let sharded = eng.predict_on(kind, &x, aux, cpus);
-                    assert_eq!(sharded.shape(), one.shape(), "{kind}, b {b}, cpus {cpus}");
-                    assert_eq!(bits(&sharded), bits(&one), "{kind}, b {b}, cpus {cpus}");
+                // Two and three workers; the last with a floor of four
+                // windows a shard, so fewer shards than workers.
+                for (cpus, min_shard) in [(2, 1), (3, 1), (3, 4)] {
+                    (eng.cpus, eng.min_shard) = (cpus, min_shard);
+                    let sharded = eng.predict(kind, &x, aux);
+                    let at = format!("{kind}, b {b}, cpus {cpus}, min_shard {min_shard}");
+                    assert_eq!(sharded.shape(), one.shape(), "{at}");
+                    assert_eq!(bits(&sharded), bits(&one), "{at}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_a_wide_model_shards_a_small_batch() {
+        // A paper-shape window is worth a worker of its own; the test
+        // engine's narrow windows need a score of them per shard.
+        assert_eq!(encoder_macs(&NttConfig::default()), 3_145_728);
+        assert_eq!(
+            MIN_SHARD_MACS.div_ceil(encoder_macs(&NttConfig::default())),
+            1
+        );
+        assert_eq!(tiny_engine().min_shard, 21);
     }
 
     #[test]

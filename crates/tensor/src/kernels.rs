@@ -83,7 +83,10 @@
 //! evaluation batches and `Batcher` workers. A second level beneath
 //! those would oversubscribe the cores they already divide, and a
 //! `std::thread::scope` spawn + join (40–75 µs for two threads) costs
-//! more than an entire 48-row encoder product.
+//! more than an entire 48-row encoder product. The serving engine's
+//! batch shards are the one second level, beneath `Batcher` workers:
+//! each worker shards on its share of the CPUs, and only batches with
+//! more encoder work than a worker costs to start.
 //!
 //! # Determinism
 //!
